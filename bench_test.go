@@ -517,6 +517,53 @@ func (sinkSession) Reset()                                   {}
 
 // BenchmarkWorldThroughput measures simulator capacity: messages pushed
 // through the full engine+network+delivery pipeline per second.
+// BenchmarkNodeRelay is one cross-ISP message end to end through two
+// real nodes on loopback: committed at the sender, relayed over core's
+// outbound SMTP, received and credited at the peer, handed to the
+// Mailbox. The window keeps 64 messages in flight, so the figure is the
+// relay's sustained cost per delivered message, not one round trip's
+// latency.
+func BenchmarkNodeRelay(b *testing.B) {
+	domains := []string{"isp0.example", "isp1.example"}
+	window := make(chan struct{}, 64)
+	var nodes [2]*zmail.Node
+	for i := range nodes {
+		node, err := zmail.NewNode(zmail.NodeConfig{
+			Engine: zmail.ISPConfig{
+				Index: i, Domain: domains[i], Directory: zmail.NewDirectory(domains, nil),
+				MinAvail: 1, MaxAvail: 1 << 42, InitialAvail: 1 << 41,
+				BankSealer: zmail.NullSealer{}, OwnSealer: zmail.NullSealer{},
+			},
+			ListenAddr: "127.0.0.1:0",
+			Mailbox:    func(string, *zmail.Message) { <-window },
+			Logf:       func(format string, args ...any) { b.Errorf(format, args...) },
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer node.Close()
+		if err := node.Engine().RegisterUser("u0", 0, 1<<40, 1<<40); err != nil {
+			b.Fatal(err)
+		}
+		nodes[i] = node
+	}
+	nodes[0].AddPeer(1, nodes[1].Addr().String())
+	eng := nodes[0].Engine()
+	from := zmail.MustParseAddress("u0@isp0.example")
+	to := zmail.MustParseAddress("u0@isp1.example")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		window <- struct{}{}
+		if _, err := eng.SubmitSync(zmail.NewMessage(from, to, "bench", "body")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < cap(window); i++ { // full again once every delivery has drained it
+		window <- struct{}{}
+	}
+}
+
 func BenchmarkWorldThroughput(b *testing.B) {
 	w := benchWorld(b, 4)
 	rng := w.Rand()

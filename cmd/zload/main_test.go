@@ -14,11 +14,11 @@ func TestZloadFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-rate", "0"},
 		{"-duration", "0s"},
-		{"-targets", "127.0.0.1:1"},                                  // no -domains/-users
-		{"-targets", "127.0.0.1:1", "-domains", "a.test,b.test"},     // arity mismatch
-		{"-domains", "a.test"},                                       // external flag without -targets
-		{"-isps", "2", "stray-positional"},                           // stray arg
-		{"-targets", "127.0.0.1:1", "-domains", "a.test", "-users"},  // missing value
+		{"-targets", "127.0.0.1:1"}, // no -domains/-users
+		{"-targets", "127.0.0.1:1", "-domains", "a.test,b.test"}, // arity mismatch
+		{"-domains", "a.test"},                                      // external flag without -targets
+		{"-isps", "2", "stray-positional"},                          // stray arg
+		{"-targets", "127.0.0.1:1", "-domains", "a.test", "-users"}, // missing value
 	}
 	for _, args := range cases {
 		if err := run(args, os.Stdout); err == nil {

@@ -340,6 +340,7 @@ func boot(args []string) (*daemon, error) {
 	}
 	d.node = node
 	d.reg.Register(node.Engine())
+	d.reg.Register(node)
 	if *queueDep > 0 {
 		d.logf("admission queue enabled (depth %d, workers %d)", *queueDep, *queueWrk)
 	}

@@ -97,10 +97,12 @@ func TestZmaildMetricsBootFailure(t *testing.T) {
 // admin telemetry listener, and sanity-parses the exposition. This is
 // the `make obsv` smoke target.
 func TestObsvSmoke(t *testing.T) {
+	// The peer is never dialed (nothing is sent); it is there so the
+	// relay's per-peer series exist.
 	d, err := boot([]string{
-		"-index", "0", "-domains", "one.example", "-insecure",
+		"-index", "0", "-domains", "one.example,two.example", "-insecure",
 		"-listen", "127.0.0.1:0", "-metrics", "127.0.0.1:0",
-		"-user", "alice:1000:50:200",
+		"-user", "alice:1000:50:200", "-peer", "1=127.0.0.1:1",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,6 +150,13 @@ func TestObsvSmoke(t *testing.T) {
 		`zmail_isp_pool_avail{isp="one.example"}`,
 		`zmail_isp_submitted_total{isp="one.example"}`,
 		`zmail_isp_submit_seconds_count{isp="one.example"}`,
+		// The relay layer (core.Node.Collect).
+		`zmail_relay_queue_depth{isp="one.example",peer="two.example"}`,
+		`zmail_relay_sessions{isp="one.example",peer="two.example"}`,
+		`zmail_relay_dials_total{isp="one.example"}`,
+		`zmail_relay_sent_total{isp="one.example"}`,
+		`zmail_relay_retried_total{isp="one.example"}`,
+		`zmail_relay_failed_total{isp="one.example"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("exposition missing %s:\n%s", want, body)

@@ -469,6 +469,7 @@ func (c *Cluster) startISP(d *ISP) error {
 	}
 	d.node = node
 	d.reg.Register(node.Engine())
+	d.reg.Register(node)
 
 	if cfg.WALDir != "" {
 		d.walDir = filepath.Join(cfg.WALDir, fmt.Sprintf("isp%d", d.Index))

@@ -1,8 +1,9 @@
 // Package core assembles deployable Zmail daemons from the protocol
 // engines: a Node is one compliant ISP (isp.Engine + SMTP server for
-// submissions and peer relay + SMTP client for outbound + a persistent
-// TCP link to the bank), and BankServer is the central bank behind a
-// TCP listener speaking the wire protocol.
+// submissions and peer relay + one outbound relay per peer, a queue
+// drained over a few persistent, pipelined SMTP sessions (relay.go) + a
+// persistent TCP link to the bank), and BankServer is the central bank
+// behind a TCP listener speaking the wire protocol.
 //
 // Zmail rides unmodified SMTP (§1.3 of the paper): a Node accepts
 // ordinary SMTP transactions. A transaction whose MAIL FROM is a local
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -73,10 +75,12 @@ type Node struct {
 
 	mu      sync.Mutex
 	inboxes map[string][]*mail.Message
-	peers   map[int]string
+	relays  map[int]*relay // federation index → outbound relay, which holds the peer's address
 	bankTx  net.Conn
 	adminLn net.Listener
 	closed  bool
+
+	relayStats relayStats
 
 	tickStop chan struct{}
 	wg       sync.WaitGroup
@@ -100,11 +104,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		cfg:      cfg,
 		inboxes:  make(map[string][]*mail.Message),
-		peers:    make(map[int]string),
+		relays:   make(map[int]*relay),
 		tickStop: make(chan struct{}),
 	}
 	for idx, addr := range cfg.Peers {
-		n.peers[idx] = addr
+		n.relays[idx] = newRelay(n, idx, addr)
 	}
 	cfg.Engine.Transport = (*nodeTransport)(n)
 	eng, err := isp.New(cfg.Engine)
@@ -185,9 +189,13 @@ func (n *Node) LoadState(path string) error { return n.engine.LoadState(path) }
 // Addr returns the bound SMTP address.
 func (n *Node) Addr() net.Addr { return n.addr }
 
-// Close stops the SMTP server, the tick loop, and the bank link. The
-// admission queue (if configured) drains first, while the outbound
-// transports are still up, so accepted mail is not dropped on shutdown.
+// Close stops the node in the order mail flows, so that what was
+// accepted is not dropped on shutdown: the admission queue (if
+// configured) commits what it holds, which may queue relay mail; each
+// relay sends what it holds and its sessions say QUIT; only then does
+// the SMTP server stop, because a peer answers what we relay to it (list
+// acks) over connections to that server. The tick loop and the bank link
+// stop in between.
 func (n *Node) Close() error {
 	n.engine.StopQueue()
 	n.mu.Lock()
@@ -198,11 +206,15 @@ func (n *Node) Close() error {
 	n.closed = true
 	tx := n.bankTx
 	n.bankTx = nil
+	relays := n.relayList()
 	n.mu.Unlock()
 	close(n.tickStop)
 	n.closeAdmin()
 	if tx != nil {
 		_ = tx.Close()
+	}
+	for _, r := range relays {
+		r.close()
 	}
 	err := n.server.Close()
 	n.wg.Wait()
@@ -316,31 +328,55 @@ type nodeTransport Node
 var _ isp.Transport = (*nodeTransport)(nil)
 
 // AddPeer registers (or updates) the SMTP address for a federation
-// peer. Useful when listener ports are allocated dynamically.
+// peer. Useful when listener ports are allocated dynamically. Sessions
+// idling on a peer's previous address are hung up.
 func (n *Node) AddPeer(index int, addr string) {
 	n.mu.Lock()
-	n.peers[index] = addr
+	if n.closed {
+		n.mu.Unlock()
+		return
+	}
+	r := n.relays[index]
+	if r == nil {
+		n.relays[index] = newRelay(n, index, addr)
+	}
 	n.mu.Unlock()
+	if r != nil {
+		r.setAddr(addr)
+	}
 }
 
+// relayList snapshots the relays; the caller holds n.mu.
+func (n *Node) relayList() []*relay {
+	out := make([]*relay, 0, len(n.relays))
+	for _, r := range n.relays {
+		out = append(out, r)
+	}
+	return out
+}
+
+// peerName labels a peer in telemetry: its domain where the directory
+// knows the index.
+func (n *Node) peerName(index int) string {
+	if domains := n.cfg.Engine.Directory.Domains; index >= 0 && index < len(domains) {
+		return domains[index]
+	}
+	return strconv.Itoa(index)
+}
+
+// SendMail hands msg to the peer's relay and returns; relay.go sends it.
 func (t *nodeTransport) SendMail(toIndex int, toDomain string, msg *mail.Message) {
 	n := (*Node)(t)
 	n.mu.Lock()
-	addr, ok := n.peers[toIndex]
+	r := n.relays[toIndex]
 	n.mu.Unlock()
-	if !ok {
+	if r == nil {
 		n.cfg.Logf("core: no route to isp[%d] (%s); dropping %s", toIndex, toDomain, msg.ID())
 		return
 	}
-	// Asynchronous relay, like a real MTA queue runner.
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		err := smtp.SendMail(addr, n.engine.Domain(), msg.From, []mail.Address{msg.To}, msg, 30*time.Second)
-		if err != nil {
-			n.cfg.Logf("core: relay to %s: %v", toDomain, err)
-		}
-	}()
+	if !r.enqueue(msg) {
+		n.cfg.Logf("core: node closed; dropping %s for %s", msg.ID(), toDomain)
+	}
 }
 
 func (t *nodeTransport) SendBank(env *wire.Envelope) {

@@ -323,18 +323,15 @@ func (e *Engine) beginFreezeLocked(em *emitQueue, seq uint64, tid trace.ID) {
 	e.frozen = true
 	e.tracer.Record(tid, "snapshot", 0, "freeze")
 	em.add(func() {
-		// finishFreeze drains the buffered outbox in a loop, so its net
-		// delta is per-send × queue length — unbounded to the analysis.
-		// Each drained send conserves individually via submit.
-		//zlint:ignore moneyflow outbox drain repeats submit, whose per-send conservation is checked on its own
 		e.cfg.Clock.AfterFunc(e.cfg.FreezeDuration, func() { e.finishFreeze(seq, tid) })
 	})
 }
 
 // finishFreeze runs when the quiet period expires: report the credit
-// array, reset it for the new billing period, thaw, and drain the
-// buffered outbox. Holding freezeMu for write excludes every sender
-// and receiver, so the report is an exact cut of the credit state.
+// array and reset it for the new billing period. Holding freezeMu for
+// write excludes every sender and receiver, so the report is an exact
+// cut of the credit state. Sending stays frozen for a guard interval
+// more (see thaw).
 func (e *Engine) finishFreeze(seq uint64, tid trace.ID) {
 	e.freezeMu.Lock()
 	if !e.frozen {
@@ -345,12 +342,9 @@ func (e *Engine) finishFreeze(seq uint64, tid trace.ID) {
 	for i := range e.credit {
 		report.Credits[i] = e.credit[i].Swap(0)
 	}
-	e.frozen = false
 	e.stats.snapshotRounds.Add(1)
 	e.mu.Lock()
 	e.seq = seq + 1 // follow the round actually reported (adopt-forward)
-	outbox := e.outbox
-	e.outbox = nil
 	e.mu.Unlock()
 	// Logged under the freeze write lock, which excludes every credit
 	// delta: the meta segment's file order is the real zero-vs-delta
@@ -368,11 +362,39 @@ func (e *Engine) finishFreeze(seq uint64, tid trace.ID) {
 		// A seal failure only skips the report; next round retries.
 	}
 
+	e.cfg.Clock.AfterFunc(e.cfg.FreezeDuration/thawGuardShare, e.thaw)
+}
+
+// thawGuardShare sets how long after its cut an ISP keeps buffering
+// paid mail: FreezeDuration/thawGuardShare. Every ISP cuts on its own
+// timer, started when the bank's request reached it, so two cuts are a
+// request-delivery skew apart. Mail that an ISP charged after its cut
+// and that reaches a peer before the peer's cut is booked in different
+// billing periods at the two ends, and the bank flags an honest pair.
+// The quiet period already has to be long against the network's
+// delays; a quarter of it is long against the skew between two
+// deliveries of one request.
+const thawGuardShare = 4
+
+// thaw ends the freeze a guard interval after the cut and drains the
+// buffered outbox.
+func (e *Engine) thaw() {
+	e.freezeMu.Lock()
+	e.frozen = false
+	e.mu.Lock()
+	outbox := e.outbox
+	e.outbox = nil
+	e.mu.Unlock()
+	e.freezeMu.Unlock()
+
 	// Drain the buffered outbox through the normal submission path.
 	// Messages that can no longer be funded are dropped, mirroring what
-	// a real MTA queue does when an account is closed mid-queue.
+	// a real MTA queue does when an account is closed mid-queue. The
+	// loop's net delta is per-send × queue length — unbounded to the
+	// analysis; each drained send conserves individually via submit.
 	for _, msg := range outbox {
 		var em emitQueue
+		//zlint:ignore moneyflow outbox drain repeats submit, whose per-send conservation is checked on its own
 		_, _ = e.submit(&em, msg, true)
 		em.run()
 	}

@@ -498,10 +498,20 @@ func TestSnapshotFreezeLifecycle(t *testing.T) {
 		t.Fatalf("replayed request: %v", err)
 	}
 
-	// Freeze expires.
+	// The quiet period expires: the cut. The report goes out, but the
+	// engine keeps buffering for the guard interval, so that a peer
+	// whose own cut comes a little later does not book our new period's
+	// mail in its old one.
 	clk.Advance(time.Minute)
+	if !e.Frozen() || len(ft.mails) != sentBefore {
+		t.Fatalf("engine resumed sending at its cut (frozen=%v, sent %d -> %d)", e.Frozen(), sentBefore, len(ft.mails))
+	}
+	if got := e.Credit()[1]; got != 0 {
+		t.Fatalf("credit after the cut = %d, want 0", got)
+	}
+	clk.Advance(thawAfter - time.Minute)
 	if e.Frozen() {
-		t.Fatal("engine still frozen after FreezeDuration")
+		t.Fatal("engine still frozen after the guard interval")
 	}
 	// Credit report went to the bank with the pre-reset credit.
 	var report *wire.Envelope
@@ -560,7 +570,7 @@ func TestBufferedMailChargedAtThaw(t *testing.T) {
 			t.Fatalf("buffered submit %d = %v, %v", i, out, err)
 		}
 	}
-	clk.Advance(time.Minute)
+	clk.Advance(thawAfter)
 	if len(ft.mails) != 1 {
 		t.Fatalf("thaw transmitted %d, want 1 (second send unfunded)", len(ft.mails))
 	}

@@ -135,8 +135,12 @@ const HeaderUnpaid = "X-Zmail-Unpaid"
 // must not block for long; they are called outside every engine lock
 // and may be called from multiple goroutines concurrently.
 type Transport interface {
-	// SendMail transmits a message to the ISP at the given federation
-	// index (or any foreign domain when index is -1).
+	// SendMail takes a message for the ISP at the given federation
+	// index (or any foreign domain when index is -1) and returns without
+	// waiting for it to be sent: a peer's handler may be calling the
+	// same method on its own transport to answer us. core's
+	// implementation queues it for that peer's relay sessions; the
+	// simulator's hands it to the network model.
 	SendMail(toIndex int, toDomain string, msg *mail.Message)
 	// SendBank transmits a sealed control message to the bank.
 	SendBank(env *wire.Envelope)
@@ -191,7 +195,10 @@ type Config struct {
 	DefaultLimit int64
 
 	// FreezeDuration is the snapshot quiet period (§4.4's "10
-	// minutes"). Zero selects 10 minutes.
+	// minutes"): the time from the bank's request to the cut that is
+	// reported. Paid mail stays buffered a quarter of it longer, so
+	// that it cannot overtake a peer's cut (thawGuardShare). Zero
+	// selects 10 minutes.
 	FreezeDuration time.Duration
 
 	// Policy selects handling of unpaid inbound mail; zero selects

@@ -47,6 +47,10 @@ func (f *fakeTransport) DeliverAck(user string, msg *mail.Message) {
 	f.acks = append(f.acks, delivered{user, msg})
 }
 
+// thawAfter is how long after a freeze begins a newEngine engine sends
+// again: its quiet period plus the guard interval that follows the cut.
+const thawAfter = time.Minute + time.Minute/thawGuardShare
+
 var testDomains = []string{"a.example", "b.example", "c.example"}
 
 func newEngine(t *testing.T, index int, compliant []bool, mutate func(*Config)) (*Engine, *fakeTransport, *clock.Virtual) {

@@ -85,7 +85,7 @@ func TestEngineConservationProperty(t *testing.T) {
 				if out, err := e.SubmitSync(msg); err == nil && out != SentBuffered {
 					return false // frozen engine must buffer
 				}
-				clk.Advance(time.Minute)
+				clk.Advance(thawAfter)
 				for _, c := range pre {
 					wipedBySnapshots += c
 				}

@@ -84,9 +84,10 @@ func driveWALWorkload(t *testing.T, e *Engine, ft *fakeTransport, clk *clock.Vir
 		t.Fatal(err)
 	}
 	// Snapshot round: freeze, let the quiet period expire, report —
-	// zeroes the credit array and advances seq in the meta segment.
+	// zeroes the credit array and advances seq in the meta segment —
+	// and thaw.
 	e.ForceSnapshot()
-	clk.Advance(time.Minute)
+	clk.Advance(thawAfter)
 	// Day rollover resets sent/warned stripe by stripe.
 	e.EndOfDay()
 	// Leave some post-reset activity in the log.

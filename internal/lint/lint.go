@@ -346,6 +346,11 @@ func DefaultConfig() Config {
 			"zmail/internal/wire.WriteEnvelope",
 			"zmail/internal/smtp.SendMail",
 			"zmail/internal/smtp.Dial",
+			// What core's relay sessions call on their persistent clients.
+			"zmail/internal/smtp.Client.Ehlo",
+			"zmail/internal/smtp.Client.Hello",
+			"zmail/internal/smtp.Client.Send",
+			"zmail/internal/smtp.Client.Quit",
 			"zmail/internal/core.Uplink.Send",
 			// The ISP transport contract: callbacks fire after every lock
 			// is released (the emit-queue discipline).
@@ -459,12 +464,19 @@ func DefaultConfig() Config {
 			"zmail/internal/core.BankServer.ln":      {"zmail/internal/core.BankServer.mu"},
 			"zmail/internal/core.BankServer.closed":  {"zmail/internal/core.BankServer.mu"},
 			"zmail/internal/core.Node.inboxes":       {"zmail/internal/core.Node.mu"},
-			"zmail/internal/core.Node.peers":         {"zmail/internal/core.Node.mu"},
+			"zmail/internal/core.Node.relays":        {"zmail/internal/core.Node.mu"},
 			"zmail/internal/core.Node.bankTx":        {"zmail/internal/core.Node.mu"},
 			"zmail/internal/core.Node.adminLn":       {"zmail/internal/core.Node.mu"},
 			"zmail/internal/core.Node.closed":        {"zmail/internal/core.Node.mu"},
-			"zmail/internal/core.Uplink.conn":        {"zmail/internal/core.Uplink.mu"},
-			"zmail/internal/core.Uplink.closed":      {"zmail/internal/core.Uplink.mu"},
+			// A peer's relay: address, FIFO and session accounting under the
+			// relay mutex, which is never held across a dial or a send.
+			"zmail/internal/core.relay.addr":    {"zmail/internal/core.relay.mu"},
+			"zmail/internal/core.relay.queue":   {"zmail/internal/core.relay.mu"},
+			"zmail/internal/core.relay.running": {"zmail/internal/core.relay.mu"},
+			"zmail/internal/core.relay.parked":  {"zmail/internal/core.relay.mu"},
+			"zmail/internal/core.relay.closing": {"zmail/internal/core.relay.mu"},
+			"zmail/internal/core.Uplink.conn":   {"zmail/internal/core.Uplink.mu"},
+			"zmail/internal/core.Uplink.closed": {"zmail/internal/core.Uplink.mu"},
 		},
 		GuardExemptFuncs: []string{
 			// Constructors publish the object only on return;

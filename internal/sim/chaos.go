@@ -40,7 +40,7 @@ type lossLedger struct {
 	// credit sum.
 	pair map[[2]int]int64
 	// bankKind counts dropped bank control envelopes by kind.
-	bankKind map[wire.Kind]int64
+	bankKind              map[wire.Kind]int64
 	mailDrops, otherDrops int64
 }
 

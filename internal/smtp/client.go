@@ -2,6 +2,7 @@ package smtp
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -11,14 +12,18 @@ import (
 	"zmail/internal/mail"
 )
 
-// Client is a minimal SMTP sender: one TCP connection, HELO once, then
-// any number of transactions. Not safe for concurrent use.
+// Client is a minimal SMTP sender: one TCP connection, HELO or EHLO
+// once, then any number of transactions. Not safe for concurrent use.
 type Client struct {
 	conn    net.Conn
 	r       *bufio.Reader
 	w       *bufio.Writer
 	timeout time.Duration
 	greeted bool
+	// pipelining is set when the server's EHLO reply advertised
+	// PIPELINING (RFC 2920): Send then writes a transaction's commands
+	// as one group instead of waiting for each reply.
+	pipelining bool
 }
 
 // ProtocolError is a non-2xx/3xx SMTP reply.
@@ -30,6 +35,32 @@ type ProtocolError struct {
 // Error implements error.
 func (e *ProtocolError) Error() string {
 	return fmt.Sprintf("smtp: server replied %d %s", e.Code, e.Text)
+}
+
+// UnsentError wraps a connection failure Send met before it had
+// flushed the end-of-data "." — typically a persistent session the
+// server restarted under or timed out. The server never saw a complete
+// message, so it cannot have accepted one: sending the message again
+// on a fresh connection cannot deliver it twice. A failure after that
+// point is returned bare, because the server may have accepted the
+// message and only its reply been lost.
+type UnsentError struct{ Err error }
+
+// Error returns the wrapped error's text.
+func (e *UnsentError) Error() string { return e.Err.Error() }
+
+// Unwrap exposes the wrapped error to errors.Is/As.
+func (e *UnsentError) Unwrap() error { return e.Err }
+
+// unsent marks a failure from before end-of-data. A ProtocolError stays
+// as it is: the server is there and refused, which a resend would not
+// change.
+func unsent(err error) error {
+	var pe *ProtocolError
+	if errors.As(err, &pe) {
+		return err
+	}
+	return &UnsentError{Err: err}
 }
 
 // Dial connects to an SMTP server. timeout bounds the dial and each
@@ -70,7 +101,8 @@ func (c *Client) Hello(domain string) error {
 
 // Ehlo announces the client's identity with EHLO and returns the
 // server's advertised extensions, keyed by upper-cased keyword (e.g.
-// "SIZE" → "4194304", "8BITMIME" → "").
+// "SIZE" → "4194304", "8BITMIME" → ""). If PIPELINING is among them,
+// every later Send is pipelined.
 func (c *Client) Ehlo(domain string) (map[string]string, error) {
 	if err := c.cmd("EHLO %s", domain); err != nil {
 		return nil, err
@@ -85,10 +117,13 @@ func (c *Client) Ehlo(domain string) (map[string]string, error) {
 		ext[strings.ToUpper(keyword)] = value
 	}
 	c.greeted = true
+	_, c.pipelining = ext["PIPELINING"]
 	return ext, nil
 }
 
 // Send runs one full transaction: MAIL, RCPT (one per recipient), DATA.
+// A connection failure before the end-of-data "." went out is returned
+// as an *UnsentError; see there for what that lets the caller do.
 func (c *Client) Send(from mail.Address, rcpts []mail.Address, msg *mail.Message) error {
 	if !c.greeted {
 		return fmt.Errorf("smtp: Hello not sent")
@@ -96,6 +131,23 @@ func (c *Client) Send(from mail.Address, rcpts []mail.Address, msg *mail.Message
 	if len(rcpts) == 0 {
 		return fmt.Errorf("smtp: no recipients")
 	}
+	begin := c.beginLockStep
+	if c.pipelining {
+		begin = c.beginPipelined
+	}
+	if err := begin(from, rcpts); err != nil {
+		return unsent(err)
+	}
+	if err := c.writeData(msg.Encode()); err != nil {
+		return unsent(err)
+	}
+	_, err := c.expect(250)
+	return err
+}
+
+// beginLockStep takes the transaction up to the server's 354, one
+// command and one reply at a time.
+func (c *Client) beginLockStep(from mail.Address, rcpts []mail.Address) error {
 	if err := c.cmd("MAIL FROM:<%s>", from); err != nil {
 		return err
 	}
@@ -113,16 +165,49 @@ func (c *Client) Send(from mail.Address, rcpts []mail.Address, msg *mail.Message
 	if err := c.cmd("DATA"); err != nil {
 		return err
 	}
-	if _, err := c.expect(354); err != nil {
+	_, err := c.expect(354)
+	return err
+}
+
+// beginPipelined does the same in one round trip: MAIL, every RCPT and
+// DATA leave in one write, then the replies are read in order. Every
+// reply is read even after one has failed, so the session stays in
+// step, and the first failure is the one returned; the server answers
+// DATA with 503 when it refused the sender or every recipient, which
+// leaves the session ready for the next Send.
+func (c *Client) beginPipelined(from mail.Address, rcpts []mail.Address) error {
+	_ = c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	fmt.Fprintf(c.w, "MAIL FROM:<%s>\r\n", from)
+	for _, r := range rcpts {
+		fmt.Fprintf(c.w, "RCPT TO:<%s>\r\n", r)
+	}
+	c.w.WriteString("DATA\r\n")
+	if err := c.w.Flush(); err != nil {
 		return err
 	}
-	if err := c.writeData(msg.Encode()); err != nil {
+	var first error
+	for i := 0; i <= len(rcpts); i++ { // MAIL, then each RCPT
+		if _, err := c.expect(250); err != nil {
+			var pe *ProtocolError
+			if !errors.As(err, &pe) {
+				return err // the connection failed; no more replies will come
+			}
+			if first == nil {
+				first = err
+			}
+		}
+	}
+	_, err := c.expect(354)
+	if first == nil {
 		return err
 	}
-	if _, err := c.expect(250); err != nil {
-		return err
+	if err == nil {
+		// Some recipient was refused and the server wants the body for
+		// the others. Send promises all or nothing, and from here the
+		// only way to deliver nothing is to hang up.
+		_ = c.conn.Close()
 	}
-	return nil
+	return first
 }
 
 // writeData dot-stuffs and transmits the message body, then the

@@ -1,7 +1,9 @@
 // Package smtp implements the subset of the Simple Mail Transfer
 // Protocol (RFC 821 / RFC 5321) that the Zmail system needs: a server
 // that accepts HELO/EHLO, MAIL FROM, RCPT TO, DATA, RSET, NOOP, VRFY
-// and QUIT, and a client that submits messages.
+// and QUIT, and a client that submits messages. Both ends speak
+// command pipelining (RFC 2920) when the peer's EHLO exchange allows
+// it; a HELO session is lock-step.
 //
 // Zmail requires no change to SMTP (§1.3 of the paper): payment
 // bookkeeping happens inside the receiving and sending ISPs, keyed off
@@ -12,6 +14,7 @@ package smtp
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -184,8 +187,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReaderSize(conn, maxLineLength)
 	w := bufio.NewWriter(conn)
+	// reply queues one reply line and flushes it — unless the client has
+	// pipelined (RFC 2920) and its next command is already buffered
+	// whole, in which case that command's reply carries this one out in
+	// the same write. A lock-step client never has a command buffered
+	// ahead of a reply, so it sees exactly one flush per reply. 354 and
+	// 221 always go out at once: the client sends nothing more until it
+	// has read them.
 	reply := func(code int, text string) bool {
 		fmt.Fprintf(w, "%d %s\r\n", code, text)
+		if code != 354 && code != 221 && commandBuffered(r) {
+			return true
+		}
 		return w.Flush() == nil
 	}
 	if !reply(220, s.Domain+" ESMTP Zmail ready") {
@@ -235,6 +248,7 @@ func (s *Server) serveConn(conn net.Conn) {
 					s.Domain+" greets "+arg,
 					fmt.Sprintf("SIZE %d", maxMessageBytes),
 					"8BITMIME",
+					"PIPELINING",
 				) {
 					return
 				}
@@ -442,6 +456,14 @@ func deliverAll(session Session, rcpts []mail.Address, msg *mail.Message) (int, 
 func errText(err error) string {
 	t := strings.ReplaceAll(err.Error(), "\r", " ")
 	return strings.ReplaceAll(t, "\n", " ")
+}
+
+// commandBuffered reports whether a complete line is waiting in r's
+// buffer, i.e. the next command can be read without touching the
+// socket.
+func commandBuffered(r *bufio.Reader) bool {
+	buffered, _ := r.Peek(r.Buffered()) // cannot fail: no more than is buffered
+	return bytes.IndexByte(buffered, '\n') >= 0
 }
 
 // readLine reads one CRLF- (or LF-) terminated line.

@@ -249,6 +249,41 @@ func TestRcptRejection(t *testing.T) {
 	}
 }
 
+// TestRcptRejectionPipelinedPartial: a pipelined group has its DATA on
+// the wire before the RCPT replies are read, so when one recipient of
+// two is refused the server answers 354 and waits for the body. Send
+// still delivers to nobody — it hangs up instead — and returns the 550.
+func TestRcptRejectionPipelinedPartial(t *testing.T) {
+	backend := &recordingBackend{rejectRcpt: "nobody"}
+	srv := &Server{Domain: "test.example", Backend: backend, ReadTimeout: 5 * time.Second}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(l) }()
+	defer srv.Close()
+	c, err := Dial(l.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Ehlo("a.example"); err != nil {
+		t.Fatal(err)
+	}
+	from := mail.MustParseAddress("a@a.example")
+	good := mail.MustParseAddress("b@test.example")
+	bad := mail.MustParseAddress("nobody@test.example")
+	err = c.Send(from, []mail.Address{good, bad}, mail.NewMessage(from, good, "s", "b"))
+	var pe *ProtocolError
+	if !errors.As(err, &pe) || pe.Code != 550 {
+		t.Fatalf("err = %v, want 550 ProtocolError", err)
+	}
+	_ = srv.Close() // joins the handler, so nothing can still arrive
+	if got := backend.received(); len(got) != 0 {
+		t.Fatalf("delivered %d messages of a refused transaction", len(got))
+	}
+}
+
 func TestMailRejection(t *testing.T) {
 	backend := &recordingBackend{rejectFrom: "banned.example"}
 	addr := startServer(t, backend)
@@ -263,38 +298,57 @@ func TestMailRejection(t *testing.T) {
 }
 
 // TestClientResetRecovers: after a RCPT rejection mid-transaction, a
-// persistent client Resets and completes the next transaction on the
-// same connection — the recovery path zload's connection pool relies
-// on.
+// persistent client completes the next transaction on the same
+// connection. A lock-step client Resets first — the recovery path
+// zload's connection pool relies on. A pipelined client's group has
+// already run to the server's 503 for DATA (250/550/503), so its session
+// is ready for the next Send as it is — what core's relay relies on.
 func TestClientResetRecovers(t *testing.T) {
-	backend := &recordingBackend{rejectRcpt: "nobody"}
-	addr := startServer(t, backend)
-	c, err := Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name      string
+		pipelined bool
+	}{{"lock-step", false}, {"pipelined", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			backend := &recordingBackend{rejectRcpt: "nobody"}
+			addr := startServer(t, backend)
+			c, err := Dial(addr, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if tc.pipelined {
+				_, err = c.Ehlo("a.example")
+			} else {
+				err = c.Hello("a.example")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.pipelining != tc.pipelined {
+				t.Fatalf("pipelining = %v", c.pipelining)
+			}
+			from := mail.MustParseAddress("a@a.example")
+			bad := mail.MustParseAddress("nobody@test.example")
+			good := mail.MustParseAddress("b@test.example")
+			err = c.Send(from, []mail.Address{bad}, mail.NewMessage(from, bad, "s", "b"))
+			var pe *ProtocolError
+			if !errors.As(err, &pe) || pe.Code != 550 {
+				t.Fatalf("err = %v, want the RCPT's 550", err)
+			}
+			if !tc.pipelined {
+				if err := c.Reset(); err != nil {
+					t.Fatalf("Reset after rejection: %v", err)
+				}
+			}
+			if err := c.Send(from, []mail.Address{good}, mail.NewMessage(from, good, "s2", "b2")); err != nil {
+				t.Fatalf("Send after rejection: %v", err)
+			}
+			if got := backend.received(); len(got) != 1 {
+				t.Fatalf("delivered %d messages, want 1", len(got))
+			}
+			_ = c.Quit()
+		})
 	}
-	defer c.Close()
-	if err := c.Hello("a.example"); err != nil {
-		t.Fatal(err)
-	}
-	from := mail.MustParseAddress("a@a.example")
-	bad := mail.MustParseAddress("nobody@test.example")
-	good := mail.MustParseAddress("b@test.example")
-	err = c.Send(from, []mail.Address{bad}, mail.NewMessage(from, bad, "s", "b"))
-	var pe *ProtocolError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want ProtocolError", err)
-	}
-	if err := c.Reset(); err != nil {
-		t.Fatalf("Reset after rejection: %v", err)
-	}
-	if err := c.Send(from, []mail.Address{good}, mail.NewMessage(from, good, "s2", "b2")); err != nil {
-		t.Fatalf("Send after Reset: %v", err)
-	}
-	if got := backend.received(); len(got) != 1 {
-		t.Fatalf("delivered %d messages, want 1", len(got))
-	}
-	_ = c.Quit()
 }
 
 // rawSession drives the protocol by hand to exercise error branches.
