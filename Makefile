@@ -30,13 +30,14 @@ test: build
 race:
 	$(GO) test -race ./...
 
-# Ledger, relay and control-plane benchmarks, serial vs parallel.
+# Ledger, relay, data-path and control-plane benchmarks, serial vs parallel.
 bench:
-	$(GO) test -run xxx -bench 'EngineSend|EngineSubmitAsync|WorldStep|ISPSubmit|ISPReceive|NodeRelay' -benchmem .
+	$(GO) test -run xxx -bench 'EngineSend|EngineSubmitAsync|WorldStep|ISPSubmit|ISPReceive|NodeRelay|SMTPTxn|MailCodec' -benchmem .
 	$(GO) test -run xxx -bench 'BuyHandling|BankBatchOrder' -benchmem ./internal/bank/
 
-# Record the hot-path, batching, relay and checkpoint/replay benchmarks
-# plus a real-TCP zload run as BENCH_13.json (ns/op, B/op, allocs/op, the
+# Record the hot-path, batching, relay, message data path and
+# checkpoint/replay benchmarks plus a real-TCP zload run as
+# BENCH_15.json (ns/op, B/op, allocs/op, the
 # derived WAL-vs-JSON checkpoint speedup, which must stay >= 10x, and
 # the derived async-admission speedup, which must stay >= 2x).
 bench-record:
@@ -44,11 +45,11 @@ bench-record:
 		-rate 200 -duration 5s -workers 8 -zipf-s 1.2 \
 		-remote-frac 0.5 -list-frac 0.1 -list-size 4 -seed 1 \
 		-json /tmp/zload_report.json
-	{ $(GO) test -run xxx -bench 'EngineSend|EngineSubmitAsync|WorldStep|ISPSubmit|ISPReceive|NodeRelay' -benchmem . && \
+	{ $(GO) test -run xxx -bench 'EngineSend|EngineSubmitAsync|WorldStep|ISPSubmit|ISPReceive|NodeRelay|SMTPTxn|MailCodec' -benchmem . && \
 	  $(GO) test -run xxx -bench 'BuyHandling|BankBatchOrder' -benchmem ./internal/bank/ && \
 	  $(GO) test -run xxx -bench 'WALCheckpoint|WALReplay' -benchmem ./internal/isp/ ; } \
-		| $(GO) run ./cmd/benchjson -cluster /tmp/zload_report.json -out BENCH_13.json
-	cat BENCH_13.json
+		| $(GO) run ./cmd/benchjson -cluster /tmp/zload_report.json -out BENCH_15.json
+	cat BENCH_15.json
 
 # Perf-trajectory gate (ROADMAP "perf trajectory as a first-class
 # artifact"): the current bench record must hold the named hot paths
@@ -59,8 +60,9 @@ bench-record:
 # BENCH_CURR when a PR records a new BENCH_<n>.json.
 #
 # The gate still compares BENCH_7 with BENCH_10 although bench-record
-# now writes BENCH_13.json: the box BENCH_13 was taken on runs every one
-# of these benchmarks about twice as fast as the one BENCH_10 came from,
+# now writes BENCH_15.json: the box BENCH_13 and BENCH_15 were taken on
+# runs every one of these benchmarks about twice as fast as the one
+# BENCH_10 came from,
 # and there the parent commit itself shows an admission speedup of
 # 1.8x, under the 2x gate. Records from different machines do not
 # compare; re-basing the gate on repeated samples is ROADMAP item 1(c).
@@ -95,11 +97,13 @@ chaos:
 	$(GO) test -run 'Chaos|Crash|Restart|Replay|Recover|Generate|Validate|Auditor|Antisymmetry' \
 		./internal/simnet/ ./internal/sim/ ./internal/persist/ ./internal/chaos/ -v
 
-# Wire-codec fuzz smoke: each target runs briefly; go test allows one
-# -fuzz pattern per invocation, hence the loop.
+# Fuzz smoke — the wire codec, and the mail codec and SMTP DATA framing
+# against their frozen references: each target runs briefly; go test
+# allows one -fuzz pattern per invocation, hence the loop.
 fuzz-smoke:
-	for f in FuzzDecodeEnvelope FuzzDecodeBodies FuzzReadEnvelope; do \
-		$(GO) test -run xxx -fuzz $$f -fuzztime 5s ./internal/wire/ || exit 1; \
+	for f in wire/FuzzDecodeEnvelope wire/FuzzDecodeBodies wire/FuzzReadEnvelope \
+			mail/FuzzMessageRoundTrip smtp/FuzzDataFraming; do \
+		$(GO) test -run xxx -fuzz "^$${f#*/}$$" -fuzztime 5s ./internal/$${f%/*}/ || exit 1; \
 	done
 
 # Regenerate the committed golden output after an intentional

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -499,6 +500,101 @@ func BenchmarkSMTPRoundTrip(b *testing.B) {
 			[]zmail.Address{to}, msg, 5*time.Second); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchBody is n bytes of 76-column text, the shape of the federation
+// benchmark's bodies (bench/gen.go).
+func benchBody(n int) string {
+	const alphabet = "abcdefghijklmnopqrstuvwxyz ABCDEFGHIJKLMNOPQRSTUVWXYZ 0123456789"
+	var sb strings.Builder
+	for col := 0; sb.Len() < n; col++ {
+		if col == 76 {
+			sb.WriteByte('\n')
+			col = -1
+			continue
+		}
+		sb.WriteByte(alphabet[(sb.Len()*7)%len(alphabet)])
+	}
+	return sb.String()
+}
+
+var benchBodySizes = []struct {
+	name string
+	n    int
+}{{"100B", 100}, {"32KiB", 32 << 10}}
+
+// BenchmarkSMTPTxn is one transaction on a persistent HELO session
+// against a server whose Backend does nothing: what moving the bytes of
+// one message costs both ends of the data path (client framing, two
+// socket hops, server framing, Decode), with the ledger left out. The
+// message is built inside the loop, as the federation benchmark's
+// driver builds it.
+func BenchmarkSMTPTxn(b *testing.B) {
+	for _, size := range benchBodySizes {
+		b.Run(size.name, func(b *testing.B) {
+			srv := &zmail.SMTPServer{Domain: "bench.example", Backend: sinkBackend{}}
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			go func() { _ = srv.Serve(l) }()
+			defer srv.Close()
+			cl, err := zmail.DialSMTP(l.Addr().String(), 5*time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			if err := cl.Hello("client.example"); err != nil {
+				b.Fatal(err)
+			}
+			from := zmail.MustParseAddress("a@client.example")
+			rcpts := []zmail.Address{zmail.MustParseAddress("b@bench.example")}
+			body := benchBody(size.n)
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := cl.Send(from, rcpts, zmail.NewMessage(from, rcpts[0], "bench", body)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+var (
+	benchEncoded string
+	benchDecoded *zmail.Message
+)
+
+// BenchmarkMailCodec times Encode and Decode apart, on the wire form
+// Encode produces (CRLF line ends, so Decode has CRs to strip).
+func BenchmarkMailCodec(b *testing.B) {
+	from := zmail.MustParseAddress("a@x.example")
+	to := zmail.MustParseAddress("b@y.example")
+	for _, size := range benchBodySizes {
+		msg := zmail.NewMessage(from, to, "bench", benchBody(size.n))
+		msg.SetClass(zmail.ClassNormal)
+		b.Run("Encode/"+size.name, func(b *testing.B) {
+			b.SetBytes(int64(size.n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchEncoded = msg.Encode()
+			}
+		})
+		raw := msg.Encode()
+		b.Run("Decode/"+size.name, func(b *testing.B) {
+			b.SetBytes(int64(size.n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := zmail.DecodeMessage(raw)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchDecoded = m
+			}
+		})
 	}
 }
 

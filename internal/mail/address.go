@@ -4,6 +4,11 @@
 // paper); the protocol's small amount of per-message metadata — the
 // message class used by the mailing-list acknowledgment mechanism (§5)
 // — rides in extension headers (X-Zmail-*).
+//
+// A body is copied as little as its form allows: Encode writes once into
+// a buffer of the final size, Decode takes Body as a substring of its
+// input unless there are CRs to strip, and the SMTP client does not call
+// Encode at all (EncodeHeader, CutLine). DESIGN.md §7 has the budget.
 package mail
 
 import (

@@ -240,9 +240,10 @@ func TestSortAddresses(t *testing.T) {
 }
 
 func TestSizeMatchesEncode(t *testing.T) {
-	m := NewMessage(MustParseAddress("a@x.example"), MustParseAddress("b@y.example"), "s", "some body")
-	if m.Size() != len(m.Encode()) {
-		t.Fatal("Size() disagrees with Encode() length")
+	for _, m := range nastyMessages() {
+		if m.Size() != len(m.Encode()) {
+			t.Errorf("Size() = %d, Encode() is %d bytes, body %q", m.Size(), len(m.Encode()), m.Body)
+		}
 	}
 }
 

@@ -5,6 +5,13 @@
 // command pipelining (RFC 2920) when the peer's EHLO exchange allows
 // it; a HELO session is lock-step.
 //
+// A message body crosses each side once (DESIGN.md §7): the client
+// frames it from Message.Body straight into its write buffer, the
+// server un-frames it from its read buffer into one buffer per
+// connection. A line is bounded by maxLineLength and, until its LF
+// comes, by the read buffer; an oversized DATA is read to its "." and
+// refused once, the session still in step.
+//
 // Zmail requires no change to SMTP (§1.3 of the paper): payment
 // bookkeeping happens inside the receiving and sending ISPs, keyed off
 // the (authenticated) peer identity. The server surfaces that identity
@@ -18,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,10 +37,20 @@ import (
 
 // Limits applied to inbound sessions.
 const (
-	maxLineLength   = 4096
+	maxLineLength   = 4096    // of a command, reply or DATA line, line end included
 	maxMessageBytes = 1 << 22 // 4 MiB
 	maxRecipients   = 100
 )
+
+// serverReadBuffer sizes a session's read buffer, which is also the
+// most the server holds of a line whose LF has not come. A 32 KiB DATA
+// arrives in 3 reads, not the 9 of a maxLineLength buffer: 101 µs a
+// transaction on loopback at 4 KiB, 77 µs at 16 KiB, 71 µs at 64 KiB.
+const serverReadBuffer = 16 << 10
+
+// keptDataBuffer is the largest DATA buffer a connection keeps for its
+// next transaction.
+const keptDataBuffer = 64 << 10
 
 // Backend creates sessions for inbound connections.
 type Backend interface {
@@ -185,8 +203,10 @@ func (s *Server) readTimeout() time.Duration {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	r := bufio.NewReaderSize(conn, maxLineLength)
+	r := bufio.NewReaderSize(conn, serverReadBuffer)
 	w := bufio.NewWriter(conn)
+	var data []byte // DATA buffer, kept from one transaction to the next
+	sizeHint := 0   // the SIZE the last MAIL declared
 	// reply queues one reply line and flushes it — unless the client has
 	// pipelined (RFC 2920) and its next command is already buffered
 	// whole, in which case that command's reply carries this one out in
@@ -225,7 +245,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		verb, arg := splitCommand(line)
+		verb, arg := splitCommand(string(line))
 		switch verb {
 		case "HELO", "EHLO":
 			if arg == "" {
@@ -272,6 +292,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 				continue
 			}
+			sizeHint = 0
 			if declared, ok := params["SIZE"]; ok {
 				n, err := strconv.ParseInt(declared, 10, 64)
 				if err != nil {
@@ -286,6 +307,7 @@ func (s *Server) serveConn(conn net.Conn) {
 					}
 					continue
 				}
+				sizeHint = int(n)
 			}
 			if st.gotMail {
 				st.session.Reset()
@@ -344,16 +366,24 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 			_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
-			raw, derr := readData(r)
+			// Start at the size known so far; a declared SIZE is trusted
+			// up to what is kept anyway.
+			data = slices.Grow(data[:0], max(min(sizeHint, keptDataBuffer), r.Buffered()))
+			var derr error
+			data, derr = readData(r, data)
 			if derr != nil {
-				if !reply(552, errText(derr)) {
+				// Only too large leaves the session in step, its "." read.
+				if !errors.Is(derr, errTooLarge) || !reply(552, errText(derr)) {
 					return
 				}
 				st.session.Reset()
 				st.from, st.rcpts, st.gotMail = mail.Address{}, nil, false
 				continue
 			}
-			msg, merr := mail.Decode(raw)
+			msg, merr := mail.Decode(string(data))
+			if cap(data) > keptDataBuffer {
+				data = nil
+			}
 			if merr != nil {
 				if !reply(550, errText(merr)) {
 					return
@@ -466,16 +496,25 @@ func commandBuffered(r *bufio.Reader) bool {
 	return bytes.IndexByte(buffered, '\n') >= 0
 }
 
-// readLine reads one CRLF- (or LF-) terminated line.
-func readLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
+var errTooLarge = errors.New("message too large")
+
+// readLine reads one CRLF- (or LF-) terminated line into r's buffer and
+// returns it without the line end, valid until the next read. A line
+// over maxLineLength, or one that fills the buffer before its LF comes,
+// is an error.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) || len(line) > maxLineLength {
+		return nil, errors.New("line too long")
+	}
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if len(line) > maxLineLength {
-		return "", errors.New("line too long")
+	n := len(line) - 1 // the LF
+	for n > 0 && line[n-1] == '\r' {
+		n--
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	return line[:n], nil
 }
 
 func splitCommand(line string) (verb, arg string) {
@@ -514,24 +553,35 @@ func parsePathArg(arg, keyword string) (mail.Address, map[string]string, error) 
 }
 
 // readData reads a DATA payload up to the terminating ".", reversing
-// dot-stuffing, and returns the raw message text.
-func readData(r *bufio.Reader) (string, error) {
-	var b strings.Builder
+// dot-stuffing, and appends the message text to buf, its lines ended by
+// bare LFs (so mail.Decode takes the body as it stands). A payload over
+// maxMessageBytes is still read to its "." — the read deadline bounds
+// that — so that none of it is taken for commands.
+func readData(r *bufio.Reader, buf []byte) ([]byte, error) {
+	size := 0 // as the limit counts it: two bytes for each line end
+	tooLarge := false
 	for {
 		line, err := readLine(r)
 		if err != nil {
-			return "", err
+			return buf, err
 		}
-		if line == "." {
-			return b.String(), nil
-		}
-		if strings.HasPrefix(line, ".") {
+		if len(line) > 0 && line[0] == '.' {
+			if len(line) == 1 {
+				break
+			}
 			line = line[1:] // un-stuff
 		}
-		if b.Len()+len(line) > maxMessageBytes {
-			return "", errors.New("message too large")
+		if size+len(line) > maxMessageBytes {
+			tooLarge, buf = true, nil // nothing of it is kept
 		}
-		b.WriteString(line)
-		b.WriteString("\r\n")
+		if tooLarge {
+			continue
+		}
+		size += len(line) + 2
+		buf = append(append(buf, line...), '\n')
 	}
+	if tooLarge {
+		return nil, errTooLarge
+	}
+	return buf, nil
 }
