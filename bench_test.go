@@ -172,9 +172,9 @@ func BenchmarkEngineSendParallel(b *testing.B) {
 // SMTP DATA response now waits on — submitted in waves against a
 // continuously draining queue, with each wave's remaining commits
 // flushed outside the timer (they are exactly the work the redesign
-// moved off the accept path). BENCH_10.json derives
+// moved off the accept path). `make bench-record` derives
 // admissionSpeedupVsSync = EngineSend / EngineSubmitAsync from this
-// pair; the bench-compare gate holds it at >= 2x.
+// pair.
 func BenchmarkEngineSubmitAsync(b *testing.B) {
 	const users = 64
 	// Waves half the queue depth can never hit ErrQueueFull: the queue

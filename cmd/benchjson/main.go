@@ -1,34 +1,27 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // stable JSON record (see `make bench-record`, which writes
-// BENCH_6.json). Only the standard library is used; the parser accepts
-// the textual benchmark lines emitted by the testing package:
+// BENCH_<n>.json). Only the standard library is used; the parser
+// accepts the textual benchmark lines emitted by the testing package:
 //
 //	BenchmarkName-8   	     100	  11234 ns/op	  512 B/op	  7 allocs/op
 //
-// The trailing -N GOMAXPROCS suffix is stripped so records are
-// comparable across machines. When both WAL checkpoint benchmarks are
+// The trailing -N GOMAXPROCS suffix is stripped so benchmark names are
+// the same on every machine. When both WAL checkpoint benchmarks are
 // present, a derived speedup ratio (whole-state JSON ns/op over WAL
-// ns/op) is included — the PR-6 acceptance number. Likewise, when both
+// ns/op) is included. Likewise, when both
 // EngineSend and EngineSubmitAsync are present, the derived
 // admissionSpeedupVsSync ratio (synchronous commit ns/op over async
 // admission ns/op) records how far the mempool queue moved the SMTP
-// accept path off the ledger commit — the PR-10 acceptance number,
-// gated in compare mode by -min-admission-speedup.
+// accept path off the ledger commit.
 //
 // -cluster embeds a cmd/zload JSON report verbatim under the "cluster"
-// key, so a single record carries both the microbenchmarks and the
-// real-TCP federation load numbers (the PR-7 acceptance data in
-// BENCH_7.json).
+// key, so a single record can carry both the microbenchmarks and a
+// real-TCP federation load run (as BENCH_7.json does).
 //
-// With -old and -new the command compares two records instead of
-// parsing stdin (`make bench-compare`): it prints the ns/op trajectory
-// for every benchmark the records share and exits nonzero when a
-// benchmark named in -hot regressed by more than -max-regress percent,
-// or is missing from either record — a gate that silently loses a hot
-// path has gone blind, which is itself a failure. Names in -new-hot
-// must be present in the new record but are allowed to be absent from
-// the old one (they gate like -hot once both records carry them) — the
-// on-ramp for hot paths introduced by the current PR.
+// A record is a profile of one machine at one commit, not a gate: two
+// records compare only when they were taken on the same machine, and
+// end-to-end claims are made with the federation benchmark under
+// bench/ (`make bench-pair`).
 package main
 
 import (
@@ -38,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -61,20 +53,8 @@ type record struct {
 func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	cluster := flag.String("cluster", "", "zload JSON report to embed under the cluster key")
-	oldPath := flag.String("old", "", "previous bench record (compare mode)")
-	newPath := flag.String("new", "", "current bench record (compare mode)")
-	hot := flag.String("hot", "", "comma-separated benchmark names gated in compare mode")
-	newHot := flag.String("new-hot", "", "hot benchmark names that may be absent from the -old record")
-	maxRegress := flag.Float64("max-regress", 10, "max tolerated ns/op regression percent for -hot benchmarks")
-	minAdmission := flag.Float64("min-admission-speedup", 0, "minimum derived admissionSpeedupVsSync the -new record must carry (0 disables)")
 	flag.Parse()
-	var err error
-	if *oldPath != "" || *newPath != "" {
-		err = compare(os.Stdout, *oldPath, *newPath, *hot, *newHot, *maxRegress, *minAdmission)
-	} else {
-		err = run(os.Stdin, *out, *cluster)
-	}
-	if err != nil {
+	if err := run(os.Stdin, *out, *cluster); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -163,105 +143,6 @@ func parseLine(line string) (benchResult, bool) {
 		return benchResult{}, false
 	}
 	return r, true
-}
-
-// compare prints the ns/op trajectory between two bench records and
-// fails on hot-path regressions beyond maxRegress percent. Hot names
-// missing from either record fail too: a benchmark that vanished
-// cannot be proven non-regressed. Names in newHot must exist in the
-// new record but may be absent from the old one (a hot path this PR
-// introduced); when minAdmission > 0 the new record must carry a
-// derived admissionSpeedupVsSync of at least that ratio.
-func compare(w io.Writer, oldPath, newPath, hot, newHot string, maxRegress, minAdmission float64) error {
-	if oldPath == "" || newPath == "" {
-		return fmt.Errorf("compare mode needs both -old and -new")
-	}
-	oldRec, err := readRecord(oldPath)
-	if err != nil {
-		return err
-	}
-	newRec, err := readRecord(newPath)
-	if err != nil {
-		return err
-	}
-	oldNs := make(map[string]float64, len(oldRec.Benchmarks))
-	for _, b := range oldRec.Benchmarks {
-		oldNs[b.Name] = b.NsPerOp
-	}
-	splitNames := func(list string, into map[string]bool) {
-		for _, name := range strings.Split(list, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				into[name] = true
-			}
-		}
-	}
-	hotSet := make(map[string]bool)
-	splitNames(hot, hotSet)
-	newHotSet := make(map[string]bool)
-	splitNames(newHot, newHotSet)
-	for name := range newHotSet {
-		hotSet[name] = true
-	}
-
-	fmt.Fprintf(w, "bench trajectory: %s -> %s (hot paths gate at +%g%% ns/op)\n", oldPath, newPath, maxRegress)
-	var failures []string
-	seen := make(map[string]bool)
-	for _, b := range newRec.Benchmarks {
-		seen[b.Name] = true
-		prev, ok := oldNs[b.Name]
-		if !ok {
-			fmt.Fprintf(w, "  %-28s %12s %10.0f ns/op   (new)\n", b.Name, "-", b.NsPerOp)
-			continue
-		}
-		delta := (b.NsPerOp - prev) / prev * 100
-		mark := " "
-		if hotSet[b.Name] {
-			mark = "*"
-			if delta > maxRegress {
-				failures = append(failures, fmt.Sprintf("%s regressed %.1f%% (%.0f -> %.0f ns/op)", b.Name, delta, prev, b.NsPerOp))
-			}
-		}
-		fmt.Fprintf(w, "%s %-28s %10.0f %10.0f ns/op  %+6.1f%%\n", mark, b.Name, prev, b.NsPerOp, delta)
-	}
-	for name := range hotSet {
-		if !seen[name] {
-			failures = append(failures, fmt.Sprintf("%s is named in -hot but absent from %s", name, newPath))
-		}
-		if _, ok := oldNs[name]; !ok && !newHotSet[name] {
-			failures = append(failures, fmt.Sprintf("%s is named in -hot but absent from %s", name, oldPath))
-		}
-	}
-	if minAdmission > 0 {
-		ratio, ok := newRec.Derived["admissionSpeedupVsSync"]
-		switch {
-		case !ok:
-			failures = append(failures, fmt.Sprintf("admissionSpeedupVsSync is absent from %s (need >= %gx)", newPath, minAdmission))
-		case ratio < minAdmission:
-			failures = append(failures, fmt.Sprintf("admissionSpeedupVsSync %.2fx is below the %gx gate", ratio, minAdmission))
-		default:
-			fmt.Fprintf(w, "  admission speedup vs sync submit: %.2fx (gate >= %gx)\n", ratio, minAdmission)
-		}
-	}
-	if len(failures) > 0 {
-		sort.Strings(failures)
-		return fmt.Errorf("perf gate failed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-func readRecord(path string) (*record, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rec record
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(rec.Benchmarks) == 0 {
-		return nil, fmt.Errorf("%s: no benchmarks in record", path)
-	}
-	return &rec, nil
 }
 
 // checkpointSpeedup derives the PR-6 acceptance ratio when both 100k

@@ -75,157 +75,3 @@ func TestRunClusterErrors(t *testing.T) {
 		t.Error("empty benchmark input accepted")
 	}
 }
-
-// writeRecord marshals a minimal bench record to a temp file.
-func writeRecord(t *testing.T, dir, name string, ns map[string]float64) string {
-	t.Helper()
-	rec := record{GeneratedBy: "test"}
-	for bench, v := range ns {
-		rec.Benchmarks = append(rec.Benchmarks, benchResult{Name: bench, Iterations: 1, NsPerOp: v})
-	}
-	raw, err := json.Marshal(&rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCompareGate(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeRecord(t, dir, "old.json", map[string]float64{"Hot": 1000, "Cold": 100, "Gone": 50})
-	for _, tc := range []struct {
-		name    string
-		newNs   map[string]float64
-		hot     string
-		wantSub string // "" = gate passes
-	}{
-		{"within threshold", map[string]float64{"Hot": 1099, "Cold": 100}, "Hot", ""},
-		{"improvement", map[string]float64{"Hot": 500, "Cold": 100}, "Hot", ""},
-		{"hot regression fails", map[string]float64{"Hot": 1200, "Cold": 100}, "Hot", "Hot regressed 20.0%"},
-		{"cold regression passes", map[string]float64{"Hot": 1000, "Cold": 500}, "Hot", ""},
-		{"hot missing from new fails", map[string]float64{"Cold": 100}, "Hot", "absent from"},
-		{"hot missing from old fails", map[string]float64{"Hot": 10, "Fresh": 5}, "Fresh", "absent from"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			newP := writeRecord(t, dir, "new.json", tc.newNs)
-			var buf strings.Builder
-			err := compare(&buf, oldP, newP, tc.hot, "", 10, 0)
-			if tc.wantSub == "" {
-				if err != nil {
-					t.Fatalf("gate failed: %v\n%s", err, buf.String())
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
-				t.Fatalf("gate error = %v, want substring %q", err, tc.wantSub)
-			}
-		})
-	}
-}
-
-func TestCompareRejectsBadInputs(t *testing.T) {
-	dir := t.TempDir()
-	good := writeRecord(t, dir, "good.json", map[string]float64{"Hot": 1})
-	var buf strings.Builder
-	if err := compare(&buf, "", good, "", "", 10, 0); err == nil {
-		t.Error("missing -old accepted")
-	}
-	if err := compare(&buf, good, filepath.Join(dir, "missing.json"), "", "", 10, 0); err == nil {
-		t.Error("missing -new file accepted")
-	}
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte(`{"benchmarks":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := compare(&buf, good, empty, "", "", 10, 0); err == nil {
-		t.Error("record with no benchmarks accepted")
-	}
-}
-
-// TestCompareNewHot covers the on-ramp for hot paths introduced by the
-// current PR: -new-hot names must exist in the new record, may be
-// absent from the old one, and regression-gate normally once both
-// records carry them.
-func TestCompareNewHot(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeRecord(t, dir, "old.json", map[string]float64{"Hot": 1000})
-	for _, tc := range []struct {
-		name    string
-		newNs   map[string]float64
-		newHot  string
-		wantSub string
-	}{
-		{"absent from old passes", map[string]float64{"Hot": 1000, "Fresh": 5}, "Fresh", ""},
-		{"absent from new fails", map[string]float64{"Hot": 1000}, "Fresh", "absent from"},
-		{"regression still gates", map[string]float64{"Hot": 1500}, "Hot", "Hot regressed 50.0%"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			newP := writeRecord(t, dir, "new.json", tc.newNs)
-			var buf strings.Builder
-			err := compare(&buf, oldP, newP, "", tc.newHot, 10, 0)
-			if tc.wantSub == "" {
-				if err != nil {
-					t.Fatalf("gate failed: %v\n%s", err, buf.String())
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
-				t.Fatalf("gate error = %v, want substring %q", err, tc.wantSub)
-			}
-		})
-	}
-}
-
-// writeRecordDerived is writeRecord plus a derived-metrics map.
-func writeRecordDerived(t *testing.T, dir, name string, ns, derived map[string]float64) string {
-	t.Helper()
-	rec := record{GeneratedBy: "test", Derived: derived}
-	for bench, v := range ns {
-		rec.Benchmarks = append(rec.Benchmarks, benchResult{Name: bench, Iterations: 1, NsPerOp: v})
-	}
-	raw, err := json.Marshal(&rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCompareAdmissionSpeedupGate(t *testing.T) {
-	dir := t.TempDir()
-	oldP := writeRecord(t, dir, "old.json", map[string]float64{"Hot": 1000})
-	ns := map[string]float64{"Hot": 1000}
-	for _, tc := range []struct {
-		name    string
-		derived map[string]float64
-		min     float64
-		wantSub string
-	}{
-		{"above gate passes", map[string]float64{"admissionSpeedupVsSync": 3.1}, 2, ""},
-		{"below gate fails", map[string]float64{"admissionSpeedupVsSync": 1.4}, 2, "below the 2x gate"},
-		{"absent fails", nil, 2, "absent from"},
-		{"gate disabled ignores", nil, 0, ""},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			newP := writeRecordDerived(t, dir, "new.json", ns, tc.derived)
-			var buf strings.Builder
-			err := compare(&buf, oldP, newP, "", "", 10, tc.min)
-			if tc.wantSub == "" {
-				if err != nil {
-					t.Fatalf("gate failed: %v\n%s", err, buf.String())
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
-				t.Fatalf("gate error = %v, want substring %q", err, tc.wantSub)
-			}
-		})
-	}
-}

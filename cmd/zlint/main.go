@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		passAlias = fs.String("pass", "", "alias for -passes")
 		root      = fs.String("root", ".", "directory inside the module to analyze")
 		list      = fs.Bool("list", false, "list available passes and exit")
-		verbose   = fs.Bool("v", false, "report package count and pass set")
+		verbose   = fs.Bool("v", false, "report package count, pass set and per-pass wall time")
 		format    = fs.String("format", "text", "finding output format: text, json, or github")
 		testdata  = fs.String("testdata", "", "sweep fixture packages under this directory instead of the module (self-test mode)")
 		expect    = fs.Int("expect", -1, "with -testdata: require exactly this many findings")
@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *testdata != "" {
-		return runTestdata(*testdata, *root, passes, *format, *expect, stdout, stderr)
+		return runTestdata(*testdata, *root, passes, *format, *expect, *verbose, stdout, stderr)
 	}
 
 	loader, err := lint.NewLoader(*root)
@@ -123,9 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	diags, timings := lint.RunTimed(pkgs, passes, lint.DefaultConfig())
 	if *verbose {
-		for _, pt := range timings {
-			fmt.Fprintf(stderr, "zlint: %-12s %v\n", pt.Name, pt.Elapsed.Round(time.Millisecond))
-		}
+		printTimings(stderr, timings)
 	}
 	for _, d := range diags {
 		emit(stdout, *format, d)
@@ -142,8 +140,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 // same policy the internal/lint tests use. Findings here are expected
 // — the corpus exists to produce them — so the exit status reflects
 // only load errors and the -expect pin, which CI uses to prove the
-// analyzer still sees exactly the corpus it is supposed to.
-func runTestdata(dir, root string, passes []lint.Pass, format string, expect int, stdout, stderr io.Writer) int {
+// analyzer still sees exactly the corpus it is supposed to. With
+// verbose, each pass's wall time is summed over the fixtures.
+func runTestdata(dir, root string, passes []lint.Pass, format string, expect int, verbose bool, stdout, stderr io.Writer) int {
 	loader, err := lint.NewLoader(root)
 	if err != nil {
 		fmt.Fprintln(stderr, "zlint:", err)
@@ -203,6 +202,7 @@ func runTestdata(dir, root string, passes []lint.Pass, format string, expect int
 	}
 
 	total := 0
+	var sum []lint.PassTiming
 	for _, d := range dirs {
 		ip := paths[d]
 		pkg, err := loader.LoadDir(d, ip)
@@ -210,10 +210,21 @@ func runTestdata(dir, root string, passes []lint.Pass, format string, expect int
 			fmt.Fprintln(stderr, "zlint:", err)
 			return 2
 		}
-		for _, diag := range lint.Run([]*lint.Package{pkg}, passes, lint.FixtureConfig(ip)) {
+		diags, timings := lint.RunTimed([]*lint.Package{pkg}, passes, lint.FixtureConfig(ip))
+		for _, diag := range diags {
 			emit(stdout, format, diag)
 			total++
 		}
+		if sum == nil {
+			sum = timings
+			continue
+		}
+		for i := range sum {
+			sum[i].Elapsed += timings[i].Elapsed
+		}
+	}
+	if verbose {
+		printTimings(stderr, sum)
 	}
 	fmt.Fprintf(stderr, "zlint: %d finding(s) across %d fixture packages\n", total, len(dirs))
 	if expect >= 0 && total != expect {
@@ -221,6 +232,13 @@ func runTestdata(dir, root string, passes []lint.Pass, format string, expect int
 		return 1
 	}
 	return 0
+}
+
+// printTimings writes the -v per-pass wall-time report.
+func printTimings(w io.Writer, timings []lint.PassTiming) {
+	for _, pt := range timings {
+		fmt.Fprintf(w, "zlint: %-12s %v\n", pt.Name, pt.Elapsed.Round(time.Millisecond))
+	}
 }
 
 // emit writes one finding in the selected format.

@@ -24,14 +24,15 @@ func TestSelfCleanTree(t *testing.T) {
 	}
 }
 
-// TestPassSubset runs a single pass by name.
+// TestPassSubset runs a single pass by name over the lockscope fixture
+// corpus, which carries five lockscope findings and no errdrop ones.
 func TestPassSubset(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module type-check is slow; run without -short")
-	}
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-passes", "errdrop"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("errdrop-only run exited %d: %s%s", code, stdout.String(), stderr.String())
+	const dir = "../../internal/lint/testdata/lockscope"
+	for _, c := range []struct{ pass, expect string }{{"errdrop", "0"}, {"lockscope", "5"}} {
+		var stdout, stderr strings.Builder
+		if code := run([]string{"-passes", c.pass, "-testdata", dir, "-expect", c.expect}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s-only run exited %d: %s%s", c.pass, code, stdout.String(), stderr.String())
+		}
 	}
 }
 
@@ -77,16 +78,11 @@ func TestPassAliasValidation(t *testing.T) {
 	}
 }
 
-// TestVerboseTimings pins the -v per-pass wall-time report over a
-// small fixture-free invocation path (the testdata sweep shares the
-// flag parsing but not the timing report, so use the module path with
-// a single cheap pass scope: the fixture dir keeps it fast).
+// TestVerboseTimings pins the -v per-pass wall-time report; in
+// -testdata mode it sums each pass over the fixtures.
 func TestVerboseTimings(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module type-check is slow; run without -short")
-	}
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-v", "-pass", "errdrop,guardflow"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-v", "-pass", "errdrop,guardflow", "-testdata", "../../internal/lint/testdata/guardflow"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("verbose run exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 	for _, name := range []string{"errdrop", "guardflow"} {
@@ -96,13 +92,14 @@ func TestVerboseTimings(t *testing.T) {
 	}
 }
 
-// TestListPasses pins the seven-pass contract.
+// TestListPasses pins the eleven pass names: suppression directives and
+// CI annotations refer to passes by name.
 func TestListPasses(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{"detrand", "lockorder", "ledgerguard", "errdrop", "moneyflow", "nonceflow", "specbind"} {
+	for _, name := range []string{"detrand", "lockorder", "ledgerguard", "errdrop", "moneyflow", "nonceflow", "specbind", "walflow", "lockscope", "lifecycle", "guardflow"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing pass %s:\n%s", name, stdout.String())
 		}

@@ -7,9 +7,9 @@ package lint
 // checks share one config (Config.GuardedFields et al.):
 //
 //  1. Lockset dataflow. Each declared shared field maps to the guards
-//     that may protect it. A forward must-hold analysis over the PR-4
-//     CFG tracks, per lock, whether it is provably held (read- or
-//     write-side), provably released, or unknown at every node. A
+//     that may protect it. The shared must-hold lockset (lockset.go)
+//     says, per lock, whether it is provably held (read- or
+//     write-side), provably released, or unknown at every CFG node. A
 //     guarded access with no satisfying guard held becomes an
 //     obligation; obligations propagate bottom-up through in-package
 //     calls as summaries ("callee requires guard G held") and are
@@ -18,6 +18,8 @@ package lint
 //     discharge them. Accesses through locals freshly built from a
 //     composite literal (the constructor idiom) are unshared and
 //     skipped; whole functions are blessed via Config.GuardExemptFuncs.
+//     The same summary walk records whether each unit may block, which
+//     is what lockscope reads at call sites.
 //
 //  2. Atomic/plain mixing. A field updated through sync/atomic — a
 //     typed atomic.Int64/Bool/Pointer or an old-style atomic.AddInt64
@@ -56,27 +58,6 @@ func GuardFlow() Pass {
 		Doc:  "every declared shared field is accessed with its guard held on all paths; atomics are never mixed with plain access; go-body captures are sanctioned",
 		Run:  runGuardFlow,
 	}
-}
-
-// gfMode is the per-lock must-state.
-type gfMode uint8
-
-const (
-	gfHeldR    gfMode = iota + 1 // read side provably held
-	gfHeldW                      // write side (or plain Mutex) provably held
-	gfReleased                   // provably not held (a local acquire/release cycle completed)
-)
-
-// gfState maps lock keys ("importpath.Owner.field") to their must-
-// state; absent keys are unknown (possibly held by a caller).
-type gfState map[string]gfMode
-
-func (s gfState) clone() gfState {
-	n := make(gfState, len(s))
-	for k, v := range s {
-		n[k] = v
-	}
-	return n
 }
 
 // gfGuard is one alternative from a GuardedFields entry. writeOnly
@@ -156,9 +137,10 @@ func gfGuardNames(guards []gfGuard) string {
 }
 
 // gfResult is one unit's summary: the obligations its callers must
-// discharge.
+// discharge, and why a call to it may block ("" if it cannot).
 type gfResult struct {
 	requires []gfObligation
+	mayBlock string
 }
 
 type gfAnalyzer struct {
@@ -169,52 +151,58 @@ type gfAnalyzer struct {
 	results map[*flowUnit]*gfResult
 	busy    map[*flowUnit]bool
 
-	invoked map[*ast.BlockStmt]bool // literal bodies invoked (or deferred) directly
-	goCalls map[*ast.CallExpr]bool  // the Call of every go statement
-	calls   map[*types.Func]int     // static in-package call-position uses
-	uses    map[*types.Func]int     // all in-package uses
+	invoked   map[*ast.BlockStmt]bool      // literal bodies invoked (or deferred) directly
+	goCalls   map[*ast.CallExpr]bool       // the Call of every go statement
+	calls     map[*types.Func]int          // static in-package call-position uses
+	uses      map[*types.Func]int          // all in-package uses
+	commHeads map[ast.Node]*ast.SelectStmt // select comm-clause heads → the select if it parks there, else nil
 
 	diags []Diagnostic
 	seen  map[token.Pos]bool
+}
+
+// guardSummaries runs the summary walk once per Unit, over every flow
+// unit in order, so guardflow and lockscope read the same results
+// whichever passes run.
+func (u *Unit) guardSummaries() *gfAnalyzer {
+	if u.summaries != nil {
+		return u.summaries
+	}
+	a := &gfAnalyzer{
+		u:         u,
+		results:   map[*flowUnit]*gfResult{},
+		busy:      map[*flowUnit]bool{},
+		invoked:   map[*ast.BlockStmt]bool{},
+		goCalls:   map[*ast.CallExpr]bool{},
+		calls:     map[*types.Func]int{},
+		uses:      map[*types.Func]int{},
+		commHeads: map[ast.Node]*ast.SelectStmt{},
+		seen:      map[token.Pos]bool{},
+	}
+	u.summaries = a
+	a.units, a.byFunc, a.byBody = u.flowInfo()
+	a.scanRefs()
+	for _, fu := range a.units {
+		a.resultOf(fu)
+	}
+	return a
 }
 
 func runGuardFlow(u *Unit) []Diagnostic {
 	if !pathMatches(u.Pkg.ImportPath, u.Cfg.GuardflowPkgs) {
 		return nil
 	}
-	a := &gfAnalyzer{
-		u:       u,
-		results: map[*flowUnit]*gfResult{},
-		busy:    map[*flowUnit]bool{},
-		invoked: map[*ast.BlockStmt]bool{},
-		goCalls: map[*ast.CallExpr]bool{},
-		calls:   map[*types.Func]int{},
-		uses:    map[*types.Func]int{},
-		seen:    map[token.Pos]bool{},
-	}
-	a.units, a.byFunc, a.byBody = u.flowInfo()
-	a.scanRefs()
+	a := u.guardSummaries()
 	for _, fu := range a.units {
-		res := a.resultOf(fu)
 		if !a.isRoot(fu) {
 			continue
 		}
-		for _, ob := range res.requires {
+		for _, ob := range a.resultOf(fu).requires {
 			a.reportObligation(ob)
 		}
 	}
 	a.checkAtomics()
 	a.checkCaptures()
-	sort.Slice(a.diags, func(i, j int) bool {
-		x, y := a.diags[i].Pos, a.diags[j].Pos
-		if x.Filename != y.Filename {
-			return x.Filename < y.Filename
-		}
-		if x.Line != y.Line {
-			return x.Line < y.Line
-		}
-		return x.Column < y.Column
-	})
 	return a.diags
 }
 
@@ -245,6 +233,19 @@ func (a *gfAnalyzer) scanRefs() {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				a.goCalls[n.Call] = true
+			case *ast.SelectStmt:
+				// A select with no default arm parks: charge its first head.
+				parks := n
+				for _, c := range n.Body.List {
+					if c.(*ast.CommClause).Comm == nil {
+						parks = nil
+					}
+				}
+				for _, c := range n.Body.List {
+					if comm := c.(*ast.CommClause).Comm; comm != nil {
+						a.commHeads[comm], parks = parks, nil
+					}
+				}
 			case *ast.CallExpr:
 				if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
 					// A go-statement literal runs on a fresh lockset and
@@ -304,150 +305,38 @@ func (a *gfAnalyzer) resultOf(fu *flowUnit) *gfResult {
 	return r
 }
 
-func (a *gfAnalyzer) lattice() flowLattice[gfState] {
-	return flowLattice[gfState]{
-		transfer: a.transfer,
-		join:     gfJoin,
-		equal:    gfEqual,
-	}
-}
-
-func gfJoin(x, y gfState) gfState {
-	out := gfState{}
-	for k, mx := range x {
-		my, ok := y[k]
-		if !ok {
-			continue
-		}
-		switch {
-		case mx == my:
-			out[k] = mx
-		case (mx == gfHeldR && my == gfHeldW) || (mx == gfHeldW && my == gfHeldR):
-			out[k] = gfHeldR
-		}
-		// held on one path, released on the other: unknown — drop.
-	}
-	return out
-}
-
-func gfEqual(x, y gfState) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for k, v := range x {
-		if y[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-type gfLockOp struct {
-	key     string
-	acquire bool
-	read    bool // RLock/RUnlock
-}
-
-// lockOps extracts the lock operations a node performs, reusing
-// lockorder's field resolution plus the trusted ISP stripe helpers.
-// Deferred unlocks are skipped: the lock stays held until return,
-// which is exactly what a must-hold analysis wants.
-func (a *gfAnalyzer) lockOps(n ast.Node) []gfLockOp {
-	var ops []gfLockOp
-	info := a.u.Pkg.Info
-	inspectShallow(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.DeferStmt); ok {
-			return false
-		}
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name := ""
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			name = fun.Name
-		case *ast.SelectorExpr:
-			name = fun.Sel.Name
-		}
-		stripeKey := a.u.Pkg.ImportPath + ".accountStripe.mu"
-		switch name {
-		case "lockStripe", "lockTwoStripes":
-			ops = append(ops, gfLockOp{key: stripeKey, acquire: true})
-		case "unlockTwoStripes":
-			ops = append(ops, gfLockOp{key: stripeKey})
-		case "Lock", "RLock", "Unlock", "RUnlock":
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := info.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-				return true
-			}
-			owner, field, ok := lockField(a.u, sel.X)
-			if !ok {
-				return true
-			}
-			ops = append(ops, gfLockOp{
-				key:     a.u.Pkg.ImportPath + "." + owner + "." + field,
-				acquire: name == "Lock" || name == "RLock",
-				read:    name == "RLock" || name == "RUnlock",
-			})
-		}
-		return true
-	})
-	return ops
-}
-
-func (a *gfAnalyzer) transfer(s gfState, n ast.Node) gfState {
-	ops := a.lockOps(n)
-	if len(ops) == 0 {
-		return s
-	}
-	ns := s.clone()
-	for _, op := range ops {
-		switch {
-		case op.acquire && !op.read:
-			ns[op.key] = gfHeldW
-		case op.acquire:
-			if ns[op.key] != gfHeldW {
-				ns[op.key] = gfHeldR
-			}
-		case !op.read:
-			// A write unlock proves no caller holds the lock either (a
-			// caller-held Mutex could not have been re-locked here).
-			ns[op.key] = gfReleased
-		default:
-			// RUnlock: the read side is shared, a caller may still hold
-			// it — back to unknown.
-			delete(ns, op.key)
-		}
-	}
-	return ns
-}
-
-// analyze runs the lockset flow over one unit and collects its unmet
-// obligations.
+// analyze walks one unit's lockset: it collects the unmet obligations
+// (none for a Config.GuardExemptFuncs function) and the first operation
+// that may block.
 func (a *gfAnalyzer) analyze(fu *flowUnit) *gfResult {
 	res := &gfResult{}
-	if fu.fn != nil && inStringList(fu.qualifiedName(a.u.Pkg.ImportPath), a.u.Cfg.GuardExemptFuncs) {
-		return res
-	}
-	g := a.u.cfgOf(fu.body)
-	in := forwardFlow(g, gfState{}, a.lattice())
+	exempt := fu.fn != nil && inStringList(fu.qualifiedName(a.u.Pkg.ImportPath), a.u.Cfg.GuardExemptFuncs)
 	fresh := a.freshLocals(fu)
-	for _, blk := range g.blocks {
-		s, ok := in[blk]
-		if !ok {
-			continue // unreachable
+	for _, h := range a.u.lockset(fu.body) {
+		if !exempt {
+			a.checkNode(h.n, h.held, fresh, res)
 		}
-		for _, n := range blk.nodes {
-			a.checkNode(n, s, fresh, res)
-			s = a.transfer(s, n)
+		if res.mayBlock == "" {
+			a.blockingOps(h.n, func(_ token.Pos, _, why string) {
+				if res.mayBlock == "" {
+					res.mayBlock = why
+				}
+			})
 		}
 	}
 	return res
+}
+
+// calleeUnit resolves a call to the in-package unit it runs — a named
+// function or a directly invoked literal — and the name findings use.
+func (a *gfAnalyzer) calleeUnit(call *ast.CallExpr) (*flowUnit, string) {
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+		return a.byBody[lit.Body], "the function literal"
+	}
+	if fn := calleeFunc(a.u.Pkg.Info, call); fn != nil {
+		return a.byFunc[fn], fn.Name()
+	}
+	return nil, ""
 }
 
 // freshLocals approximates Eraser's virgin state: a local assigned
@@ -616,18 +505,12 @@ func (a *gfAnalyzer) checkNode(n ast.Node, s gfState, fresh map[types.Object]boo
 		}
 		state := s
 		if a.goCalls[call] {
-			state = gfState{}
-		}
-		var callee *flowUnit
-		name := ""
-		if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-			if a.goCalls[call] {
+			if _, isLit := ast.Unparen(call.Fun).(*ast.FuncLit); isLit {
 				return true // the literal is its own root
 			}
-			callee, name = a.byBody[lit.Body], "the function literal"
-		} else if fn := calleeFunc(info, call); fn != nil {
-			callee, name = a.byFunc[fn], fn.Name()
+			state = gfState{}
 		}
+		callee, name := a.calleeUnit(call)
 		if callee == nil {
 			return true
 		}

@@ -33,10 +33,10 @@
 //     arrays, nonce counters, bank accounts/seq) is paired with a WAL
 //     append on every non-error exit path, so a crash at any instant
 //     replays to the state the locks protected;
-//   - lockscope: held-set simulation across the federation packages —
-//     no network I/O, channel operation, or other blocking call may run
-//     under a held stripe, bank, or node mutex (the uplink mutex, whose
-//     job is serializing a connection, is config-allowed);
+//   - lockscope: across the federation packages, no network I/O,
+//     channel operation, or other blocking call may run under a held
+//     stripe, bank, or node mutex (the uplink mutex, whose job is
+//     serializing a connection, is config-allowed);
 //   - lifecycle: every spawned goroutine has a shutdown path (WaitGroup
 //     join, stop-channel select, or an allowlisted self-terminating
 //     call) and every acquired closeable resource (listeners, conns,
@@ -49,6 +49,11 @@
 //     sync/atomic are never also accessed plainly; and variables
 //     captured into go bodies are guarded, channel-transferred,
 //     per-iteration, or explicitly blessed.
+//
+// lockorder, lockscope and guardflow are predicates over one lockset
+// engine (lockset.go: a must-hold dataflow computed once per function
+// body), and lockscope's "may block" summaries ride guardflow's
+// bottom-up call-summary walk.
 //
 // A finding that is intentional is silenced in place with
 //
@@ -94,10 +99,10 @@ type Pass struct {
 }
 
 // Unit is the per-package input handed to a pass. Besides the package
-// and policy it memoizes the artifacts every flow-sensitive pass needs
-// — the flow-unit enumeration and per-body CFGs — so one Run builds
-// them once instead of once per pass (the module itself is likewise
-// loaded and type-checked once per invocation, in Loader).
+// and policy it memoizes the artifacts the flow-sensitive passes share
+// — flow units, per-body CFGs and locksets, the lock call summaries —
+// so one Run builds them once instead of once per pass (the module is
+// likewise loaded and type-checked once per invocation, in Loader).
 type Unit struct {
 	Pkg *Package
 	Cfg Config
@@ -106,6 +111,8 @@ type Unit struct {
 	flowByFunc map[*types.Func]*flowUnit
 	flowByBody map[*ast.BlockStmt]*flowUnit
 	cfgs       map[*ast.BlockStmt]*cfg
+	locksets   map[*ast.BlockStmt][]heldAt
+	summaries  *gfAnalyzer
 }
 
 // diag is the helper passes use to report at a token.Pos.
@@ -178,8 +185,6 @@ type Config struct {
 	// from a snapshot or the log itself.
 	WALExemptFuncs []string
 
-	// LockScopePkgs are import-path prefixes where lockscope applies.
-	LockScopePkgs []string
 	// LockScopeBlockingFuncs ("importpath.Name" or
 	// "importpath.Recv.Name") are known-blocking calls beyond the built
 	// in net-package detection: wire codec reads/writes, SMTP dials,
@@ -190,9 +195,9 @@ type Config struct {
 	// mutex); ops under only these locks are not findings.
 	LockScopeAllowedLocks []string
 
-	// GuardflowPkgs are import-path prefixes where guardflow applies:
-	// every package whose structs are mutated from more than one
-	// goroutine.
+	// GuardflowPkgs are import-path prefixes where guardflow and
+	// lockscope apply: every package whose structs are mutated from
+	// more than one goroutine.
 	GuardflowPkgs []string
 	// GuardedFields maps each shared field, as
 	// "importpath.Owner.field", to the guards that protect it, each
@@ -333,13 +338,6 @@ func DefaultConfig() Config {
 			// RestoreState *is* the replay target.
 			"zmail/internal/isp:New", "zmail/internal/isp:RestoreState",
 			"zmail/internal/bank:New", "zmail/internal/bank:RestoreState",
-		},
-		LockScopePkgs: []string{
-			"zmail/internal/isp",
-			"zmail/internal/bank",
-			"zmail/internal/core",
-			"zmail/internal/cluster",
-			"zmail/internal/mempool",
 		},
 		LockScopeBlockingFuncs: []string{
 			"zmail/internal/wire.ReadEnvelope",
@@ -543,7 +541,6 @@ func FixtureConfig(fixturePkg string) Config {
 	cfg.WALFields = append(cfg.WALFields, "vault.stash", "vault.tokens")
 	cfg.WALAppendFuncs = append(cfg.WALAppendFuncs, fixturePkg+":walAppend")
 	cfg.WALExemptFuncs = append(cfg.WALExemptFuncs, fixturePkg+":blessedRestore")
-	cfg.LockScopePkgs = append(cfg.LockScopePkgs, fixturePkg)
 	cfg.LockScopeBlockingFuncs = append(cfg.LockScopeBlockingFuncs, fixturePkg+".slowRPC")
 	// Lockset tier: fixtures guard "vault.coins" with a plain mutex and
 	// "vault.open" with an RWMutex, bless "blessedInit" as a
@@ -651,7 +648,10 @@ func RunTimed(pkgs []*Package, passes []Pass, cfg Config) ([]Diagnostic, []PassT
 		if a.Line != b.Line {
 			return a.Line < b.Line
 		}
-		return out[i].Pass < out[j].Pass
+		if out[i].Pass != out[j].Pass {
+			return out[i].Pass < out[j].Pass
+		}
+		return a.Column < b.Column
 	})
 	return out, timings
 }

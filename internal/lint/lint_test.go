@@ -35,6 +35,34 @@ func sharedLoader(t *testing.T) *Loader {
 	return shared
 }
 
+var (
+	moduleOnce sync.Once
+	modulePkgs []*Package
+	moduleErr  error
+)
+
+// loadModule type-checks the whole module once per test process, with a
+// fresh loader: the shared one accumulates fixture registrations from
+// other tests, which must not leak into the module sweep.
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("whole-module type-check is slow; run without -short")
+	}
+	moduleOnce.Do(func() {
+		l, err := NewLoader(".")
+		if err != nil {
+			moduleErr = err
+			return
+		}
+		modulePkgs, moduleErr = l.LoadModule()
+	})
+	if moduleErr != nil {
+		t.Fatalf("load module: %v", moduleErr)
+	}
+	return modulePkgs
+}
+
 // fixturePath maps a testdata-relative name to its loader import path.
 func fixturePath(rel string) string {
 	return "zmail/internal/lint/testdata/" + rel
@@ -318,19 +346,7 @@ func TestSuppressionDeletionFails(t *testing.T) {
 // empty. A regression that reintroduces a wall-clock read on a seeded
 // path (or deletes a load-bearing suppression) fails here.
 func TestWholeTreeClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module type-check is slow; run without -short")
-	}
-	// A fresh loader: the shared one accumulates fixture registrations
-	// from other tests, which must not leak into the module sweep.
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := l.LoadModule()
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
+	pkgs := loadModule(t)
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; the module walk is broken", len(pkgs))
 	}
@@ -375,11 +391,6 @@ func TestDefaultConfigCoversRoadmapPackages(t *testing.T) {
 			t.Errorf("walflow policy must cover %s", p)
 		}
 	}
-	for _, p := range []string{"zmail/internal/core", "zmail/internal/cluster", "zmail/internal/bank", "zmail/internal/isp"} {
-		if !pathMatches(p, cfg.LockScopePkgs) {
-			t.Errorf("lockscope policy must cover %s", p)
-		}
-	}
 	for _, p := range []string{"zmail/internal/cluster", "zmail/internal/core", "zmail/internal/load", "zmail/internal/obsv"} {
 		if !pathMatches(p, cfg.LifecyclePkgs) {
 			t.Errorf("lifecycle policy must cover %s", p)
@@ -387,7 +398,7 @@ func TestDefaultConfigCoversRoadmapPackages(t *testing.T) {
 	}
 	for _, p := range []string{"zmail/internal/isp", "zmail/internal/bank", "zmail/internal/core", "zmail/internal/cluster"} {
 		if !pathMatches(p, cfg.GuardflowPkgs) {
-			t.Errorf("guardflow policy must cover %s", p)
+			t.Errorf("guardflow/lockscope policy must cover %s", p)
 		}
 	}
 	if len(cfg.GuardedFields) == 0 {

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
@@ -11,23 +10,22 @@ import (
 //
 //	freezeMu → stripe locks (ascending index) → cold mu
 //
-// and every deadlock found since the PR 1 sharding has been a violation
-// of it. The pass walks each function, tracking the set of lock ranks
-// held (branch bodies are explored with a copy of the held set, so
-// alternative arms don't contaminate each other), and reports:
+// and every deadlock found since the ledger was sharded has been a
+// violation of it. The pass is a predicate over the shared must-hold
+// lockset (lockset.go) and reports:
 //
-//   - acquiring a lower-ranked lock while holding a higher-ranked one
-//     (an inversion: another goroutine running the documented order can
-//     deadlock against this path);
-//   - acquiring a rank already held (self-deadlock for the mutexes;
-//     for stripes, two raw stripe locks held at once must go through
-//     lockTwoStripes, which orders by index);
-//   - a function that acquires a rank and never releases it on any
-//     path, by defer or by call.
+//   - acquiring a lower-ranked lock while a higher-ranked one is
+//     provably held (an inversion: another goroutine running the
+//     documented order can deadlock against this path);
+//   - acquiring a rank already provably held (self-deadlock for the
+//     mutexes; for stripes, two raw stripe locks held at once must go
+//     through lockTwoStripes, which orders by index);
+//   - a function that acquires a rank and never releases it, by defer
+//     or by call, anywhere in its body.
 //
 // Deferred unlocks count as releases but keep the lock held for
 // ordering purposes until the function returns, matching runtime
-// behavior.
+// behavior. The stripe helpers themselves (stripeHelpers) are trusted.
 func LockOrder() Pass {
 	return Pass{
 		Name: "lockorder",
@@ -47,20 +45,22 @@ const (
 
 var rankNames = [numRanks]string{"freezeMu", "stripe lock", "cold mu"}
 
-// lockOp is one classified lock operation.
-type lockOp struct {
-	rank    int
-	acquire bool
-}
-
-// trustedLockPrimitives are the sanctioned acquisition helpers: they
-// acquire on behalf of their caller (so they "leak" a lock by design)
-// and lockTwoStripes orders the two stripes by index internally, which
-// a per-statement analysis cannot see. Everything else is checked.
-var trustedLockPrimitives = map[string]bool{
-	"lockStripe":       true,
-	"lockTwoStripes":   true,
-	"unlockTwoStripes": true,
+// lockRank ranks a lock key: any freezeMu field is the freeze gate, a
+// mu field on a type named like a stripe is a stripe lock, and any
+// other mu is the cold mutex.
+func lockRank(key string) (int, bool) {
+	dot := strings.LastIndexByte(key, '.')
+	owner, field := key[:dot], key[dot+1:]
+	owner = owner[strings.LastIndexByte(owner, '.')+1:]
+	switch {
+	case field == "freezeMu":
+		return rankFreeze, true
+	case field != "mu":
+		return 0, false
+	case strings.Contains(strings.ToLower(owner), "stripe"):
+		return rankStripe, true
+	}
+	return rankCold, true
 }
 
 func runLockOrder(u *Unit) []Diagnostic {
@@ -68,222 +68,71 @@ func runLockOrder(u *Unit) []Diagnostic {
 		return nil
 	}
 	var out []Diagnostic
-	for _, f := range u.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || trustedLockPrimitives[fd.Name.Name] {
-				continue
+	units, _, _ := u.flowInfo()
+	for _, fu := range units {
+		if fu.fn != nil && stripeHelpers[fu.fn.Name()] {
+			continue
+		}
+		for _, h := range u.lockset(fu.body) {
+			s := h.held
+			for _, op := range h.ops {
+				if r, ok := lockRank(op.key); ok && op.acquire {
+					out = append(out, checkRank(u, s, op, r)...)
+				}
+				s = s.apply([]lockOp{op})
 			}
-			out = append(out, checkFuncLocks(u, fd)...)
+		}
+		if fu.fn != nil {
+			out = append(out, checkReleased(u, fu)...)
 		}
 	}
 	return out
 }
 
-// lockWalker carries per-function accounting.
-type lockWalker struct {
-	u        *Unit
-	diags    []Diagnostic
-	acquired [numRanks]int // total acquisitions seen anywhere in the function
-	released [numRanks]int // total releases (immediate or deferred)
-}
-
-func checkFuncLocks(u *Unit, fd *ast.FuncDecl) []Diagnostic {
-	w := &lockWalker{u: u}
-	var held [numRanks]int
-	w.walkStmts(fd.Body.List, &held)
-	for r := 0; r < numRanks; r++ {
-		if w.acquired[r] > 0 && w.released[r] == 0 {
-			w.diags = append(w.diags, u.diag("lockorder", fd.Pos(),
-				"%s acquires the %s but never releases it (no Unlock or defer on any path)",
-				fd.Name.Name, rankNames[r]))
+// checkRank reports an acquisition of rank r while a lock of rank r or
+// higher is provably held, naming the lowest such rank.
+func checkRank(u *Unit, s gfState, op lockOp, r int) []Diagnostic {
+	held := numRanks
+	for key := range s {
+		if hr, ok := lockRank(key); ok && s.held(key) && hr >= r && hr < held {
+			held = hr
 		}
 	}
-	return w.diags
+	what := "inverts the freeze → stripes → cold order"
+	switch {
+	case held == numRanks:
+		return nil
+	case held == r && r == rankStripe:
+		what = "is already held; two stripes must be taken via lockTwoStripes (ascending index)"
+	case held == r:
+		what = "is already held (self-deadlock, or unordered double acquisition)"
+	}
+	return []Diagnostic{u.diag("lockorder", op.pos, "acquires %s while the %s %s", rankNames[r], rankNames[held], what)}
 }
 
-// walkStmts processes statements in source order, mutating held.
-// Branch bodies get a copy of held: arms of an if/switch are
-// alternatives, and a lock taken in one arm is not held in the next.
-func (w *lockWalker) walkStmts(stmts []ast.Stmt, held *[numRanks]int) {
-	for _, s := range stmts {
-		w.walkStmt(s, held)
-	}
-}
-
-func (w *lockWalker) walkStmt(s ast.Stmt, held *[numRanks]int) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			w.applyCall(call, held, false)
-		}
-	case *ast.DeferStmt:
-		w.applyCall(s.Call, held, true)
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		branch := *held
-		w.walkStmts(s.Body.List, &branch)
-		if s.Else != nil {
-			alt := *held
-			w.walkStmt(s.Else, &alt)
-		}
-	case *ast.ForStmt:
-		branch := *held
-		if s.Init != nil {
-			w.walkStmt(s.Init, &branch)
-		}
-		if s.Body != nil {
-			w.walkStmts(s.Body.List, &branch)
-		}
-	case *ast.RangeStmt:
-		branch := *held
-		w.walkStmts(s.Body.List, &branch)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				branch := *held
-				w.walkStmts(cc.Body, &branch)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				branch := *held
-				w.walkStmts(cc.Body, &branch)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				branch := *held
-				w.walkStmts(cc.Body, &branch)
-			}
-		}
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, held)
-	case *ast.GoStmt:
-		// A spawned goroutine starts with no locks held.
-		var fresh [numRanks]int
-		if fn, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.walkStmts(fn.Body.List, &fresh)
-		}
-	}
-}
-
-// applyCall classifies one call as a lock operation and updates held.
-// Deferred releases are counted for balance but do not release the rank
-// for ordering — the lock stays held until return.
-func (w *lockWalker) applyCall(call *ast.CallExpr, held *[numRanks]int, deferred bool) {
-	op, ok := w.classify(call)
-	if !ok {
-		// Function literals invoked or passed inline still execute; walk
-		// their bodies with the current held set (e.g. emitQueue closures
-		// are queued, but queued closures run after unlock — they are
-		// added, not run, so skip them; only direct invocation matters).
-		if lit, okLit := call.Fun.(*ast.FuncLit); okLit {
-			w.walkStmts(lit.Body.List, held)
-		}
-		return
-	}
-	if op.acquire {
-		w.acquired[op.rank]++
-		for r := op.rank; r < numRanks; r++ {
-			if held[r] > 0 {
-				verb := "acquires"
-				what := "inverts the freeze → stripes → cold order"
-				if r == op.rank {
-					what = "is already held (self-deadlock, or unordered double acquisition)"
-					if op.rank == rankStripe {
-						what = "is already held; two stripes must be taken via lockTwoStripes (ascending index)"
-					}
+// checkReleased reports each rank a function acquires anywhere in its
+// body, literals included, but never releases, immediately or by defer.
+func checkReleased(u *Unit, fu *flowUnit) []Diagnostic {
+	var acquired, released [numRanks]int
+	ast.Inspect(fu.body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if op, ok := classifyLockCall(u, call); ok {
+				if r, ok := lockRank(op.key); ok && op.acquire {
+					acquired[r]++
+				} else if ok {
+					released[r]++
 				}
-				w.diags = append(w.diags, w.u.diag("lockorder", call.Pos(),
-					"%s %s while the %s %s", verb, rankNames[op.rank], rankNames[r], what))
-				break
 			}
 		}
-		held[op.rank]++
-		return
-	}
-	w.released[op.rank]++
-	if !deferred && held[op.rank] > 0 {
-		held[op.rank]--
-	}
-}
-
-// classify maps a call expression to a lock operation:
-//
-//	<x>.freezeMu.Lock/RLock/Unlock/RUnlock        → freeze
-//	<stripe>.mu.Lock/Unlock                       → stripe
-//	lockStripe / lockTwoStripes / unlockTwoStripes → stripe
-//	<engine>.mu.Lock/Unlock                       → cold
-func (w *lockWalker) classify(call *ast.CallExpr) (lockOp, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		// Plain identifier call: unlockTwoStripes is package-level.
-		if id, okID := call.Fun.(*ast.Ident); okID {
-			switch id.Name {
-			case "lockStripe", "lockTwoStripes":
-				return lockOp{rank: rankStripe, acquire: true}, true
-			case "unlockTwoStripes":
-				return lockOp{rank: rankStripe, acquire: false}, true
-			}
-		}
-		return lockOp{}, false
-	}
-	switch sel.Sel.Name {
-	case "lockStripe", "lockTwoStripes":
-		return lockOp{rank: rankStripe, acquire: true}, true
-	case "unlockTwoStripes":
-		return lockOp{rank: rankStripe, acquire: false}, true
-	case "Lock", "RLock", "Unlock", "RUnlock":
-		acquire := sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock"
-		owner, field, ok := lockField(w.u, sel.X)
-		if !ok {
-			return lockOp{}, false
-		}
-		switch {
-		case field == "freezeMu":
-			return lockOp{rank: rankFreeze, acquire: acquire}, true
-		case field == "mu" && strings.Contains(strings.ToLower(owner), "stripe"):
-			return lockOp{rank: rankStripe, acquire: acquire}, true
-		case field == "mu":
-			return lockOp{rank: rankCold, acquire: acquire}, true
+		return true
+	})
+	var out []Diagnostic
+	for r := range numRanks {
+		if acquired[r] > 0 && released[r] == 0 {
+			out = append(out, u.diag("lockorder", fu.pos,
+				"%s acquires the %s but never releases it (no Unlock or defer on any path)",
+				fu.name, rankNames[r]))
 		}
 	}
-	return lockOp{}, false
-}
-
-// lockField resolves the expression a Lock method is called on to
-// (owning type name, field name): e.freezeMu → ("Engine", "freezeMu"),
-// s.mu → ("accountStripe", "mu").
-func lockField(u *Unit, x ast.Expr) (owner, field string, ok bool) {
-	sel, okSel := x.(*ast.SelectorExpr)
-	if !okSel {
-		return "", "", false
-	}
-	tv, okTV := u.Pkg.Info.Types[sel.X]
-	if !okTV {
-		return "", "", false
-	}
-	t := tv.Type
-	for {
-		if p, isPtr := t.(*types.Pointer); isPtr {
-			t = p.Elem()
-			continue
-		}
-		break
-	}
-	named, okN := t.(*types.Named)
-	if !okN {
-		return "", "", false
-	}
-	return named.Obj().Name(), sel.Sel.Name, true
+	return out
 }

@@ -3,34 +3,35 @@ package lint
 // lockscope: no blocking work under a held mutex, anywhere in the
 // federation. lockorder proves the ISP's lock *hierarchy*; this pass
 // generalizes the other half of the discipline — what a critical
-// section may contain — to internal/core, internal/cluster,
-// internal/bank, and internal/isp. A dial, a wire read/write, an SMTP
-// send, a channel operation, or a transport callback executed while a
-// stripe, bank, or node mutex is held turns one slow peer into a stall
-// for every contender of that lock (the §3 audit round and the SMTP
-// accept path both funnel through them).
+// section may contain — to every Config.GuardflowPkgs package
+// (internal/isp, bank, core, cluster, mempool). A dial, a wire
+// read/write, an SMTP send, a channel operation, or a transport
+// callback executed while a stripe, bank, or node mutex is held turns
+// one slow peer into a stall for every contender of that lock (the §3
+// audit round and the SMTP accept path both funnel through them).
 //
-// The walker simulates the held-lock set per function in source order,
-// exactly like lockorder: branch arms get copies, goroutine bodies
-// start fresh, deferred unlocks keep the lock held until return, and
-// function literals passed as arguments (the emit-queue idiom — queued
-// closures run after unlock) are skipped while directly-invoked
-// literals run inline. Blocking calls are recognized three ways: any
-// net-package call that can touch the wire, the configured list
-// (Config.LockScopeBlockingFuncs: wire codec, SMTP, transport
-// callbacks, time.Sleep, WaitGroup.Wait), and transitively — an
-// in-package function that performs a blocking operation is itself
-// blocking to its callers. Calls through func-valued struct fields
-// (forward hooks, injected loggers) are flagged too: the field's value
-// is arbitrary caller code. Locks whose documented job is serializing
-// a connection (core.Uplink.mu) are excused via
+// The pass is a predicate over the shared must-hold lockset
+// (lockset.go). Wherever a lock is provably held it reports a channel
+// send or receive; a select with no default (its comm-clause heads are
+// the select's own operation: with a default it never parks); any
+// net-package call that can touch the wire or a configured blocking
+// call (Config.LockScopeBlockingFuncs: wire codec, SMTP, transport
+// callbacks, time.Sleep, WaitGroup.Wait); a call through a func-valued
+// struct field (forward hooks, injected loggers: arbitrary caller
+// code); and a call to an in-package function or directly invoked
+// literal whose summary may block — guardflow's memoised bottom-up
+// summary walk (resultOf) records each unit's first such operation.
+// Deferred calls run at return and are not checked. Function literals
+// are their own units, so `go` bodies and closures passed as arguments
+// (the emit-queue idiom — queued closures run after unlock) start from
+// an empty held set. Locks whose documented job is serializing a
+// connection (core.Uplink.mu) are excused via
 // Config.LockScopeAllowedLocks.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // LockScope returns the lock-held-blocking-call pass.
@@ -53,407 +54,85 @@ var lsNonBlockingNetMethods = map[string]bool{
 }
 
 func runLockScope(u *Unit) []Diagnostic {
-	if !pathMatches(u.Pkg.ImportPath, u.Cfg.LockScopePkgs) {
+	if !pathMatches(u.Pkg.ImportPath, u.Cfg.GuardflowPkgs) {
 		return nil
 	}
-	w := &lsWalker{
-		u:        u,
-		mayBlock: map[*types.Func]string{},
-	}
-	_, w.byFunc, _ = u.flowInfo()
-	w.computeMayBlock()
-	for _, f := range u.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			held := lsHeld{}
-			w.walkStmts(fd.Body.List, held)
-		}
-	}
-	sort.Slice(w.diags, func(i, j int) bool {
-		a, b := w.diags[i].Pos, w.diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	return w.diags
-}
-
-// lsHeld is the held-lock set: "<importpath>.<Owner>.<field>" → the
-// acquisition position.
-type lsHeld map[string]token.Pos
-
-func (h lsHeld) clone() lsHeld {
-	n := make(lsHeld, len(h))
-	for k, v := range h {
-		n[k] = v
-	}
-	return n
-}
-
-type lsWalker struct {
-	u        *Unit
-	byFunc   map[*types.Func]*flowUnit
-	mayBlock map[*types.Func]string // in-package func → why it blocks
-	diags    []Diagnostic
-	seen     map[token.Pos]bool
-}
-
-// qualifiedFuncName renders a *types.Func as "pkgpath.Name" or
-// "pkgpath.Recv.Name" for methods — the form the config lists use.
-func qualifiedFuncName(fn *types.Func) string {
-	name := fn.Name()
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return name
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if named := namedTypeOf(sig.Recv().Type()); named != nil {
-			return pkg.Path() + "." + named.Obj().Name() + "." + name
-		}
-	}
-	return pkg.Path() + "." + name
-}
-
-// blockingCall classifies one resolved call: is it a known-blocking
-// operation, and how should the finding describe it?
-func (w *lsWalker) blockingCall(fn *types.Func) (string, bool) {
-	q := qualifiedFuncName(fn)
-	if inStringList(q, w.u.Cfg.LockScopeBlockingFuncs) {
-		return q + " blocks", true
-	}
-	if fn.Pkg() != nil && fn.Pkg().Path() == "net" && !lsNonBlockingNetMethods[fn.Name()] {
-		return "net." + fn.Name() + " touches the wire", true
-	}
-	return "", false
-}
-
-// computeMayBlock fixpoints the transitive blocking property over the
-// package's named functions: a function blocks if its body performs a
-// blocking operation directly (outside go statements and function
-// literals, which defer the work to another goroutine or a later call)
-// or calls an in-package function that does.
-func (w *lsWalker) computeMayBlock() {
-	info := w.u.Pkg.Info
-	type fnDecl struct {
-		fn   *types.Func
-		body *ast.BlockStmt
-	}
-	var decls []fnDecl
-	for _, f := range w.u.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
-				decls = append(decls, fnDecl{fn: fn, body: fd.Body})
+	a := u.guardSummaries()
+	var out []Diagnostic
+	for _, fu := range a.units {
+		for _, h := range u.lockset(fu.body) {
+			if lock := disallowedHeld(u, h.held); lock != "" {
+				a.blockingOps(h.n, func(pos token.Pos, what, _ string) {
+					out = append(out, u.diag("lockscope", pos, "%s while holding %s: every contender of the lock stalls behind this operation; move it outside the critical section (the emit-queue idiom), or allow the lock via Config.LockScopeAllowedLocks", what, lock))
+				})
 			}
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, d := range decls {
-			if _, done := w.mayBlock[d.fn]; done {
-				continue
-			}
-			reason := ""
-			lsInspectSync(d.body, func(n ast.Node) bool {
-				if reason != "" {
-					return false
-				}
-				switch n := n.(type) {
-				case *ast.SendStmt:
-					reason = "performs a channel send"
-					return false
-				case *ast.UnaryExpr:
-					if n.Op == token.ARROW {
-						reason = "performs a channel receive"
-						return false
-					}
-				case *ast.CallExpr:
-					fn := calleeFunc(info, n)
-					if fn == nil {
-						return true
-					}
-					if desc, ok := w.blockingCall(fn); ok {
-						reason = "calls " + desc
-						return false
-					}
-					if why, ok := w.mayBlock[fn]; ok && why != "" {
-						reason = "calls " + fn.Name() + ", which " + why
-						return false
-					}
-				}
-				return true
-			})
-			if reason != "" {
-				w.mayBlock[d.fn] = reason
-				changed = true
-			}
-		}
-	}
-}
-
-// lsInspectSync walks n skipping function literals and go statements:
-// work inside either does not block the current goroutine here.
-func lsInspectSync(n ast.Node, visit func(ast.Node) bool) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch m.(type) {
-		case nil:
-			return true
-		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
-			return false
-		}
-		return visit(m)
-	})
-}
-
-// effective returns the held locks that are not config-allowed.
-func (w *lsWalker) effective(held lsHeld) []string {
-	var out []string
-	for k := range held {
-		if !inStringList(k, w.u.Cfg.LockScopeAllowedLocks) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 
-func (w *lsWalker) report(pos token.Pos, format string, args ...any) {
-	if w.seen == nil {
-		w.seen = map[token.Pos]bool{}
+// disallowedHeld returns the first provably held lock, in key order,
+// that Config.LockScopeAllowedLocks does not excuse, or "".
+func disallowedHeld(u *Unit, s gfState) string {
+	first := ""
+	for key := range s {
+		if s.held(key) && !inStringList(key, u.Cfg.LockScopeAllowedLocks) && (first == "" || key < first) {
+			first = key
+		}
 	}
-	if w.seen[pos] {
+	return first
+}
+
+// blockingOps yields every operation in one CFG node that may park the
+// goroutine: what describes it in a finding, why in a caller's summary.
+func (a *gfAnalyzer) blockingOps(n ast.Node, yield func(pos token.Pos, what, why string)) {
+	if sel, ok := a.commHeads[n]; ok {
+		if sel != nil {
+			yield(sel.Select, "select with no default (parks the goroutine)", "parks in a select with no default")
+		}
 		return
 	}
-	w.seen[pos] = true
-	w.diags = append(w.diags, w.u.diag("lockscope", pos, format, args...))
-}
-
-// flag reports one blocking operation under the held set.
-func (w *lsWalker) flag(pos token.Pos, desc string, held lsHeld) {
-	locks := w.effective(held)
-	if len(locks) == 0 {
-		return
-	}
-	w.report(pos, "%s while holding %s: every contender of the lock stalls behind this operation; move it outside the critical section (the emit-queue idiom), or allow the lock via Config.LockScopeAllowedLocks", desc, locks[0])
-}
-
-func (w *lsWalker) walkStmts(stmts []ast.Stmt, held lsHeld) {
-	for _, s := range stmts {
-		w.walkStmt(s, held)
-	}
-}
-
-func (w *lsWalker) walkStmt(s ast.Stmt, held lsHeld) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if w.applyLockOp(call, held, false) {
-				return
-			}
-		}
-		w.scanExpr(s.X, held)
-	case *ast.DeferStmt:
-		// Deferred unlocks keep the lock held until return; deferred
-		// cleanup calls run at exit order and are not flagged here.
-		w.applyLockOp(s.Call, held, true)
-	case *ast.SendStmt:
-		w.flag(s.Arrow, "channel send", held)
-		w.scanExpr(s.Chan, held)
-		w.scanExpr(s.Value, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.scanExpr(e, held)
-		}
-		for _, e := range s.Lhs {
-			w.scanExpr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.scanExpr(e, held)
-		}
-	case *ast.IncDecStmt:
-		w.scanExpr(s.X, held)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.scanExpr(v, held)
-					}
-				}
-			}
-		}
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scanExpr(s.Cond, held)
-		branch := held.clone()
-		w.walkStmts(s.Body.List, branch)
-		if s.Else != nil {
-			alt := held.clone()
-			w.walkStmt(s.Else, alt)
-		}
-	case *ast.ForStmt:
-		branch := held.clone()
-		if s.Init != nil {
-			w.walkStmt(s.Init, branch)
-		}
-		if s.Cond != nil {
-			w.scanExpr(s.Cond, branch)
-		}
-		if s.Body != nil {
-			w.walkStmts(s.Body.List, branch)
-		}
-		if s.Post != nil {
-			w.walkStmt(s.Post, branch)
-		}
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, held)
-		branch := held.clone()
-		w.walkStmts(s.Body.List, branch)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.scanExpr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				branch := held.clone()
-				w.walkStmts(cc.Body, branch)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				branch := held.clone()
-				w.walkStmts(cc.Body, branch)
-			}
-		}
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			w.flag(s.Select, "select with no default (parks the goroutine)", held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				branch := held.clone()
-				w.walkStmts(cc.Body, branch)
-			}
-		}
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, held)
-	case *ast.GoStmt:
-		// A spawned goroutine starts with no locks held; starting it
-		// does not block the spawner.
-		if fn, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.walkStmts(fn.Body.List, lsHeld{})
-		}
-	}
-}
-
-// applyLockOp classifies a call as a lock operation and updates held,
-// reporting whether it was one. Reuses lockorder's resolution: sync
-// Lock/RLock/Unlock/RUnlock on a named struct field, plus the trusted
-// ISP stripe helpers (which acquire accountStripe.mu on behalf of the
-// caller).
-func (w *lsWalker) applyLockOp(call *ast.CallExpr, held lsHeld, deferred bool) bool {
-	name := ""
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		name = fun.Name
-	case *ast.SelectorExpr:
-		name = fun.Sel.Name
-	}
-	stripeKey := w.u.Pkg.ImportPath + ".accountStripe.mu"
-	switch name {
-	case "lockStripe", "lockTwoStripes":
-		held[stripeKey] = call.Pos()
-		return true
-	case "unlockTwoStripes":
-		if !deferred {
-			delete(held, stripeKey)
-		}
-		return true
-	case "Lock", "RLock", "Unlock", "RUnlock":
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return false
-		}
-		fn, ok := w.u.Pkg.Info.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-			return false
-		}
-		owner, field, ok := lockField(w.u, sel.X)
-		if !ok {
-			return false
-		}
-		key := w.u.Pkg.ImportPath + "." + owner + "." + field
-		if name == "Lock" || name == "RLock" {
-			held[key] = call.Pos()
-		} else if !deferred {
-			delete(held, key)
-		}
-		return true
-	}
-	return false
-}
-
-// scanExpr flags blocking operations inside one expression, walking
-// directly-invoked function literals inline with the current held set
-// (argument-position literals are queued work and skipped).
-func (w *lsWalker) scanExpr(e ast.Expr, held lsHeld) {
-	if e == nil {
-		return
-	}
-	inspectShallow(e, func(n ast.Node) bool {
-		switch n := n.(type) {
+	inspectShallow(n, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.DeferStmt, *ast.GoStmt:
+			return false // runs at return, or on another goroutine
+		case *ast.SendStmt:
+			yield(m.Arrow, "channel send", "performs a channel send")
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				w.flag(n.Pos(), "channel receive", held)
+			if m.Op == token.ARROW {
+				yield(m.Pos(), "channel receive", "performs a channel receive")
 			}
 		case *ast.CallExpr:
-			if lit, ok := n.Fun.(*ast.FuncLit); ok {
-				w.walkStmts(lit.Body.List, held)
-				return true
-			}
-			fn := calleeFunc(w.u.Pkg.Info, n)
-			if fn == nil {
-				// A dynamic call through a func-valued struct field runs
-				// arbitrary caller code (forward hooks, injected loggers).
-				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-					if s, ok := w.u.Pkg.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-						if _, isSig := s.Type().Underlying().(*types.Signature); isSig {
-							w.flag(n.Pos(), "call through func-valued field "+sel.Sel.Name, held)
-						}
-					}
-				}
-				return true
-			}
-			if desc, ok := w.blockingCall(fn); ok {
-				w.flag(n.Pos(), desc, held)
-				return true
-			}
-			if why, ok := w.mayBlock[fn]; ok && why != "" {
-				w.flag(n.Pos(), "call to "+fn.Name()+", which "+why, held)
+			if what, why := a.blockingCall(m); what != "" {
+				yield(m.Pos(), what, why)
 			}
 		}
 		return true
 	})
+}
+
+// blockingCall says why one call may block, or returns "".
+func (a *gfAnalyzer) blockingCall(call *ast.CallExpr) (what, why string) {
+	info := a.u.Pkg.Info
+	switch fn := calleeFunc(info, call); {
+	case fn == nil:
+		// A called field selection can only be a func-valued field.
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				return "call through func-valued field " + sel.Sel.Name, "calls through func-valued field " + sel.Sel.Name
+			}
+		}
+	case inStringList(qualifiedFuncName(fn), a.u.Cfg.LockScopeBlockingFuncs):
+		what = qualifiedFuncName(fn) + " blocks"
+		return what, "calls " + what
+	case fn.Pkg() != nil && fn.Pkg().Path() == "net" && !lsNonBlockingNetMethods[fn.Name()]:
+		what = "net." + fn.Name() + " touches the wire"
+		return what, "calls " + what
+	}
+	if callee, name := a.calleeUnit(call); callee != nil {
+		if why := a.resultOf(callee).mayBlock; why != "" {
+			return "call to " + name + ", which " + why, "calls " + name + ", which " + why
+		}
+	}
+	return "", ""
 }

@@ -74,3 +74,21 @@ func (e *engine) EarlyUnlockBranch() {
 	e.frozen = false
 	e.freezeMu.Unlock()
 }
+
+// ticket is not a mutex: its method merely happens to be called Lock.
+type ticket struct{ n int }
+
+func (t *ticket) Lock() { t.n++ }
+
+type desk struct {
+	mu ticket
+}
+
+// StampUnderCold calls that Lock on a field named mu while the cold
+// mutex is held. Only sync methods are lock operations, so this is
+// neither a double acquisition nor a lock that is never released.
+func (e *engine) StampUnderCold(d *desk) {
+	e.mu.Lock()
+	d.mu.Lock()
+	e.mu.Unlock()
+}
