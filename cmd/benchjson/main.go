@@ -14,10 +14,6 @@
 // admission ns/op) records how far the mempool queue moved the SMTP
 // accept path off the ledger commit.
 //
-// -cluster embeds a cmd/zload JSON report verbatim under the "cluster"
-// key, so a single record can carry both the microbenchmarks and a
-// real-TCP federation load run (as BENCH_7.json does).
-//
 // A record is a profile of one machine at one commit, not a gate: two
 // records compare only when they were taken on the same machine, and
 // end-to-end claims are made with the federation benchmark under
@@ -47,20 +43,18 @@ type record struct {
 	GeneratedBy string             `json:"generatedBy"`
 	Benchmarks  []benchResult      `json:"benchmarks"`
 	Derived     map[string]float64 `json:"derived,omitempty"`
-	Cluster     json.RawMessage    `json:"cluster,omitempty"`
 }
 
 func main() {
 	out := flag.String("out", "", "output file (default stdout)")
-	cluster := flag.String("cluster", "", "zload JSON report to embed under the cluster key")
 	flag.Parse()
-	if err := run(os.Stdin, *out, *cluster); err != nil {
+	if err := run(os.Stdin, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in io.Reader, out, cluster string) error {
+func run(in io.Reader, out string) error {
 	rec := record{GeneratedBy: "make bench-record"}
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
@@ -73,16 +67,6 @@ func run(in io.Reader, out, cluster string) error {
 	}
 	if len(rec.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines on stdin")
-	}
-	if cluster != "" {
-		raw, err := os.ReadFile(cluster)
-		if err != nil {
-			return fmt.Errorf("-cluster: %w", err)
-		}
-		if !json.Valid(raw) {
-			return fmt.Errorf("-cluster: %s is not valid JSON", cluster)
-		}
-		rec.Cluster = json.RawMessage(raw)
 	}
 	rec.Derived = make(map[string]float64)
 	if ratio, ok := checkpointSpeedup(rec.Benchmarks); ok {

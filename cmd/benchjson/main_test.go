@@ -18,14 +18,8 @@ ok  	zmail	1.234s
 `
 
 func TestRunEmbedsClusterReport(t *testing.T) {
-	dir := t.TempDir()
-	clusterPath := filepath.Join(dir, "zload.json")
-	clusterJSON := `{"offered": 1000, "sent": 998, "achieved_rate": 199.5}`
-	if err := os.WriteFile(clusterPath, []byte(clusterJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "bench.json")
-	if err := run(strings.NewReader(benchOutput), out, clusterPath); err != nil {
+	out := filepath.Join(t.TempDir(), "bench.json")
+	if err := run(strings.NewReader(benchOutput), out); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(out)
@@ -48,30 +42,10 @@ func TestRunEmbedsClusterReport(t *testing.T) {
 	if got := rec.Derived["admissionSpeedupVsSync"]; got != 4 {
 		t.Fatalf("derived admission speedup = %v, want 4", got)
 	}
-	var embedded struct {
-		Offered      int64   `json:"offered"`
-		AchievedRate float64 `json:"achieved_rate"`
-	}
-	if err := json.Unmarshal(rec.Cluster, &embedded); err != nil {
-		t.Fatalf("embedded cluster section invalid: %v", err)
-	}
-	if embedded.Offered != 1000 || embedded.AchievedRate != 199.5 {
-		t.Fatalf("cluster section mangled: %+v", embedded)
-	}
 }
 
 func TestRunClusterErrors(t *testing.T) {
-	if err := run(strings.NewReader(benchOutput), "", filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing -cluster file accepted")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(strings.NewReader(benchOutput), "", bad); err == nil {
-		t.Error("invalid -cluster JSON accepted")
-	}
-	if err := run(strings.NewReader("no benchmarks here\n"), "", ""); err == nil {
+	if err := run(strings.NewReader("no benchmarks here\n"), ""); err == nil {
 		t.Error("empty benchmark input accepted")
 	}
 }

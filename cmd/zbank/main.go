@@ -283,9 +283,6 @@ func run(args []string) error {
 			}
 		}
 	}
-	if *walDir != "" && *stateFile != "" {
-		return fmt.Errorf("-wal and -state are mutually exclusive")
-	}
 	if *walDir != "" {
 		if persist.HasWAL(*walDir) {
 			if err := bk.RecoverWAL(*walDir); err != nil {

@@ -1,11 +1,12 @@
 package main
 
 import (
-	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"zmail/internal/promtext"
 )
 
 func TestZmaildFlagValidation(t *testing.T) {
@@ -124,42 +125,31 @@ func TestObsvSmoke(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("/metrics Content-Type %q", ct)
 	}
-	raw, err := io.ReadAll(resp.Body)
+	scrape, err := promtext.ParseProm(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("unparseable exposition: %v", err)
 	}
-	body := string(raw)
 
-	// Parse every non-comment line as `name{labels} value` and check the
-	// engine's collected families are present.
-	var series int
-	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, rest, ok := strings.Cut(line, " ")
-		if !ok || name == "" || rest == "" {
-			t.Fatalf("unparseable exposition line %q", line)
-		}
-		series++
-	}
-	if series == 0 {
-		t.Fatalf("no series in exposition:\n%s", body)
-	}
-	for _, want := range []string{
-		`zmail_isp_pool_avail{isp="one.example"}`,
-		`zmail_isp_submitted_total{isp="one.example"}`,
-		`zmail_isp_submit_seconds_count{isp="one.example"}`,
+	// The engine's collected families are present.
+	isp := map[string]string{"isp": "one.example"}
+	toPeer := map[string]string{"isp": "one.example", "peer": "two.example"}
+	for _, want := range []struct {
+		name   string
+		labels map[string]string
+	}{
+		{"zmail_isp_pool_avail", isp},
+		{"zmail_isp_submitted_total", isp},
+		{"zmail_isp_submit_seconds_count", isp},
 		// The relay layer (core.Node.Collect).
-		`zmail_relay_queue_depth{isp="one.example",peer="two.example"}`,
-		`zmail_relay_sessions{isp="one.example",peer="two.example"}`,
-		`zmail_relay_dials_total{isp="one.example"}`,
-		`zmail_relay_sent_total{isp="one.example"}`,
-		`zmail_relay_retried_total{isp="one.example"}`,
-		`zmail_relay_failed_total{isp="one.example"}`,
+		{"zmail_relay_queue_depth", toPeer},
+		{"zmail_relay_sessions", toPeer},
+		{"zmail_relay_dials_total", isp},
+		{"zmail_relay_sent_total", isp},
+		{"zmail_relay_retried_total", isp},
+		{"zmail_relay_failed_total", isp},
 	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("exposition missing %s:\n%s", want, body)
+		if _, ok := scrape.Value(want.name, want.labels); !ok {
+			t.Fatalf("exposition missing %s%v", want.name, want.labels)
 		}
 	}
 

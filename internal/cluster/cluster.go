@@ -1,17 +1,15 @@
 // Package cluster boots a complete Zmail federation over real TCP on
-// loopback: N ISP daemons (the same core.Node that cmd/zmaild runs,
-// with SMTP listeners, persistent bank links, tick loops, and optional
-// WAL durability and admin telemetry) in front of either one central
-// bank or the §5 two-level hierarchy — R leaf banks owning a region of
-// ISPs each, forwarding credit reports to a root aggregator that
-// verifies cross-region pairs.
+// loopback: two ISP daemons (the same core.Node that cmd/zmaild runs,
+// with SMTP listeners, persistent bank links, tick loops, admin
+// telemetry and optional WAL durability) in front of either one central
+// bank or the §5 two-level hierarchy — a leaf bank per ISP, forwarding
+// credit reports to a root aggregator that verifies the cross-region
+// pair.
 //
-// Every scale claim before this package rested on the in-process
-// simulator; cluster is the harness that re-stakes them on real
-// sockets. It exists for two callers: the end-to-end federation test
-// suite in this package (`make cluster`), and cmd/zload's self-boot
-// mode, which drives open-loop SMTP traffic against a cluster and
-// scrapes its /metrics endpoints.
+// It is the harness for the end-to-end federation test suite in this
+// package (`make cluster`), which re-stakes the in-process simulator's
+// claims on real sockets. Throughput and latency are measured by the
+// federation benchmark under bench/, not here.
 //
 // All listeners bind ephemeral loopback ports, so any number of
 // clusters coexist on one machine (CI included). Nothing here sleeps a
@@ -40,47 +38,47 @@ import (
 	"zmail/internal/trace"
 )
 
-// Config sizes and shapes a cluster. The zero value of most fields
-// selects a small, fast federation suitable for tests.
-type Config struct {
-	// ISPs is the federation size (default 2).
-	ISPs int
-	// UsersPerISP is how many users ("u000", "u001", …) each ISP
-	// registers (default 4).
-	UsersPerISP int
-	// Regions selects the bank topology: 0 or 1 boots one central
-	// bank; R > 1 boots R leaf banks (ISP i served by region i mod R)
-	// plus a root aggregator, all on their own TCP listeners.
-	Regions int
+// The federation every cluster boots: two ISPs of four users ("u000",
+// "u001", …), each user and ISP funded the same way.
+const (
+	numISPs     = 2
+	usersPerISP = 4
 
-	// InitialBalance is each user's starting e-penny balance
-	// (default 200).
-	InitialBalance money.EPenny
-	// InitialAccount is each user's real-penny account (default 1000).
-	InitialAccount money.Penny
+	initialBalance money.EPenny = 200       // each user's starting e-penny balance
+	initialAccount money.Penny  = 1000      // each user's real-penny account
+	ispFunds       money.Penny  = 1_000_000 // each ISP's account at its bank
+
+	minAvail money.EPenny = 1000 // pool restock threshold
+	maxAvail money.EPenny = 100_000
+
+	// freezeDuration is the §4.4 snapshot quiet period. The paper's ten
+	// minutes is a policy choice, not a protocol requirement; a short
+	// freeze keeps the audit tests fast.
+	freezeDuration = 100 * time.Millisecond
+	tickInterval   = 50 * time.Millisecond // pool-maintenance cadence
+
+	// Admission queue shape, used only when Config.Queue is set.
+	queueDepth, queueWorkers = 64, 2
+)
+
+// Config shapes a cluster: the knobs the suite turns. The zero value
+// boots a central bank, a daily limit of 50 and a 10,000 e-penny pool.
+type Config struct {
+	// Regions selects the bank topology: 0 or 1 boots one central
+	// bank; 2 boots a leaf bank per ISP plus a root aggregator, all on
+	// their own TCP listeners.
+	Regions int
 	// DailyLimit is the per-user daily send limit (default 50).
 	DailyLimit int64
-	// Funds is each ISP's real-penny account at its (leaf) bank
-	// (default 1,000,000).
-	Funds money.Penny
-
-	// MinAvail/MaxAvail/InitialAvail shape each ISP's e-penny pool
-	// (defaults 1000 / 100000 / 10000).
-	MinAvail, MaxAvail, InitialAvail money.EPenny
-
-	// FreezeDuration is the §4.4 snapshot quiet period (default
-	// 150ms — the paper's 10 minutes scaled to test time).
-	FreezeDuration time.Duration
-	// TickInterval is the pool-maintenance cadence (default 50ms).
-	TickInterval time.Duration
+	// InitialAvail is each ISP's starting e-penny pool (default 10000).
+	InitialAvail money.EPenny
 
 	// BatchOrders has every ISP coalesce its bank buy/sell traffic into
 	// sealed wire.BatchOrder round trips (partial-fill replies).
 	BatchOrders bool
 	// Queue starts each ISP's admission queue so SMTP DATA returns at
-	// admission; QueueDepth/QueueWorkers tune it (zero = defaults).
-	Queue                    bool
-	QueueDepth, QueueWorkers int
+	// admission.
+	Queue bool
 	// GroupSettle enables settlement at every (leaf) bank with
 	// multilateral netting per verified audit round.
 	GroupSettle bool
@@ -88,49 +86,19 @@ type Config struct {
 	// WALDir, when set, gives every daemon a write-ahead log under
 	// WALDir/ispN and WALDir/bankR; RestartISP then proves recovery.
 	WALDir string
-	// Metrics starts an obsv admin listener (ephemeral loopback port)
-	// per daemon, the scrape surface for zload.
-	Metrics bool
 	// Logf receives daemon diagnostics; nil discards them.
 	Logf func(format string, args ...any)
 }
 
 func (cfg *Config) applyDefaults() {
-	if cfg.ISPs == 0 {
-		cfg.ISPs = 2
-	}
-	if cfg.UsersPerISP == 0 {
-		cfg.UsersPerISP = 4
-	}
 	if cfg.Regions == 0 {
 		cfg.Regions = 1
-	}
-	if cfg.InitialBalance == 0 {
-		cfg.InitialBalance = 200
-	}
-	if cfg.InitialAccount == 0 {
-		cfg.InitialAccount = 1000
 	}
 	if cfg.DailyLimit == 0 {
 		cfg.DailyLimit = 50
 	}
-	if cfg.Funds == 0 {
-		cfg.Funds = 1_000_000
-	}
-	if cfg.MinAvail == 0 {
-		cfg.MinAvail = 1000
-	}
-	if cfg.MaxAvail == 0 {
-		cfg.MaxAvail = 100_000
-	}
 	if cfg.InitialAvail == 0 {
 		cfg.InitialAvail = 10_000
-	}
-	if cfg.FreezeDuration == 0 {
-		cfg.FreezeDuration = 150 * time.Millisecond
-	}
-	if cfg.TickInterval == 0 {
-		cfg.TickInterval = 50 * time.Millisecond
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -145,8 +113,6 @@ type ISP struct {
 	Users  []string
 
 	node      *core.Node
-	reg       *metrics.Registry
-	ring      *trace.Ring
 	admin     *obsv.Server
 	walDir    string
 	delivered atomic.Int64
@@ -155,14 +121,8 @@ type ISP struct {
 // SMTPAddr returns the daemon's bound SMTP address.
 func (i *ISP) SMTPAddr() string { return i.node.Addr().String() }
 
-// MetricsAddr returns the admin telemetry address, or "" when metrics
-// are disabled.
-func (i *ISP) MetricsAddr() string {
-	if i.admin == nil {
-		return ""
-	}
-	return i.admin.Addr().String()
-}
+// MetricsAddr returns the admin telemetry address.
+func (i *ISP) MetricsAddr() string { return i.admin.Addr().String() }
 
 // Engine exposes the daemon's protocol engine (ledger inspection in
 // tests; production callers scrape /metrics instead).
@@ -203,7 +163,6 @@ type BankDaemon struct {
 	Bank   *bank.Bank
 
 	srv    *core.BankServer
-	reg    *metrics.Registry
 	admin  *obsv.Server
 	uplink *core.Uplink
 	walDir string
@@ -212,13 +171,8 @@ type BankDaemon struct {
 // Addr returns the daemon's bound bank-protocol address.
 func (b *BankDaemon) Addr() string { return b.srv.Addr().String() }
 
-// MetricsAddr returns the admin telemetry address, or "".
-func (b *BankDaemon) MetricsAddr() string {
-	if b.admin == nil {
-		return ""
-	}
-	return b.admin.Addr().String()
-}
+// MetricsAddr returns the admin telemetry address.
+func (b *BankDaemon) MetricsAddr() string { return b.admin.Addr().String() }
 
 // Close tears this bank daemon down: telemetry, the root uplink, the
 // WAL, and finally the serving socket. Safe on a partially booted
@@ -257,7 +211,6 @@ type Cluster struct {
 
 	root      *bank.Root
 	rootSrv   *core.BankServer
-	rootReg   *metrics.Registry
 	rootAdmin *obsv.Server
 
 	audits   int64 // rounds triggered via TriggerAudit
@@ -270,11 +223,11 @@ type Cluster struct {
 // down.
 func New(cfg Config) (*Cluster, error) {
 	cfg.applyDefaults()
-	if cfg.Regions > cfg.ISPs {
-		return nil, fmt.Errorf("cluster: %d regions for %d ISPs", cfg.Regions, cfg.ISPs)
+	if cfg.Regions > numISPs {
+		return nil, fmt.Errorf("cluster: %d regions for %d ISPs", cfg.Regions, numISPs)
 	}
 	c := &Cluster{cfg: cfg}
-	for i := 0; i < cfg.ISPs; i++ {
+	for i := 0; i < numISPs; i++ {
 		c.Domains = append(c.Domains, fmt.Sprintf("isp%d.zmail.test", i))
 		c.assign = append(c.assign, i%cfg.Regions)
 	}
@@ -294,7 +247,7 @@ func (c *Cluster) boot() error {
 	// Root aggregator (two-level topology only).
 	if cfg.Regions > 1 {
 		root, err := bank.NewRoot(bank.RootConfig{
-			NumISPs:   cfg.ISPs,
+			NumISPs:   numISPs,
 			Assign:    c.assign,
 			OwnSealer: crypto.Null{},
 		})
@@ -306,14 +259,10 @@ func (c *Cluster) boot() error {
 			return err
 		}
 		c.root, c.rootSrv = root, srv
-		if cfg.Metrics {
-			c.rootReg = metrics.NewRegistry()
-			c.rootReg.Register(root)
-			admin, err := obsv.Start("127.0.0.1:0", obsv.Config{Registry: c.rootReg})
-			if err != nil {
-				return err
-			}
-			c.rootAdmin = admin
+		reg := metrics.NewRegistry()
+		reg.Register(root)
+		if c.rootAdmin, err = obsv.Start("127.0.0.1:0", obsv.Config{Registry: reg}); err != nil {
+			return err
 		}
 		cfg.Logf("cluster: root bank on %s", srv.Addr())
 	}
@@ -331,7 +280,7 @@ func (c *Cluster) boot() error {
 	}
 
 	// ISP daemons, then the full peer mesh once every port is known.
-	for i := 0; i < cfg.ISPs; i++ {
+	for i := 0; i < numISPs; i++ {
 		node, err := c.bootISP(i)
 		c.isps = append(c.isps, node)
 		if err != nil {
@@ -353,16 +302,16 @@ func (c *Cluster) boot() error {
 // its region's ISPs and forwards their credit reports to the root.
 func (c *Cluster) bootBank(r int) (*BankDaemon, error) {
 	cfg := c.cfg
-	compliant := make([]bool, cfg.ISPs)
-	for i := 0; i < cfg.ISPs; i++ {
+	compliant := make([]bool, numISPs)
+	for i := 0; i < numISPs; i++ {
 		compliant[i] = c.assign[i] == r
 	}
 
 	bd := &BankDaemon{Region: r}
 	bk, srv, err := core.StartBank(bank.Config{
-		NumISPs:        cfg.ISPs,
+		NumISPs:        numISPs,
 		Compliant:      compliant,
-		InitialAccount: cfg.Funds,
+		InitialAccount: ispFunds,
 		OwnSealer:      crypto.Null{},
 		SettleOnVerify: cfg.GroupSettle,
 		GroupSettle:    cfg.GroupSettle,
@@ -371,7 +320,7 @@ func (c *Cluster) bootBank(r int) (*BankDaemon, error) {
 		return bd, err
 	}
 	bd.Bank, bd.srv = bk, srv
-	for i := 0; i < cfg.ISPs; i++ {
+	for i := 0; i < numISPs; i++ {
 		if compliant[i] {
 			if err := bk.Enroll(i, crypto.Null{}); err != nil {
 				return bd, err
@@ -391,14 +340,10 @@ func (c *Cluster) bootBank(r int) (*BankDaemon, error) {
 			return bd, err
 		}
 	}
-	if cfg.Metrics {
-		bd.reg = metrics.NewRegistry()
-		bd.reg.Register(bk)
-		admin, err := obsv.Start("127.0.0.1:0", obsv.Config{Registry: bd.reg})
-		if err != nil {
-			return bd, err
-		}
-		bd.admin = admin
+	reg := metrics.NewRegistry()
+	reg.Register(bk)
+	if bd.admin, err = obsv.Start("127.0.0.1:0", obsv.Config{Registry: reg}); err != nil {
+		return bd, err
 	}
 	cfg.Logf("cluster: bank[%d] on %s serving %v", r, srv.Addr(), regionMembers(c.assign, r))
 	return bd, nil
@@ -417,9 +362,8 @@ func regionMembers(assign []int, r int) []int {
 // bootISP builds and starts the daemon for federation index i,
 // recovering from its WAL when one exists (the restart path).
 func (c *Cluster) bootISP(i int) (*ISP, error) {
-	cfg := c.cfg
 	d := &ISP{Index: i, Domain: c.Domains[i], Region: c.assign[i]}
-	for u := 0; u < cfg.UsersPerISP; u++ {
+	for u := 0; u < usersPerISP; u++ {
 		d.Users = append(d.Users, fmt.Sprintf("u%03d", u))
 	}
 	return d, c.startISP(d)
@@ -430,20 +374,19 @@ func (c *Cluster) bootISP(i int) (*ISP, error) {
 func (c *Cluster) startISP(d *ISP) error {
 	cfg := c.cfg
 	clk := clock.System()
-	d.reg = metrics.NewRegistry()
-	d.ring = trace.NewRing(1024)
-	tracer := trace.New(d.Domain, d.Index, clk, d.ring)
+	ring := trace.NewRing(1024)
+	tracer := trace.New(d.Domain, d.Index, clk, ring)
 
 	node, err := core.NewNode(core.NodeConfig{
 		Engine: isp.Config{
 			Index:          d.Index,
 			Domain:         d.Domain,
 			Directory:      isp.NewDirectory(c.Domains, nil),
-			MinAvail:       cfg.MinAvail,
-			MaxAvail:       cfg.MaxAvail,
+			MinAvail:       minAvail,
+			MaxAvail:       maxAvail,
 			InitialAvail:   cfg.InitialAvail,
 			DefaultLimit:   cfg.DailyLimit,
-			FreezeDuration: cfg.FreezeDuration,
+			FreezeDuration: freezeDuration,
 			Policy:         isp.AcceptUnpaid,
 			BankSealer:     crypto.Null{},
 			OwnSealer:      crypto.Null{},
@@ -453,10 +396,10 @@ func (c *Cluster) startISP(d *ISP) error {
 		},
 		ListenAddr:   "127.0.0.1:0",
 		BankAddr:     c.banks[c.assign[d.Index]].Addr(),
-		TickInterval: cfg.TickInterval,
+		TickInterval: tickInterval,
 		Queue:        cfg.Queue,
-		QueueDepth:   cfg.QueueDepth,
-		QueueWorkers: cfg.QueueWorkers,
+		QueueDepth:   queueDepth,
+		QueueWorkers: queueWorkers,
 		Mailbox: func(user string, msg *mail.Message) {
 			d.delivered.Add(1)
 		},
@@ -468,8 +411,9 @@ func (c *Cluster) startISP(d *ISP) error {
 		return err
 	}
 	d.node = node
-	d.reg.Register(node.Engine())
-	d.reg.Register(node)
+	reg := metrics.NewRegistry()
+	reg.Register(node.Engine())
+	reg.Register(node)
 
 	if cfg.WALDir != "" {
 		d.walDir = filepath.Join(cfg.WALDir, fmt.Sprintf("isp%d", d.Index))
@@ -487,18 +431,14 @@ func (c *Cluster) startISP(d *ISP) error {
 	}
 
 	for _, u := range d.Users {
-		err := node.Engine().RegisterUser(u, cfg.InitialAccount, cfg.InitialBalance, cfg.DailyLimit)
+		err := node.Engine().RegisterUser(u, initialAccount, initialBalance, cfg.DailyLimit)
 		if err != nil && !errors.Is(err, isp.ErrDuplicateUser) {
 			return err
 		}
 	}
 
-	if cfg.Metrics {
-		admin, err := obsv.Start("127.0.0.1:0", obsv.Config{Registry: d.reg, Ring: d.ring})
-		if err != nil {
-			return err
-		}
-		d.admin = admin
+	if d.admin, err = obsv.Start("127.0.0.1:0", obsv.Config{Registry: reg, Ring: ring}); err != nil {
+		return err
 	}
 	cfg.Logf("cluster: isp[%d] %s smtp on %s", d.Index, d.Domain, d.SMTPAddr())
 	return nil
@@ -507,28 +447,21 @@ func (c *Cluster) startISP(d *ISP) error {
 // ISP returns daemon i.
 func (c *Cluster) ISP(i int) *ISP { return c.isps[i] }
 
-// ISPs returns every ISP daemon.
-func (c *Cluster) ISPs() []*ISP { return c.isps }
-
 // Banks returns every bank-level daemon (one central, or R leaves).
 func (c *Cluster) Banks() []*BankDaemon { return c.banks }
 
 // Root returns the root aggregator, nil for the central topology.
 func (c *Cluster) Root() *bank.Root { return c.root }
 
-// MetricsAddrs lists every daemon's admin telemetry address (ISPs
-// first, then banks, then the root), the scrape set zload walks.
+// MetricsAddrs lists every daemon's admin telemetry address: ISPs
+// first, then banks, then the root.
 func (c *Cluster) MetricsAddrs() []string {
 	var out []string
 	for _, d := range c.isps {
-		if a := d.MetricsAddr(); a != "" {
-			out = append(out, a)
-		}
+		out = append(out, d.MetricsAddr())
 	}
 	for _, b := range c.banks {
-		if a := b.MetricsAddr(); a != "" {
-			out = append(out, a)
-		}
+		out = append(out, b.MetricsAddr())
 	}
 	if c.rootAdmin != nil {
 		out = append(out, c.rootAdmin.Addr().String())
@@ -597,12 +530,8 @@ func (c *Cluster) Outstanding() int64 {
 	return total
 }
 
-// InitialEPennies returns the federation e-penny total at boot (the
-// seeded pools plus user balances, which predate the banks).
-func (c *Cluster) InitialEPennies() int64 { return c.initialE }
-
 // Conserved reports whether the ISP-side and bank-side tallies agree
-// right now: TotalEPennies == InitialEPennies + Outstanding, the same
+// right now: TotalEPennies == the boot total + Outstanding, the same
 // invariant experiment E1 checks in-process. Transient disagreement is
 // normal while a buy or sell is in flight; callers poll it into
 // stability with WaitFor.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"zmail/internal/mail"
+	"zmail/internal/promtext"
 	"zmail/internal/smtp"
 )
 
@@ -22,14 +23,6 @@ func newTestCluster(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
-	}
-	// Short freeze keeps the audit tests fast; the paper's 10 minutes
-	// is a policy choice, not a protocol requirement.
-	if cfg.FreezeDuration == 0 {
-		cfg.FreezeDuration = 100 * time.Millisecond
-	}
-	if cfg.TickInterval == 0 {
-		cfg.TickInterval = 50 * time.Millisecond
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -70,9 +63,10 @@ func waitOr(t *testing.T, what string, cond func() bool) {
 // TestClusterFederationEndToEnd is the flagship: two ISP daemons, two
 // leaf banks, and a root aggregator — five processes' worth of state
 // on five real TCP listeners — carrying paid mail in both directions,
-// then a federation-wide §4.4 audit verified at the root.
+// one multi-recipient transaction among it, then a federation-wide
+// §4.4 audit verified at the root.
 func TestClusterFederationEndToEnd(t *testing.T) {
-	c := newTestCluster(t, Config{ISPs: 2, Regions: 2})
+	c := newTestCluster(t, Config{Regions: 2})
 
 	if len(c.Banks()) != 2 || c.Root() == nil {
 		t.Fatalf("want 2 leaf banks + root, got %d banks, root=%v", len(c.Banks()), c.Root())
@@ -91,16 +85,32 @@ func TestClusterFederationEndToEnd(t *testing.T) {
 	if err := submit(c, 0, 2, 0, 3, "local"); err != nil {
 		t.Fatalf("submit isp0→isp0: %v", err)
 	}
+	// One transaction, three cross-ISP RCPTs: each recipient is charged
+	// and relayed on its own.
+	from := userAddr(c, 0, 3)
+	rcpts := []mail.Address{userAddr(c, 1, 0), userAddr(c, 1, 2), userAddr(c, 1, 3)}
+	client, err := smtp.Dial(c.ISP(0).SMTPAddr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.Hello("client.test"); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Send(from, rcpts, mail.NewMessage(from, rcpts[0], "list", "body")); err != nil {
+		t.Fatalf("three-recipient send: %v", err)
+	}
+	multi := int64(len(rcpts))
 
 	waitOr(t, "cross-ISP delivery", func() bool {
-		return c.ISP(0).Delivered() >= perDirection+1 && c.ISP(1).Delivered() >= perDirection
+		return c.ISP(0).Delivered() >= perDirection+1 && c.ISP(1).Delivered() >= perDirection+multi
 	})
 
 	s0, s1 := c.ISP(0).Engine().Stats(), c.ISP(1).Engine().Stats()
-	if s0.SentPaid < perDirection || s1.SentPaid < perDirection {
-		t.Fatalf("paid sends: isp0=%d isp1=%d, want ≥%d each", s0.SentPaid, s1.SentPaid, perDirection)
+	if s0.SentPaid < perDirection+multi || s1.SentPaid < perDirection {
+		t.Fatalf("paid sends: isp0=%d isp1=%d, want ≥%d and ≥%d", s0.SentPaid, s1.SentPaid, perDirection+multi, perDirection)
 	}
-	if s0.ReceivedPaid < perDirection || s1.ReceivedPaid < perDirection {
+	if s0.ReceivedPaid < perDirection || s1.ReceivedPaid < perDirection+multi {
 		t.Fatalf("paid receives: isp0=%d isp1=%d", s0.ReceivedPaid, s1.ReceivedPaid)
 	}
 
@@ -134,9 +144,8 @@ func TestClusterFederationEndToEnd(t *testing.T) {
 // and conservation holds throughout.
 func TestClusterBatchedFederation(t *testing.T) {
 	c := newTestCluster(t, Config{
-		ISPs: 2, Regions: 1,
 		BatchOrders: true,
-		Queue:       true, QueueDepth: 64, QueueWorkers: 2,
+		Queue:       true,
 		GroupSettle: true,
 		// Registration funds user balances from the pool (4 × 200), so a
 		// 1500-e-penny pool lands at 700 — below the default MinAvail of
@@ -182,9 +191,9 @@ func TestClusterBatchedFederation(t *testing.T) {
 	// into circulation (Outstanding) and netted settlement only shuffles
 	// between accounts, so accounts + circulation stays at the seed.
 	bk := c.Banks()[0].Bank
-	if got := int64(bk.TotalAccounts()) + bk.Outstanding(); got != int64(2*c.cfg.Funds) {
+	if got := int64(bk.TotalAccounts()) + bk.Outstanding(); got != int64(numISPs*ispFunds) {
 		t.Fatalf("real-money conservation: accounts+outstanding = %d, want %d",
-			got, 2*c.cfg.Funds)
+			got, numISPs*ispFunds)
 	}
 }
 
@@ -194,7 +203,7 @@ func TestClusterBatchedFederation(t *testing.T) {
 // sender's own mailbox (§5's containment behavior).
 func TestClusterZombieLimit(t *testing.T) {
 	const limit = 3
-	c := newTestCluster(t, Config{ISPs: 2, Regions: 1, DailyLimit: limit})
+	c := newTestCluster(t, Config{DailyLimit: limit})
 
 	from := userAddr(c, 0, 0)
 	to := userAddr(c, 1, 0)
@@ -250,7 +259,7 @@ func TestClusterZombieLimit(t *testing.T) {
 // federation must keep carrying paid mail — and conserving e-pennies —
 // through the new daemon.
 func TestClusterWALRestartRecovery(t *testing.T) {
-	c := newTestCluster(t, Config{ISPs: 2, Regions: 1, WALDir: t.TempDir()})
+	c := newTestCluster(t, Config{WALDir: t.TempDir()})
 
 	const before = 4
 	for i := 0; i < before; i++ {
@@ -315,12 +324,13 @@ func TestClusterWALRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestClusterMetricsSurface boots with admin listeners on and checks
-// the scrape surface zload depends on: every daemon serves /metrics
-// with its engine/bank families, and /healthz reports the
-// actually-bound ephemeral address.
+// TestClusterMetricsSurface checks the scrape surface every daemon
+// serves: /healthz reports the actually-bound ephemeral address, each
+// /metrics parses as a Prometheus exposition with its engine, bank or
+// root families, and the scraped paid counters reconcile — every paid
+// send was received, and each ISP's series is its engine's own count.
 func TestClusterMetricsSurface(t *testing.T) {
-	c := newTestCluster(t, Config{ISPs: 2, Regions: 2, Metrics: true})
+	c := newTestCluster(t, Config{Regions: 2})
 
 	addrs := c.MetricsAddrs()
 	// 2 ISPs + 2 leaves + 1 root.
@@ -330,7 +340,12 @@ func TestClusterMetricsSurface(t *testing.T) {
 	if err := submit(c, 0, 0, 1, 0, "scrape me"); err != nil {
 		t.Fatal(err)
 	}
-	waitOr(t, "delivery before scrape", func() bool { return c.ISP(1).Delivered() >= 1 })
+	if err := submit(c, 1, 1, 0, 1, "scrape me back"); err != nil {
+		t.Fatal(err)
+	}
+	waitOr(t, "delivery before scrape", func() bool {
+		return c.ISP(0).Delivered() >= 1 && c.ISP(1).Delivered() >= 1
+	})
 
 	get := func(addr, path string) string {
 		t.Helper()
@@ -347,19 +362,59 @@ func TestClusterMetricsSurface(t *testing.T) {
 		return string(body)
 	}
 
+	scrapes := make(map[string]*promtext.Scrape, len(addrs))
 	for _, addr := range addrs {
 		if body := get(addr, "/healthz"); !strings.Contains(body, "addr="+addr) {
 			t.Fatalf("%s /healthz missing bound addr line:\n%s", addr, body)
 		}
+		scrape, err := promtext.ParseProm(strings.NewReader(get(addr, "/metrics")))
+		if err != nil {
+			t.Fatalf("%s /metrics: %v", addr, err)
+		}
+		scrapes[addr] = scrape
 	}
-	if body := get(c.ISP(0).MetricsAddr(), "/metrics"); !strings.Contains(body, "zmail_isp_submitted_total") {
-		t.Fatalf("isp scrape missing engine families:\n%.400s", body)
+
+	hasFamily := func(addr, prefix string) bool {
+		for name := range scrapes[addr].Families {
+			if strings.HasPrefix(name, prefix) {
+				return true
+			}
+		}
+		return false
 	}
-	if body := get(c.Banks()[0].MetricsAddr(), "/metrics"); !strings.Contains(body, "zmail_bank_") {
-		t.Fatalf("bank scrape missing bank families:\n%.400s", body)
+	for _, b := range c.Banks() {
+		if !hasFamily(b.MetricsAddr(), "zmail_bank_") {
+			t.Errorf("bank[%d] scrape has no zmail_bank_* family", b.Region)
+		}
 	}
-	rootAddr := addrs[len(addrs)-1]
-	if body := get(rootAddr, "/metrics"); !strings.Contains(body, "zmail_root_") {
-		t.Fatalf("root scrape missing root families:\n%.400s", body)
+	if rootAddr := addrs[len(addrs)-1]; !hasFamily(rootAddr, "zmail_root_") {
+		t.Errorf("root scrape has no zmail_root_* family")
+	}
+
+	// value reads one ISP's scraped series and checks it against the
+	// engine's own count.
+	value := func(d *ISP, name string, engine int64) float64 {
+		t.Helper()
+		v, ok := scrapes[d.MetricsAddr()].Value(name, map[string]string{"isp": d.Domain})
+		if !ok {
+			t.Fatalf("%s scrape has no %s series", d.Domain, name)
+		}
+		if v != float64(engine) {
+			t.Errorf("%s scraped %s = %v, engine says %d", d.Domain, name, v, engine)
+		}
+		return v
+	}
+	var sent, received float64
+	for i := 0; i < numISPs; i++ {
+		d := c.ISP(i)
+		if !hasFamily(d.MetricsAddr(), "zmail_isp_") {
+			t.Errorf("isp[%d] scrape has no zmail_isp_* family", i)
+		}
+		st := d.Engine().Stats()
+		sent += value(d, "zmail_isp_sent_paid_total", st.SentPaid)
+		received += value(d, "zmail_isp_received_paid_total", st.ReceivedPaid)
+	}
+	if sent == 0 || sent != received {
+		t.Fatalf("scraped paid sends %v, paid receives %v: want equal and nonzero", sent, received)
 	}
 }

@@ -7,13 +7,13 @@ import (
 
 // ErrDrop returns the discarded-error pass. The persistence layer
 // (atomic state files), the wire codec, the crypto layer (sealed
-// boxes, nonce source), the load generator (ParseProm and the scrape
-// helpers), and the observability endpoints are exactly the APIs whose
-// errors must never be dropped: a swallowed SaveJSON error silently
-// loses the durable ledger, a swallowed UnmarshalBinary error silently
-// desyncs a handshake, a swallowed Seal/Next error silently disables
-// replay protection, and a swallowed ParseProm/scrape error silently
-// reports a load run against metrics that were never read. The pass
+// boxes, nonce source), the exposition parser (promtext.ParseProm),
+// and the observability endpoints are exactly the APIs whose errors
+// must never be dropped: a swallowed SaveJSON error silently loses the
+// durable ledger, a swallowed UnmarshalBinary error silently desyncs a
+// handshake, a swallowed Seal/Next error silently disables replay
+// protection, and a swallowed ParseProm error silently reconciles
+// against metrics that were never read. The pass
 // flags, anywhere in the tree:
 //
 //   - a call to one of those packages' functions or methods used as a

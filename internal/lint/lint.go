@@ -250,7 +250,7 @@ func DefaultConfig() Config {
 			"zmail/internal/persist",
 			"zmail/internal/wire",
 			"zmail/internal/crypto",
-			"zmail/internal/load",
+			"zmail/internal/promtext",
 			"zmail/internal/obsv",
 		},
 		LedgerFields: []string{"balance", "credit", "avail", "account"},
@@ -489,7 +489,6 @@ func DefaultConfig() Config {
 		LifecyclePkgs: []string{
 			"zmail/internal/cluster",
 			"zmail/internal/core",
-			"zmail/internal/load",
 			"zmail/internal/obsv",
 			"zmail/internal/mempool",
 		},

@@ -370,7 +370,7 @@ func TestDefaultConfigCoversRoadmapPackages(t *testing.T) {
 	if !pathMatches("zmail/internal/isp", cfg.LockOrderPkgs) {
 		t.Errorf("lock-order policy must cover internal/isp")
 	}
-	for _, p := range []string{"zmail/internal/persist", "zmail/internal/wire", "zmail/internal/crypto"} {
+	for _, p := range []string{"zmail/internal/persist", "zmail/internal/wire", "zmail/internal/crypto", "zmail/internal/promtext"} {
 		if !pathMatches(p, cfg.ErrDropPkgs) {
 			t.Errorf("errdrop policy must cover %s", p)
 		}
@@ -391,7 +391,7 @@ func TestDefaultConfigCoversRoadmapPackages(t *testing.T) {
 			t.Errorf("walflow policy must cover %s", p)
 		}
 	}
-	for _, p := range []string{"zmail/internal/cluster", "zmail/internal/core", "zmail/internal/load", "zmail/internal/obsv"} {
+	for _, p := range []string{"zmail/internal/cluster", "zmail/internal/core", "zmail/internal/obsv"} {
 		if !pathMatches(p, cfg.LifecyclePkgs) {
 			t.Errorf("lifecycle policy must cover %s", p)
 		}

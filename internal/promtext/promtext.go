@@ -1,13 +1,12 @@
-// Package load is the client side of the cluster story: an open-loop
-// SMTP load generator (load.go) and the Prometheus text-exposition
-// parser (this file) it uses to scrape the daemons' /metrics endpoints
-// and fold server-side truth into its report.
+// Package promtext parses the Prometheus text exposition the daemons
+// serve on /metrics, so a client can read server-side counters back
+// and reconcile them against its own.
 //
 // The parser handles exactly the dialect internal/metrics.WriteProm
 // emits — `# TYPE` comments, counter/gauge/summary/histogram families,
 // label values with the three text-format escapes (\\, \", \n) — which
 // is also the subset every real Prometheus server accepts.
-package load
+package promtext
 
 import (
 	"bufio"
@@ -80,7 +79,7 @@ func ParseProm(r io.Reader) (*Scrape, error) {
 			if len(fields) >= 4 && fields[1] == "TYPE" {
 				fam := s.family(fields[2])
 				if fam.Type != "untyped" && fam.Type != fields[3] {
-					return nil, fmt.Errorf("load: line %d: conflicting TYPE for %s: declared %s, redeclared %s", lineno, fields[2], fam.Type, fields[3])
+					return nil, fmt.Errorf("promtext: line %d: conflicting TYPE for %s: declared %s, redeclared %s", lineno, fields[2], fam.Type, fields[3])
 				}
 				fam.Type = fields[3]
 			}
@@ -88,18 +87,18 @@ func ParseProm(r io.Reader) (*Scrape, error) {
 		}
 		sample, err := parseSample(line)
 		if err != nil {
-			return nil, fmt.Errorf("load: line %d: %w", lineno, err)
+			return nil, fmt.Errorf("promtext: line %d: %w", lineno, err)
 		}
 		key := sample.seriesKey()
 		if first, dup := seen[key]; dup {
-			return nil, fmt.Errorf("load: line %d: duplicate series %s (first seen on line %d)", lineno, key, first)
+			return nil, fmt.Errorf("promtext: line %d: duplicate series %s (first seen on line %d)", lineno, key, first)
 		}
 		seen[key] = lineno
 		fam := s.family(familyOf(s, sample.Name))
 		fam.Samples = append(fam.Samples, sample)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("load: read exposition: %w", err)
+		return nil, fmt.Errorf("promtext: read exposition: %w", err)
 	}
 	return s, nil
 }
@@ -274,9 +273,9 @@ func (s *Scrape) Value(name string, want map[string]string) (float64, bool) {
 	return 0, false
 }
 
-// Sum adds every plain sample of the family — the way zload folds one
-// counter over a multi-daemon scrape set where each daemon exposes its
-// own series. Histogram/summary companion series (_bucket and friends)
+// Sum adds every plain sample of the family — the way a client folds
+// one counter over a multi-daemon scrape set where each daemon exposes
+// its own series. Histogram/summary companion series (_bucket and friends)
 // are excluded, and NaN samples are skipped: one daemon exposing a NaN
 // gauge must not poison the whole fold. Infinities propagate — an
 // infinite total is honest where a NaN one is meaningless.

@@ -257,9 +257,9 @@ func (c *Client) writeLines(text string) error {
 }
 
 // Reset aborts any in-progress transaction with RSET, returning the
-// session to the post-HELO state. Long-lived clients (the zload
-// generator's persistent connections) call it after a mid-transaction
-// rejection — a RCPT bounce, say — so the next Send starts clean.
+// session to the post-HELO state. A long-lived lock-step client calls
+// it after a mid-transaction rejection — a RCPT bounce, say — so the
+// next Send starts clean.
 func (c *Client) Reset() error {
 	if err := c.cmd("RSET"); err != nil {
 		return err

@@ -299,8 +299,8 @@ func TestMailRejection(t *testing.T) {
 
 // TestClientResetRecovers: after a RCPT rejection mid-transaction, a
 // persistent client completes the next transaction on the same
-// connection. A lock-step client Resets first — the recovery path
-// zload's connection pool relies on. A pipelined client's group has
+// connection. A lock-step client Resets first — the recovery path the
+// federation benchmark's drivers rely on. A pipelined client's group has
 // already run to the server's 503 for DATA (250/550/503), so its session
 // is ready for the next Send as it is — what core's relay relies on.
 func TestClientResetRecovers(t *testing.T) {
