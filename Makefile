@@ -110,9 +110,12 @@ obsv:
 
 # WAL durability gate: the crash-debris tables (torn tail, truncated
 # length prefix, corrupt checksum, snapshot/truncate crash window,
-# duplicate segment replay) plus the seeded replay-equivalence check.
+# duplicate segment replay), the seeded replay-equivalence check, and
+# zmaild's shutdown regression (a -wal daemon closed with mail still
+# queued must log every debit before the WAL closes). CI runs this
+# target as its "WAL durability gate" step.
 wal:
-	$(GO) test -run 'WAL' ./internal/persist/ ./internal/isp/ ./internal/bank/ ./internal/sim/ -v
+	$(GO) test -run 'WAL' ./internal/persist/ ./internal/isp/ ./internal/bank/ ./internal/sim/ ./cmd/zmaild/ -v
 
 # Real-TCP federation suite, verbose (regenerates EXPERIMENTS.md E21):
 # 2 ISPs + a two-level zbank hierarchy on loopback carrying paid,

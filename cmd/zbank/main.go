@@ -31,7 +31,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -125,8 +124,7 @@ func run(args []string) error {
 		insecure   = fs.Bool("insecure", false, "use plaintext sealers (local experiments only)")
 		settle     = fs.Bool("settle", false, "move real money between ISP accounts after each verified audit round")
 		groupNet   = fs.Bool("group-settle", false, "net each round's settlement multilaterally (implies -settle)")
-		stateFile  = fs.String("state", "", "durable ledger file; loaded at start, saved after audits and on shutdown")
-		walDir     = fs.String("wal", "", "write-ahead-log directory; every mutation is logged and boot replays the log (excludes -state)")
+		walDir     = fs.String("wal", "", "write-ahead-log directory; every mutation is logged, boot replays the log, checkpoints after audits and on shutdown")
 		metricsAd  = fs.String("metrics", "", "admin telemetry listen address (loopback only!), e.g. 127.0.0.1:7071")
 	)
 	fs.Var(enrollments, "enroll", "index=pubkeyfile; repeatable, one per compliant ISP")
@@ -137,9 +135,6 @@ func run(args []string) error {
 	// misconfigured daemon dies with a usage message, not a half-boot.
 	if *isps <= 0 {
 		return usagef("-isps is required")
-	}
-	if *walDir != "" && *stateFile != "" {
-		return usagef("-wal and -state are mutually exclusive")
 	}
 	for _, a := range []struct{ name, addr string }{
 		{"-listen", *listen}, {"-root", *rootAddr}, {"-metrics", *metricsAd},
@@ -166,8 +161,8 @@ func run(args []string) error {
 		if *assignCSV == "" {
 			return usagef("-role root requires -assign")
 		}
-		if *walDir != "" || *stateFile != "" || *auditEvery != 0 {
-			return usagef("-wal/-state/-audit-every do not apply to -role root (the root holds no ledger and audits when the leaves report)")
+		if *walDir != "" || *auditEvery != 0 {
+			return usagef("-wal/-audit-every do not apply to -role root (the root holds no ledger and audits when the leaves report)")
 		}
 		if *settle || *groupNet {
 			return usagef("-settle/-group-settle do not apply to -role root (the root holds no accounts)")
@@ -224,7 +219,26 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
+	// checkpoint makes the ledger durable; without -wal there is nothing
+	// to do.
+	checkpoint := func() {
+		if !bk.WALAttached() {
+			return
+		}
+		if err := bk.Checkpoint(); err != nil {
+			logf("checkpoint: %v", err)
+		}
+	}
+	// Deferred first, so it runs last: the server stops taking trades
+	// and joins its handlers before the final checkpoint and the WAL
+	// close, so nothing commits after the log is gone.
+	defer func() {
+		srv.Close()
+		checkpoint()
+		if err := bk.CloseWAL(); err != nil {
+			logf("close wal: %v", err)
+		}
+	}()
 
 	if *role == "leaf" {
 		// Forward every verified credit report upward; the root joins
@@ -295,33 +309,7 @@ func run(args []string) error {
 			}
 			logf("write-ahead log initialized at %s", *walDir)
 		}
-		defer func() {
-			if err := bk.CloseWAL(); err != nil {
-				logf("close wal: %v", err)
-			}
-		}()
 	}
-	if *stateFile != "" {
-		switch err := bk.LoadState(*stateFile); {
-		case err == nil:
-			logf("restored ledger from %s", *stateFile)
-		case errors.Is(err, persist.ErrNotExist):
-			logf("no prior state at %s; starting fresh", *stateFile)
-		default:
-			return fmt.Errorf("restore %s: %w", *stateFile, err)
-		}
-	}
-	saveState := func() {
-		// With a WAL attached SaveState ignores its path and fsyncs the
-		// log (compacting past the snapshot threshold).
-		if *stateFile == "" && *walDir == "" {
-			return
-		}
-		if err := bk.SaveState(*stateFile); err != nil {
-			logf("save state: %v", err)
-		}
-	}
-	defer saveState()
 
 	logf("listening on %s for %d ISPs (funds %v each)", srv.Addr(), *isps, money.Penny(*funds))
 
@@ -357,7 +345,7 @@ func run(args []string) error {
 				logf("VIOLATION: %v", v)
 			}
 			known = len(bk.Violations())
-			saveState()
+			checkpoint()
 		case <-stop:
 			logf("shutting down")
 			return nil

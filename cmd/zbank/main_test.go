@@ -31,8 +31,6 @@ func TestZbankUsageFailures(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"wal and state together", []string{"-isps", "2", "-insecure",
-			"-wal", t.TempDir(), "-state", t.TempDir() + "/s.json"}},
 		{"listen without port", []string{"-isps", "2", "-insecure", "-listen", "nonsense"}},
 		{"metrics without port", []string{"-isps", "2", "-insecure", "-metrics", "127.0.0.1"}},
 		{"unknown role", []string{"-isps", "2", "-insecure", "-role", "branch"}},

@@ -97,21 +97,30 @@ type daemon struct {
 	bankAddr  string
 	delivered atomic.Int64
 	logf      func(format string, a ...any)
-	stopCkpt  func() // no-op when checkpoints are off
-	saveState func() // no-op when -state is off
+	stopCkpt  func() // no-op without -wal
 }
 
-// Close shuts the daemon down: stop the checkpoint timer, take a final
-// state snapshot, then close the listeners.
+// Close shuts the daemon down: stop the checkpoint timer and the
+// telemetry listener, then the node — which commits everything its
+// admission queue accepted and stops taking mail — and only then take
+// the final checkpoint and close the WAL, so every message answered 250
+// has its debit logged.
 func (d *daemon) Close() {
 	d.stopCkpt()
-	d.saveState()
 	if d.admin != nil {
 		if err := d.admin.Close(); err != nil {
 			d.logf("metrics server close: %v", err)
 		}
 	}
 	d.node.Close()
+	if eng := d.node.Engine(); eng.WALAttached() {
+		if err := eng.Checkpoint(); err != nil {
+			d.logf("checkpoint: %v", err)
+		}
+		if err := eng.CloseWAL(); err != nil {
+			d.logf("close wal: %v", err)
+		}
+	}
 }
 
 func run(args []string) error {
@@ -155,7 +164,8 @@ func run(args []string) error {
 }
 
 // boot parses flags, builds the node with its tracer and metrics
-// registry, restores state, registers users, and starts the checkpoint
+// registry, recovers or attaches the WAL, registers users (a user the
+// recovered ledger already holds is skipped), and starts the checkpoint
 // timer and admin telemetry listener. The caller owns Close.
 func boot(args []string) (*daemon, error) {
 	fs := flag.NewFlagSet("zmaild", flag.ContinueOnError)
@@ -178,8 +188,7 @@ func boot(args []string) (*daemon, error) {
 		maildir   = fs.String("maildir", "", "store delivered mail under this directory instead of stdout")
 		admin     = fs.String("admin", "", "operator console listen address (loopback only!), e.g. 127.0.0.1:7025")
 		metricsAd = fs.String("metrics", "", "admin telemetry listen address (loopback only!), e.g. 127.0.0.1:7070")
-		stateFile = fs.String("state", "", "durable ledger file; loaded at start, saved on shutdown and every 5m")
-		walDir    = fs.String("wal", "", "write-ahead-log directory; every mutation is logged and boot replays the log (excludes -state)")
+		walDir    = fs.String("wal", "", "write-ahead-log directory; every mutation is logged, boot replays the log, checkpoints every 5m and on shutdown")
 		batchOrd  = fs.Bool("batch-orders", false, "coalesce bank buy/sell into one batch order per tick")
 		queueDep  = fs.Int("queue-depth", 0, "admission queue depth; >0 decouples SMTP accept latency from ledger commit")
 		queueWrk  = fs.Int("queue-workers", 0, "admission queue drain workers (0 = default, with -queue-depth)")
@@ -198,9 +207,6 @@ func boot(args []string) (*daemon, error) {
 	domains := strings.Split(*domainCSV, ",")
 	if *index >= len(domains) {
 		return nil, usagef("index %d outside %d domains", *index, len(domains))
-	}
-	if *walDir != "" && *stateFile != "" {
-		return nil, usagef("-wal and -state are mutually exclusive")
 	}
 	for _, a := range []struct{ name, addr string }{
 		{"-listen", *listen}, {"-bank", *bankAddr},
@@ -274,10 +280,9 @@ func boot(args []string) (*daemon, error) {
 	}
 
 	d := &daemon{
-		domains:   domains,
-		bankAddr:  *bankAddr,
-		stopCkpt:  func() {},
-		saveState: func() {},
+		domains:  domains,
+		bankAddr: *bankAddr,
+		stopCkpt: func() {},
 	}
 	d.logf = func(format string, a ...any) {
 		fmt.Fprintf(os.Stderr, "zmaild[%s]: "+format+"\n",
@@ -363,35 +368,9 @@ func boot(args []string) (*daemon, error) {
 			}
 			d.logf("write-ahead log initialized at %s", *walDir)
 		}
-		d.saveState = func() {
-			if err := eng.CloseWAL(); err != nil {
-				d.logf("close wal: %v", err)
-			}
-		}
-		// With a WAL attached SaveState ignores its path: the periodic
-		// checkpoint fsyncs the log, compacting when it outgrows the
-		// snapshot threshold.
-		d.stopCkpt = persist.StartCheckpoints(clk, node, "", 5*time.Minute, func(err error) {
-			d.logf("checkpoint: %v", err)
-		})
-	}
-
-	if *stateFile != "" {
-		switch err := node.LoadState(*stateFile); {
-		case err == nil:
-			d.logf("restored ledger from %s (%d users)", *stateFile, len(node.Engine().ExportState().Users))
-		case errors.Is(err, persist.ErrNotExist):
-			d.logf("no prior state at %s; starting fresh", *stateFile)
-		default:
-			d.Close()
-			return nil, fmt.Errorf("restore %s: %w", *stateFile, err)
-		}
-		d.saveState = func() {
-			if err := node.SaveState(*stateFile); err != nil {
-				d.logf("save state: %v", err)
-			}
-		}
-		d.stopCkpt = persist.StartCheckpoints(clk, node, *stateFile, 5*time.Minute, func(err error) {
+		// The periodic checkpoint fsyncs the log, compacting when it
+		// outgrows the snapshot threshold.
+		d.stopCkpt = persist.StartCheckpoints(clk, eng.Checkpoint, 5*time.Minute, func(err error) {
 			d.logf("checkpoint: %v", err)
 		})
 	}

@@ -30,13 +30,13 @@ const (
 // bankWALSegments: all bank mutations serialize under b.mu.
 const bankWALSegments = 1
 
-// bankWALCompactThreshold is the live-log volume above which SaveState
+// bankWALCompactThreshold is the live-log volume above which Checkpoint
 // rewrites the snapshot instead of just fsyncing.
 const bankWALCompactThreshold = 4 << 20
 
 // walAppend logs one record, counting (never surfacing) failures: the
 // mutation has already been applied in memory, and the WAL's sticky
-// error resurfaces at the next SaveState sync or Close. Call with mu
+// error resurfaces at the next Checkpoint sync or Close. Call with mu
 // held so the segment's file order matches the mutation order.
 func (b *Bank) walAppend(payload []byte) {
 	if b.wal == nil {
@@ -398,6 +398,25 @@ func (b *Bank) CloseWAL() error {
 		return nil
 	}
 	return w.Close()
+}
+
+// Checkpoint makes the ledger durable: fsync the WAL, or, once the live
+// log has outgrown bankWALCompactThreshold, compact it into a fresh
+// snapshot. It fails when no WAL is attached. The bank has no injected
+// clock, so periodic checkpoints are the caller's job —
+// persist.StartCheckpoints with the caller's clock, or explicit calls
+// after audit rounds (cmd/zbank).
+func (b *Bank) Checkpoint() error {
+	b.mu.Lock()
+	w := b.wal
+	b.mu.Unlock()
+	if w == nil {
+		return fmt.Errorf("bank: no wal attached")
+	}
+	if w.SizeSinceSnapshot() >= bankWALCompactThreshold {
+		return b.compactWAL(w)
+	}
+	return w.Sync()
 }
 
 // CompactWAL rewrites the WAL snapshot from current state and drops

@@ -207,40 +207,41 @@ func TestWALBankCompaction(t *testing.T) {
 	}
 }
 
-// TestWALBankSaveStateRouting: SaveState must sync the WAL when
-// attached and fall back to whole-state JSON when not.
-func TestWALBankSaveStateRouting(t *testing.T) {
-	dir := t.TempDir()
+// TestWALBankCheckpoint: Checkpoint fsyncs an attached WAL, so a
+// recovery sees everything up to it, and fails when no WAL is attached.
+// Attach and close are guarded the same way: a second attach is
+// refused, a second close is a no-op.
+func TestWALBankCheckpoint(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
 	b, _ := newBank(t, 2, nil)
-	if err := b.AttachWAL(filepath.Join(dir, "wal")); err != nil {
+	if err := b.Checkpoint(); err == nil {
+		t.Fatal("checkpoint without a WAL succeeded")
+	}
+	if err := b.AttachWAL(dir); err != nil {
 		t.Fatal(err)
 	}
-	jsonPath := filepath.Join(dir, "bank.json")
-	if err := b.SaveState(jsonPath); err != nil {
+	if err := b.AttachWAL(filepath.Join(t.TempDir(), "w2")); err == nil {
+		t.Fatal("second attach succeeded")
+	}
+	if err := b.Deposit(1, 25); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.LoadState(jsonPath); err == nil {
-		t.Fatal("WAL-backed SaveState wrote the JSON path")
+	if err := b.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := bankJSON(t, b)
+	if err := b.CloseWAL(); err != nil {
+		t.Fatal(err)
 	}
 	if err := b.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SaveState(jsonPath); err != nil {
-		t.Fatal(err)
+	if err := b.Checkpoint(); err == nil {
+		t.Fatal("checkpoint after CloseWAL succeeded")
 	}
-	b2, _ := newBank(t, 2, nil)
-	if err := b2.LoadState(jsonPath); err != nil {
-		t.Fatal(err)
-	}
-	// Double attach and double close.
-	if err := b2.AttachWAL(filepath.Join(dir, "w2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.AttachWAL(filepath.Join(dir, "w3")); err == nil {
-		t.Fatal("second attach succeeded")
-	}
-	if err := b2.CloseWAL(); err != nil {
-		t.Fatal(err)
+	b2 := recoverBank(t, dir)
+	if got := bankJSON(t, b2); !bytes.Equal(got, want) {
+		t.Fatalf("recovery after checkpoint differs:\n got %s\nwant %s", got, want)
 	}
 	if err := b2.CloseWAL(); err != nil {
 		t.Fatal(err)

@@ -114,7 +114,6 @@ type ISP struct {
 
 	node      *core.Node
 	admin     *obsv.Server
-	walDir    string
 	delivered atomic.Int64
 }
 
@@ -133,9 +132,11 @@ func (i *ISP) Engine() *isp.Engine { return i.node.Engine() }
 // not the node).
 func (i *ISP) Delivered() int64 { return i.delivered.Load() }
 
-// Close tears this ISP daemon down: telemetry first, then the WAL so
-// the final ledger state is durable, then the node itself. Safe on a
-// partially booted daemon — whatever never started is skipped.
+// Close tears this ISP daemon down: telemetry first, then the node —
+// which commits what its admission queue accepted and stops taking
+// mail — and only then the final checkpoint and the WAL close, so every
+// accepted message's debit is logged. Safe on a partially booted
+// daemon — whatever never started is skipped.
 func (i *ISP) Close() error {
 	var firstErr error
 	keep := func(err error) {
@@ -148,10 +149,11 @@ func (i *ISP) Close() error {
 		i.admin = nil
 	}
 	if i.node != nil {
-		if i.walDir != "" {
-			keep(i.node.Engine().CloseWAL())
-		}
 		keep(i.node.Close())
+		if eng := i.node.Engine(); eng.WALAttached() {
+			keep(eng.Checkpoint())
+			keep(eng.CloseWAL())
+		}
 	}
 	return firstErr
 }
@@ -165,7 +167,6 @@ type BankDaemon struct {
 	srv    *core.BankServer
 	admin  *obsv.Server
 	uplink *core.Uplink
-	walDir string
 }
 
 // Addr returns the daemon's bound bank-protocol address.
@@ -175,8 +176,9 @@ func (b *BankDaemon) Addr() string { return b.srv.Addr().String() }
 func (b *BankDaemon) MetricsAddr() string { return b.admin.Addr().String() }
 
 // Close tears this bank daemon down: telemetry, the root uplink, the
-// WAL, and finally the serving socket. Safe on a partially booted
-// daemon.
+// serving socket (joining its handlers, so no trade commits after),
+// and finally the checkpoint and the WAL close. Safe on a partially
+// booted daemon.
 func (b *BankDaemon) Close() error {
 	var firstErr error
 	keep := func(err error) {
@@ -191,11 +193,12 @@ func (b *BankDaemon) Close() error {
 	if b.uplink != nil {
 		keep(b.uplink.Close())
 	}
-	if b.Bank != nil && b.walDir != "" {
-		keep(b.Bank.CloseWAL())
-	}
 	if b.srv != nil {
 		keep(b.srv.Close())
+	}
+	if b.Bank != nil && b.Bank.WALAttached() {
+		keep(b.Bank.Checkpoint())
+		keep(b.Bank.CloseWAL())
 	}
 	return firstErr
 }
@@ -332,11 +335,11 @@ func (c *Cluster) bootBank(r int) (*BankDaemon, error) {
 		srv.SetForward(bd.uplink.Forward)
 	}
 	if cfg.WALDir != "" {
-		bd.walDir = filepath.Join(cfg.WALDir, fmt.Sprintf("bank%d", r))
-		if err := os.MkdirAll(bd.walDir, 0o755); err != nil {
+		dir := filepath.Join(cfg.WALDir, fmt.Sprintf("bank%d", r))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return bd, err
 		}
-		if err := bk.AttachWAL(bd.walDir); err != nil {
+		if err := bk.AttachWAL(dir); err != nil {
 			return bd, err
 		}
 	}
@@ -416,16 +419,16 @@ func (c *Cluster) startISP(d *ISP) error {
 	reg.Register(node)
 
 	if cfg.WALDir != "" {
-		d.walDir = filepath.Join(cfg.WALDir, fmt.Sprintf("isp%d", d.Index))
-		if err := os.MkdirAll(d.walDir, 0o755); err != nil {
+		dir := filepath.Join(cfg.WALDir, fmt.Sprintf("isp%d", d.Index))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
 		eng := node.Engine()
-		if persist.HasWAL(d.walDir) {
-			if err := eng.RecoverWAL(d.walDir); err != nil {
+		if persist.HasWAL(dir) {
+			if err := eng.RecoverWAL(dir); err != nil {
 				return fmt.Errorf("cluster: recover isp[%d] wal: %w", d.Index, err)
 			}
-		} else if err := eng.AttachWAL(d.walDir); err != nil {
+		} else if err := eng.AttachWAL(dir); err != nil {
 			return fmt.Errorf("cluster: init isp[%d] wal: %w", d.Index, err)
 		}
 	}

@@ -27,7 +27,6 @@ import (
 	"zmail/internal/clock"
 	"zmail/internal/isp"
 	"zmail/internal/mail"
-	"zmail/internal/persist"
 	"zmail/internal/smtp"
 	"zmail/internal/wire"
 )
@@ -170,21 +169,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 
 // Engine exposes the underlying protocol engine.
 func (n *Node) Engine() *isp.Engine { return n.engine }
-
-// Crash-recovery plumbing: the node's durable ledger is exactly the
-// engine's exported state; these delegate to the engine's checkpoint
-// helpers so daemons restore/persist without reaching into Engine().
-// Periodic saving is persist.StartCheckpoints on the node itself (it
-// satisfies persist.Checkpointer like the engine does).
-
-var _ persist.Checkpointer = (*Node)(nil)
-
-// SaveState atomically persists the node's durable ledger to path.
-func (n *Node) SaveState(path string) error { return n.engine.SaveState(path) }
-
-// LoadState restores a ledger persisted by SaveState. Call before any
-// traffic flows; a missing file surfaces as persist's ErrNotExist.
-func (n *Node) LoadState(path string) error { return n.engine.LoadState(path) }
 
 // Addr returns the bound SMTP address.
 func (n *Node) Addr() net.Addr { return n.addr }

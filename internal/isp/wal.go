@@ -48,7 +48,7 @@ const (
 	ispRecDayReset                   // end-of-day: reset sent/warned in this stripe
 )
 
-// walCompactThreshold is the live-log volume above which SaveState
+// walCompactThreshold is the live-log volume above which Checkpoint
 // rewrites the snapshot instead of just fsyncing the segments.
 const walCompactThreshold = 4 << 20
 
@@ -97,7 +97,7 @@ func (e *Engine) walSegments() int { return len(e.stripes) + 1 }
 // walAppend writes one record, counting (never surfacing) failures:
 // the hot path cannot usefully handle an I/O error mid-stripe-lock,
 // and the WAL's sticky per-segment error resurfaces at the next
-// SaveState sync or Close.
+// Checkpoint sync or Close.
 func (e *Engine) walAppend(w *persist.WAL, seg int, payload []byte, encErr error) {
 	if encErr != nil {
 		e.walErrs.Add(1)
@@ -246,7 +246,7 @@ func (e *Engine) walDayReset(seg int) {
 }
 
 // WALErrors reports how many mutation records failed to reach the log;
-// nonzero means the next SaveState/CloseWAL will surface the cause.
+// nonzero means the next Checkpoint/CloseWAL will surface the cause.
 func (e *Engine) WALErrors() int64 { return e.walErrs.Load() }
 
 // WALAttached reports whether the engine's durability is WAL-backed.
@@ -254,7 +254,7 @@ func (e *Engine) WALAttached() bool { return e.wal.Load() != nil }
 
 // AttachWAL initializes dir as this engine's write-ahead log, seeding
 // it with a snapshot of the current state. Every subsequent ledger
-// mutation appends a record; SaveState becomes sync-or-compact.
+// mutation appends a record; Checkpoint is sync-or-compact.
 func (e *Engine) AttachWAL(dir string) error {
 	if e.wal.Load() != nil {
 		return fmt.Errorf("isp: wal already attached")
@@ -487,6 +487,23 @@ func (e *Engine) CloseWAL() error {
 		return nil
 	}
 	return w.Close()
+}
+
+// Checkpoint makes the ledger durable: fsync the WAL's segments, or,
+// once the live log has outgrown walCompactThreshold, compact it into a
+// fresh snapshot. Every mutation already appended its record, so this
+// is O(mutations since the last checkpoint). It fails when no WAL is
+// attached. Periodic checkpoints are
+// persist.StartCheckpoints(e.Clock(), e.Checkpoint, ...).
+func (e *Engine) Checkpoint() error {
+	w := e.wal.Load()
+	if w == nil {
+		return fmt.Errorf("isp: no wal attached")
+	}
+	if w.SizeSinceSnapshot() >= walCompactThreshold {
+		return e.compactWAL(w)
+	}
+	return w.Sync()
 }
 
 // CompactWAL rewrites the WAL snapshot from current state and drops

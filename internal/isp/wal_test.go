@@ -13,6 +13,7 @@ import (
 	"zmail/internal/crypto"
 	"zmail/internal/mail"
 	"zmail/internal/money"
+	"zmail/internal/persist"
 	"zmail/internal/wire"
 )
 
@@ -283,30 +284,37 @@ func TestWALCompactionMidTraffic(t *testing.T) {
 	}
 }
 
-// TestWALSaveStateRouting: with a WAL attached SaveState must not write
-// the JSON path; detached it must.
-func TestWALSaveStateRouting(t *testing.T) {
-	dir := t.TempDir()
+// TestWALCheckpoint: Checkpoint fsyncs an attached WAL, so a recovery
+// sees everything up to it, and fails when no WAL is attached — there
+// is no other persistence path.
+func TestWALCheckpoint(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
 	e, _, _ := newEngine(t, 0, nil, nil)
 	mustRegister(t, e, "alice", 10, 5)
-	if err := e.AttachWAL(filepath.Join(dir, "wal")); err != nil {
+	if err := e.Checkpoint(); err == nil {
+		t.Fatal("checkpoint without a WAL succeeded")
+	}
+	if err := e.AttachWAL(dir); err != nil {
 		t.Fatal(err)
 	}
-	jsonPath := filepath.Join(dir, "isp.json")
-	if err := e.SaveState(jsonPath); err != nil {
+	if err := e.Deposit("alice", 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadState(jsonPath); err == nil {
-		t.Fatal("WAL-backed SaveState wrote the JSON path")
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
+	want := exportJSON(t, e)
 	if err := e.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SaveState(jsonPath); err != nil {
-		t.Fatal(err)
+	if err := e.Checkpoint(); err == nil {
+		t.Fatal("checkpoint after CloseWAL succeeded")
 	}
-	e2, _, _ := newEngine(t, 0, nil, nil)
-	if err := e2.LoadState(jsonPath); err != nil {
+	e2 := recoverInto(t, dir)
+	if got := exportJSON(t, e2); !bytes.Equal(got, want) {
+		t.Fatalf("recovery after checkpoint differs:\n got %s\nwant %s", got, want)
+	}
+	if err := e2.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -379,23 +387,23 @@ func benchMutate(b *testing.B, e *Engine, round int) {
 	}
 }
 
-// BenchmarkWALCheckpointJSON100k: the PR-2 whole-state path — every
-// checkpoint re-serializes all 100k accounts no matter how little
-// changed.
+// BenchmarkWALCheckpointJSON100k: the reference the WAL replaced —
+// a whole-state JSON save re-serializes all 100k accounts no matter how
+// little changed.
 func BenchmarkWALCheckpointJSON100k(b *testing.B) {
 	e := benchEngine(b, benchAccounts)
 	path := filepath.Join(b.TempDir(), "isp.json")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchMutate(b, e, i)
-		if err := e.SaveState(path); err != nil {
+		if err := persist.SaveJSON(path, e.ExportState()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkWALCheckpointWAL100k: the same mutation batch against the
-// WAL — each deposit appends one record, and SaveState fsyncs.
+// WAL — each deposit appends one record, and Checkpoint fsyncs.
 func BenchmarkWALCheckpointWAL100k(b *testing.B) {
 	e := benchEngine(b, benchAccounts)
 	if err := e.AttachWAL(filepath.Join(b.TempDir(), "wal")); err != nil {
@@ -409,7 +417,7 @@ func BenchmarkWALCheckpointWAL100k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchMutate(b, e, i)
-		if err := e.SaveState(""); err != nil {
+		if err := e.Checkpoint(); err != nil {
 			b.Fatal(err)
 		}
 	}

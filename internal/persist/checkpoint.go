@@ -7,23 +7,13 @@ import (
 	"zmail/internal/clock"
 )
 
-// Checkpointer is the durable-state contract shared by every stateful
-// Zmail component (ISP engine, bank): save the current state to a file
-// via the atomic protocol, and restore it into a freshly built
-// instance. LoadState on a missing file surfaces ErrNotExist, which
-// callers treat as a first boot.
-type Checkpointer interface {
-	SaveState(path string) error
-	LoadState(path string) error
-}
-
-// StartCheckpoints saves c to path every interval, on the given clock —
+// StartCheckpoints runs checkpoint every interval, on the given clock —
 // the same code path runs under the real daemons (wall clock) and the
 // deterministic chaos harness (virtual clock). onErr (optional)
-// observes save failures; a failed save never stops the schedule. The
-// returned stop function cancels future checkpoints; it does not
-// interrupt one already running.
-func StartCheckpoints(clk clock.Clock, c Checkpointer, path string, interval time.Duration, onErr func(error)) (stop func()) {
+// observes checkpoint failures; a failed checkpoint never stops the
+// schedule. The returned stop function cancels future checkpoints; it
+// does not interrupt one already running.
+func StartCheckpoints(clk clock.Clock, checkpoint func() error, interval time.Duration, onErr func(error)) (stop func()) {
 	var (
 		mu      sync.Mutex
 		timer   clock.Timer
@@ -37,7 +27,7 @@ func StartCheckpoints(clk clock.Clock, c Checkpointer, path string, interval tim
 			return
 		}
 		timer = clk.AfterFunc(interval, func() {
-			if err := c.SaveState(path); err != nil && onErr != nil {
+			if err := checkpoint(); err != nil && onErr != nil {
 				onErr(err)
 			}
 			arm()

@@ -1,6 +1,8 @@
-// Package persist provides atomic JSON state files for the Zmail
-// daemons: write to a temp file in the same directory, fsync, rename.
-// A crash mid-save leaves the previous state intact.
+// Package persist makes the Zmail ledgers durable: a segmented
+// write-ahead log (wal.go) whose snapshots are atomic JSON files —
+// write to a temp file in the same directory, fsync, rename, so a crash
+// mid-save leaves the previous snapshot intact — and the periodic
+// checkpoint timer (checkpoint.go).
 package persist
 
 import (

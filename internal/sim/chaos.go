@@ -11,7 +11,6 @@ import (
 	"zmail/internal/bank"
 	"zmail/internal/chaos"
 	"zmail/internal/isp"
-	"zmail/internal/persist"
 	"zmail/internal/simnet"
 	"zmail/internal/wire"
 )
@@ -20,15 +19,15 @@ import (
 // under a chaos.Plan, and the bookkeeping that lets the invariant
 // auditor reconcile what faults did to the economy.
 //
-// Crash model ("the disk survives the process"): at the crash instant
-// the node's durable ledger — exactly what ExportState persists, the
-// WAL-equivalent state a real daemon checkpoints — is written through
-// internal/persist, the node drops off the network (in-flight traffic
-// toward it is lost, see simnet's crash semantics), and its in-memory
+// Crash model ("the disk survives the process"): every node logs each
+// ledger mutation to its WAL as it happens (EnableWAL), the same
+// recovery path the daemons ship. At the crash instant the node's WAL
+// is closed, the node drops off the network (in-flight traffic toward
+// it is lost, see simnet's crash semantics), and its in-memory
 // incarnation is discarded. Restart builds a fresh engine/bank with the
-// same identity and key material and restores the persisted ledger.
-// Process-transient state — freeze status, buffered outbox, in-flight
-// bank trades — is lost, exactly as documented in isp/state.go.
+// same identity and key material and replays the WAL. Process-transient
+// state — freeze status, buffered outbox, in-flight bank trades — is
+// lost, exactly as documented in isp/state.go.
 
 // lossLedger tallies what the network dropped, so the auditor can
 // reconcile audit-round asymmetries against counted losses instead of
@@ -135,7 +134,7 @@ func (w *World) chaosTrace(ev simnet.Event) {
 	}
 }
 
-// chaosStateDir resolves where checkpoint files live.
+// chaosStateDir resolves where the per-node WALs live.
 func (w *World) chaosStateDir() (string, error) {
 	if w.chaosDir != "" {
 		return w.chaosDir, nil
@@ -147,14 +146,6 @@ func (w *World) chaosStateDir() (string, error) {
 	return "", errors.New("sim: set Config.ChaosDir (or drive chaos via RunChaos, which owns a temp dir)")
 }
 
-func (w *World) chaosStatePath(node simnet.NodeID) (string, error) {
-	dir, err := w.chaosStateDir()
-	if err != nil {
-		return "", err
-	}
-	return filepath.Join(dir, string(node)+".json"), nil
-}
-
 // chaosWALPath resolves a node's write-ahead-log directory.
 func (w *World) chaosWALPath(node simnet.NodeID) (string, error) {
 	dir, err := w.chaosStateDir()
@@ -164,13 +155,12 @@ func (w *World) chaosWALPath(node simnet.NodeID) (string, error) {
 	return filepath.Join(dir, string(node)+".wal"), nil
 }
 
-// EnableWAL switches the world's crash persistence from whole-state
-// JSON to write-ahead logging: every running node gets a WAL under the
-// chaos state dir (isp<i>.wal, bank.wal) and logs each mutation as it
-// happens. CrashISP/CrashBank then close the node's log instead of
-// exporting JSON, and RestartISP/RestartBank boot through WAL replay.
-// Requires Config.ChaosDir; RunChaos (which owns a temp dir) enables
-// it automatically.
+// EnableWAL gives every running node a WAL under the chaos state dir
+// (isp<i>.wal, bank.wal) that logs each mutation as it happens.
+// CrashISP/CrashBank close a node's log and RestartISP/RestartBank boot
+// through its replay; without a WAL a crash is refused. Requires
+// Config.ChaosDir; RunChaos (which owns a temp dir) enables it
+// automatically.
 func (w *World) EnableWAL() error {
 	for i, eng := range w.Engines {
 		if eng == nil || eng.WALAttached() {
@@ -193,12 +183,11 @@ func (w *World) EnableWAL() error {
 			return err
 		}
 	}
-	w.walMode = true
 	return nil
 }
 
-// CloseWALs closes every live node's WAL and returns the world to JSON
-// checkpointing. The log directories stay on disk for inspection.
+// CloseWALs closes every live node's WAL. The log directories stay on
+// disk for inspection.
 func (w *World) CloseWALs() error {
 	var first error
 	for _, eng := range w.Engines {
@@ -214,7 +203,6 @@ func (w *World) CloseWALs() error {
 			first = err
 		}
 	}
-	w.walMode = false
 	return first
 }
 
@@ -238,30 +226,23 @@ func (w *World) ChaosLosses() (mailDrops int64, pairs map[[2]int]int64) {
 }
 
 // CrashISP kills compliant ISP i at the current virtual instant. Its
-// durable ledger is checkpointed to the chaos state dir first (the
-// paper-era daemon equivalent: the ledger is written through on every
-// mutation; only process state dies with the process).
+// WAL already holds every ledger mutation; only process state dies
+// with the process. A world without EnableWAL has nothing to restart
+// from, so the crash is refused.
 func (w *World) CrashISP(i int) error {
 	if i < 0 || i >= len(w.Engines) || w.Engines[i] == nil {
 		return fmt.Errorf("sim: isp[%d] is not a running compliant ISP", i)
 	}
+	if !w.Engines[i].WALAttached() {
+		return fmt.Errorf("sim: isp[%d] has no WAL to recover from (EnableWAL)", i)
+	}
 	st := w.Engines[i].ExportState()
-	if w.walMode {
-		// The WAL already holds every mutation; closing it both flushes
-		// the log and — because CloseWAL detaches before closing —
-		// guarantees the dead incarnation's stragglers (a pending freeze
-		// timer, say) can never write into the next incarnation's log.
-		if err := w.Engines[i].CloseWAL(); err != nil {
-			return err
-		}
-	} else {
-		path, err := w.chaosStatePath(nodeISP(i))
-		if err != nil {
-			return err
-		}
-		if err := persist.SaveJSON(path, st); err != nil {
-			return err
-		}
+	// Closing the WAL both flushes the log and — because CloseWAL
+	// detaches before closing — guarantees the dead incarnation's
+	// stragglers (a pending freeze timer, say) can never write into the
+	// next incarnation's log.
+	if err := w.Engines[i].CloseWAL(); err != nil {
+		return err
 	}
 	if err := w.Net.Crash(nodeISP(i)); err != nil {
 		return err
@@ -273,8 +254,8 @@ func (w *World) CrashISP(i int) error {
 	return nil
 }
 
-// RestartISP boots a fresh engine for ISP i from its persisted ledger
-// and rejoins it to the network as a new incarnation.
+// RestartISP boots a fresh engine for ISP i by replaying its WAL and
+// rejoins it to the network as a new incarnation.
 func (w *World) RestartISP(i int) error {
 	if i < 0 || i >= len(w.Engines) || !w.ispDown[i] {
 		return fmt.Errorf("sim: isp[%d] is not down", i)
@@ -283,22 +264,12 @@ func (w *World) RestartISP(i int) error {
 	if err != nil {
 		return err
 	}
-	if w.walMode {
-		path, err := w.chaosWALPath(nodeISP(i))
-		if err != nil {
-			return err
-		}
-		if err := eng.RecoverWAL(path); err != nil {
-			return fmt.Errorf("sim: recover isp[%d]: %w", i, err)
-		}
-	} else {
-		path, err := w.chaosStatePath(nodeISP(i))
-		if err != nil {
-			return err
-		}
-		if err := eng.LoadState(path); err != nil {
-			return fmt.Errorf("sim: restore isp[%d]: %w", i, err)
-		}
+	path, err := w.chaosWALPath(nodeISP(i))
+	if err != nil {
+		return err
+	}
+	if err := eng.RecoverWAL(path); err != nil {
+		return fmt.Errorf("sim: recover isp[%d]: %w", i, err)
 	}
 	if err := w.Net.Restart(nodeISP(i), w.ispHandler(eng)); err != nil {
 		return err
@@ -311,24 +282,18 @@ func (w *World) RestartISP(i int) error {
 
 // CrashBank kills the bank. The dead instance stays referenced for
 // read-only accounting (Outstanding) while down — its counters are
-// exactly the persisted ones, and the dead transport plus the network
-// crash guarantee it can neither hear nor speak.
+// exactly the logged ones, and the dead transport plus the network
+// crash guarantee it can neither hear nor speak. Like CrashISP it is
+// refused without a WAL.
 func (w *World) CrashBank() error {
 	if w.bankDown {
 		return errors.New("sim: bank is already down")
 	}
-	if w.walMode {
-		if err := w.Bank.CloseWAL(); err != nil {
-			return err
-		}
-	} else {
-		path, err := w.chaosStatePath(nodeBank)
-		if err != nil {
-			return err
-		}
-		if err := w.Bank.SaveState(path); err != nil {
-			return err
-		}
+	if !w.Bank.WALAttached() {
+		return errors.New("sim: bank has no WAL to recover from (EnableWAL)")
+	}
+	if err := w.Bank.CloseWAL(); err != nil {
+		return err
 	}
 	if err := w.Net.Crash(nodeBank); err != nil {
 		return err
@@ -338,7 +303,7 @@ func (w *World) CrashBank() error {
 	return nil
 }
 
-// RestartBank boots a fresh bank from the persisted ledger. If the old
+// RestartBank boots a fresh bank by replaying its WAL. If the old
 // instance died mid-round, the exported seq already accounts for the
 // consumed round (see bank.ExportState), so the next StartSnapshot is
 // convergent with engines that reported before the crash.
@@ -367,22 +332,12 @@ func (w *World) RestartBank() error {
 			return err
 		}
 	}
-	if w.walMode {
-		path, err := w.chaosWALPath(nodeBank)
-		if err != nil {
-			return err
-		}
-		if err := bk.RecoverWAL(path); err != nil {
-			return fmt.Errorf("sim: recover bank: %w", err)
-		}
-	} else {
-		path, err := w.chaosStatePath(nodeBank)
-		if err != nil {
-			return err
-		}
-		if err := bk.LoadState(path); err != nil {
-			return fmt.Errorf("sim: restore bank: %w", err)
-		}
+	path, err := w.chaosWALPath(nodeBank)
+	if err != nil {
+		return err
+	}
+	if err := bk.RecoverWAL(path); err != nil {
+		return fmt.Errorf("sim: recover bank: %w", err)
 	}
 	if err := w.Net.Restart(nodeBank, w.bankHandler()); err != nil {
 		return err
@@ -455,8 +410,7 @@ func (w *World) RunChaos(aud *chaos.Auditor, workload func(step int)) (retErr er
 		}()
 	}
 	// Crash persistence runs through per-node WALs: crashes close the
-	// mutation log, restarts replay it (the JSON path stays available
-	// for worlds driving CrashISP/RestartISP directly).
+	// mutation log, restarts replay it.
 	if err := w.EnableWAL(); err != nil {
 		return err
 	}

@@ -171,13 +171,60 @@ func TestChaosMidFlightLossesReconciled(t *testing.T) {
 	}
 }
 
-// TestISPRestartRestoresLedgerExactly round-trips a busy engine through
-// crash+restart and compares the restored ledger field by field.
-func TestISPRestartRestoresLedgerExactly(t *testing.T) {
-	w, err := NewWorld(Config{NumISPs: 3, UsersPerISP: 3, Seed: 11, ChaosDir: t.TempDir()})
+// walBackedWorld builds a world whose nodes log to WALs under a test
+// temp dir, so CrashISP/CrashBank have something to restart from.
+func walBackedWorld(t *testing.T, cfg Config) *World {
+	t.Helper()
+	cfg.ChaosDir = t.TempDir()
+	w, err := NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := w.EnableWAL(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := w.CloseWALs(); err != nil {
+			t.Error(err)
+		}
+	})
+	return w
+}
+
+// TestCrashWithoutWALRefused: a node with no WAL has nothing to restart
+// from, so its crash is refused and it stays up — before EnableWAL and
+// again after CloseWALs.
+func TestCrashWithoutWALRefused(t *testing.T) {
+	w, err := NewWorld(Config{NumISPs: 2, UsersPerISP: 1, Seed: 1, ChaosDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(when string) {
+		t.Helper()
+		if err := w.CrashISP(0); err == nil {
+			t.Fatalf("%s: CrashISP succeeded", when)
+		}
+		if err := w.CrashBank(); err == nil {
+			t.Fatalf("%s: CrashBank succeeded", when)
+		}
+		if w.ISPDown(0) || w.Engines[0] == nil || w.BankDown() {
+			t.Fatalf("%s: a refused crash took a node down", when)
+		}
+	}
+	refused("before EnableWAL")
+	if err := w.EnableWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.CloseWALs(); err != nil {
+		t.Fatal(err)
+	}
+	refused("after CloseWALs")
+}
+
+// TestISPRestartRestoresLedgerExactly round-trips a busy engine through
+// crash+restart and compares the restored ledger field by field.
+func TestISPRestartRestoresLedgerExactly(t *testing.T) {
+	w := walBackedWorld(t, Config{NumISPs: 3, UsersPerISP: 3, Seed: 11})
 	for i := 0; i < 10; i++ {
 		if _, err := w.Send(w.UserAddr(1, i%3), w.UserAddr(2, i%3), "t", "body"); err != nil {
 			t.Fatal(err)
@@ -239,10 +286,7 @@ func TestISPRestartRestoresLedgerExactly(t *testing.T) {
 // involving only the crashed ISP (its restored credit array predates
 // the round the others already reported).
 func TestCrashDuringFreezeRecovers(t *testing.T) {
-	w, err := NewWorld(Config{NumISPs: 3, UsersPerISP: 2, Seed: 3, FreezeDuration: time.Minute, ChaosDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := walBackedWorld(t, Config{NumISPs: 3, UsersPerISP: 2, Seed: 3, FreezeDuration: time.Minute})
 	for i := 0; i < 6; i++ {
 		if _, err := w.Send(w.UserAddr(1, 0), w.UserAddr(2, 0), "t", "body"); err != nil {
 			t.Fatal(err)
@@ -301,14 +345,10 @@ func TestCrashDuringFreezeRecovers(t *testing.T) {
 // restarted bank directly (the unit-level version of the auditor's
 // probe) and checks the mint counters do not move.
 func TestNonceReplayAfterBankRestart(t *testing.T) {
-	w, err := NewWorld(Config{
+	w := walBackedWorld(t, Config{
 		NumISPs: 2, UsersPerISP: 2, Seed: 17,
 		MinAvail: 200, MaxAvail: 4000, InitialAvail: 420,
-		ChaosDir: t.TempDir(),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var captured *wire.Envelope
 	w.Net.SetTrace(func(ev simnet.Event) {
 		if env, ok := ev.Payload.(*wire.Envelope); ok && !ev.Dropped &&

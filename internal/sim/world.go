@@ -81,7 +81,7 @@ type Config struct {
 	// World.RunChaos (see internal/chaos and chaos.go in this package).
 	// Nil disables chaos.
 	Chaos *chaos.Plan
-	// ChaosDir holds the per-node checkpoint files written during a
+	// ChaosDir holds the per-node WAL directories written during a
 	// chaos run; empty selects a fresh temp directory owned (and
 	// removed) by RunChaos.
 	ChaosDir string
@@ -198,10 +198,6 @@ type World struct {
 	chaosDir  string
 	losses    *lossLedger
 	probes    *replayProbes
-	// walMode routes crash checkpoints through per-node WALs instead of
-	// whole-state JSON: crashes close the log, restarts replay it
-	// (EnableWAL in chaos.go).
-	walMode bool
 }
 
 func nodeISP(i int) simnet.NodeID { return simnet.NodeID(fmt.Sprintf("isp%d", i)) }

@@ -20,7 +20,7 @@
 //   - observability: Tracer/TraceRing/TraceRecorder (per-message span
 //     chains), MetricsRegistry with pull-based Collectors and
 //     Prometheus text exposition, ObsvServer (the daemons' admin
-//     listener), and the Checkpointer persistence contract;
+//     listener), and the periodic WAL checkpoint timer;
 //   - the paper's formal AP specification and runtime (SpecNew);
 //   - the experiment suite: RunExperiment / RunAllExperiments.
 //
@@ -461,9 +461,6 @@ type (
 	ObsvServer = obsv.Server
 	// ObsvConfig wires an ObsvServer to registry, trace ring, health.
 	ObsvConfig = obsv.Config
-	// Checkpointer is the durable-state contract shared by ISP, Bank,
-	// and Node (SaveState/LoadState).
-	Checkpointer = persist.Checkpointer
 )
 
 // Observability constructors.
@@ -482,7 +479,8 @@ var (
 	NewLatencyHistogram = metrics.NewLatencyHist
 	// StartObsvServer binds an address and serves the admin endpoints.
 	StartObsvServer = obsv.Start
-	// StartCheckpoints periodically saves a Checkpointer to a path.
+	// StartCheckpoints runs a checkpoint function (Engine.Checkpoint,
+	// say) on a clock's interval.
 	StartCheckpoints = persist.StartCheckpoints
 )
 
