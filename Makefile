@@ -32,7 +32,7 @@ race:
 
 # Ledger, relay, data-path and control-plane benchmarks, serial vs parallel.
 bench:
-	$(GO) test -run xxx -bench 'EngineSend|EngineSubmitAsync|WorldStep|ISPSubmit|ISPReceive|NodeRelay|SMTPTxn|MailCodec' -benchmem .
+	$(GO) test -run xxx -bench 'EngineSend|EngineSubmitAsync|WorldStep|ISPSubmit|ISPReceive|NodeRelay|NodeListFanout|SMTPTxn|MailCodec' -benchmem .
 	$(GO) test -run xxx -bench 'BuyHandling|BankBatchOrder' -benchmem ./internal/bank/
 
 # Record the hot-path, batching, relay, message data path and

@@ -660,6 +660,71 @@ func BenchmarkNodeRelay(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeListFanout is one §5 mailing-list post end to end
+// through two real nodes on loopback: a 16-recipient list message
+// submitted over SMTP at the distributor's node, relayed to the
+// subscribers' node, credited and delivered there, and acked back, one
+// ack per subscriber. An op ends when all 16 deliveries and all 16 acks
+// have landed, so ns/op is one list transaction's round trip.
+func BenchmarkNodeListFanout(b *testing.B) {
+	const subscribers = 16
+	domains := []string{"isp0.example", "isp1.example"}
+	landed := make(chan struct{}, 2*subscribers)
+	var nodes [2]*zmail.Node
+	for i := range nodes {
+		node, err := zmail.NewNode(zmail.NodeConfig{
+			Engine: zmail.ISPConfig{
+				Index: i, Domain: domains[i], Directory: zmail.NewDirectory(domains, nil),
+				MinAvail: 1, MaxAvail: 1 << 42, InitialAvail: 1 << 41,
+				BankSealer: zmail.NullSealer{}, OwnSealer: zmail.NullSealer{},
+			},
+			ListenAddr: "127.0.0.1:0",
+			Mailbox:    func(string, *zmail.Message) { landed <- struct{}{} },
+			AckSink:    func(string, *zmail.Message) { landed <- struct{}{} },
+			Logf:       func(format string, args ...any) { b.Errorf(format, args...) },
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer node.Close()
+		nodes[i] = node
+	}
+	nodes[0].AddPeer(1, nodes[1].Addr().String())
+	nodes[1].AddPeer(0, nodes[0].Addr().String())
+	if err := nodes[0].Engine().RegisterUser("list", 0, 1<<40, 1<<40); err != nil {
+		b.Fatal(err)
+	}
+	from := zmail.MustParseAddress("list@isp0.example")
+	var rcpts []zmail.Address
+	for i := 0; i < subscribers; i++ {
+		name := fmt.Sprint("s", i)
+		if err := nodes[1].Engine().RegisterUser(name, 0, 0, 0); err != nil {
+			b.Fatal(err)
+		}
+		rcpts = append(rcpts, zmail.MustParseAddress(name+"@isp1.example"))
+	}
+	cl, err := zmail.DialSMTP(nodes[0].Addr().String(), 5*time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Hello("client.example"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		msg := zmail.NewMessage(from, rcpts[0], "post", "body")
+		msg.SetClass(zmail.ClassList)
+		if err := cl.Send(from, rcpts, msg); err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < 2*subscribers; j++ {
+			<-landed
+		}
+	}
+}
+
 func BenchmarkWorldThroughput(b *testing.B) {
 	w := benchWorld(b, 4)
 	rng := w.Rand()

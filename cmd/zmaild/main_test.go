@@ -146,6 +146,7 @@ func TestObsvSmoke(t *testing.T) {
 		{"zmail_relay_sessions", toPeer},
 		{"zmail_relay_dials_total", isp},
 		{"zmail_relay_sent_total", isp},
+		{"zmail_relay_rcpts_total", isp},
 		{"zmail_relay_retried_total", isp},
 		{"zmail_relay_failed_total", isp},
 	} {

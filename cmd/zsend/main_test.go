@@ -54,8 +54,9 @@ func TestZsendDeliversWithFlags(t *testing.T) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.msgs) != 2 {
-		t.Fatalf("deliveries = %d, want 2", len(s.msgs))
+	// One transaction carries both recipients.
+	if len(s.msgs) != 1 || len(s.msgs[0].Recipients()) != 2 {
+		t.Fatalf("%d transactions, want 1 with 2 recipients", len(s.msgs))
 	}
 	m := s.msgs[0]
 	if m.Subject() != "cli test" || m.Body != "sent by zsend" || m.Class() != mail.ClassList {

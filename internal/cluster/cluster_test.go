@@ -85,8 +85,9 @@ func TestClusterFederationEndToEnd(t *testing.T) {
 	if err := submit(c, 0, 2, 0, 3, "local"); err != nil {
 		t.Fatalf("submit isp0→isp0: %v", err)
 	}
-	// One transaction, three cross-ISP RCPTs: each recipient is charged
-	// and relayed on its own.
+	// One transaction, three cross-ISP RCPTs: the three share one charge
+	// of three and one relayed transaction, and each is credited and
+	// delivered at the peer.
 	from := userAddr(c, 0, 3)
 	rcpts := []mail.Address{userAddr(c, 1, 0), userAddr(c, 1, 2), userAddr(c, 1, 3)}
 	client, err := smtp.Dial(c.ISP(0).SMTPAddr(), 5*time.Second)

@@ -430,8 +430,9 @@ func (s *nodeSession) Rcpt(to mail.Address) error {
 	return nil
 }
 
-func (s *nodeSession) Data(to mail.Address, msg *mail.Message) error {
-	msg.To = to
+// Data takes one whole transaction: msg carries every recipient, and
+// the engine admits or receives them all or none.
+func (s *nodeSession) Data(_ mail.Address, msg *mail.Message) error {
 	if s.from.Domain == s.node.engine.Domain() {
 		// Local submission. Admission backpressure is temporary by
 		// definition — the queue drains — so it surfaces as a 451 the

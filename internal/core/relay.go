@@ -65,7 +65,8 @@ type relay struct {
 // relayStats counts relay work across all of a node's peers.
 type relayStats struct {
 	dials   atomic.Int64 // sessions opened
-	sent    atomic.Int64 // messages the peer acknowledged
+	sent    atomic.Int64 // transactions the peer acknowledged
+	rcpts   atomic.Int64 // recipients of those transactions
 	retried atomic.Int64 // resent on a fresh session after a stale one failed
 	failed  atomic.Int64 // given up on, each with a logged diagnostic
 }
@@ -219,13 +220,27 @@ type relaySession struct {
 // again — a duplicate would be charged at the peer a second time but
 // here only once, breaking credit_i[j] + credit_j[i] == 0 (§4.1) — and
 // is logged, like a refusal and an unreachable peer.
+//
+// A message for several of the peer's users goes as one transaction
+// with one RCPT each. The peer receives a transaction all or nothing,
+// so a refusal of one — any reply that is not a 250 — credited nobody:
+// such a message is split once into one-recipient transactions, each
+// sent by the rules above.
 func (s *relaySession) deliver(addr string, msg *mail.Message) {
 	n := s.relay.node
 	err := s.attempt(addr, msg)
 	var unsent *smtp.UnsentError
 	if errors.As(err, &unsent) {
 		n.relayStats.retried.Add(1)
-		err = s.attempt(s.relay.address(), msg)
+		addr = s.relay.address()
+		err = s.attempt(addr, msg)
+	}
+	var refused *smtp.ProtocolError
+	if len(msg.Rcpts) > 1 && errors.As(err, &refused) {
+		for _, to := range msg.Rcpts {
+			s.deliver(addr, msg.CopyFor(to))
+		}
+		return
 	}
 	if err != nil {
 		n.relayStats.failed.Add(1)
@@ -233,6 +248,7 @@ func (s *relaySession) deliver(addr string, msg *mail.Message) {
 		return
 	}
 	n.relayStats.sent.Add(1)
+	n.relayStats.rcpts.Add(int64(len(msg.Recipients())))
 }
 
 // attempt makes one try at sending msg, connecting to addr first if the
@@ -247,7 +263,7 @@ func (s *relaySession) attempt(addr string, msg *mail.Message) error {
 			return err
 		}
 	}
-	err := s.c.Send(msg.From, []mail.Address{msg.To}, msg)
+	err := s.c.Send(msg.From, msg.Recipients(), msg)
 	if err == nil {
 		return nil
 	}
@@ -294,9 +310,10 @@ func (s *relaySession) forget() {
 var _ metrics.Collector = (*Node)(nil)
 
 // Collect implements metrics.Collector for the relay layer: per peer,
-// the mail queued and the sessions open; per node, sessions dialed and
-// messages sent, resent after a stale session, and given up on. The
-// engine's own series come from Engine.Collect.
+// the mail queued and the sessions open; per node, sessions dialed,
+// transactions sent and their recipients (so rcpts/sent is recipients
+// per relayed transaction), resent after a stale session, and given up
+// on. The engine's own series come from Engine.Collect.
 func (n *Node) Collect(reg *metrics.Registry) {
 	isp := n.engine.Domain()
 	n.mu.Lock()
@@ -310,6 +327,7 @@ func (n *Node) Collect(reg *metrics.Registry) {
 	st := &n.relayStats
 	reg.Gauge("zmail_relay_dials_total", "isp", isp).Set(float64(st.dials.Load()))
 	reg.Gauge("zmail_relay_sent_total", "isp", isp).Set(float64(st.sent.Load()))
+	reg.Gauge("zmail_relay_rcpts_total", "isp", isp).Set(float64(st.rcpts.Load()))
 	reg.Gauge("zmail_relay_retried_total", "isp", isp).Set(float64(st.retried.Load()))
 	reg.Gauge("zmail_relay_failed_total", "isp", isp).Set(float64(st.failed.Load()))
 }

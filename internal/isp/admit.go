@@ -116,36 +116,32 @@ func (e *Engine) QueueStats() mempool.Stats {
 }
 
 // Submit accepts a message from a local user (the SMTP submission
-// path), applies the admission policy, and — when a queue is attached
-// — returns as soon as the message is admitted, leaving the ledger
-// commit to the drain workers. The policy mirrors the paid-path
-// checks: the sender must exist and hold at least one e-penny, and a
-// non-ack message must fit under the daily limit counting messages
-// already queued (sent + pending < limit), with the first limit
-// rejection of the day triggering the §5 zombie warning. A full queue
-// surfaces as ErrQueueFull backpressure.
+// path), applies the admission policy to its whole envelope, and —
+// when a queue is attached — returns as soon as the message is
+// admitted, leaving the ledger commit to the drain workers. For a
+// message with N recipients the policy mirrors the paid-path checks,
+// all or nothing, under one lock of the sender's stripe: the sender
+// must exist and hold at least N e-pennies, and a non-ack message must
+// fit N more under the daily limit counting messages already queued
+// (sent + pending + N ≤ limit), with the first limit rejection of the
+// day triggering the §5 zombie warning. An admitted message reserves
+// N and is one queue entry. A full queue surfaces as ErrQueueFull
+// backpressure.
 //
-// Without an attached queue Submit degenerates to a synchronous commit
-// (AdmitCommitted), so callers need not care how the engine was
-// deployed.
+// Without an attached queue Submit runs the same admission check and
+// then commits synchronously (AdmitCommitted), so callers need not
+// care how the engine was deployed.
 //
 // Admission is deliberately advisory: the commit path re-checks
 // balance and limit authoritatively, so a race between admission and
 // commit can only reject at commit (counted in Stats.QueueDropped),
 // never over-charge.
 func (e *Engine) Submit(msg *mail.Message) (Admission, error) {
-	q := e.queue.Load()
-	if q == nil {
-		if _, err := e.SubmitSync(msg); err != nil {
-			return 0, err
-		}
-		return AdmitCommitted, nil
-	}
-
 	start := e.cfg.Clock.Now()
 	if msg.From.Domain != e.cfg.Domain {
 		return 0, fmt.Errorf("isp: sender %v is not a %s user", msg.From, e.cfg.Domain)
 	}
+	n := int64(len(msg.Recipients()))
 	isAck := msg.Class() == mail.ClassAck
 	var em emitQueue
 	s := e.stripeFor(msg.From.Local)
@@ -155,12 +151,12 @@ func (e *Engine) Submit(msg *mail.Message) (Admission, error) {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("%w: %q", ErrUnknownUser, msg.From.Local)
 	}
-	if u.balance < 1 {
+	if int64(u.balance) < n {
 		s.mu.Unlock()
 		e.stats.balanceRejects.Add(1)
 		return 0, ErrInsufficientBalance
 	}
-	if !isAck && u.sent+u.pending >= u.limit {
+	if !isAck && u.sent+u.pending+n > u.limit {
 		e.stats.limitRejects.Add(1)
 		if !u.warnedToday {
 			u.warnedToday = true
@@ -172,15 +168,19 @@ func (e *Engine) Submit(msg *mail.Message) (Admission, error) {
 		em.run()
 		return 0, ErrLimitExceeded
 	}
-	u.pending++
+	q := e.queue.Load()
+	if q == nil {
+		s.mu.Unlock()
+		if _, err := e.SubmitSync(msg); err != nil {
+			return 0, err
+		}
+		return AdmitCommitted, nil
+	}
+	u.pending += n
 	s.mu.Unlock()
 
 	if !q.Offer(msg) {
-		e.lockStripe(s)
-		if u2, ok := s.users[msg.From.Local]; ok && u2.pending > 0 {
-			u2.pending--
-		}
-		s.mu.Unlock()
+		e.releasePending(msg.From.Local, n)
 		e.stats.queueRejected.Add(1)
 		return 0, ErrQueueFull
 	}
@@ -197,13 +197,18 @@ func (e *Engine) commitQueued(msg *mail.Message) {
 	if _, err := e.SubmitSync(msg); err != nil {
 		e.stats.queueDropped.Add(1)
 	}
-	// Release the reservation only after the commit's own sent++ has
+	// Release the reservation only after the commit's own sent += N has
 	// landed, so sent+pending never transiently undercounts and a
 	// concurrent burst cannot slip past the limit.
-	s := e.stripeFor(msg.From.Local)
+	e.releasePending(msg.From.Local, int64(len(msg.Recipients())))
+}
+
+// releasePending returns n of a sender's reserved sends.
+func (e *Engine) releasePending(name string, n int64) {
+	s := e.stripeFor(name)
 	e.lockStripe(s)
-	if u, ok := s.users[msg.From.Local]; ok && u.pending > 0 {
-		u.pending--
+	if u, ok := s.users[name]; ok {
+		u.pending = max(u.pending-n, 0)
 	}
 	s.mu.Unlock()
 }

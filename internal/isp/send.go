@@ -2,6 +2,7 @@ package isp
 
 import (
 	"fmt"
+	"slices"
 
 	"zmail/internal/mail"
 	"zmail/internal/money"
@@ -9,11 +10,19 @@ import (
 )
 
 // SubmitSync accepts a message from a local user and commits it to the
-// ledger before returning, routing per §4.1. The From address must
-// belong to this ISP. For paid paths the sender is charged one e-penny
-// and, unless the message is an acknowledgment, the daily limit is
-// enforced. During a snapshot freeze the message is buffered and
-// charged at thaw.
+// ledger before returning, routing each envelope recipient per §4.1.
+// The From address must belong to this ISP. For paid paths the sender
+// is charged one e-penny per recipient and, unless the message is an
+// acknowledgment, the daily limit is enforced. During a snapshot freeze
+// the message is buffered whole and charged at thaw.
+//
+// A message with several envelope recipients (mail.Message.Rcpts)
+// commits as one transaction: each local recipient is one transfer, as
+// a one-recipient message's is; the k recipients at one compliant peer
+// share one charge of k, one WAL record, one credit add and one relayed
+// message; those at one other domain share one unpaid send. A group
+// that fails does not stop the others; the outcome is the first
+// group's, the error the first failure.
 //
 // SubmitSync is the synchronous half of the submit surface: the
 // deterministic simulator, tests, and golden paths call it directly so
@@ -50,7 +59,8 @@ func (e *Engine) traceFor(msg *mail.Message) trace.ID {
 }
 
 func (e *Engine) submit(em *emitQueue, msg *mail.Message, thawing bool) (SendOutcome, error) {
-	e.stats.submitted.Add(1)
+	rcpts := msg.Recipients()
+	e.stats.submitted.Add(int64(len(rcpts)))
 
 	if msg.From.Domain != e.cfg.Domain {
 		return 0, fmt.Errorf("isp: sender %v is not a %s user", msg.From, e.cfg.Domain)
@@ -59,7 +69,8 @@ func (e *Engine) submit(em *emitQueue, msg *mail.Message, thawing bool) (SendOut
 		msg.SetHeader(mail.HeaderMsgID, e.msgIDs.Next())
 	}
 	// Mint (or adopt) the flow ID before any branch, so even buffered
-	// mail carries its ID into the thaw-time charge.
+	// mail carries its ID into the thaw-time charge. A message has one
+	// Message-Id and one flow ID, however many recipients it has.
 	tid := e.traceFor(msg)
 
 	e.freezeMu.RLock()
@@ -71,7 +82,8 @@ func (e *Engine) submit(em *emitQueue, msg *mail.Message, thawing bool) (SendOut
 	// buffered and sent right after the timeout expires". Charging
 	// happens at thaw so the balance check reflects reality then. The
 	// sender must still exist now — buffering mail for nobody would
-	// just defer the error.
+	// just defer the error. The message is buffered whole and replayed
+	// whole.
 	if e.frozen && !thawing {
 		e.lockStripe(ss)
 		_, ok := ss.users[msg.From.Local]
@@ -82,122 +94,206 @@ func (e *Engine) submit(em *emitQueue, msg *mail.Message, thawing bool) (SendOut
 		e.mu.Lock()
 		e.outbox = append(e.outbox, msg)
 		e.mu.Unlock()
-		e.stats.buffered.Add(1)
+		e.stats.buffered.Add(int64(len(rcpts)))
 		e.tracer.Record(tid, "buffer", 0, "frozen")
 		return SentBuffered, nil
 	}
 
 	isAck := msg.Class() == mail.ClassAck
+	if len(rcpts) > 1 {
+		return e.submitEnvelope(em, msg, ss, tid, isAck)
+	}
 	toIndex, toCompliant, known := e.cfg.Directory.Lookup(msg.To.Domain)
-
-	// Local delivery (the paper's i = j branch): one atomic transfer
-	// between two balances, which may live in two different stripes.
 	if msg.To.Domain == e.cfg.Domain {
-		rs := e.stripeFor(msg.To.Local)
-		e.lockTwoStripes(ss, rs)
-		sender, ok := ss.users[msg.From.Local]
-		if !ok {
-			unlockTwoStripes(ss, rs)
-			return 0, fmt.Errorf("%w: %q", ErrUnknownUser, msg.From.Local)
-		}
-		recipient, ok := rs.users[msg.To.Local]
-		if !ok {
-			unlockTwoStripes(ss, rs)
-			return 0, fmt.Errorf("%w: %q", ErrUnknownUser, msg.To.Local)
-		}
-		if err := e.charge(em, sender, isAck); err != nil {
-			unlockTwoStripes(ss, rs)
-			e.tracer.Record(tid, "charge", 0, "rejected")
-			return 0, err
-		}
-		recipient.balance++
-		kind := EntrySent
-		if isAck {
-			kind = EntryAckSent
-		}
-		sentDelta := int64(1)
-		if isAck {
-			sentDelta = 0
-		}
-		se := e.journalUser(sender, kind, msg.To.String(), -1, 0, msg.ID())
-		re := e.journalUser(recipient, EntryReceived, msg.From.String(), +1, 0, msg.ID())
-		e.walSend(ss.idx, sender.name, -1, sentDelta, se)
-		e.walSend(rs.idx, recipient.name, +1, 0, re)
-		unlockTwoStripes(ss, rs)
-		e.tracer.Record(tid, "charge", -1, "local")
-		e.tracer.Record(tid, "credit", +1, "local")
-		e.deliver(em, msg.To.Local, msg)
-		return SentLocal, nil
+		return e.sendLocal(em, msg, ss, tid, isAck)
 	}
-
-	// Remote, compliant peer (the paper's compliant[j] branch): charge
-	// the sender, raise our claim against the peer, transmit.
 	if known && toCompliant {
-		e.lockStripe(ss)
-		sender, ok := ss.users[msg.From.Local]
-		if !ok {
-			ss.mu.Unlock()
-			return 0, fmt.Errorf("%w: %q", ErrUnknownUser, msg.From.Local)
-		}
-		if err := e.charge(em, sender, isAck); err != nil {
-			ss.mu.Unlock()
-			e.tracer.Record(tid, "charge", 0, "rejected")
-			return 0, err
-		}
-		kind := EntrySent
-		if isAck {
-			kind = EntryAckSent
-		}
-		sentDelta := int64(1)
-		if isAck {
-			sentDelta = 0
-		}
-		se := e.journalUser(sender, kind, msg.To.String(), -1, 0, msg.ID())
-		e.walSend(ss.idx, sender.name, -1, sentDelta, se)
-		ss.mu.Unlock()
-		if !e.cheat.Load() {
-			e.credit[toIndex].Add(1)
-			e.walCreditAdd(toIndex, 1)
-		}
-		e.stats.sentPaid.Add(1)
-		e.tracer.Record(tid, "charge", -1, "paid")
-		em.add(func() { e.cfg.Transport.SendMail(toIndex, msg.To.Domain, msg) })
-		return SentPaid, nil
+		return e.sendPaid(em, msg, ss, toIndex, tid, isAck)
 	}
+	return e.sendUnpaid(em, msg, ss, toIndex, tid)
+}
 
-	// Remote, non-compliant or foreign (the paper's ~compliant[j]
-	// branch): plain SMTP, no charge, no limit — but still only for a
-	// real local sender.
+// submitEnvelope commits a message with several envelope recipients
+// (see SubmitSync). The caller holds freezeMu for read.
+func (e *Engine) submitEnvelope(em *emitQueue, msg *mail.Message, ss *accountStripe, tid trace.ID, isAck bool) (SendOutcome, error) {
+	var outcome SendOutcome
+	var firstErr error
+	note := func(out SendOutcome, err error) {
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			return
+		}
+		if outcome == 0 {
+			outcome = out
+		}
+	}
+	// Remote recipients, grouped by domain in order of first appearance.
+	var groups [][]mail.Address
+	for _, to := range msg.Rcpts {
+		if to.Domain == e.cfg.Domain {
+			note(e.sendLocal(em, msg.CopyFor(to), ss, tid, isAck))
+			continue
+		}
+		i := slices.IndexFunc(groups, func(g []mail.Address) bool { return g[0].Domain == to.Domain })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], to)
+	}
+	// A peer's group debits k and credits k. It commits inside a
+	// function literal, which moneyflow proves on its own: summed over
+	// this loop, E4's cheat mode (a debit left uncredited on purpose)
+	// would leave the analysis no bound.
+	send := func(out *mail.Message) {
+		toIndex, toCompliant, known := e.cfg.Directory.Lookup(out.To.Domain)
+		if known && toCompliant {
+			note(e.sendPaid(em, out, ss, toIndex, tid, isAck))
+			return
+		}
+		note(e.sendUnpaid(em, out, ss, toIndex, tid))
+	}
+	for _, g := range groups {
+		send(envelopeFor(msg, g))
+	}
+	return outcome, firstErr
+}
+
+// envelopeFor returns the message that carries rcpts, some of msg's
+// recipients, to their one domain: msg itself when they are all of
+// them, otherwise a copy addressed to rcpts alone.
+func envelopeFor(msg *mail.Message, rcpts []mail.Address) *mail.Message {
+	if len(rcpts) == len(msg.Recipients()) {
+		return msg
+	}
+	out := msg.CopyFor(rcpts[0])
+	if len(rcpts) > 1 {
+		out.Rcpts = rcpts
+	}
+	return out
+}
+
+// sendLocal is the paper's i = j branch for msg.To: one atomic
+// transfer between two balances, which may live in two different
+// stripes. The caller holds freezeMu for read.
+func (e *Engine) sendLocal(em *emitQueue, msg *mail.Message, ss *accountStripe, tid trace.ID, isAck bool) (SendOutcome, error) {
+	rs := e.stripeFor(msg.To.Local)
+	e.lockTwoStripes(ss, rs)
+	sender, ok := ss.users[msg.From.Local]
+	if !ok {
+		unlockTwoStripes(ss, rs)
+		return 0, fmt.Errorf("%w: %q", ErrUnknownUser, msg.From.Local)
+	}
+	recipient, ok := rs.users[msg.To.Local]
+	if !ok {
+		unlockTwoStripes(ss, rs)
+		return 0, fmt.Errorf("%w: %q", ErrUnknownUser, msg.To.Local)
+	}
+	if err := e.charge(em, sender, 1, isAck); err != nil {
+		unlockTwoStripes(ss, rs)
+		e.tracer.Record(tid, "charge", 0, "rejected")
+		return 0, err
+	}
+	recipient.balance++
+	kind := EntrySent
+	if isAck {
+		kind = EntryAckSent
+	}
+	sentDelta := int64(1)
+	if isAck {
+		sentDelta = 0
+	}
+	se := e.journalUser(sender, kind, msg.To.String(), -1, 0, msg.ID())
+	re := e.journalUser(recipient, EntryReceived, msg.From.String(), +1, 0, msg.ID())
+	e.walSend(ss.idx, sender.name, -1, sentDelta, se)
+	e.walSend(rs.idx, recipient.name, +1, 0, re)
+	unlockTwoStripes(ss, rs)
+	e.tracer.Record(tid, "charge", -1, "local")
+	e.tracer.Record(tid, "credit", +1, "local")
+	e.deliver(em, msg.To.Local, msg)
+	return SentLocal, nil
+}
+
+// sendPaid is the paper's compliant[j] branch for the k recipients of
+// msg, all at peer toIndex: charge the sender k, raise our claim
+// against the peer by k, transmit msg once. The sender's journal gets
+// one entry per recipient, logged in one record. The caller holds
+// freezeMu for read.
+func (e *Engine) sendPaid(em *emitQueue, msg *mail.Message, ss *accountStripe, toIndex int, tid trace.ID, isAck bool) (SendOutcome, error) {
+	rcpts := msg.Recipients()
+	k := len(rcpts)
+	e.lockStripe(ss)
+	sender, ok := ss.users[msg.From.Local]
+	if !ok {
+		ss.mu.Unlock()
+		return 0, fmt.Errorf("%w: %q", ErrUnknownUser, msg.From.Local)
+	}
+	if err := e.charge(em, sender, k, isAck); err != nil {
+		ss.mu.Unlock()
+		e.tracer.Record(tid, "charge", 0, "rejected")
+		return 0, err
+	}
+	kind := EntrySent
+	if isAck {
+		kind = EntryAckSent
+	}
+	sentDelta := int64(k)
+	if isAck {
+		sentDelta = 0
+	}
+	var one [1]Entry
+	entries := one[:0]
+	if k > 1 {
+		entries = make([]Entry, 0, k)
+	}
+	for _, to := range rcpts {
+		entries = append(entries, e.journalUser(sender, kind, to.String(), -1, 0, msg.ID()))
+	}
+	e.walSend(ss.idx, sender.name, -int64(k), sentDelta, entries...)
+	ss.mu.Unlock()
+	if !e.cheat.Load() {
+		e.credit[toIndex].Add(int64(k))
+		e.walCreditAdd(toIndex, int64(k))
+	}
+	e.stats.sentPaid.Add(int64(k))
+	e.tracer.Record(tid, "charge", -int64(k), "paid")
+	em.add(func() { e.cfg.Transport.SendMail(toIndex, msg.To.Domain, msg) })
+	return SentPaid, nil
+}
+
+// sendUnpaid is the paper's ~compliant[j] branch for the recipients of
+// msg, all at one non-compliant ISP or foreign domain (toIndex -1):
+// plain SMTP, no charge, no limit — but still only for a real local
+// sender.
+func (e *Engine) sendUnpaid(em *emitQueue, msg *mail.Message, ss *accountStripe, toIndex int, tid trace.ID) (SendOutcome, error) {
 	e.lockStripe(ss)
 	_, ok := ss.users[msg.From.Local]
 	ss.mu.Unlock()
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownUser, msg.From.Local)
 	}
-	e.stats.sentUnpaid.Add(1)
+	e.stats.sentUnpaid.Add(int64(len(msg.Recipients())))
 	e.tracer.Record(tid, "send", 0, "unpaid")
-	idx := toIndex
-	if !known {
-		idx = -1
-	}
-	em.add(func() { e.cfg.Transport.SendMail(idx, msg.To.Domain, msg) })
+	em.add(func() { e.cfg.Transport.SendMail(toIndex, msg.To.Domain, msg) })
 	return SentUnpaid, nil
 }
 
-// charge debits one e-penny and bumps the daily counter. The caller
-// holds the sender's stripe lock. Acks bypass the limit: they are
-// generated by the machinery, not the user, and each is funded by an
-// e-penny the user just received.
+// charge debits n e-pennies and bumps the daily counter by n. The
+// caller holds the sender's stripe lock. Acks bypass the limit: they
+// are generated by the machinery, not the user, and each is funded by
+// an e-penny the user just received.
 //
 // The first limit rejection of a user's day also triggers the §5
 // zombie warning ("the user is sent a warning message to check for
 // viruses") — delivered free of charge into the user's own mailbox.
-func (e *Engine) charge(em *emitQueue, sender *user, isAck bool) error {
-	if sender.balance < 1 {
+func (e *Engine) charge(em *emitQueue, sender *user, n int, isAck bool) error {
+	if sender.balance < money.EPenny(n) {
 		e.stats.balanceRejects.Add(1)
 		return ErrInsufficientBalance
 	}
-	if !isAck && sender.sent >= sender.limit {
+	if !isAck && sender.sent+int64(n) > sender.limit {
 		e.stats.limitRejects.Add(1)
 		if !sender.warnedToday {
 			sender.warnedToday = true
@@ -207,14 +303,15 @@ func (e *Engine) charge(em *emitQueue, sender *user, isAck bool) error {
 		}
 		return ErrLimitExceeded
 	}
-	// The debit pairs with recipient.balance++ (local) or credit.Add(1)
-	// (paid remote) in submit — except in cheat mode (experiment E4),
-	// which skips the credit on purpose; the bank's §4.4 verification,
-	// not local conservation, is what catches a cheating ISP.
+	// The debit pairs with recipient.balance++ (local) or credit.Add(k)
+	// (paid remote) in the caller — except in cheat mode (experiment
+	// E4), which skips the credit on purpose; the bank's §4.4
+	// verification, not local conservation, is what catches a cheating
+	// ISP.
 	//zlint:ignore moneyflow E4 cheat mode deliberately leaves this debit uncredited; bank-side verification is the enforcement
-	sender.balance--
+	sender.balance -= money.EPenny(n)
 	if !isAck {
-		sender.sent++
+		sender.sent += int64(n)
 	}
 	return nil
 }
@@ -290,10 +387,17 @@ func (e *Engine) generateAck(local string, listMsg *mail.Message) {
 // server path). fromDomain identifies the transmitting ISP — in a real
 // deployment it is authenticated by the SMTP session (connecting IP /
 // HELO verification); here it is taken from the session metadata the
-// transport provides. Per §4.1, mail from a compliant peer earns the
-// recipient one e-penny and decrements our credit entry for that peer;
-// mail from anyone else is subject to the configured unpaid-mail
-// policy.
+// transport provides. Per §4.1, mail from a compliant peer earns each
+// recipient one e-penny and decrements our credit entry for that peer
+// by one; mail from anyone else is subject to the configured
+// unpaid-mail policy.
+//
+// A message with several envelope recipients is taken all or nothing:
+// every recipient must be a user of this domain before any is
+// credited, so a refusal means nobody was paid and the sender may
+// retry each recipient on its own. Each recipient then gets its own
+// copy, its own credit and, for list mail, its own ack, all under one
+// freeze read hold, so the transaction falls in one billing period.
 //
 // ReceiveRemote is safe for concurrent use; inbound mail keeps flowing
 // during a snapshot freeze (the §4.4 quiet period exists precisely so
@@ -308,8 +412,20 @@ func (e *Engine) ReceiveRemote(fromDomain string, msg *mail.Message) error {
 }
 
 func (e *Engine) receiveRemote(em *emitQueue, fromDomain string, msg *mail.Message) error {
-	if msg.To.Domain != e.cfg.Domain {
-		return fmt.Errorf("isp: message for %v relayed to wrong ISP %s", msg.To, e.cfg.Domain)
+	rcpts := msg.Recipients()
+	for _, to := range rcpts {
+		if to.Domain != e.cfg.Domain {
+			return fmt.Errorf("isp: message for %v relayed to wrong ISP %s", to, e.cfg.Domain)
+		}
+	}
+	if len(rcpts) > 1 {
+		// Users are never deleted, so one found here is still there
+		// when it is credited below.
+		for _, to := range rcpts {
+			if _, ok := e.User(to.Local); !ok {
+				return fmt.Errorf("%w: %q", ErrUnknownUser, to.Local)
+			}
+		}
 	}
 
 	e.freezeMu.RLock()
@@ -318,57 +434,62 @@ func (e *Engine) receiveRemote(em *emitQueue, fromDomain string, msg *mail.Messa
 	// Adopt the sender's flow ID; foreign mail has no header and stays
 	// untraced (zero ID spans are recorded but unlinked).
 	tid, _ := trace.ParseID(msg.Header(mail.HeaderTrace))
-
-	rs := e.stripeFor(msg.To.Local)
 	fromIndex, fromCompliant, known := e.cfg.Directory.Lookup(fromDomain)
 
-	if known && fromCompliant {
-		e.lockStripe(rs)
-		recipient, ok := rs.users[msg.To.Local]
-		if !ok {
-			rs.mu.Unlock()
-			return fmt.Errorf("%w: %q", ErrUnknownUser, msg.To.Local)
+	for _, to := range rcpts {
+		m := msg
+		if len(rcpts) > 1 {
+			m = msg.CopyFor(to)
 		}
-		recipient.balance++
-		re := e.journalUser(recipient, EntryReceived, msg.From.String(), +1, 0, msg.ID())
-		e.walSend(rs.idx, recipient.name, +1, 0, re)
-		rs.mu.Unlock()
-		e.credit[fromIndex].Add(-1)
-		e.walCreditAdd(fromIndex, -1)
-		e.stats.receivedPaid.Add(1)
-		e.tracer.Record(tid, "transfer", -1, "paid")
-		e.tracer.Record(tid, "credit", +1, "delivered")
-		e.deliver(em, msg.To.Local, msg)
-		return nil
-	}
+		rs := e.stripeFor(to.Local)
+		if known && fromCompliant {
+			e.lockStripe(rs)
+			recipient, ok := rs.users[to.Local]
+			if !ok {
+				rs.mu.Unlock()
+				return fmt.Errorf("%w: %q", ErrUnknownUser, to.Local)
+			}
+			recipient.balance++
+			re := e.journalUser(recipient, EntryReceived, m.From.String(), +1, 0, m.ID())
+			e.walSend(rs.idx, recipient.name, +1, 0, re)
+			rs.mu.Unlock()
+			e.credit[fromIndex].Add(-1)
+			e.walCreditAdd(fromIndex, -1)
+			e.stats.receivedPaid.Add(1)
+			e.tracer.Record(tid, "transfer", -1, "paid")
+			e.tracer.Record(tid, "credit", +1, "delivered")
+			e.deliver(em, to.Local, m)
+			continue
+		}
 
-	// Unpaid mail: the recipient must exist, then apply policy.
-	e.lockStripe(rs)
-	_, ok := rs.users[msg.To.Local]
-	rs.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownUser, msg.To.Local)
-	}
-	e.stats.receivedUnpaid.Add(1)
-	switch e.cfg.Policy {
-	case RejectUnpaid:
-		e.stats.discarded.Add(1)
-		e.tracer.Record(tid, "receive", 0, "discarded")
-		return nil
-	case FilterUnpaid:
-		//zlint:ignore lockscope the spam filter must classify before the delivery decision counts, and freezeMu is held in shared mode here — a freeze waits at worst one filter call, and filters are pure in-memory classifiers by contract (§2.1 unpaid-mail policy)
-		if e.cfg.Filter != nil && !e.cfg.Filter(msg) {
+		// Unpaid mail: the recipient must exist, then apply policy.
+		e.lockStripe(rs)
+		_, ok := rs.users[to.Local]
+		rs.mu.Unlock()
+		if !ok {
+			return fmt.Errorf("%w: %q", ErrUnknownUser, to.Local)
+		}
+		e.stats.receivedUnpaid.Add(1)
+		switch e.cfg.Policy {
+		case RejectUnpaid:
 			e.stats.discarded.Add(1)
 			e.tracer.Record(tid, "receive", 0, "discarded")
-			return nil
+			continue
+		case FilterUnpaid:
+			//zlint:ignore lockscope the spam filter must classify before the delivery decision counts, and freezeMu is held in shared mode here — a freeze waits at worst one filter call, and filters are pure in-memory classifiers by contract (§2.1 unpaid-mail policy)
+			if e.cfg.Filter != nil && !e.cfg.Filter(m) {
+				e.stats.discarded.Add(1)
+				e.tracer.Record(tid, "receive", 0, "discarded")
+				continue
+			}
+		case TagUnpaid:
+			m.SetHeader(HeaderUnpaid, "yes")
 		}
-	case TagUnpaid:
-		msg.SetHeader(HeaderUnpaid, "yes")
+		e.stats.deliveredLocal.Add(1)
+		e.tracer.Record(tid, "receive", 0, "delivered")
+		local := to.Local
+		em.add(func() { e.cfg.Transport.DeliverLocal(local, m) })
 	}
-	e.stats.deliveredLocal.Add(1)
-	e.tracer.Record(tid, "receive", 0, "delivered")
-	local := msg.To.Local
-	em.add(func() { e.cfg.Transport.DeliverLocal(local, msg) })
 	return nil
 }
 

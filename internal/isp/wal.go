@@ -38,7 +38,7 @@ import (
 // ISP WAL record kinds (first payload byte).
 const (
 	ispRecUserPut    byte = iota + 1 // full user row + pool delta (idempotent)
-	ispRecSend                       // balance/sent delta + journal entry
+	ispRecSend                       // balance/sent delta + one journal entry per e-penny
 	ispRecWarn                       // zombie warning flag set
 	ispRecTrade                      // user buy/sell: account/balance/pool deltas + entry
 	ispRecPoolAdd                    // pool delta (bank trades, escrow, refunds)
@@ -136,9 +136,11 @@ func (e *Engine) walUserPut(seg int, u *user, poolDelta int64) {
 	e.walAppend(w, seg, enc.B, encErr)
 }
 
-// walSend logs a send/receive balance movement plus its journal entry.
-// Caller holds the user's stripe lock.
-func (e *Engine) walSend(seg int, name string, balDelta, sentDelta int64, en Entry) {
+// walSend logs a send/receive balance movement plus its journal
+// entries, one per e-penny moved: |balDelta| of them, so a charge of k
+// to one peer is one record with k entries and a one-recipient record
+// is unchanged. Caller holds the user's stripe lock.
+func (e *Engine) walSend(seg int, name string, balDelta, sentDelta int64, ens ...Entry) {
 	w := e.wal.Load()
 	if w == nil {
 		return
@@ -148,7 +150,12 @@ func (e *Engine) walSend(seg int, name string, balDelta, sentDelta int64, en Ent
 	enc.Str(name)
 	enc.I64(balDelta)
 	enc.I64(sentDelta)
-	err := walEncEntry(&enc, en)
+	var err error
+	for _, en := range ens {
+		if err = walEncEntry(&enc, en); err != nil {
+			break
+		}
+	}
 	e.walAppend(w, seg, enc.B, err)
 }
 
@@ -343,7 +350,17 @@ func (r *ispReplay) apply(seg int, payload []byte) error {
 		name := d.Str()
 		balDelta := d.I64()
 		sentDelta := d.I64()
-		en := walDecEntry(d)
+		// One entry per e-penny moved, and no entry is shorter than a
+		// byte, so a corrupt count cannot outrun the payload.
+		n := max(balDelta, -balDelta)
+		if n < 1 || n > int64(len(payload)) {
+			return persist.ErrBadRecord
+		}
+		var one [1]Entry
+		ens := one[:0]
+		for i := int64(0); i < n; i++ {
+			ens = append(ens, walDecEntry(d))
+		}
 		if err := d.Err(); err != nil {
 			return err
 		}
@@ -353,8 +370,10 @@ func (r *ispReplay) apply(seg int, payload []byte) error {
 		}
 		row.Balance = row.Balance + balDelta
 		row.Sent += sentDelta
-		appendJournal(row, en)
-		r.bumpSeq(en)
+		for _, en := range ens {
+			appendJournal(row, en)
+			r.bumpSeq(en)
+		}
 	case ispRecWarn:
 		name := d.Str()
 		if err := d.Err(); err != nil {

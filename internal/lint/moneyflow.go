@@ -16,7 +16,10 @@ package lint
 // expressions with signed counts: `e.avail -= e.sellVal` adds
 // ("e.sellVal", -1) and a later `e.avail += e.sellVal` cancels it.
 // Same-package calls apply the callee's summary (its possible exit
-// deltas) interprocedurally, split by error outcome: sets produced by a
+// deltas) interprocedurally, with amounts that are the callee's own
+// parameters renamed to the caller's arguments (a debit of `n` in
+// `charge` is a debit of `k` at `charge(…, k, …)`), split by error
+// outcome: sets produced by a
 // callee's `return ..., <err>` paths are tagged with the caller's error
 // variable, and an `if err != nil` branch filters the impossible
 // combination — so `n, err := charge(); if err != nil { return }` does
@@ -296,6 +299,7 @@ type mwEvent struct {
 	coef    int64
 	pos     token.Pos
 	callee  *types.Func
+	args    []ast.Expr
 	errVar  string
 	callPos token.Pos
 }
@@ -541,7 +545,7 @@ func (a *mwAnalyzer) transfer(s *moneyState, n ast.Node) *moneyState {
 		apply := func(callee []*deltaSet, errOutcome bool) {
 			for _, base := range s.sets {
 				for _, d := range callee {
-					m := base.merge(d)
+					m := base.merge(a.bindArgs(d, target.sig, ev.args))
 					if ev.errVar != "" {
 						m.errVar, m.errOutcome = ev.errVar, errOutcome
 					} else {
@@ -565,6 +569,36 @@ func (a *mwAnalyzer) transfer(s *moneyState, n ast.Node) *moneyState {
 		s = s.withSets(next, ev.callPos)
 	}
 	return s
+}
+
+// bindArgs renames the amounts of a callee's delta that are its own
+// parameters to the caller's argument expressions, so a helper that
+// debits its parameter n debits "1" at `charge(…, 1, …)` and "k" at
+// `charge(…, k, …)`, and pairs with the caller's credit of the same.
+func (a *mwAnalyzer) bindArgs(d *deltaSet, sig *types.Signature, args []ast.Expr) *deltaSet {
+	if sig == nil || sig.Variadic() || sig.Params().Len() != len(args) {
+		return d
+	}
+	var out *deltaSet
+	for i := 0; i < len(args); i++ {
+		name := sig.Params().At(i).Name()
+		c, ok := d.net[name]
+		if !ok || name == "_" {
+			continue
+		}
+		if out == nil {
+			out = d.clone()
+		}
+		amt, sign := canonAmount(a.u.Pkg.Info, args[i])
+		pos := out.pos[name]
+		delete(out.net, name)
+		delete(out.pos, name)
+		out = out.add(amt, sign*c, pos)
+	}
+	if out == nil {
+		return d
+	}
+	return out
 }
 
 // scanNode extracts the ledger events of one statement or condition, in
@@ -615,7 +649,7 @@ func (a *mwAnalyzer) scanNode(n ast.Node) []mwEvent {
 			}
 			if fn := calleeFunc(info, m); fn != nil {
 				events = append(events, mwEvent{
-					isCall: true, callee: fn,
+					isCall: true, callee: fn, args: m.Args,
 					errVar: errVarOf[m], callPos: m.Pos(),
 				})
 			}

@@ -59,6 +59,23 @@ func Settle(l *ledger, n int) {
 	}
 }
 
+// debitN debits its parameter: at each call the amount is the argument.
+func debitN(l *ledger, n int64) {
+	l.avail -= n
+}
+
+// SendOne and SendMany pair debitN's n with a credit of what they
+// passed, a literal and a variable.
+func SendOne(l *ledger, to int) {
+	debitN(l, 1)
+	l.credit[to]++
+}
+
+func SendMany(l *ledger, to int, k int64) {
+	debitN(l, k)
+	l.credit[to] += k
+}
+
 // blessedMint is on the fixture bless-list (Config.MintFuncs): the
 // sanctioned point where e-pennies enter the economy.
 func blessedMint(l *ledger) {

@@ -213,6 +213,36 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestRecipients: one recipient is a view of To that costs nothing;
+// several are Rcpts. Clone keeps the envelope, CopyFor narrows it to one
+// recipient, and neither aliases the original's list.
+func TestRecipients(t *testing.T) {
+	a, b := MustParseAddress("a@y.example"), MustParseAddress("b@y.example")
+	m := NewMessage(MustParseAddress("s@x.example"), a, "s", "b")
+	if got := m.Recipients(); len(got) != 1 || got[0] != a {
+		t.Fatalf("one-recipient Recipients() = %v", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = m.Recipients() }); n != 0 {
+		t.Fatalf("Recipients() of one allocates %v times, want 0", n)
+	}
+	m.Rcpts = []Address{a, b}
+	if got := m.Recipients(); len(got) != 2 || got[1] != b {
+		t.Fatalf("Recipients() = %v", got)
+	}
+	c := m.Clone()
+	c.Rcpts[1] = a
+	if m.Rcpts[1] != b || len(c.Recipients()) != 2 {
+		t.Fatal("Clone aliases or drops the envelope recipients")
+	}
+	one := m.CopyFor(b)
+	if one.To != b || one.Rcpts != nil || one.Subject() != "s" {
+		t.Fatalf("CopyFor(b) = To %v, Rcpts %v", one.To, one.Rcpts)
+	}
+	if strings.Contains(m.Encode(), b.String()) {
+		t.Fatal("Encode wrote an envelope recipient")
+	}
+}
+
 func TestMessageIDCounter(t *testing.T) {
 	c := NewMessageIDCounter("dom.example")
 	a, b := c.Next(), c.Next()

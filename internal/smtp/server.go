@@ -12,6 +12,10 @@
 // comes, by the read buffer; an oversized DATA is read to its "." and
 // refused once, the session still in step.
 //
+// A transaction reaches the Backend once, however many recipients it
+// names: Session.Data gets one message whose envelope carries them all
+// (mail.Message.Rcpts), and its one answer is the transaction's.
+//
 // Zmail requires no change to SMTP (§1.3 of the paper): payment
 // bookkeeping happens inside the receiving and sending ISPs, keyed off
 // the (authenticated) peer identity. The server surfaces that identity
@@ -29,7 +33,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"zmail/internal/mail"
@@ -86,12 +89,13 @@ type Session interface {
 	Mail(from mail.Address) error
 	// Rcpt adds an envelope recipient.
 	Rcpt(to mail.Address) error
-	// Data finalizes the transaction with the parsed message, invoked
-	// once per recipient. The calls for one transaction's recipients
-	// may run concurrently (each with its own message copy), so
-	// implementations must be safe for concurrent use — the ledger
-	// engine behind the daemon is lock-striped precisely so these
-	// deliveries do not serialize.
+	// Data finalizes the transaction with the parsed message. It runs
+	// once per transaction, whatever the number of recipients: msg.To
+	// is the first accepted recipient, and msg.Rcpts, when there is
+	// more than one, lists them all in RCPT order. An error fails the
+	// whole transaction. to is msg.To; it stays only because the
+	// federation benchmark (bench/) implements this interface, and the
+	// next change to that module drops it.
 	Data(to mail.Address, msg *mail.Message) error
 	// Reset aborts the in-progress transaction (RSET or new MAIL).
 	Reset()
@@ -392,17 +396,23 @@ func (s *Server) serveConn(conn net.Conn) {
 				st.from, st.rcpts, st.gotMail = mail.Address{}, nil, false
 				continue
 			}
-			msg.From = st.from
-			failures, transient := deliverAll(st.session, st.rcpts, msg)
+			// One transaction, one Data call: the session takes the
+			// recipients whole and answers for all of them.
+			msg.From, msg.To = st.from, st.rcpts[0]
+			if len(st.rcpts) > 1 {
+				msg.Rcpts = st.rcpts
+			}
+			n := len(st.rcpts)
+			err := st.session.Data(msg.To, msg)
 			st.from, st.rcpts, st.gotMail = mail.Address{}, nil, false
-			if failures > 0 {
-				// Backpressure (every failure transient) is a 451 the
-				// client retries; anything else is a hard 550.
+			if err != nil {
+				// Backpressure is a 451 the client retries; anything else
+				// is a hard 550.
 				code, verdict := 550, "failed"
-				if transient {
+				if IsTransient(err) {
 					code, verdict = 451, "deferred"
 				}
-				if !reply(code, fmt.Sprintf("delivery %s for %d recipient(s)", verdict, failures)) {
+				if !reply(code, fmt.Sprintf("delivery %s for %d recipient(s)", verdict, n)) {
 					return
 				}
 				continue
@@ -444,43 +454,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 	}
-}
-
-// deliverAll hands the message to the session once per recipient and
-// returns the number of failed deliveries, plus whether every failure
-// was Transient (so the whole transaction may answer 4xx). A
-// single-recipient transaction (the overwhelmingly common case) runs
-// inline; larger recipient lists fan out one goroutine per recipient
-// so deliveries land on the engine's account stripes in parallel
-// instead of serializing behind this connection.
-func deliverAll(session Session, rcpts []mail.Address, msg *mail.Message) (int, bool) {
-	if len(rcpts) == 1 {
-		m := msg
-		m.To = rcpts[0]
-		if err := session.Data(rcpts[0], m); err != nil {
-			return 1, IsTransient(err)
-		}
-		return 0, false
-	}
-	var wg sync.WaitGroup
-	var failures, transients atomic.Int64
-	for _, rcpt := range rcpts {
-		m := msg.Clone()
-		m.To = rcpt
-		wg.Add(1)
-		go func(rcpt mail.Address, m *mail.Message) {
-			defer wg.Done()
-			if err := session.Data(rcpt, m); err != nil {
-				failures.Add(1)
-				if IsTransient(err) {
-					transients.Add(1)
-				}
-			}
-		}(rcpt, m)
-	}
-	wg.Wait()
-	n := failures.Load()
-	return int(n), n > 0 && transients.Load() == n
 }
 
 func errText(err error) string {

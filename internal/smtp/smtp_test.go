@@ -26,6 +26,9 @@ type recordingBackend struct {
 	// recipient local part; rejectData fails it hard.
 	transientData string
 	rejectData    string
+	// transactions counts Data calls; msgs holds one entry per
+	// recipient of each.
+	transactions int
 }
 
 type received struct {
@@ -70,16 +73,30 @@ func (s *recordingSession) Rcpt(to mail.Address) error {
 	return nil
 }
 
+// Data fails the whole transaction hard if any recipient is rejectData,
+// else transiently if any is transientData.
 func (s *recordingSession) Data(to mail.Address, msg *mail.Message) error {
-	if to.Local == s.backend.transientData {
-		return Transient{Err: errors.New("admission queue full")}
+	if to != msg.To {
+		return errors.New("to is not msg.To")
 	}
-	if to.Local == s.backend.rejectData {
-		return errors.New("mailbox gone")
+	var err error
+	for _, r := range msg.Recipients() {
+		switch r.Local {
+		case s.backend.rejectData:
+			return errors.New("mailbox gone")
+		case s.backend.transientData:
+			err = Transient{Err: errors.New("admission queue full")}
+		}
+	}
+	if err != nil {
+		return err
 	}
 	s.backend.mu.Lock()
 	defer s.backend.mu.Unlock()
-	s.backend.msgs = append(s.backend.msgs, received{helo: s.helo, from: s.from, to: to, msg: msg})
+	s.backend.transactions++
+	for _, r := range msg.Recipients() {
+		s.backend.msgs = append(s.backend.msgs, received{helo: s.helo, from: s.from, to: r, msg: msg})
+	}
 	return nil
 }
 
@@ -188,15 +205,20 @@ func TestMultipleRecipients(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("deliveries = %d, want 3", len(got))
 	}
-	seen := map[string]bool{}
-	for _, r := range got {
-		seen[r.to.Local] = true
-		if r.msg.To != r.to {
-			t.Fatalf("per-recipient To not rewritten: %v vs %v", r.msg.To, r.to)
+	// One Data call carries the whole envelope, in RCPT order.
+	backend.mu.Lock()
+	transactions := backend.transactions
+	backend.mu.Unlock()
+	if transactions != 1 {
+		t.Fatalf("Data ran %d times, want once per transaction", transactions)
+	}
+	for i, r := range got {
+		if r.to != rcpts[i] || r.msg != got[0].msg {
+			t.Fatalf("delivery %d = %v in message %p, want %v in one message", i, r.to, r.msg, rcpts[i])
 		}
 	}
-	if !seen["one"] || !seen["two"] || !seen["three"] {
-		t.Fatalf("recipients = %v", seen)
+	if m := got[0].msg; m.To != rcpts[0] || len(m.Rcpts) != 3 {
+		t.Fatalf("envelope To %v, Rcpts %v; want %v first of three", m.To, m.Rcpts, rcpts[0])
 	}
 }
 
