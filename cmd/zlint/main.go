@@ -48,8 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("zlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		passNames = fs.String("passes", "", "comma-separated subset of passes to run (default: all)")
-		passAlias = fs.String("pass", "", "alias for -passes")
+		passNames = fs.String("pass", "", "comma-separated subset of passes to run (default: all)")
 		root      = fs.String("root", ".", "directory inside the module to analyze")
 		list      = fs.Bool("list", false, "list available passes and exit")
 		verbose   = fs.Bool("v", false, "report package count, pass set and per-pass wall time")
@@ -65,13 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		fmt.Fprintf(stderr, "zlint: unknown -format %q (want text, json, or github)\n", *format)
 		return 2
-	}
-	if *passAlias != "" {
-		if *passNames != "" && *passNames != *passAlias {
-			fmt.Fprintf(stderr, "zlint: -pass %q and -passes %q disagree; give one\n", *passAlias, *passNames)
-			return 2
-		}
-		*passNames = *passAlias
 	}
 
 	all := lint.Passes()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -30,7 +31,7 @@ func TestPassSubset(t *testing.T) {
 	const dir = "../../internal/lint/testdata/lockscope"
 	for _, c := range []struct{ pass, expect string }{{"errdrop", "0"}, {"lockscope", "5"}} {
 		var stdout, stderr strings.Builder
-		if code := run([]string{"-passes", c.pass, "-testdata", dir, "-expect", c.expect}, &stdout, &stderr); code != 0 {
+		if code := run([]string{"-pass", c.pass, "-testdata", dir, "-expect", c.expect}, &stdout, &stderr); code != 0 {
 			t.Fatalf("%s-only run exited %d: %s%s", c.pass, code, stdout.String(), stderr.String())
 		}
 	}
@@ -39,42 +40,11 @@ func TestPassSubset(t *testing.T) {
 // TestUnknownPassIsUsageError pins exit code 2 for bad invocations.
 func TestUnknownPassIsUsageError(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-passes", "nosuchpass"}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-pass", "nosuchpass"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("unknown pass exited %d, want 2", code)
 	}
 	if !strings.Contains(stderr.String(), "nosuchpass") {
 		t.Errorf("usage error should name the bad pass, got: %s", stderr.String())
-	}
-}
-
-// TestPassAliasValidation pins the -pass alias to the -passes usage
-// convention: an unknown name is exit 2, and contradictory spellings
-// of the same flag are exit 2 rather than a silent pick.
-func TestPassAliasValidation(t *testing.T) {
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-pass", "nosuchpass"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-pass with unknown name exited %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "nosuchpass") {
-		t.Errorf("usage error should name the bad pass, got: %s", stderr.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-pass", "detrand", "-passes", "errdrop"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("disagreeing -pass/-passes exited %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "disagree") {
-		t.Errorf("usage error should say the flags disagree, got: %s", stderr.String())
-	}
-
-	// Agreeing spellings are not an error; the empty fixture sweep
-	// below proves the alias actually filters (a non-guardflow pass
-	// over the guardflow corpus would add findings).
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-pass", "guardflow", "-passes", "guardflow", "-testdata", "../../internal/lint/testdata/guardflow/clean", "-expect", "0"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("agreeing -pass/-passes exited %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 }
 
@@ -175,4 +145,34 @@ func TestGuardflowGithubAnnotations(t *testing.T) {
 	if !strings.Contains(stdout.String(), "title=zlint guardflow::") {
 		t.Errorf("github format should title annotations with the pass, got:\n%s", stdout.String())
 	}
+}
+
+// TestFixtureGolden pins the whole fixture sweep, not just its count:
+// stdout must match testdata/fixtures.golden byte for byte, so a
+// finding that moves, changes pass, or rewords its message fails here
+// even when the total stays at the Makefile's pinned figure. After an
+// intentional analyzer or corpus change, regenerate it from this
+// directory with
+//
+//	go run . -testdata ../../internal/lint/testdata > testdata/fixtures.golden
+func TestFixtureGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/fixtures.golden")
+	if err != nil {
+		t.Fatalf("read golden file: %v", err)
+	}
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-testdata", "../../internal/lint/testdata"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("fixture sweep exited %d\nstderr:\n%s", code, stderr.String())
+	}
+	got := stdout.String()
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("fixture findings diverge from testdata/fixtures.golden at line %d:\n got: %s\nwant: %s", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("fixture sweep printed %d lines, testdata/fixtures.golden has %d", len(gotLines), len(wantLines))
 }

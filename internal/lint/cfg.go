@@ -17,6 +17,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 )
 
 // A cfgBlock is a straight-line run of nodes with its successor edges.
@@ -24,7 +25,7 @@ import (
 // block (if/for conditions, switch tags and case expressions, range
 // operands). An optional errGate filters dataflow facts entering the
 // block: it encodes which branch of an `err != nil` check the block
-// lives on (see moneyflow's call summaries).
+// lives on (see the call summaries in pathflow.go).
 type cfgBlock struct {
 	index int
 	nodes []ast.Node
@@ -538,4 +539,32 @@ func forwardFlow[S any](g *cfg, entry S, lat flowLattice[S]) map[*cfgBlock]S {
 		}
 	}
 	return in
+}
+
+// flowExits runs forwardFlow over g, then replays each reachable block
+// from its entry state and hands exit the state that leaves the body:
+// at every return (ret is the statement) and off the end of the body
+// (ret is nil). A path that ends in a panic call has no exit.
+func flowExits[S any](g *cfg, entry S, lat flowLattice[S], exit func(s S, ret *ast.ReturnStmt)) {
+	in := forwardFlow(g, entry, lat)
+	for _, blk := range g.reversePostorder() {
+		s, ok := in[blk]
+		if !ok {
+			continue
+		}
+		ended := false
+		for _, n := range blk.nodes {
+			s = lat.transfer(s, n)
+			switch n := n.(type) {
+			case *ast.ReturnStmt:
+				exit(s, n)
+				ended = true
+			case *ast.ExprStmt:
+				ended = ended || isPanicCall(n.X)
+			}
+		}
+		if !ended && slices.Contains(blk.succs, g.exit) {
+			exit(s, nil)
+		}
+	}
 }

@@ -48,6 +48,27 @@ func (u *Unit) flowInfo() ([]*flowUnit, map[*types.Func]*flowUnit, map[*ast.Bloc
 	return u.flowUnits, u.flowByFunc, u.flowByBody
 }
 
+// callGraph returns, per flow unit, the in-package units it calls by
+// name (itself excluded; literals are never callees), computed once per
+// Unit like flowInfo.
+func (u *Unit) callGraph() map[*flowUnit][]*flowUnit {
+	if u.flowCalls == nil {
+		units, byFunc, _ := u.flowInfo()
+		u.flowCalls = make(map[*flowUnit][]*flowUnit, len(units))
+		for _, fu := range units {
+			inspectShallow(fu.body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if target := byFunc[calleeFunc(u.Pkg.Info, call)]; target != nil && target != fu {
+						u.flowCalls[fu] = append(u.flowCalls[fu], target)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return u.flowCalls
+}
+
 // cfgOf builds (once) and returns the control-flow graph of one
 // function body. Passes must treat the graph as read-only.
 func (u *Unit) cfgOf(body *ast.BlockStmt) *cfg {

@@ -144,12 +144,13 @@ type gfResult struct {
 }
 
 type gfAnalyzer struct {
-	u       *Unit
-	units   []*flowUnit
-	byFunc  map[*types.Func]*flowUnit
-	byBody  map[*ast.BlockStmt]*flowUnit
-	results map[*flowUnit]*gfResult
-	busy    map[*flowUnit]bool
+	u      *Unit
+	units  []*flowUnit
+	byFunc map[*types.Func]*flowUnit
+	byBody map[*ast.BlockStmt]*flowUnit
+	// memo holds the summaries; a recursive cycle assumes no
+	// requirements for the back edge, as the summary passes do.
+	memo summaryMemo[*gfResult]
 
 	invoked   map[*ast.BlockStmt]bool      // literal bodies invoked (or deferred) directly
 	goCalls   map[*ast.CallExpr]bool       // the Call of every go statement
@@ -170,8 +171,6 @@ func (u *Unit) guardSummaries() *gfAnalyzer {
 	}
 	a := &gfAnalyzer{
 		u:         u,
-		results:   map[*flowUnit]*gfResult{},
-		busy:      map[*flowUnit]bool{},
 		invoked:   map[*ast.BlockStmt]bool{},
 		goCalls:   map[*ast.CallExpr]bool{},
 		calls:     map[*types.Func]int{},
@@ -179,11 +178,12 @@ func (u *Unit) guardSummaries() *gfAnalyzer {
 		commHeads: map[ast.Node]*ast.SelectStmt{},
 		seen:      map[token.Pos]bool{},
 	}
+	a.memo = summaryMemo[*gfResult]{analyze: a.analyze, cycle: &gfResult{}}
 	u.summaries = a
 	a.units, a.byFunc, a.byBody = u.flowInfo()
 	a.scanRefs()
 	for _, fu := range a.units {
-		a.resultOf(fu)
+		a.memo.of(fu)
 	}
 	return a
 }
@@ -197,7 +197,7 @@ func runGuardFlow(u *Unit) []Diagnostic {
 		if !a.isRoot(fu) {
 			continue
 		}
-		for _, ob := range a.resultOf(fu).requires {
+		for _, ob := range a.memo.of(fu).requires {
 			a.reportObligation(ob)
 		}
 	}
@@ -287,22 +287,6 @@ func (a *gfAnalyzer) isRoot(fu *flowUnit) bool {
 	// Address-taken: some use is not a direct call, so callers are
 	// unknown (handler tables, method values).
 	return a.uses[fu.fn] > a.calls[fu.fn]
-}
-
-func (a *gfAnalyzer) resultOf(fu *flowUnit) *gfResult {
-	if r, ok := a.results[fu]; ok {
-		return r
-	}
-	if a.busy[fu] {
-		// Recursive cycle: assume no requirements for the back edge,
-		// consistent with walflow's optimistic recursion handling.
-		return &gfResult{}
-	}
-	a.busy[fu] = true
-	r := a.analyze(fu)
-	delete(a.busy, fu)
-	a.results[fu] = r
-	return r
 }
 
 // analyze walks one unit's lockset: it collects the unmet obligations
@@ -514,7 +498,7 @@ func (a *gfAnalyzer) checkNode(n ast.Node, s gfState, fresh map[types.Object]boo
 		if callee == nil {
 			return true
 		}
-		reqs := a.resultOf(callee).requires
+		reqs := a.memo.of(callee).requires
 		reported := map[string]bool{}
 		for _, req := range reqs {
 			ob := req

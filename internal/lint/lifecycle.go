@@ -40,6 +40,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -67,10 +69,9 @@ func runLifecycle(u *Unit) []Diagnostic {
 	}
 	units, byFunc, _ := u.flowInfo()
 	a := &lcAnalyzer{
-		u:       u,
-		byFunc:  byFunc,
-		errType: types.Universe.Lookup("error").Type(),
-		seen:    map[token.Pos]bool{},
+		u:      u,
+		byFunc: byFunc,
+		seen:   map[token.Pos]bool{},
 	}
 	for _, f := range u.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -94,11 +95,10 @@ func runLifecycle(u *Unit) []Diagnostic {
 }
 
 type lcAnalyzer struct {
-	u       *Unit
-	byFunc  map[*types.Func]*flowUnit
-	errType types.Type
-	diags   []Diagnostic
-	seen    map[token.Pos]bool
+	u      *Unit
+	byFunc map[*types.Func]*flowUnit
+	diags  []Diagnostic
+	seen   map[token.Pos]bool
 }
 
 func (a *lcAnalyzer) report(pos token.Pos, format string, args ...any) {
@@ -256,55 +256,19 @@ func lcGate(s *lcState, errVar string, wantErr bool) *lcState {
 }
 
 func (a *lcAnalyzer) checkResources(fu *flowUnit) {
-	g := a.u.cfgOf(fu.body)
 	lat := flowLattice[*lcState]{
-		transfer: func(s *lcState, n ast.Node) *lcState { return a.transfer(s, n) },
+		transfer: a.transfer,
 		join:     lcJoin,
 		equal:    lcEqual,
 		gate:     lcGate,
 	}
-	in := forwardFlow(g, lcEntryState(), lat)
-
 	leaked := map[token.Pos]string{}
-	for _, blk := range g.reversePostorder() {
-		s, ok := in[blk]
-		if !ok {
-			continue
+	flowExits(a.u.cfgOf(fu.body), lcEntryState(), lat, func(s *lcState, _ *ast.ReturnStmt) {
+		for _, f := range s.facts {
+			leaked[f.pos] = f.what
 		}
-		endsInReturn := false
-		endsInPanic := false
-		for _, n := range blk.nodes {
-			s = a.transfer(s, n)
-			switch n := n.(type) {
-			case *ast.ReturnStmt:
-				for _, f := range s.facts {
-					leaked[f.pos] = f.what
-				}
-				endsInReturn = true
-			case *ast.ExprStmt:
-				if isPanicCall(n.X) {
-					endsInPanic = true
-				}
-			}
-		}
-		if endsInReturn || endsInPanic {
-			continue
-		}
-		for _, succ := range blk.succs {
-			if succ == g.exit {
-				for _, f := range s.facts {
-					leaked[f.pos] = f.what
-				}
-				break
-			}
-		}
-	}
-	positions := make([]token.Pos, 0, len(leaked))
-	for p := range leaked {
-		positions = append(positions, p)
-	}
-	sort.Slice(positions, func(i, j int) bool { return positions[i] < positions[j] })
-	for _, p := range positions {
+	})
+	for _, p := range slices.Sorted(maps.Keys(leaked)) {
 		a.report(p, "resource may leak in %s: the %s result can reach an exit without Close/Stop — close it on every path (the early-error-return between acquire and hand-off is the classic shape), return it, or store it in an owner that exposes Close/Stop", fu.name, leaked[p])
 	}
 }
@@ -362,7 +326,7 @@ func (a *lcAnalyzer) transfer(s *lcState, n ast.Node) *lcState {
 					inStringList(qualifiedFuncName(fn), a.u.Cfg.LifecycleAcquireFuncs) {
 					errVar := ""
 					if last, ok := n.Lhs[len(n.Lhs)-1].(*ast.Ident); ok && last.Name != "_" {
-						if tv := info.TypeOf(last); tv != nil && types.Identical(tv, a.errType) {
+						if tv := info.TypeOf(last); tv != nil && types.Identical(tv, errorType) {
 							errVar = last.Name
 						}
 					}

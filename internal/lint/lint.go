@@ -53,7 +53,9 @@
 // lockorder, lockscope and guardflow are predicates over one lockset
 // engine (lockset.go: a must-hold dataflow computed once per function
 // body), and lockscope's "may block" summaries ride guardflow's
-// bottom-up call-summary walk.
+// bottom-up call-summary walk. moneyflow and walflow are clients of one
+// path-set summary engine (pathflow.go), whose summary memo guardflow
+// shares.
 //
 // A finding that is intentional is silenced in place with
 //
@@ -100,9 +102,10 @@ type Pass struct {
 
 // Unit is the per-package input handed to a pass. Besides the package
 // and policy it memoizes the artifacts the flow-sensitive passes share
-// — flow units, per-body CFGs and locksets, the lock call summaries —
-// so one Run builds them once instead of once per pass (the module is
-// likewise loaded and type-checked once per invocation, in Loader).
+// — flow units, the call graph, per-body CFGs and locksets, the lock
+// call summaries — so one Run builds them once instead of once per
+// pass (the module is likewise loaded and type-checked once per
+// invocation, in Loader).
 type Unit struct {
 	Pkg *Package
 	Cfg Config
@@ -110,6 +113,7 @@ type Unit struct {
 	flowUnits  []*flowUnit
 	flowByFunc map[*types.Func]*flowUnit
 	flowByBody map[*ast.BlockStmt]*flowUnit
+	flowCalls  map[*flowUnit][]*flowUnit
 	cfgs       map[*ast.BlockStmt]*cfg
 	locksets   map[*ast.BlockStmt][]heldAt
 	summaries  *gfAnalyzer
@@ -561,7 +565,7 @@ func Passes() []Pass {
 }
 
 // PassNames lists the valid pass names (used to validate suppression
-// directives and -passes flags).
+// directives and the -pass flag).
 func PassNames() []string {
 	var names []string
 	for _, p := range Passes() {

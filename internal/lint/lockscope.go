@@ -20,7 +20,7 @@ package lint
 // struct field (forward hooks, injected loggers: arbitrary caller
 // code); and a call to an in-package function or directly invoked
 // literal whose summary may block — guardflow's memoised bottom-up
-// summary walk (resultOf) records each unit's first such operation.
+// summary walk records each unit's first such operation.
 // Deferred calls run at return and are not checked. Function literals
 // are their own units, so `go` bodies and closures passed as arguments
 // (the emit-queue idiom — queued closures run after unlock) start from
@@ -130,7 +130,7 @@ func (a *gfAnalyzer) blockingCall(call *ast.CallExpr) (what, why string) {
 		return what, "calls " + what
 	}
 	if callee, name := a.calleeUnit(call); callee != nil {
-		if why := a.resultOf(callee).mayBlock; why != "" {
+		if why := a.memo.of(callee).mayBlock; why != "" {
 			return "call to " + name + ", which " + why, "calls " + name + ", which " + why
 		}
 	}

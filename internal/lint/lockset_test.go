@@ -5,6 +5,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -142,44 +143,76 @@ func isProbe(es *ast.ExprStmt) bool {
 	return ok && id.Name == "probe"
 }
 
-// TestLockPassesSeeISP runs the three lockset clients straight through
-// Pass.Run, before suppression filtering, over the real internal/isp.
-// The raw result must be exactly the one finding the tree's lockscope
-// directive exists for — the spam filter, a func-valued field, called
-// under the freezeMu read side in send.go — and nothing from lockorder
-// or guardflow; through Run, the directive must silence it.
+// TestLockPassesSeeISP runs the lockset clients and the two summary
+// passes (moneyflow, walflow) straight through Pass.Run, before
+// suppression filtering, over the real packages that carry the tree's
+// lockscope and moneyflow directives. The raw result must be exactly
+// the five findings those directives exist for, each on the line just
+// below its directive, and no walflow finding at all; through Run, the
+// directives must silence every one.
 func TestLockPassesSeeISP(t *testing.T) {
-	var isp *Package
+	type want struct{ pass, file, msg string }
+	cases := []struct {
+		pkg  string
+		want []want
+	}{
+		{"zmail/internal/isp", []want{
+			{"moneyflow", "banklink.go", "cannot prove e-penny conservation in thaw"},
+			{"moneyflow", "isp.go", "unbalanced e-penny flow in RegisterUser"},
+			{"moneyflow", "send.go", "unbalanced e-penny flow in Submit"},
+			// The spam filter, a func-valued field, called under the
+			// freezeMu read side.
+			{"lockscope", "send.go", "func-valued field Filter while holding zmail/internal/isp.Engine.freezeMu"},
+		}},
+		{"zmail/internal/bank", nil},
+		{"zmail/internal/ap/zmailspec", []want{
+			{"moneyflow", "spec.go", "unbalanced e-penny flow in send-email"},
+		}},
+	}
+	pkgs := map[string]*Package{}
 	for _, pkg := range loadModule(t) {
-		if pkg.ImportPath == "zmail/internal/isp" {
-			isp = pkg
+		pkgs[pkg.ImportPath] = pkg
+	}
+	passes := []Pass{LockOrder(), LockScope(), GuardFlow(), MoneyFlow(), WalFlow()}
+	total := 0
+	for _, c := range cases {
+		pkg := pkgs[c.pkg]
+		if pkg == nil {
+			t.Fatalf("%s not loaded", c.pkg)
+		}
+		u := &Unit{Pkg: pkg, Cfg: DefaultConfig()}
+		var raw []Diagnostic
+		for _, p := range passes {
+			raw = append(raw, p.Run(u)...)
+		}
+		sort.Slice(raw, func(i, j int) bool {
+			a, b := raw[i].Pos, raw[j].Pos
+			return a.Filename < b.Filename || a.Filename == b.Filename && a.Line < b.Line
+		})
+		total += len(raw)
+		if len(raw) != len(c.want) {
+			t.Errorf("%s: want %d raw findings, got %d: %v", c.pkg, len(c.want), len(raw), raw)
+			continue
+		}
+		for i, d := range raw {
+			w := c.want[i]
+			if d.Pass != w.pass || filepath.Base(d.Pos.Filename) != w.file || !strings.Contains(d.Msg, w.msg) {
+				t.Errorf("%s: raw finding %d is %s, want %s in %s saying %q", c.pkg, i, d, w.pass, w.file, w.msg)
+				continue
+			}
+			src, err := os.ReadFile(d.Pos.Filename)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lines := strings.Split(string(src), "\n"); d.Pos.Line < 2 || !strings.Contains(lines[d.Pos.Line-2], "//zlint:ignore "+w.pass) {
+				t.Errorf("the line above %s carries no %s directive", d, w.pass)
+			}
+		}
+		if diags := Run([]*Package{pkg}, passes, DefaultConfig()); len(diags) != 0 {
+			t.Errorf("%s: the directives must silence every finding, got %v", c.pkg, diags)
 		}
 	}
-	if isp == nil {
-		t.Fatal("zmail/internal/isp not loaded")
-	}
-	passes := []Pass{LockOrder(), LockScope(), GuardFlow()}
-	u := &Unit{Pkg: isp, Cfg: DefaultConfig()}
-	var raw []Diagnostic
-	for _, p := range passes {
-		raw = append(raw, p.Run(u)...)
-	}
-	if len(raw) != 1 {
-		t.Fatalf("want exactly one raw finding, got %d: %v", len(raw), raw)
-	}
-	d := raw[0]
-	if d.Pass != "lockscope" || filepath.Base(d.Pos.Filename) != "send.go" ||
-		!strings.Contains(d.Msg, "func-valued field Filter") || !strings.Contains(d.Msg, "isp.Engine.freezeMu") {
-		t.Errorf("raw finding is not the spam-filter call under freezeMu: %s", d)
-	}
-	src, err := os.ReadFile(d.Pos.Filename)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Split(string(src), "\n"); d.Pos.Line < 2 || !strings.Contains(lines[d.Pos.Line-2], "//zlint:ignore lockscope") {
-		t.Errorf("the line above %s carries no lockscope directive", d)
-	}
-	if diags := Run([]*Package{isp}, passes, DefaultConfig()); len(diags) != 0 {
-		t.Errorf("the directive must silence the finding, got %v", diags)
+	if total != 5 {
+		t.Errorf("want five raw findings across the packages, got %d", total)
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -101,38 +102,22 @@ func runNonceFlow(u *Unit) []Diagnostic {
 }
 
 // computeMutates marks every unit that writes a ledger field, directly
-// or through same-package calls (transitively, to a fixpoint).
+// or through same-package calls (transitively, to a fixpoint). It is a
+// fixpoint rather than the summary memo: the memo's optimistic cycle
+// value would leave a unit unmarked whose mutual-recursion partner is
+// the one that mutates.
 func (a *nfAnalyzer) computeMutates(units []*flowUnit) {
 	a.mutates = make(map[*flowUnit]bool, len(units))
-	calls := make(map[*flowUnit][]*flowUnit, len(units))
 	for _, fu := range units {
-		fu := fu
-		if pos := a.directMutation(fu.body); pos != 0 {
-			a.mutates[fu] = true
-		}
-		inspectShallow(fu.body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if fn := calleeFunc(a.u.Pkg.Info, call); fn != nil {
-					if target, ok := a.byFunc[fn]; ok && target != fu {
-						calls[fu] = append(calls[fu], target)
-					}
-				}
-			}
-			return true
-		})
+		a.mutates[fu] = a.directMutation(fu.body) != 0
 	}
+	calls := a.u.callGraph()
 	for changed := true; changed; {
 		changed = false
 		for _, fu := range units {
-			if a.mutates[fu] {
-				continue
-			}
-			for _, callee := range calls[fu] {
-				if a.mutates[callee] {
-					a.mutates[fu] = true
-					changed = true
-					break
-				}
+			if !a.mutates[fu] && slices.ContainsFunc(calls[fu], func(c *flowUnit) bool { return a.mutates[c] }) {
+				a.mutates[fu] = true
+				changed = true
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 package lint
 
-// walflow: path-sensitive WAL completeness. PR 6's write-ahead log only
+// walflow: path-sensitive WAL completeness. The write-ahead log only
 // makes the ledgers durable if every mutation of WAL-logged state is
 // actually logged: a code path that updates a user row, the e-penny
 // pool, a credit counter, a nonce cursor, or a bank account and then
@@ -8,32 +8,32 @@ package lint
 // dynamic crash tables only catch it if a chaos schedule happens to cut
 // power inside that path. This pass proves the pairing for all paths.
 //
-// The analysis mirrors moneyflow: one CFG dataflow per function (and
-// per function literal), with same-package call summaries split by
-// error outcome. The state is a set of per-path facts; each fact is the
-// set of WAL-logged fields mutated since the last WAL append on that
-// path. Mutations are recognized by owner-qualified field writes
-// (Config.WALFields, "Type.field"), so the exported snapshot structs
-// and the replay folders — which rebuild state *from* the log — never
-// match. Any call to a Config.WALAppendFuncs hook clears the pending
-// set: the append helpers each log the full batch their call site just
-// performed, and finer pairing (this field needs that record kind)
-// would re-encode the WAL schema in the linter. Appends observed inside
-// a callee also discharge the caller's pending mutations on the paths
-// that flow through the call.
+// The pass is a client of the path-set summary engine (pathflow.go),
+// which it shares with moneyflow. A path's fact is the set of WAL-logged
+// fields mutated since the last WAL append on that path, and whether an
+// append has happened on it at all. Mutations are recognized by
+// owner-qualified field writes (Config.WALFields, "Type.field"), so the
+// exported snapshot structs and the replay folders — which rebuild
+// state *from* the log — never match. Any call to a
+// Config.WALAppendFuncs hook clears the pending set: the append helpers
+// each log the full batch their call site just performed, and finer
+// pairing (this field needs that record kind) would re-encode the WAL
+// schema in the linter. A callee path that appended discharges the
+// caller's pending mutations too; one that did not adds its own.
 //
-// Reported at a root (a function nothing in the package calls, or any
-// closure): every non-error exit whose pending set is non-empty, plus
-// any path the analysis cannot bound ("cannot prove"). Error exits are
-// deliberately not findings: a failed operation's partial state is the
-// rollback/abort discipline's concern, not durability's. Constructors
-// and restore/recovery paths are blessed via Config.WALExemptFuncs.
+// Reported at a root: every non-error exit whose pending set is
+// non-empty, plus any path the analysis cannot bound ("cannot prove").
+// Error exits are deliberately not findings: a failed operation's
+// partial state is the rollback/abort discipline's concern, not
+// durability's. Constructors and restore/recovery paths are blessed via
+// Config.WALExemptFuncs.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -46,189 +46,86 @@ func WalFlow() Pass {
 	}
 }
 
-const (
-	wfMaxSets   = 16 // distinct per-path facts before widening to top
-	wfMaxFields = 12 // distinct pending fields in one fact before widening
-)
+// wfMaxFields is the number of distinct pending fields in one fact
+// before the state widens to top.
+const wfMaxFields = 12
+
+func runWalFlow(u *Unit) []Diagnostic {
+	if !pathMatches(u.Pkg.ImportPath, u.Cfg.WalflowPkgs) {
+		return nil
+	}
+	a := &wfAnalyzer{u: u, fields: map[string]string{}, appends: map[string]bool{}}
+	for _, f := range u.Cfg.WALFields {
+		a.fields[strings.ToLower(f)] = f
+	}
+	for _, f := range u.Cfg.WALAppendFuncs {
+		a.appends[f] = true
+	}
+	return runPathPass(u, pathPass[*wfFact]{
+		name:    "walflow",
+		zero:    &wfFact{},
+		maxSize: wfMaxFields,
+		exempt:  u.Cfg.WALExemptFuncs,
+		scan:    a.scan,
+		compose: wfCompose,
+		topMsg:  "cannot prove WAL completeness in %s: the set of unlogged mutations is unbounded across this path; restructure or suppress with a reason",
+		exitMsg: "unlogged durable mutation in %s: a non-error path can exit after mutating %s with no WAL append — a crash there replays stale state; log it with the matching wal* helper, or bless replay/constructor paths via Config.WALExemptFuncs",
+	})
+}
 
 // A wfFact is one path's durability obligation: the WAL fields mutated
-// since the last append, whether an append has happened at all on the
-// path (that discharges a caller's earlier mutations when this path is
-// summarized), and the moneyflow-style error-outcome tag.
+// since the last append, and whether an append has happened at all on
+// the path (that discharges a caller's earlier mutations when this path
+// is summarized).
 type wfFact struct {
 	pending  map[string]token.Pos // "Owner.field" → earliest unlogged mutation
 	appended bool
-
-	errVar     string
-	errOutcome bool
 }
 
-func newWfFact() *wfFact {
-	return &wfFact{pending: map[string]token.Pos{}}
-}
-
-func (f *wfFact) clone() *wfFact {
-	n := &wfFact{
-		pending:  make(map[string]token.Pos, len(f.pending)),
-		appended: f.appended,
-
-		errVar:     f.errVar,
-		errOutcome: f.errOutcome,
-	}
-	for k, v := range f.pending {
-		n.pending[k] = v
-	}
-	return n
-}
+// wfLogged is every path right after an append.
+var wfLogged = &wfFact{appended: true}
 
 // mutate returns a copy with the field added to the pending set.
 func (f *wfFact) mutate(field string, pos token.Pos) *wfFact {
-	n := f.clone()
+	n := &wfFact{pending: maps.Clone(f.pending), appended: f.appended}
+	if n.pending == nil {
+		n.pending = map[string]token.Pos{}
+	}
 	if p, ok := n.pending[field]; !ok || pos < p {
 		n.pending[field] = pos
 	}
 	return n
 }
 
-// logged returns a copy with the pending set discharged by an append.
-func (f *wfFact) logged() *wfFact {
-	n := &wfFact{pending: map[string]token.Pos{}, appended: true, errVar: f.errVar, errOutcome: f.errOutcome}
+// wfCompose applies a callee path at a call: a callee that appended on
+// the path logged the caller's earlier mutations too, so only its own
+// pending set survives; otherwise the two pending sets union.
+func wfCompose(caller, callee *wfFact, _ *flowUnit, _ []ast.Expr) *wfFact {
+	if callee.appended {
+		return callee
+	}
+	n := caller
+	for field, p := range callee.pending {
+		n = n.mutate(field, p)
+	}
 	return n
 }
 
+func (f *wfFact) size() int { return len(f.pending) }
+
 func (f *wfFact) key() string {
-	fields := make([]string, 0, len(f.pending))
-	for k := range f.pending {
-		fields = append(fields, k)
-	}
-	sort.Strings(fields)
-	tag := ""
-	if f.errVar != "" {
-		tag = f.errVar
-		if f.errOutcome {
-			tag += "!"
-		}
-	}
 	app := ""
 	if f.appended {
 		app = "+"
 	}
-	return strings.Join(fields, "&") + "|" + tag + app
+	return f.render() + "|" + app
 }
 
 func (f *wfFact) render() string {
-	fields := make([]string, 0, len(f.pending))
-	for k := range f.pending {
-		fields = append(fields, k)
-	}
-	sort.Strings(fields)
-	return strings.Join(fields, ", ")
+	return strings.Join(slices.Sorted(maps.Keys(f.pending)), ", ")
 }
 
-func (f *wfFact) firstPos() token.Pos {
-	var best token.Pos
-	for _, p := range f.pending {
-		if best == 0 || p < best {
-			best = p
-		}
-	}
-	return best
-}
-
-// wfState is the dataflow fact: the set of possible per-path
-// obligations, or top when the set could not be bounded.
-type wfState struct {
-	sets   map[string]*wfFact
-	top    bool
-	topPos token.Pos
-}
-
-func wfEntryState() *wfState {
-	f := newWfFact()
-	return &wfState{sets: map[string]*wfFact{f.key(): f}}
-}
-
-func (s *wfState) withSets(sets []*wfFact, capPos token.Pos) *wfState {
-	n := &wfState{sets: map[string]*wfFact{}, top: s.top, topPos: s.topPos}
-	for _, f := range sets {
-		n.sets[f.key()] = f
-	}
-	if len(n.sets) > wfMaxSets && !n.top {
-		n.top, n.topPos = true, capPos
-	}
-	return n
-}
-
-func wfJoin(a, b *wfState) *wfState {
-	n := &wfState{sets: make(map[string]*wfFact, len(a.sets)+len(b.sets))}
-	for k, v := range a.sets {
-		n.sets[k] = v
-	}
-	for k, v := range b.sets {
-		n.sets[k] = v
-	}
-	n.top = a.top || b.top
-	n.topPos = a.topPos
-	if !a.top && b.top {
-		n.topPos = b.topPos
-	}
-	return n
-}
-
-func wfEqual(a, b *wfState) bool {
-	if a.top != b.top || len(a.sets) != len(b.sets) {
-		return false
-	}
-	for k := range a.sets {
-		if _, ok := b.sets[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// wfGate drops facts whose error-outcome tag contradicts the branch.
-func wfGate(s *wfState, errVar string, wantErr bool) *wfState {
-	n := &wfState{sets: make(map[string]*wfFact, len(s.sets)), top: s.top, topPos: s.topPos}
-	for k, f := range s.sets {
-		if f.errVar == errVar && f.errOutcome != wantErr {
-			continue
-		}
-		n.sets[k] = f
-	}
-	return n
-}
-
-// wfSummary is a callee's possible exit facts, split by error outcome.
-type wfSummary struct {
-	ok, err []*wfFact
-	top     bool
-	topPos  token.Pos
-}
-
-type wfResult struct {
-	sum    *wfSummary
-	exits  []*wfFact // non-error exits only: the reportable obligations
-	top    bool
-	topPos token.Pos
-}
-
-// wfEvent is one durability-relevant action inside a statement, in
-// source order.
-type wfEvent struct {
-	kind    int // wfMutate | wfAppend | wfCall
-	field   string
-	pos     token.Pos
-	callee  *types.Func
-	errVar  string
-	callPos token.Pos
-}
-
-const (
-	wfMutate = iota
-	wfAppend
-	wfCall
-)
+func (f *wfFact) firstPos() token.Pos { return earliestPos(f.pending) }
 
 // wfMutatingMethods are method names that mutate their receiver in
 // place: the sync/atomic write family plus the crypto.Source cursor
@@ -240,293 +137,8 @@ var wfMutatingMethods = map[string]bool{
 
 type wfAnalyzer struct {
 	u       *Unit
-	byFunc  map[*types.Func]*flowUnit
-	results map[*flowUnit]*wfResult
-	busy    map[*flowUnit]bool
-	errType types.Type
 	fields  map[string]string // lowercase "owner.field" → display form
 	appends map[string]bool   // "importpath:Name" append hooks
-}
-
-func runWalFlow(u *Unit) []Diagnostic {
-	if !pathMatches(u.Pkg.ImportPath, u.Cfg.WalflowPkgs) {
-		return nil
-	}
-	units, byFunc, _ := u.flowInfo()
-	a := &wfAnalyzer{
-		u:       u,
-		byFunc:  byFunc,
-		results: map[*flowUnit]*wfResult{},
-		busy:    map[*flowUnit]bool{},
-		errType: types.Universe.Lookup("error").Type(),
-		fields:  map[string]string{},
-		appends: map[string]bool{},
-	}
-	for _, f := range u.Cfg.WALFields {
-		a.fields[strings.ToLower(f)] = f
-	}
-	for _, f := range u.Cfg.WALAppendFuncs {
-		a.appends[f] = true
-	}
-
-	called := map[*flowUnit]bool{}
-	for _, fu := range units {
-		fu := fu
-		inspectShallow(fu.body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn := calleeFunc(u.Pkg.Info, call); fn != nil {
-				if target, ok := a.byFunc[fn]; ok && target != fu {
-					called[target] = true
-				}
-			}
-			return true
-		})
-	}
-
-	var out []Diagnostic
-	seen := map[token.Pos]bool{}
-	report := func(pos token.Pos, format string, args ...any) {
-		if pos == 0 || seen[pos] {
-			return
-		}
-		seen[pos] = true
-		out = append(out, a.u.diag("walflow", pos, format, args...))
-	}
-
-	for _, fu := range units {
-		if fu.isClosure || !called[fu] {
-			if a.exempt(fu) {
-				continue
-			}
-			res := a.resultOf(fu)
-			if res.top {
-				report(res.topPos, "cannot prove WAL completeness in %s: the set of unlogged mutations is unbounded across this path; restructure or suppress with a reason", fu.name)
-			}
-			sorted := make([]*wfFact, 0, len(res.exits))
-			for _, f := range res.exits {
-				if len(f.pending) > 0 {
-					sorted = append(sorted, f)
-				}
-			}
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i].key() < sorted[j].key() })
-			for _, f := range sorted {
-				report(f.firstPos(), "unlogged durable mutation in %s: a non-error path can exit after mutating %s with no WAL append — a crash there replays stale state; log it with the matching wal* helper, or bless replay/constructor paths via Config.WALExemptFuncs", fu.name, f.render())
-			}
-		}
-	}
-	return out
-}
-
-func (a *wfAnalyzer) exempt(fu *flowUnit) bool {
-	return inStringList(fu.qualifiedName(a.u.Pkg.ImportPath), a.u.Cfg.WALExemptFuncs)
-}
-
-// zeroWfResult is the summary of an exempt or recursive unit: nothing
-// pending, nothing appended.
-func zeroWfResult() *wfResult {
-	return &wfResult{sum: &wfSummary{ok: []*wfFact{newWfFact()}, err: []*wfFact{newWfFact()}}}
-}
-
-func (a *wfAnalyzer) resultOf(fu *flowUnit) *wfResult {
-	if r, ok := a.results[fu]; ok {
-		return r
-	}
-	if a.busy[fu] || a.exempt(fu) {
-		return zeroWfResult()
-	}
-	a.busy[fu] = true
-	r := a.analyze(fu)
-	a.busy[fu] = false
-	a.results[fu] = r
-	return r
-}
-
-func (a *wfAnalyzer) analyze(fu *flowUnit) *wfResult {
-	g := a.u.cfgOf(fu.body)
-	lat := flowLattice[*wfState]{
-		transfer: func(s *wfState, n ast.Node) *wfState { return a.transfer(s, n) },
-		join:     wfJoin,
-		equal:    wfEqual,
-		gate:     wfGate,
-	}
-	in := forwardFlow(g, wfEntryState(), lat)
-
-	res := &wfResult{sum: &wfSummary{}}
-	addExit := func(s *wfState, okOutcome, errOutcome bool) {
-		if s.top {
-			if !res.top {
-				res.top, res.topPos = true, s.topPos
-			}
-			res.sum.top, res.sum.topPos = true, s.topPos
-			return
-		}
-		keys := make([]string, 0, len(s.sets))
-		for k := range s.sets {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			f := s.sets[k].clone()
-			f.errVar, f.errOutcome = "", false
-			if okOutcome {
-				res.exits = appendUniqueWfFact(res.exits, f)
-				res.sum.ok = appendUniqueWfFact(res.sum.ok, f)
-			}
-			if errOutcome {
-				res.sum.err = appendUniqueWfFact(res.sum.err, f)
-			}
-		}
-	}
-
-	for _, blk := range g.reversePostorder() {
-		s, ok := in[blk]
-		if !ok {
-			continue
-		}
-		endsInReturn := false
-		endsInPanic := false
-		for _, n := range blk.nodes {
-			s = a.transfer(s, n)
-			switch n := n.(type) {
-			case *ast.ReturnStmt:
-				okOut, errOut := classifyReturnOutcome(fu.sig, a.errType, n)
-				addExit(s, okOut, errOut)
-				endsInReturn = true
-			case *ast.ExprStmt:
-				if isPanicCall(n.X) {
-					endsInPanic = true
-				}
-			}
-		}
-		if endsInReturn || endsInPanic {
-			continue
-		}
-		for _, succ := range blk.succs {
-			if succ == g.exit {
-				addExit(s, true, false)
-				break
-			}
-		}
-	}
-	return res
-}
-
-// classifyReturnOutcome decides which error outcome a return statement
-// represents: `return ..., nil` is the ok outcome, returning anything
-// else in an error-typed last slot is the err outcome, and a naked
-// return (or a non-error signature) could be either.
-func classifyReturnOutcome(sig *types.Signature, errType types.Type, ret *ast.ReturnStmt) (okOut, errOut bool) {
-	if sig == nil || sig.Results().Len() == 0 {
-		return true, false
-	}
-	last := sig.Results().At(sig.Results().Len() - 1)
-	if !types.Identical(last.Type(), errType) {
-		return true, false
-	}
-	if len(ret.Results) == 0 {
-		return true, true // naked return with named results: unknown
-	}
-	lastExpr := ast.Unparen(ret.Results[len(ret.Results)-1])
-	if len(ret.Results) != sig.Results().Len() {
-		return true, true // return f() passthrough: unknown
-	}
-	if id, ok := lastExpr.(*ast.Ident); ok && id.Name == "nil" {
-		return true, false
-	}
-	return false, true
-}
-
-func appendUniqueWfFact(list []*wfFact, f *wfFact) []*wfFact {
-	for _, x := range list {
-		if x.key() == f.key() {
-			return list
-		}
-	}
-	return append(list, f)
-}
-
-// transfer applies every durability event inside one CFG node.
-func (a *wfAnalyzer) transfer(s *wfState, n ast.Node) *wfState {
-	if s.top {
-		return s
-	}
-	events := a.scanNode(n)
-	for _, ev := range events {
-		if s.top {
-			return s
-		}
-		switch ev.kind {
-		case wfMutate:
-			next := make([]*wfFact, 0, len(s.sets))
-			for _, f := range s.sets {
-				nf := f.mutate(ev.field, ev.pos)
-				if len(nf.pending) > wfMaxFields {
-					return &wfState{top: true, topPos: ev.pos}
-				}
-				next = append(next, nf)
-			}
-			s = s.withSets(next, ev.pos)
-		case wfAppend:
-			next := make([]*wfFact, 0, len(s.sets))
-			for _, f := range s.sets {
-				next = append(next, f.logged())
-			}
-			s = s.withSets(next, ev.callPos)
-		case wfCall:
-			target, ok := a.byFunc[ev.callee]
-			if !ok {
-				continue // out-of-package or dynamic: no durable effect assumed
-			}
-			sum := a.resultOf(target).sum
-			if sum.top {
-				return &wfState{top: true, topPos: ev.callPos}
-			}
-			var next []*wfFact
-			topped := false
-			apply := func(callee []*wfFact, errOutcome bool) {
-				for _, base := range s.sets {
-					for _, f := range callee {
-						var m *wfFact
-						if f.appended {
-							// The callee appended on this path: the caller's
-							// earlier mutations are in the log too.
-							m = f.clone()
-						} else {
-							m = base.clone()
-							for field, p := range f.pending {
-								if q, ok := m.pending[field]; !ok || p < q {
-									m.pending[field] = p
-								}
-							}
-						}
-						m.appended = base.appended || f.appended
-						if ev.errVar != "" {
-							m.errVar, m.errOutcome = ev.errVar, errOutcome
-						} else {
-							m.errVar, m.errOutcome = "", false
-						}
-						if len(m.pending) > wfMaxFields {
-							topped = true
-							return
-						}
-						next = append(next, m)
-					}
-				}
-			}
-			apply(sum.ok, false)
-			if !topped {
-				apply(sum.err, true)
-			}
-			if topped {
-				return &wfState{top: true, topPos: ev.callPos}
-			}
-			s = s.withSets(next, ev.callPos)
-		}
-	}
-	return s
 }
 
 // walField resolves an lvalue or receiver expression to an
@@ -553,68 +165,45 @@ func (a *wfAnalyzer) walField(e ast.Expr) (string, *ast.SelectorExpr, bool) {
 	return disp, sel, true
 }
 
-// scanNode extracts the durability events of one statement or
-// condition, in source order, without descending into function
-// literals.
-func (a *wfAnalyzer) scanNode(n ast.Node) []wfEvent {
-	info := a.u.Pkg.Info
-	var events []wfEvent
-	errVarOf := map[*ast.CallExpr]string{}
-	inspectShallow(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range m.Lhs {
-				if field, sel, ok := a.walField(lhs); ok {
-					events = append(events, wfEvent{kind: wfMutate, field: field, pos: sel.Pos()})
-				}
-			}
-			// Remember `..., err := call(...)` so the call event can
-			// carry the error-outcome tag.
-			if len(m.Rhs) == 1 {
-				if call, ok := ast.Unparen(m.Rhs[0]).(*ast.CallExpr); ok {
-					if id, ok := m.Lhs[len(m.Lhs)-1].(*ast.Ident); ok && id.Name != "_" {
-						if tv := info.TypeOf(id); tv != nil && types.Identical(tv, a.errType) {
-							errVarOf[call] = id.Name
-						}
-					}
-				}
-			}
-		case *ast.IncDecStmt:
-			if field, sel, ok := a.walField(m.X); ok {
-				events = append(events, wfEvent{kind: wfMutate, field: field, pos: sel.Pos()})
-			}
-		case *ast.CallExpr:
-			// delete(m.field, k) mutates a WAL-listed map.
-			if id, ok := ast.Unparen(m.Fun).(*ast.Ident); ok && id.Name == "delete" && len(m.Args) == 2 {
-				if field, sel, ok := a.walField(m.Args[0]); ok {
-					events = append(events, wfEvent{kind: wfMutate, field: field, pos: sel.Pos()})
-				}
-				return true
-			}
-			fn := calleeFunc(info, m)
-			if fn == nil {
-				return true
-			}
-			// In-place mutation through a method on a WAL-listed field:
-			// e.credit[i].Add(1), e.nonces.Next().
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && wfMutatingMethods[fn.Name()] {
-				if selFun, ok := ast.Unparen(m.Fun).(*ast.SelectorExpr); ok {
-					if field, sel, ok := a.walField(selFun.X); ok {
-						events = append(events, wfEvent{kind: wfMutate, field: field, pos: sel.Pos()})
-						return true
-					}
-				}
-			}
-			if fn.Pkg() != nil && a.appends[fn.Pkg().Path()+":"+fn.Name()] {
-				events = append(events, wfEvent{kind: wfAppend, callPos: m.Pos()})
-				return true
-			}
-			events = append(events, wfEvent{
-				kind: wfCall, callee: fn,
-				errVar: errVarOf[m], callPos: m.Pos(),
-			})
+// scan returns the durability events at one AST node: mutations of WAL
+// fields, and appends.
+func (a *wfAnalyzer) scan(n ast.Node) []pfEvent[*wfFact] {
+	var events []pfEvent[*wfFact]
+	mutation := func(e ast.Expr) bool {
+		field, sel, ok := a.walField(e)
+		if ok {
+			pos := sel.Pos()
+			events = append(events, pfEvent[*wfFact]{pos: pos, step: func(f *wfFact) *wfFact { return f.mutate(field, pos) }})
 		}
-		return true
-	})
+		return ok
+	}
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			mutation(lhs)
+		}
+	case *ast.IncDecStmt:
+		mutation(n.X)
+	case *ast.CallExpr:
+		// delete(m.field, k) mutates a WAL-listed map.
+		if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "delete" && len(n.Args) == 2 {
+			mutation(n.Args[0])
+			break
+		}
+		fn := calleeFunc(a.u.Pkg.Info, n)
+		if fn == nil {
+			break
+		}
+		// In-place mutation through a method on a WAL-listed field:
+		// e.credit[i].Add(1), e.nonces.Next().
+		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && wfMutatingMethods[fn.Name()] {
+			if selFun, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && mutation(selFun.X) {
+				break
+			}
+		}
+		if fn.Pkg() != nil && a.appends[fn.Pkg().Path()+":"+fn.Name()] {
+			events = append(events, pfEvent[*wfFact]{pos: n.Pos(), step: func(*wfFact) *wfFact { return wfLogged }})
+		}
+	}
 	return events
 }
