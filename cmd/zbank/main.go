@@ -1,27 +1,24 @@
-// Command zbank runs one level of the Zmail bank tree: a central bank,
-// a leaf of the §5 two-level hierarchy, or the root aggregator above
-// the leaves. Every role keeps real-money accounts for the compliant
-// ISPs it serves, sells and redeems e-penny pool inventory, and audits
-// the federation's credit arrays (§4.3–§4.4 of the paper).
-//
-// Central bank (two-ISP federation with real keys):
+// Command zbank runs one level of the Zmail bank tree; its flags pick
+// the level. A bank keeps real-money accounts for the compliant ISPs it
+// serves, sells and redeems e-penny pool inventory, and audits their
+// credit arrays (§4.3–§4.4 of the paper). By default it serves every
+// ISP, which makes it the central bank:
 //
 //	zkeygen -out bank
 //	zbank -listen :7999 -isps 2 -key bank.key \
 //	      -enroll 0=isp0.pub -enroll 1=isp1.pub \
 //	      -funds 1000000 -audit-every 1h
 //
-// Two-level hierarchy over TCP: one root plus one leaf per region.
-// Each leaf serves its region's ISPs natively (buy/sell, intra-region
-// audit) and forwards their credit reports upward; the root joins the
-// forwarded reports and verifies the cross-region pairs no leaf can
-// see:
+// The §5 two-level hierarchy is one root plus one bank per region.
+// -serve limits a bank to its region's ISPs (buy/sell and the
+// intra-region audit), and -root names the root it forwards their
+// credit reports to; the two come together. -assign, mapping every ISP
+// to its region, makes the daemon that root: it joins the forwarded
+// reports and verifies the cross-region pairs no regional bank sees:
 //
-//	zbank -role root -listen :7900 -isps 4 -assign 0,0,1,1 -insecure
-//	zbank -role leaf -listen :7999 -isps 4 -serve 0,1 \
-//	      -root roothost:7900 -insecure
-//	zbank -role leaf -listen :7998 -isps 4 -serve 2,3 \
-//	      -root roothost:7900 -insecure
+//	zbank -listen :7900 -isps 4 -assign 0,0,1,1 -insecure
+//	zbank -listen :7999 -isps 4 -serve 0,1 -root roothost:7900 -insecure
+//	zbank -listen :7998 -isps 4 -serve 2,3 -root roothost:7900 -insecure
 //
 // For local experiments, -insecure replaces all sealed boxes with
 // plaintext (the protocol logic, nonces and audits still run).
@@ -114,16 +111,14 @@ func run(args []string) error {
 	var (
 		listen     = fs.String("listen", ":7999", "TCP listen address")
 		isps       = fs.Int("isps", 0, "federation size (required)")
-		role       = fs.String("role", "central", "bank role: central|leaf|root")
-		serveCSV   = fs.String("serve", "", "leaf: comma-separated ISP indexes this leaf serves")
-		rootAddr   = fs.String("root", "", "leaf: root bank address credit reports are forwarded to")
-		assignCSV  = fs.String("assign", "", "root: comma-separated region per ISP index, e.g. 0,0,1,1")
+		serveCSV   = fs.String("serve", "", "comma-separated ISP indexes this bank serves (default: all); requires -root")
+		rootAddr   = fs.String("root", "", "root address this bank forwards its ISPs' credit reports to; requires -serve")
+		assignCSV  = fs.String("assign", "", "run as the root: comma-separated region per ISP index, e.g. 0,0,1,1")
 		keyFile    = fs.String("key", "", "bank private key file (from zkeygen)")
 		funds      = fs.Int64("funds", 1_000_000, "initial real-penny account per compliant ISP")
 		auditEvery = fs.Duration("audit-every", 0, "run credit audits on this interval (0 = manual only)")
 		insecure   = fs.Bool("insecure", false, "use plaintext sealers (local experiments only)")
-		settle     = fs.Bool("settle", false, "move real money between ISP accounts after each verified audit round")
-		groupNet   = fs.Bool("group-settle", false, "net each round's settlement multilaterally (implies -settle)")
+		settle     = fs.Bool("settle", false, "net real money between ISP accounts after each verified audit round")
 		walDir     = fs.String("wal", "", "write-ahead-log directory; every mutation is logged, boot replays the log, checkpoints after audits and on shutdown")
 		metricsAd  = fs.String("metrics", "", "admin telemetry listen address (loopback only!), e.g. 127.0.0.1:7071")
 	)
@@ -143,32 +138,25 @@ func run(args []string) error {
 			return err
 		}
 	}
+	role := "central"
 	var serve []int
-	switch *role {
-	case "central":
-		if *serveCSV != "" || *rootAddr != "" || *assignCSV != "" {
-			return usagef("-serve/-root/-assign require -role leaf or root")
+	switch {
+	case *assignCSV != "":
+		role = "root"
+		if *serveCSV != "" || *rootAddr != "" {
+			return usagef("-serve/-root do not apply to the root (-assign), which serves no ISPs and forwards nowhere")
 		}
-	case "leaf":
-		if *serveCSV == "" || *rootAddr == "" {
-			return usagef("-role leaf requires -serve and -root")
+		if *walDir != "" || *auditEvery != 0 || *settle {
+			return usagef("-wal/-audit-every/-settle do not apply to the root (-assign): it holds no ledger or accounts and audits when the leaves report")
 		}
+	case (*serveCSV == "") != (*rootAddr == ""):
+		return usagef("-serve and -root must come together")
+	case *serveCSV != "":
+		role = "leaf"
 		var err error
 		if serve, err = parseIndexCSV("-serve", *serveCSV, *isps); err != nil {
 			return err
 		}
-	case "root":
-		if *assignCSV == "" {
-			return usagef("-role root requires -assign")
-		}
-		if *walDir != "" || *auditEvery != 0 {
-			return usagef("-wal/-audit-every do not apply to -role root (the root holds no ledger and audits when the leaves report)")
-		}
-		if *settle || *groupNet {
-			return usagef("-settle/-group-settle do not apply to -role root (the root holds no accounts)")
-		}
-	default:
-		return usagef("unknown -role %q (want central, leaf, or root)", *role)
 	}
 
 	var ownSealer crypto.Sealer
@@ -190,9 +178,9 @@ func run(args []string) error {
 	}
 
 	logf := func(format string, a ...any) {
-		fmt.Fprintf(os.Stderr, "zbank[%s]: "+format+"\n", append([]any{*role}, a...)...)
+		fmt.Fprintf(os.Stderr, "zbank[%s]: "+format+"\n", append([]any{role}, a...)...)
 	}
-	if *role == "root" {
+	if role == "root" {
 		return runRoot(*listen, *isps, *assignCSV, *metricsAd, ownSealer, logf)
 	}
 
@@ -200,7 +188,7 @@ func run(args []string) error {
 	// non-compliant in its view, so it refuses their buys and audits
 	// only the pairs it can see both sides of.
 	var compliantMask []bool
-	if *role == "leaf" {
+	if serve != nil {
 		compliantMask = make([]bool, *isps)
 		for _, i := range serve {
 			compliantMask[i] = true
@@ -212,8 +200,7 @@ func run(args []string) error {
 		Compliant:      compliantMask,
 		InitialAccount: money.Penny(*funds),
 		OwnSealer:      ownSealer,
-		SettleOnVerify: *settle || *groupNet,
-		GroupSettle:    *groupNet,
+		SettleOnVerify: *settle,
 		Tracer:         trace.New("bank", -1, clock.System(), ring),
 	}, *listen, logf)
 	if err != nil {
@@ -240,7 +227,7 @@ func run(args []string) error {
 		}
 	}()
 
-	if *role == "leaf" {
+	if *rootAddr != "" {
 		// Forward every verified credit report upward; the root joins
 		// reports across leaves and checks the cross-region pairs.
 		uplink := core.NewUplink(*rootAddr, serve[0], logf)

@@ -33,15 +33,16 @@ func TestZbankUsageFailures(t *testing.T) {
 	}{
 		{"listen without port", []string{"-isps", "2", "-insecure", "-listen", "nonsense"}},
 		{"metrics without port", []string{"-isps", "2", "-insecure", "-metrics", "127.0.0.1"}},
-		{"unknown role", []string{"-isps", "2", "-insecure", "-role", "branch"}},
-		{"leaf without serve/root", []string{"-isps", "2", "-insecure", "-role", "leaf"}},
-		{"leaf serve out of range", []string{"-isps", "2", "-insecure", "-role", "leaf",
+		{"assign with serve", []string{"-isps", "2", "-insecure", "-assign", "0,1", "-serve", "0"}},
+		{"leaf without serve/root", []string{"-isps", "2", "-insecure", "-root", "127.0.0.1:7900"}},
+		{"leaf serve out of range", []string{"-isps", "2", "-insecure",
 			"-serve", "0,7", "-root", "127.0.0.1:7900"}},
-		{"root without assign", []string{"-isps", "2", "-insecure", "-role", "root"}},
-		{"root assign arity", []string{"-isps", "4", "-insecure", "-role", "root",
+		{"assign with root", []string{"-isps", "2", "-insecure", "-assign", "0,1", "-root", "127.0.0.1:7900"}},
+		{"root assign arity", []string{"-isps", "4", "-insecure",
 			"-assign", "0,1", "-listen", "127.0.0.1:0"}},
-		{"root with wal", []string{"-isps", "2", "-insecure", "-role", "root",
+		{"root with wal", []string{"-isps", "2", "-insecure",
 			"-assign", "0,1", "-wal", t.TempDir()}},
+		{"root with settle", []string{"-isps", "2", "-insecure", "-assign", "0,1", "-settle"}},
 		{"central with leaf flags", []string{"-isps", "2", "-insecure", "-serve", "0"}},
 		{"missing key material", []string{"-isps", "2"}},
 	}
@@ -70,7 +71,7 @@ func TestZbankMetricsBootFailure(t *testing.T) {
 	if strings.HasPrefix(err.Error(), "usage:") {
 		t.Fatalf("bind failure %q misreported as a usage error", err)
 	}
-	err = run([]string{"-isps", "2", "-insecure", "-role", "root", "-assign", "0,1",
+	err = run([]string{"-isps", "2", "-insecure", "-assign", "0,1",
 		"-listen", "127.0.0.1:0", "-metrics", "203.0.113.1:0"})
 	if err == nil {
 		t.Fatal("root: unbindable -metrics address accepted")

@@ -73,7 +73,7 @@ func main() {
 	fmt.Printf("\n%d pairs flagged — all involve isp[2]; honest pairs flagged: %d\n",
 		len(newFlags), honestFlagged)
 	fmt.Printf("flagged pairs were NOT settled (paying on a cheater's numbers would reward it);\n")
-	fmt.Printf("period-2 transfers touched %d honest pair(s) only\n", len(w.Bank.LastTransfers()))
+	fmt.Printf("period-2 settlement netted only the verified pairs, in %d transfer(s)\n", len(w.Bank.LastTransfers()))
 
 	st := w.Bank.Stats()
 	fmt.Printf("\nbank totals: %d audit rounds, %v settled overall, accounts still sum to %v\n",

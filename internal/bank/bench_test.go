@@ -60,38 +60,33 @@ func BenchmarkCentralAuditRound(b *testing.B) {
 	}
 }
 
-// BenchmarkHierarchyAuditRound is the §5 ablation partner: the same
-// rounds through a 4-region hierarchy. Total work is similar; the
-// point is the *distribution* — RootSummaries vs N reports — which the
-// Stats assertions in hierarchy_test.go capture.
-func BenchmarkHierarchyAuditRound(b *testing.B) {
+// BenchmarkRootAuditRound is the §5 ablation partner: the root's share
+// of the same rounds when the ISPs sit in 4 regions, each under its own
+// leaf bank. Every leaf forwards its ISPs' reports, so the root opens
+// N reports per round but checks only the cross-region pairs and sees
+// no buy/sell traffic.
+func BenchmarkRootAuditRound(b *testing.B) {
 	for _, n := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("isps=%d", n), func(b *testing.B) {
-			ft := newFake()
-			h, err := NewHierarchy(HierarchyConfig{
-				NumISPs: n, Regions: 4, InitialAccount: 1 << 40,
-				Transport: ft, OwnSealer: crypto.Null{},
-			})
+			assign := make([]int, n)
+			for i := range assign {
+				assign[i] = i % 4
+			}
+			r, err := NewRoot(RootConfig{NumISPs: n, Assign: assign, OwnSealer: crypto.Null{}})
 			if err != nil {
 				b.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				_ = h.Enroll(i, crypto.Null{})
 			}
 			reports := antisymmetricReports(n, 1)
 			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
-				if err := h.StartSnapshot(); err != nil {
-					b.Fatal(err)
-				}
 				for i := 0; i < n; i++ {
-					if err := h.Handle(reportEnv(int32(i), uint64(k), reports[i])); err != nil {
+					if err := r.Handle(reportEnv(int32(i), uint64(k), reports[i])); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if !h.RoundComplete() {
-					b.Fatal("round incomplete")
-				}
+			}
+			if got := r.RoundsVerified(); got != int64(b.N) {
+				b.Fatalf("RoundsVerified = %d, want %d", got, b.N)
 			}
 		})
 	}

@@ -10,18 +10,18 @@ import (
 	"zmail/internal/wire"
 )
 
-// Root is the top level of a *distributed* two-level bank hierarchy
-// (§5 of the paper), the real-network counterpart of the in-process
-// Hierarchy. The deployment is:
+// Root is the top level of the two-level bank hierarchy of §5 ("a
+// hierarchy of banks"). The deployment, as zbank, internal/cluster and
+// E17 run it, is:
 //
 //   - one leaf (regional) bank per region — an ordinary Bank whose
 //     Compliant mask admits only the region's ISPs. It owns their
 //     real-money accounts, serves their buy/sell traffic, and runs
 //     audit rounds that verify intra-region pairs locally;
-//   - one Root, to which every leaf forwards its ISPs' credit-report
-//     envelopes verbatim (core.BankServer's Forward hook). The root
-//     never sees buy/sell traffic; per audit round it receives one
-//     report per compliant ISP and verifies only the cross-region
+//   - one Root, to which every leaf forwards each credit-report
+//     envelope it accepted, verbatim (core.BankServer's Forward hook).
+//     The root never sees buy/sell traffic; per audit round it receives
+//     one report per compliant ISP and verifies only the cross-region
 //     pairs the leaves cannot check alone.
 //
 // The leaf↔root link deliberately reuses the existing wire vocabulary:
@@ -31,9 +31,8 @@ import (
 // Rounds are correlated by sequence number: every leaf starts at seq 0
 // and advances once per completed round, so report k from every region
 // belongs to federation round k. Leaf and root share the bank's key
-// material (the regions are organs of one distributed bank, as the
-// Hierarchy documents), which is what lets the root open reports that
-// were sealed "to the bank".
+// material (the regions are organs of one distributed bank), which is
+// what lets the root open reports that were sealed "to the bank".
 type Root struct {
 	cfg RootConfig
 

@@ -9,10 +9,6 @@ import (
 )
 
 func newSettlingBank(t *testing.T, n int, funds money.Penny) (*Bank, *fakeTransport) {
-	return newSettlingBankMode(t, n, funds, false)
-}
-
-func newSettlingBankMode(t *testing.T, n int, funds money.Penny, group bool) (*Bank, *fakeTransport) {
 	t.Helper()
 	ft := newFake()
 	b, err := New(Config{
@@ -21,7 +17,6 @@ func newSettlingBankMode(t *testing.T, n int, funds money.Penny, group bool) (*B
 		Transport:      ft,
 		OwnSealer:      crypto.Null{},
 		SettleOnVerify: true,
-		GroupSettle:    group,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,36 +29,70 @@ func newSettlingBankMode(t *testing.T, n int, funds money.Penny, group bool) (*B
 	return b, ft
 }
 
-func TestSettlementMovesMoneyToNetReceivers(t *testing.T) {
-	b, _ := newSettlingBank(t, 3, 1000)
+// pairwiseAccounts is the one-transfer-per-pair settlement rule, kept
+// here as the reference netting must agree with: for every pair, isp[i]
+// pays credit_i[j] to isp[j] at the nominal rate. Funds must be ample
+// enough that nobody falls short.
+func pairwiseAccounts(funds money.Penny, reports [][]int64) []money.Penny {
+	out := make([]money.Penny, len(reports))
+	for i := range out {
+		out[i] = funds
+	}
+	for i := range reports {
+		for j := i + 1; j < len(reports); j++ {
+			out[i] -= money.Penny(reports[i][j])
+			out[j] += money.Penny(reports[i][j])
+		}
+	}
+	return out
+}
+
+// settleRound runs one audit round over reports and returns the
+// resulting accounts.
+func settleRound(t *testing.T, b *Bank, reports [][]int64) []money.Penny {
+	t.Helper()
 	if err := b.StartSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	// isp0 sent 5 net to isp1, isp1 sent 7 net to isp2, isp0 received
-	// 2 net from isp2 (so isp2 pays isp0... no: credit_2[0] = +2 means
-	// isp2 net-sent 2 to isp0, so isp2 pays isp0 2).
-	_ = b.Handle(reportEnv(0, 0, []int64{0, 5, -2}))
-	_ = b.Handle(reportEnv(1, 0, []int64{-5, 0, 7}))
-	_ = b.Handle(reportEnv(2, 0, []int64{2, -7, 0}))
+	for g, credits := range reports {
+		_ = b.Handle(reportEnv(int32(g), 0, credits))
+	}
 	if !b.RoundComplete() {
 		t.Fatal("round incomplete")
 	}
-	// Settlements: pair (0,1): credit_0[1]=+5 → isp0 pays isp1 5.
-	// Pair (0,2): credit_0[2]=-2 → isp2 pays isp0 2.
-	// Pair (1,2): credit_1[2]=+7 → isp1 pays isp2 7.
-	wantAccounts := []money.Penny{1000 - 5 + 2, 1000 + 5 - 7, 1000 + 7 - 2}
-	for i, want := range wantAccounts {
-		got, _ := b.Account(i)
-		if got != want {
-			t.Errorf("account[%d] = %v, want %v", i, got, want)
+	out := make([]money.Penny, len(reports))
+	for i := range out {
+		out[i], _ = b.Account(i)
+	}
+	return out
+}
+
+func TestSettlementMovesMoneyToNetReceivers(t *testing.T) {
+	b, _ := newSettlingBank(t, 3, 1000)
+	// A cycle of net flows: isp0 sent 5 net to isp1, isp1 sent 7 net to
+	// isp2, and isp2 sent 2 net to isp0 (credit_2[0] = +2). One transfer
+	// per pair would move 5 + 7 + 2 = 14 pennies in 3 transfers; netting
+	// collapses the positions to owes = [+3, +2, -5] and settles the
+	// round in 2 transfers (0→2: 3, 1→2: 2) moving 5, landing every
+	// account on the same balance.
+	reports := [][]int64{{0, 5, -2}, {-5, 0, 7}, {2, -7, 0}}
+	got := settleRound(t, b, reports)
+	want := pairwiseAccounts(1000, reports)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("account[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
+	if want[0] != 997 || want[1] != 998 || want[2] != 1005 {
+		t.Fatalf("pairwise reference = %v, want [997 998 1005]", want)
+	}
 	transfers := b.LastTransfers()
-	if len(transfers) != 3 {
-		t.Fatalf("transfers = %v", transfers)
+	wantT := []Transfer{{From: 0, To: 2, Amount: 3}, {From: 1, To: 2, Amount: 2}}
+	if len(transfers) != len(wantT) || transfers[0] != wantT[0] || transfers[1] != wantT[1] {
+		t.Fatalf("transfers = %v, want %v", transfers, wantT)
 	}
 	st := b.Stats()
-	if st.SettledPennies != 14 || st.SettlementTransfers != 3 || st.SettlementShortfalls != 0 {
+	if st.SettledPennies != 5 || st.SettlementTransfers != 2 || st.SettlementShortfalls != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -151,52 +180,45 @@ func TestSettlementDisabledByDefault(t *testing.T) {
 	}
 }
 
+// TestGroupSettleNetsTransfers: a chain of equal flows through
+// intermediaries nets to one transfer from the head to the tail, where
+// one transfer per pair would make three.
 func TestGroupSettleNetsTransfers(t *testing.T) {
-	b, _ := newSettlingBankMode(t, 3, 1000, true)
-	if err := b.StartSnapshot(); err != nil {
-		t.Fatal(err)
+	b, _ := newSettlingBank(t, 4, 1000)
+	got := settleRound(t, b, [][]int64{
+		{0, 5, 0, 0},
+		{-5, 0, 5, 0},
+		{0, -5, 0, 5},
+		{0, 0, -5, 0},
+	})
+	if got[0] != 995 || got[1] != 1000 || got[2] != 1000 || got[3] != 1005 {
+		t.Fatalf("accounts = %v, want [995 1000 1000 1005]", got)
 	}
-	// Same honest round as TestSettlementMovesMoneyToNetReceivers:
-	// pairwise positions are 0→1: 5, 1→2: 7, 2→0: 2, netting to
-	// owes = [+3, +2, -5]. The multilateral sweep settles the round in
-	// two transfers (0→2: 3, 1→2: 2) instead of three, moving 5 pennies
-	// instead of 14, with identical final accounts.
-	_ = b.Handle(reportEnv(0, 0, []int64{0, 5, -2}))
-	_ = b.Handle(reportEnv(1, 0, []int64{-5, 0, 7}))
-	_ = b.Handle(reportEnv(2, 0, []int64{2, -7, 0}))
-	if !b.RoundComplete() {
-		t.Fatal("round incomplete")
-	}
-	wantAccounts := []money.Penny{997, 998, 1005}
-	for i, want := range wantAccounts {
-		got, _ := b.Account(i)
-		if got != want {
-			t.Errorf("account[%d] = %v, want %v", i, got, want)
-		}
-	}
-	transfers := b.LastTransfers()
-	want := []Transfer{{From: 0, To: 2, Amount: 3}, {From: 1, To: 2, Amount: 2}}
-	if len(transfers) != len(want) || transfers[0] != want[0] || transfers[1] != want[1] {
-		t.Fatalf("transfers = %v, want %v", transfers, want)
-	}
-	st := b.Stats()
-	if st.SettledPennies != 5 || st.SettlementTransfers != 2 || st.SettlementShortfalls != 0 {
-		t.Fatalf("stats = %+v", st)
+	if tr := b.LastTransfers(); len(tr) != 1 || tr[0] != (Transfer{From: 0, To: 3, Amount: 5}) {
+		t.Fatalf("transfers = %v, want one 0→3 of 5", tr)
 	}
 }
 
+// TestGroupSettleConservesTotalMoney: random honest rounds over four
+// ISPs never create or destroy real money.
 func TestGroupSettleConservesTotalMoney(t *testing.T) {
-	f := func(a, bb, c int16) bool {
-		bk, _ := newSettlingBankMode(t, 3, 100_000, true)
+	f := func(flows [6]int16) bool {
+		bk, _ := newSettlingBank(t, 4, 100_000)
 		before := bk.TotalAccounts()
-		if err := bk.StartSnapshot(); err != nil {
-			return false
+		reports := make([][]int64, 4)
+		for i := range reports {
+			reports[i] = make([]int64, 4)
 		}
-		x, y, z := int64(a%1000), int64(bb%1000), int64(c%1000)
-		_ = bk.Handle(reportEnv(0, 0, []int64{0, x, -z}))
-		_ = bk.Handle(reportEnv(1, 0, []int64{-x, 0, y}))
-		_ = bk.Handle(reportEnv(2, 0, []int64{z, -y, 0}))
-		return bk.RoundComplete() && bk.TotalAccounts() == before && len(bk.Violations()) == 0
+		k := 0
+		for i := 0; i < 4; i++ {
+			for j := i + 1; j < 4; j++ {
+				v := int64(flows[k] % 1000)
+				reports[i][j], reports[j][i] = v, -v
+				k++
+			}
+		}
+		settleRound(t, bk, reports)
+		return bk.TotalAccounts() == before && len(bk.Violations()) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -204,59 +226,46 @@ func TestGroupSettleConservesTotalMoney(t *testing.T) {
 }
 
 func TestGroupSettleMatchesPairwiseAccounts(t *testing.T) {
-	// Netting changes the transfer list, never the final accounts: both
-	// modes must land every ISP on the same balance for honest rounds.
+	// Netting changes the transfer list, never the final accounts: every
+	// ISP lands on the balance one transfer per pair would leave.
 	f := func(a, bb, c int16) bool {
 		x, y, z := int64(a%1000), int64(bb%1000), int64(c%1000)
-		run := func(group bool) []money.Penny {
-			bk, _ := newSettlingBankMode(t, 3, 100_000, group)
-			if err := bk.StartSnapshot(); err != nil {
-				return nil
-			}
-			_ = bk.Handle(reportEnv(0, 0, []int64{0, x, -z}))
-			_ = bk.Handle(reportEnv(1, 0, []int64{-x, 0, y}))
-			_ = bk.Handle(reportEnv(2, 0, []int64{z, -y, 0}))
-			out := make([]money.Penny, 3)
-			for i := range out {
-				out[i], _ = bk.Account(i)
-			}
-			return out
-		}
-		pair, net := run(false), run(true)
-		return pair != nil && net != nil && pair[0] == net[0] && pair[1] == net[1] && pair[2] == net[2]
+		reports := [][]int64{{0, x, -z}, {-x, 0, y}, {z, -y, 0}}
+		bk, _ := newSettlingBank(t, 3, 100_000)
+		got, want := settleRound(t, bk, reports), pairwiseAccounts(100_000, reports)
+		return got[0] == want[0] && got[1] == want[1] && got[2] == want[2]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestGroupSettleShortfall: a debtor owing two creditors more than its
+// account holds pays what it has, and the sweep pays creditors in index
+// order, so the later one is the one left short.
 func TestGroupSettleShortfall(t *testing.T) {
-	b, _ := newSettlingBankMode(t, 2, 3, true) // isp0 can only cover 3 of 10
-	_ = b.StartSnapshot()
-	_ = b.Handle(reportEnv(0, 0, []int64{0, 10}))
-	_ = b.Handle(reportEnv(1, 0, []int64{-10, 0}))
-	a0, _ := b.Account(0)
-	a1, _ := b.Account(1)
-	if a0 != 0 || a1 != 6 {
-		t.Fatalf("shortfall accounts = %v/%v, want 0/6", a0, a1)
+	b, _ := newSettlingBank(t, 3, 5)
+	got := settleRound(t, b, [][]int64{{0, 6, 4}, {-6, 0, 0}, {-4, 0, 0}})
+	if got[0] != 0 || got[1] != 10 || got[2] != 5 {
+		t.Fatalf("shortfall accounts = %v, want [0 10 5]", got)
 	}
-	if b.Stats().SettlementShortfalls != 1 {
-		t.Fatal("shortfall not counted")
+	if st := b.Stats(); st.SettlementShortfalls != 1 || st.SettledPennies != 5 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
+// TestGroupSettleSkipsFlaggedPairs: a flagged pair drops out of the
+// netting while the round's verified pairs still settle.
 func TestGroupSettleSkipsFlaggedPairs(t *testing.T) {
-	b, _ := newSettlingBankMode(t, 2, 1000, true)
-	_ = b.StartSnapshot()
-	_ = b.Handle(reportEnv(0, 0, []int64{0, 10}))
-	_ = b.Handle(reportEnv(1, 0, []int64{-3, 0}))
-	if len(b.Violations()) != 1 {
-		t.Fatal("pair not flagged")
+	b, _ := newSettlingBank(t, 3, 1000)
+	// isp1 understates its pair with isp0 (-3 against +10); the 0→2
+	// flow of 4 verifies.
+	got := settleRound(t, b, [][]int64{{0, 10, 4}, {-3, 0, 0}, {-4, 0, 0}})
+	if v := b.Violations(); len(v) != 1 || v[0].I != 0 || v[0].J != 1 {
+		t.Fatalf("violations = %v, want isp0/isp1", v)
 	}
-	a0, _ := b.Account(0)
-	a1, _ := b.Account(1)
-	if a0 != 1000 || a1 != 1000 {
-		t.Fatalf("flagged pair netted anyway: %v/%v", a0, a1)
+	if got[0] != 996 || got[1] != 1000 || got[2] != 1004 {
+		t.Fatalf("accounts = %v, want [996 1000 1004]", got)
 	}
 }
 

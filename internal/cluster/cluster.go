@@ -79,9 +79,9 @@ type Config struct {
 	// Queue starts each ISP's admission queue so SMTP DATA returns at
 	// admission.
 	Queue bool
-	// GroupSettle enables settlement at every (leaf) bank with
-	// multilateral netting per verified audit round.
-	GroupSettle bool
+	// Settle enables settlement at every (leaf) bank: each verified
+	// audit round moves real money by multilateral netting.
+	Settle bool
 
 	// WALDir, when set, gives every daemon a write-ahead log under
 	// WALDir/ispN and WALDir/bankR; RestartISP then proves recovery.
@@ -316,8 +316,7 @@ func (c *Cluster) bootBank(r int) (*BankDaemon, error) {
 		Compliant:      compliant,
 		InitialAccount: ispFunds,
 		OwnSealer:      crypto.Null{},
-		SettleOnVerify: cfg.GroupSettle,
-		GroupSettle:    cfg.GroupSettle,
+		SettleOnVerify: cfg.Settle,
 	}, "127.0.0.1:0", cfg.Logf)
 	if err != nil {
 		return bd, err

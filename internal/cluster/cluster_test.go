@@ -147,7 +147,7 @@ func TestClusterBatchedFederation(t *testing.T) {
 	c := newTestCluster(t, Config{
 		BatchOrders: true,
 		Queue:       true,
-		GroupSettle: true,
+		Settle:      true,
 		// Registration funds user balances from the pool (4 × 200), so a
 		// 1500-e-penny pool lands at 700 — below the default MinAvail of
 		// 1000 — and the very first tick issues a batch restock order.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"zmail/internal/bank"
@@ -11,17 +12,96 @@ import (
 	"zmail/internal/isp"
 	"zmail/internal/mail"
 	"zmail/internal/metrics"
+	"zmail/internal/money"
 	"zmail/internal/wire"
 )
 
 // authority is the protocol surface shared by the central bank and the
-// §5 hierarchy — the ISP engines cannot tell them apart.
+// §5 bank tree — the ISP engines cannot tell them apart.
 type authority interface {
 	Handle(env *wire.Envelope) error
 	StartSnapshot() error
 	RoundComplete() bool
 	Enroll(index int, sealer crypto.Sealer) error
 	Violations() []bank.Violation
+}
+
+// bankTree is the §5 two-level hierarchy as the daemons deploy it
+// (internal/cluster, E21): one leaf Bank per region whose Compliant
+// mask admits only that region's ISPs, and a Root that receives every
+// credit report a leaf accepted — core.BankServer's forward rule —
+// and verifies the cross-region pairs no leaf sees both sides of.
+type bankTree struct {
+	assign []int
+	leaves []*bank.Bank
+	root   *bank.Root
+}
+
+// newBankTree builds the root plus one leaf per region of assign,
+// regions numbered from 0.
+func newBankTree(assign []int, funds money.Penny, tr bank.Transport) (*bankTree, error) {
+	t := &bankTree{assign: assign}
+	for r := 0; r <= slices.Max(assign); r++ {
+		mask := make([]bool, len(assign))
+		for i, a := range assign {
+			mask[i] = a == r
+		}
+		leaf, err := bank.New(bank.Config{
+			NumISPs: len(assign), Compliant: mask, InitialAccount: funds,
+			Transport: tr, OwnSealer: crypto.Null{},
+		})
+		if err != nil {
+			return nil, err
+		}
+		t.leaves = append(t.leaves, leaf)
+	}
+	root, err := bank.NewRoot(bank.RootConfig{NumISPs: len(assign), Assign: assign, OwnSealer: crypto.Null{}})
+	t.root = root
+	return t, err
+}
+
+// Handle routes an ISP's envelope to its region's leaf and forwards a
+// credit report upward only when the leaf accepted it.
+func (t *bankTree) Handle(env *wire.Envelope) error {
+	if err := t.leaves[t.assign[env.From]].Handle(env); err != nil {
+		return err
+	}
+	if env.Kind == wire.KindReply {
+		return t.root.Handle(env)
+	}
+	return nil
+}
+
+func (t *bankTree) StartSnapshot() error {
+	for _, leaf := range t.leaves {
+		if err := leaf.StartSnapshot(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *bankTree) RoundComplete() bool {
+	for _, leaf := range t.leaves {
+		if !leaf.RoundComplete() {
+			return false
+		}
+	}
+	return true
+}
+
+func (t *bankTree) Enroll(index int, sealer crypto.Sealer) error {
+	return t.leaves[t.assign[index]].Enroll(index, sealer)
+}
+
+// Violations joins the leaves' intra-region flags with the root's
+// cross-region ones.
+func (t *bankTree) Violations() []bank.Violation {
+	out := t.root.Violations()
+	for _, leaf := range t.leaves {
+		out = append(out, leaf.Violations()...)
+	}
+	return out
 }
 
 // fedRig wires n engines directly to an authority with a deferred
@@ -143,12 +223,13 @@ func driveTraffic(rig *fedRig, seed int64, cheater int) (map[[2]int]bool, error)
 
 // E17 — multi-bank hierarchy (§5): "the role of the bank … can be
 // implemented as a set of distributed banks or a hierarchy of banks."
-// A two-level hierarchy must flag exactly the pairs the central bank
-// flags on identical traffic, while the root's workload shrinks from N
-// ISP reports to R region summaries and zero buy/sell messages.
+// The two-level tree E21 deploys must flag exactly the pairs the
+// central bank flags on identical traffic, while the root sees no
+// buy/sell traffic and checks only the cross-region pairs.
 func E17(seed int64) (*Result, error) {
 	const n = 6
 	const cheater = 3
+	const pairs = n * (n - 1) / 2
 
 	centralRig, err := newFedRig(n, func(tr bank.Transport) (authority, error) {
 		return bank.New(bank.Config{
@@ -164,14 +245,11 @@ func E17(seed int64) (*Result, error) {
 		return nil, err
 	}
 
-	var hier *bank.Hierarchy
+	var tree *bankTree
 	hierRig, err := newFedRig(n, func(tr bank.Transport) (authority, error) {
-		h, err := bank.NewHierarchy(bank.HierarchyConfig{
-			NumISPs: n, Regions: 2, InitialAccount: 1_000_000,
-			Transport: tr, OwnSealer: crypto.Null{},
-		})
-		hier = h
-		return h, err
+		t, err := newBankTree([]int{0, 1, 0, 1, 0, 1}, 1_000_000, tr)
+		tree = t
+		return t, err
 	})
 	if err != nil {
 		return nil, err
@@ -195,17 +273,18 @@ func E17(seed int64) (*Result, error) {
 			onlyCheater = false
 		}
 	}
-	hs := hier.Stats()
+	rs := tree.root.Stats()
 	table.AddRow("pairs flagged", len(centralFlags), len(hierFlags))
 	table.AddRow("flag sets identical", "-", identical)
-	table.AddRow("ISP reports at root", n, fmt.Sprintf("%d region summaries", hs.RootSummaries))
+	table.AddRow("ISP reports at root", n, fmt.Sprintf("%d via %d leaf banks", rs.Reports, len(tree.leaves)))
+	table.AddRow("pairs checked at root", pairs, fmt.Sprintf("%d cross-region", rs.CrossPairs))
 	table.AddRow("buy/sell traffic at root", "all of it", "none (regional)")
 	table.AddRow("cross-region cheats caught", "-", onlyCheater && len(hierFlags) > 0)
 
 	pass := identical && onlyCheater && len(hierFlags) > 0 &&
-		hs.RootSummaries == 2 && hs.Rounds == 1
-	notes := fmt.Sprintf("hierarchy flagged the same %d cheater pairs; root load per audit: 2 summaries vs %d reports",
-		len(hierFlags), n)
+		rs.Reports == n && rs.Rounds == 1 && rs.CrossPairs == 9
+	notes := fmt.Sprintf("hierarchy flagged the same %d cheater pairs; root load per audit: %d forwarded reports, %d of %d pairs checked",
+		len(hierFlags), rs.Reports, rs.CrossPairs, pairs)
 	return &Result{
 		ID:    "E17",
 		Title: "a bank hierarchy preserves detection while shrinking the root's load",

@@ -57,7 +57,7 @@ func TestSeedStability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed sweep")
 	}
-	for _, id := range []string{"E1", "E3", "E4", "E8", "E10"} {
+	for _, id := range []string{"E1", "E3", "E4", "E8", "E10", "E17"} {
 		for _, seed := range []int64{2, 3, 11} {
 			res, err := Run(id, seed)
 			if err != nil {

@@ -437,29 +437,9 @@ func DefaultConfig() Config {
 			"zmail/internal/bank.Bank.wal":           {"zmail/internal/bank.Bank.mu"},
 			"zmail/internal/bank.Bank.walErrs":       {"zmail/internal/bank.Bank.mu"},
 			"zmail/internal/bank.Bank.emitq":         {"zmail/internal/bank.Bank.mu"},
-			// Hierarchy state, including the per-region structs it owns
-			// (regions are internal organs of one bank: Hierarchy.mu
-			// covers them cross-object).
-			"zmail/internal/bank.Hierarchy.assign":      {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.Hierarchy.regions":     {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.Hierarchy.compliant":   {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.Hierarchy.ispSealers":  {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.Hierarchy.seq":         {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.Hierarchy.gathering":   {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.Hierarchy.regionsLeft": {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.Hierarchy.violations":  {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.Hierarchy.stats":       {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.Hierarchy.emitq":       {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.region.isps":           {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.region.account":        {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.region.seenNonces":     {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.region.minted":         {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.region.burned":         {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.region.reports":        {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.region.pending":        {"zmail/internal/bank.Hierarchy.mu"},
-			"zmail/internal/bank.Root.rounds":           {"zmail/internal/bank.Root.mu"},
-			"zmail/internal/bank.Root.violations":       {"zmail/internal/bank.Root.mu"},
-			"zmail/internal/bank.Root.stats":            {"zmail/internal/bank.Root.mu"},
+			"zmail/internal/bank.Root.rounds":        {"zmail/internal/bank.Root.mu"},
+			"zmail/internal/bank.Root.violations":    {"zmail/internal/bank.Root.mu"},
+			"zmail/internal/bank.Root.stats":         {"zmail/internal/bank.Root.mu"},
 			// Core daemons.
 			"zmail/internal/core.BankServer.conns":   {"zmail/internal/core.BankServer.mu"},
 			"zmail/internal/core.BankServer.forward": {"zmail/internal/core.BankServer.mu"},
@@ -487,7 +467,7 @@ func DefaultConfig() Config {
 			// dataflow also proves where it is taken locally).
 			"zmail/internal/isp:New", "zmail/internal/isp:RestoreState",
 			"zmail/internal/bank:New", "zmail/internal/bank:RestoreState",
-			"zmail/internal/bank:NewHierarchy", "zmail/internal/bank:NewRoot",
+			"zmail/internal/bank:NewRoot",
 		},
 		GuardCaptureAllowed: nil,
 		LifecyclePkgs: []string{

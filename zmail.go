@@ -124,11 +124,6 @@ type (
 	BankConfig = bank.Config
 	// Violation is one flagged ISP pair from an audit.
 	Violation = bank.Violation
-	// BankHierarchy is the §5 multi-bank extension: regional banks
-	// under a root, a drop-in replacement for Bank.
-	BankHierarchy = bank.Hierarchy
-	// BankHierarchyConfig configures a BankHierarchy.
-	BankHierarchyConfig = bank.HierarchyConfig
 	// SettlementTransfer is one inter-ISP settlement payment.
 	SettlementTransfer = bank.Transfer
 )
@@ -141,8 +136,6 @@ var (
 	NewDirectory = isp.NewDirectory
 	// NewBank validates a config and builds a bank.
 	NewBank = bank.New
-	// NewBankHierarchy builds the §5 regional-bank tree.
-	NewBankHierarchy = bank.NewHierarchy
 )
 
 // Sentinel errors re-exported for errors.Is matching.

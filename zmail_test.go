@@ -137,35 +137,3 @@ func TestPublicAPISettlementAndStatements(t *testing.T) {
 		t.Fatal("formatted statement missing entries")
 	}
 }
-
-func TestPublicAPIHierarchy(t *testing.T) {
-	h, err := zmail.NewBankHierarchy(zmail.BankHierarchyConfig{
-		NumISPs: 4, Regions: 2, InitialAccount: 1000,
-		Transport: nullBankTransport{}, OwnSealer: zmail.NullSealer{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Region(0) != 0 || h.Region(1) != 1 {
-		t.Fatal("round-robin assignment broken via public API")
-	}
-	st := h.ExportState()
-	h2, err := zmail.NewBankHierarchy(zmail.BankHierarchyConfig{
-		NumISPs: 4, Regions: 2, InitialAccount: 0,
-		Transport: nullBankTransport{}, OwnSealer: zmail.NullSealer{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h2.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := h2.Account(0)
-	if a != 1000 {
-		t.Fatalf("restored account = %v", a)
-	}
-}
-
-type nullBankTransport struct{}
-
-func (nullBankTransport) SendISP(int, *zmail.WireEnvelope) {}
