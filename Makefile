@@ -36,16 +36,18 @@ bench:
 	$(GO) test -run xxx -bench 'BuyHandling|BankBatchOrder' -benchmem ./internal/bank/
 
 # Record the hot-path, batching, relay, message data path and
-# checkpoint/replay micro-benchmarks as BENCH_15.json (ns/op, B/op,
-# allocs/op, and the derived WAL-vs-JSON checkpoint and async-admission
-# ratios). A record profiles one machine; end-to-end claims are made
-# with bench-pair below.
+# checkpoint/replay micro-benchmarks as BENCH_$(N).json, N being the
+# change's number (ns/op, B/op, allocs/op, and the derived WAL-vs-JSON
+# checkpoint and async-admission ratios). A record profiles one
+# machine; end-to-end claims are made with bench-pair below.
+#   make bench-record N=31
 bench-record:
+	@test -n "$(N)" || { echo "usage: make bench-record N=<number>"; exit 2; }
 	{ $(GO) test -run xxx -bench 'EngineSend|EngineSubmitAsync|WorldStep|ISPSubmit|ISPReceive|NodeRelay|SMTPTxn|MailCodec' -benchmem . && \
 	  $(GO) test -run xxx -bench 'BuyHandling|BankBatchOrder' -benchmem ./internal/bank/ && \
 	  $(GO) test -run xxx -bench 'WALCheckpoint|WALReplay' -benchmem ./internal/isp/ ; } \
-		| $(GO) run ./cmd/benchjson -out BENCH_15.json
-	cat BENCH_15.json
+		| $(GO) run ./cmd/benchjson -out BENCH_$(N).json
+	cat BENCH_$(N).json
 
 # Smoke test of the federation benchmark (bench/, its own module, so
 # not in ./...): every workload end to end on a shrunk federation,
@@ -104,15 +106,17 @@ lint-fixtures:
 	$(GO) run ./cmd/zlint -testdata internal/lint/testdata -expect $(LINT_FIXTURE_FINDINGS)
 
 # Observability smoke: boot a zmaild on ephemeral ports with the admin
-# telemetry listener, scrape /metrics, and parse the exposition.
+# listener, scrape /metrics, parse the exposition, and read a ledger
+# page.
 obsv:
 	$(GO) test -run TestObsvSmoke -v ./cmd/zmaild/
 
 # WAL durability gate: the crash-debris tables (torn tail, truncated
 # length prefix, corrupt checksum, snapshot/truncate crash window,
 # duplicate segment replay), the seeded replay-equivalence check, and
-# zmaild's shutdown regression (a -wal daemon closed with mail still
-# queued must log every debit before the WAL closes). CI runs this
+# zmaild's two boot-order regressions (a -wal daemon closed with mail
+# still queued must log every debit before the WAL closes; a restarted
+# one must not answer a peer's relay before its replay is done). CI runs this
 # target as its "WAL durability gate" step.
 wal:
 	$(GO) test -run 'WAL' ./internal/persist/ ./internal/isp/ ./internal/bank/ ./internal/sim/ ./cmd/zmaild/ -v

@@ -23,8 +23,14 @@
 // For local experiments, -insecure replaces all sealed boxes with
 // plaintext (the protocol logic, nonces and audits still run).
 //
-// Pass -metrics 127.0.0.1:7071 to serve the admin telemetry listener:
-// /metrics (Prometheus text), /healthz, /tracez, and /debug/pprof.
+// A central or regional bank is core.StartBankDaemon behind flags: it
+// enrolls its ISPs and, with -wal, replays its write-ahead log before
+// the bank listener binds, so an order that arrives at once is applied
+// to the recovered accounts. The root holds no ledger and runs on
+// core.StartBankHandler.
+//
+// Pass -metrics 127.0.0.1:7071 to serve the admin listener: /metrics
+// (Prometheus text), /healthz, /tracez, and /debug/pprof.
 package main
 
 import (
@@ -39,14 +45,11 @@ import (
 	"time"
 
 	"zmail/internal/bank"
-	"zmail/internal/clock"
 	"zmail/internal/core"
 	"zmail/internal/crypto"
 	"zmail/internal/metrics"
 	"zmail/internal/money"
 	"zmail/internal/obsv"
-	"zmail/internal/persist"
-	"zmail/internal/trace"
 )
 
 // enrollFlag collects repeated -enroll index=pubkeyfile flags.
@@ -194,111 +197,61 @@ func run(args []string) error {
 			compliantMask[i] = true
 		}
 	}
-	ring := trace.NewRing(4096)
-	bk, srv, err := core.StartBank(bank.Config{
-		NumISPs:        *isps,
-		Compliant:      compliantMask,
-		InitialAccount: money.Penny(*funds),
-		OwnSealer:      ownSealer,
-		SettleOnVerify: *settle,
-		Tracer:         trace.New("bank", -1, clock.System(), ring),
-	}, *listen, logf)
+	enroll := make(map[int]crypto.Sealer)
+	for idx, file := range enrollments {
+		if *insecure {
+			enroll[idx] = crypto.Null{}
+			continue
+		}
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return fmt.Errorf("enroll isp[%d]: %w", idx, err)
+		}
+		box, err := crypto.LoadPublicPEM(data)
+		if err != nil {
+			return fmt.Errorf("enroll isp[%d]: %w", idx, err)
+		}
+		enroll[idx] = box
+	}
+	// -insecure enrolls every served ISP with a plaintext sealer (all of
+	// them for a central bank, the region for a leaf).
+	for i := range *isps {
+		if *insecure && (compliantMask == nil || compliantMask[i]) {
+			enroll[i] = crypto.Null{}
+		}
+	}
+
+	d, err := core.StartBankDaemon(core.BankDaemonConfig{
+		Bank: bank.Config{
+			NumISPs:        *isps,
+			Compliant:      compliantMask,
+			InitialAccount: money.Penny(*funds),
+			OwnSealer:      ownSealer,
+			SettleOnVerify: *settle,
+		},
+		ListenAddr:  *listen,
+		WALDir:      *walDir,
+		Enroll:      enroll,
+		RootAddr:    *rootAddr,
+		MetricsAddr: *metricsAd,
+		Logf:        logf,
+	})
 	if err != nil {
 		return err
 	}
-	// checkpoint makes the ledger durable; without -wal there is nothing
-	// to do.
-	checkpoint := func() {
-		if !bk.WALAttached() {
-			return
-		}
-		if err := bk.Checkpoint(); err != nil {
-			logf("checkpoint: %v", err)
-		}
-	}
-	// Deferred first, so it runs last: the server stops taking trades
-	// and joins its handlers before the final checkpoint and the WAL
-	// close, so nothing commits after the log is gone.
 	defer func() {
-		srv.Close()
-		checkpoint()
-		if err := bk.CloseWAL(); err != nil {
-			logf("close wal: %v", err)
+		if err := d.Close(); err != nil {
+			logf("shutdown: %v", err)
 		}
 	}()
-
+	bk := d.Bank()
 	if *rootAddr != "" {
-		// Forward every verified credit report upward; the root joins
-		// reports across leaves and checks the cross-region pairs.
-		uplink := core.NewUplink(*rootAddr, serve[0], logf)
-		defer uplink.Close()
-		srv.SetForward(uplink.Forward)
 		logf("forwarding credit reports to root at %s", *rootAddr)
 	}
-
-	if *metricsAd != "" {
-		reg := metrics.NewRegistry()
-		reg.Register(bk)
-		admin, err := obsv.Start(*metricsAd, obsv.Config{Registry: reg, Ring: ring})
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := admin.Close(); err != nil {
-				logf("metrics server close: %v", err)
-			}
-		}()
-		logf("metrics on http://%s/metrics", admin.Addr())
+	if a := d.MetricsAddr(); a != nil {
+		logf("metrics on http://%s/metrics", a)
 	}
-
-	for idx, file := range enrollments {
-		var sealer crypto.Sealer
-		if *insecure {
-			sealer = crypto.Null{}
-		} else {
-			data, err := os.ReadFile(file)
-			if err != nil {
-				return fmt.Errorf("enroll isp[%d]: %w", idx, err)
-			}
-			box, err := crypto.LoadPublicPEM(data)
-			if err != nil {
-				return fmt.Errorf("enroll isp[%d]: %w", idx, err)
-			}
-			sealer = box
-		}
-		if err := bk.Enroll(idx, sealer); err != nil {
-			return err
-		}
-		logf("enrolled isp[%d]", idx)
-	}
-	if *insecure {
-		// Without key files, enroll every served ISP with plaintext
-		// sealers (all of them for a central bank, the region for a
-		// leaf).
-		for i := 0; i < *isps; i++ {
-			if compliantMask != nil && !compliantMask[i] {
-				continue
-			}
-			if err := bk.Enroll(i, crypto.Null{}); err != nil {
-				return err
-			}
-		}
-	}
-	if *walDir != "" {
-		if persist.HasWAL(*walDir) {
-			if err := bk.RecoverWAL(*walDir); err != nil {
-				return fmt.Errorf("recover %s: %w", *walDir, err)
-			}
-			logf("recovered ledger from WAL %s", *walDir)
-		} else {
-			if err := bk.AttachWAL(*walDir); err != nil {
-				return fmt.Errorf("init %s: %w", *walDir, err)
-			}
-			logf("write-ahead log initialized at %s", *walDir)
-		}
-	}
-
-	logf("listening on %s for %d ISPs (funds %v each)", srv.Addr(), *isps, money.Penny(*funds))
+	logf("listening on %s for %d ISPs (funds %v each)", d.Addr(), *isps, money.Penny(*funds))
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -332,7 +285,11 @@ func run(args []string) error {
 				logf("VIOLATION: %v", v)
 			}
 			known = len(bk.Violations())
-			checkpoint()
+			if bk.WALAttached() {
+				if err := bk.Checkpoint(); err != nil {
+					logf("checkpoint: %v", err)
+				}
+			}
 		case <-stop:
 			logf("shutting down")
 			return nil
@@ -366,19 +323,19 @@ func runRoot(listen string, isps int, assignCSV, metricsAd string, ownSealer cry
 	}
 	defer srv.Close()
 
-	if metricsAd != "" {
-		reg := metrics.NewRegistry()
-		reg.Register(root)
-		admin, err := obsv.Start(metricsAd, obsv.Config{Registry: reg})
-		if err != nil {
-			return err
+	reg := metrics.NewRegistry()
+	reg.Register(root)
+	admin, err := obsv.Start(metricsAd, obsv.Config{Registry: reg})
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err := admin.Close(); err != nil {
+			logf("metrics server close: %v", err)
 		}
-		defer func() {
-			if err := admin.Close(); err != nil {
-				logf("metrics server close: %v", err)
-			}
-		}()
-		logf("metrics on http://%s/metrics", admin.Addr())
+	}()
+	if a := admin.Addr(); a != nil {
+		logf("metrics on http://%s/metrics", a)
 	}
 	logf("root listening on %s for %d ISPs (regions %v)", srv.Addr(), isps, assign)
 

@@ -15,12 +15,21 @@
 // mail is printed to stdout; pass -maildir to store messages as files
 // instead.
 //
-// Pass -metrics 127.0.0.1:7070 to serve the admin telemetry listener:
-// /metrics (Prometheus text), /healthz, /tracez, and /debug/pprof.
+// The daemon is core.StartISPDaemon behind flags. With -wal it replays
+// its write-ahead log and registers -user accounts the log does not
+// hold before the SMTP listener binds or the bank link dials, so a peer
+// never meets a half-recovered ledger; SIGINT/SIGTERM drains accepted
+// mail before the final checkpoint closes the log.
+//
+// Pass -metrics 127.0.0.1:7070 to serve the one admin listener:
+// /metrics (Prometheus text), /healthz, /tracez, /debug/pprof, and the
+// plain-text ledger pages /users, /statement?user=<name>, /credit and
+// /pool:
+//
+//	curl -s http://127.0.0.1:7070/users
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -33,22 +42,12 @@ import (
 	"syscall"
 	"time"
 
-	"zmail/internal/clock"
 	"zmail/internal/core"
 	"zmail/internal/crypto"
 	"zmail/internal/isp"
 	"zmail/internal/mail"
-	"zmail/internal/metrics"
 	"zmail/internal/money"
-	"zmail/internal/obsv"
-	"zmail/internal/persist"
-	"zmail/internal/trace"
 )
-
-// traceRingSpans is how many recent spans the daemon retains for
-// /tracez. At one paid delivery ≈ three spans this is a few minutes of
-// history on a busy ISP, in ~300 KB.
-const traceRingSpans = 4096
 
 type stringList []string
 
@@ -86,90 +85,56 @@ func main() {
 	}
 }
 
-// daemon is one booted zmaild instance: the protocol node plus its
-// telemetry surface and shutdown hooks, in the order Close runs them.
-type daemon struct {
-	node      *core.Node
-	admin     *obsv.Server // nil unless -metrics was given
-	reg       *metrics.Registry
-	ring      *trace.Ring
-	domains   []string
-	bankAddr  string
-	delivered atomic.Int64
-	logf      func(format string, a ...any)
-	stopCkpt  func() // no-op without -wal
-}
-
-// Close shuts the daemon down: stop the checkpoint timer and the
-// telemetry listener, then the node — which commits everything its
-// admission queue accepted and stops taking mail — and only then take
-// the final checkpoint and close the WAL, so every message answered 250
-// has its debit logged.
-func (d *daemon) Close() {
-	d.stopCkpt()
-	if d.admin != nil {
-		if err := d.admin.Close(); err != nil {
-			d.logf("metrics server close: %v", err)
-		}
-	}
-	d.node.Close()
-	if eng := d.node.Engine(); eng.WALAttached() {
-		if err := eng.Checkpoint(); err != nil {
-			d.logf("checkpoint: %v", err)
-		}
-		if err := eng.CloseWAL(); err != nil {
-			d.logf("close wal: %v", err)
-		}
-	}
-}
-
 func run(args []string) error {
-	d, err := boot(args)
+	var delivered atomic.Int64
+	d, err := boot(args, &delivered)
 	if err != nil {
 		return err
 	}
-	defer d.Close()
-
-	d.logf("SMTP on %s; federation %v; bank %s", d.node.Addr(), d.domains, d.bankAddr)
-	if a := d.node.AdminAddr(); a != nil {
-		d.logf("admin console on %s", a)
-	}
-	if d.admin != nil {
-		d.logf("metrics on http://%s/metrics", d.admin.Addr())
-	}
-
-	// Daily reset of sent counters at local midnight.
-	midnight := make(chan struct{}, 1)
-	go func() {
-		for {
-			now := time.Now()
-			next := time.Date(now.Year(), now.Month(), now.Day(), 0, 0, 0, 0, now.Location()).AddDate(0, 0, 1)
-			time.Sleep(time.Until(next))
-			midnight <- struct{}{}
+	logf := logger(d.Node().Engine().Domain())
+	defer func() {
+		if err := d.Close(); err != nil {
+			logf("shutdown: %v", err)
 		}
 	}()
 
+	// Daily reset of sent counters at local midnight.
+	midnight := time.NewTimer(untilMidnight())
+	defer midnight.Stop()
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	for {
 		select {
-		case <-midnight:
-			d.node.Engine().EndOfDay()
-			d.logf("daily send counters reset")
+		case <-midnight.C:
+			d.Node().Engine().EndOfDay()
+			logf("daily send counters reset")
+			midnight.Reset(untilMidnight())
 		case <-stop:
-			d.logf("shutting down (%d messages delivered)", d.delivered.Load())
+			logf("shutting down (%d messages delivered)", delivered.Load())
 			return nil
 		}
 	}
 }
 
-// boot parses flags, builds the node with its tracer and metrics
-// registry, recovers or attaches the WAL, registers users (a user the
-// recovered ledger already holds is skipped), and starts the checkpoint
-// timer and admin telemetry listener. The caller owns Close.
-func boot(args []string) (*daemon, error) {
+// untilMidnight is the wait until the next local midnight.
+func untilMidnight() time.Duration {
+	now := time.Now()
+	return time.Until(time.Date(now.Year(), now.Month(), now.Day(), 0, 0, 0, 0, now.Location()).AddDate(0, 0, 1))
+}
+
+// logger prefixes the daemon's diagnostics with its domain.
+func logger(domain string) func(format string, a ...any) {
+	return func(format string, a ...any) {
+		fmt.Fprintf(os.Stderr, "zmaild[%s]: "+format+"\n", append([]any{domain}, a...)...)
+	}
+}
+
+// boot parses flags and boots the daemon through core.StartISPDaemon,
+// counting deliveries in delivered. Every misconfiguration is reported
+// as a usage error before anything binds. The caller owns Close.
+func boot(args []string, delivered *atomic.Int64) (*core.ISPDaemon, error) {
 	fs := flag.NewFlagSet("zmaild", flag.ContinueOnError)
-	var users, peers stringList
+	var userFlags, peers stringList
 	var (
 		index     = fs.Int("index", -1, "this ISP's federation index (required)")
 		domainCSV = fs.String("domains", "", "comma-separated federation domains, in index order (required)")
@@ -186,21 +151,17 @@ func boot(args []string) (*daemon, error) {
 		freeze    = fs.Duration("freeze", 10*time.Minute, "snapshot quiet period (paper: 10m)")
 		policy    = fs.String("policy", "accept", "unpaid-mail policy: accept|tag|reject")
 		maildir   = fs.String("maildir", "", "store delivered mail under this directory instead of stdout")
-		admin     = fs.String("admin", "", "operator console listen address (loopback only!), e.g. 127.0.0.1:7025")
-		metricsAd = fs.String("metrics", "", "admin telemetry listen address (loopback only!), e.g. 127.0.0.1:7070")
+		metricsAd = fs.String("metrics", "", "admin listen address (loopback only!) for telemetry and ledger pages, e.g. 127.0.0.1:7070")
 		walDir    = fs.String("wal", "", "write-ahead-log directory; every mutation is logged, boot replays the log, checkpoints every 5m and on shutdown")
 		batchOrd  = fs.Bool("batch-orders", false, "coalesce bank buy/sell into one batch order per tick")
 		queueDep  = fs.Int("queue-depth", 0, "admission queue depth; >0 decouples SMTP accept latency from ledger commit")
 		queueWrk  = fs.Int("queue-workers", 0, "admission queue drain workers (0 = default, with -queue-depth)")
 	)
-	fs.Var(&users, "user", "local:accountPennies:balanceEPennies:dailyLimit; repeatable")
+	fs.Var(&userFlags, "user", "local:accountPennies:balanceEPennies:dailyLimit; repeatable")
 	fs.Var(&peers, "peer", "index=host:port of a peer ISP; repeatable")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	// Every flag-level rejection happens here, before any listener
-	// binds or ledger loads: a misconfigured daemon must die with a
-	// usage message, not half-boot.
 	if *index < 0 || *domainCSV == "" {
 		return nil, usagef("-index and -domains are required")
 	}
@@ -209,8 +170,7 @@ func boot(args []string) (*daemon, error) {
 		return nil, usagef("index %d outside %d domains", *index, len(domains))
 	}
 	for _, a := range []struct{ name, addr string }{
-		{"-listen", *listen}, {"-bank", *bankAddr},
-		{"-admin", *admin}, {"-metrics", *metricsAd},
+		{"-listen", *listen}, {"-bank", *bankAddr}, {"-metrics", *metricsAd},
 	} {
 		if err := checkAddr(a.name, a.addr); err != nil {
 			return nil, err
@@ -279,135 +239,76 @@ func boot(args []string) (*daemon, error) {
 		peerMap[i] = addr
 	}
 
-	d := &daemon{
-		domains:  domains,
-		bankAddr: *bankAddr,
-		stopCkpt: func() {},
-	}
-	d.logf = func(format string, a ...any) {
-		fmt.Fprintf(os.Stderr, "zmaild[%s]: "+format+"\n",
-			append([]any{domains[*index]}, a...)...)
-	}
-
-	mailbox := func(user string, msg *mail.Message) {
-		n := d.delivered.Add(1)
-		if *maildir != "" {
-			dir := filepath.Join(*maildir, user)
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				d.logf("maildir: %v", err)
-				return
-			}
-			name := filepath.Join(dir, fmt.Sprintf("%d.eml", n))
-			if err := os.WriteFile(name, []byte(msg.Encode()), 0o644); err != nil {
-				d.logf("maildir: %v", err)
-			}
-			return
-		}
-		fmt.Printf("DELIVER %s@%s  from=%v subject=%q\n", user, domains[*index], msg.From, msg.Subject())
-	}
-
-	// One clock drives the engine, the tracer, and the checkpoint timer;
-	// one ring retains recent spans for /tracez.
-	clk := clock.System()
-	d.ring = trace.NewRing(traceRingSpans)
-	d.reg = metrics.NewRegistry()
-	tracer := trace.New(domains[*index], *index, clk, d.ring)
-
-	node, err := core.NewNode(core.NodeConfig{
-		Engine: isp.Config{
-			Index:          *index,
-			Domain:         domains[*index],
-			Directory:      isp.NewDirectory(domains, compliantArr),
-			MinAvail:       money.EPenny(*minAvail),
-			MaxAvail:       money.EPenny(*maxAvail),
-			InitialAvail:   money.EPenny(*initAvail),
-			DefaultLimit:   *limit,
-			FreezeDuration: *freeze,
-			Policy:         pol,
-			BankSealer:     bankSealer,
-			OwnSealer:      ownSealer,
-			Clock:          clk,
-			Tracer:         tracer,
-			BatchOrders:    *batchOrd,
-		},
-		ListenAddr:   *listen,
-		BankAddr:     *bankAddr,
-		Peers:        peerMap,
-		AdminAddr:    *admin,
-		Mailbox:      mailbox,
-		Logf:         d.logf,
-		Queue:        *queueDep > 0,
-		QueueDepth:   *queueDep,
-		QueueWorkers: *queueWrk,
-	})
-	if err != nil {
-		return nil, err
-	}
-	d.node = node
-	d.reg.Register(node.Engine())
-	d.reg.Register(node)
-	if *queueDep > 0 {
-		d.logf("admission queue enabled (depth %d, workers %d)", *queueDep, *queueWrk)
-	}
-	if *batchOrd {
-		d.logf("coalesced bank orders enabled")
-	}
-
-	if *walDir != "" {
-		eng := node.Engine()
-		if persist.HasWAL(*walDir) {
-			if err := eng.RecoverWAL(*walDir); err != nil {
-				d.Close()
-				return nil, fmt.Errorf("recover %s: %w", *walDir, err)
-			}
-			d.logf("recovered ledger from WAL %s (%d users)", *walDir, len(eng.ExportState().Users))
-		} else {
-			if err := eng.AttachWAL(*walDir); err != nil {
-				d.Close()
-				return nil, fmt.Errorf("init %s: %w", *walDir, err)
-			}
-			d.logf("write-ahead log initialized at %s", *walDir)
-		}
-		// The periodic checkpoint fsyncs the log, compacting when it
-		// outgrows the snapshot threshold.
-		d.stopCkpt = persist.StartCheckpoints(clk, eng.Checkpoint, 5*time.Minute, func(err error) {
-			d.logf("checkpoint: %v", err)
-		})
-	}
-
-	for _, u := range users {
+	var users []core.User
+	for _, u := range userFlags {
 		parts := strings.Split(u, ":")
 		if len(parts) != 4 {
-			d.Close()
 			return nil, usagef("bad -user %q (want local:account:balance:limit)", u)
 		}
 		account, err1 := strconv.ParseInt(parts[1], 10, 64)
 		balance, err2 := strconv.ParseInt(parts[2], 10, 64)
 		lim, err3 := strconv.ParseInt(parts[3], 10, 64)
 		if err1 != nil || err2 != nil || err3 != nil {
-			d.Close()
 			return nil, usagef("bad -user %q", u)
 		}
-		err := node.Engine().RegisterUser(parts[0], money.Penny(account), money.EPenny(balance), lim)
-		switch {
-		case errors.Is(err, isp.ErrDuplicateUser):
-			// Already present in the restored ledger; the ledger wins.
-			continue
-		case err != nil:
-			d.Close()
-			return nil, err
-		}
-		d.logf("registered user %s (account %v, balance %v, limit %d)",
-			parts[0], money.Penny(account), money.EPenny(balance), lim)
+		users = append(users, core.User{Name: parts[0], Account: money.Penny(account), Balance: money.EPenny(balance), Limit: lim})
 	}
 
-	if *metricsAd != "" {
-		srv, err := obsv.Start(*metricsAd, obsv.Config{Registry: d.reg, Ring: d.ring})
-		if err != nil {
-			d.Close()
-			return nil, err
+	domain := domains[*index]
+	logf := logger(domain)
+	mailbox := func(user string, msg *mail.Message) {
+		n := delivered.Add(1)
+		if *maildir == "" {
+			fmt.Printf("DELIVER %s@%s  from=%v subject=%q\n", user, domain, msg.From, msg.Subject())
+			return
 		}
-		d.admin = srv
+		dir := filepath.Join(*maildir, user)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			logf("maildir: %v", err)
+			return
+		}
+		name := filepath.Join(dir, fmt.Sprintf("%d.eml", n))
+		if err := os.WriteFile(name, []byte(msg.Encode()), 0o644); err != nil {
+			logf("maildir: %v", err)
+		}
+	}
+
+	d, err := core.StartISPDaemon(core.ISPDaemonConfig{
+		Node: core.NodeConfig{
+			Engine: isp.Config{
+				Index:          *index,
+				Domain:         domain,
+				Directory:      isp.NewDirectory(domains, compliantArr),
+				MinAvail:       money.EPenny(*minAvail),
+				MaxAvail:       money.EPenny(*maxAvail),
+				InitialAvail:   money.EPenny(*initAvail),
+				DefaultLimit:   *limit,
+				FreezeDuration: *freeze,
+				Policy:         pol,
+				BankSealer:     bankSealer,
+				OwnSealer:      ownSealer,
+				BatchOrders:    *batchOrd,
+			},
+			ListenAddr:   *listen,
+			BankAddr:     *bankAddr,
+			Peers:        peerMap,
+			Mailbox:      mailbox,
+			Logf:         logf,
+			Queue:        *queueDep > 0,
+			QueueDepth:   *queueDep,
+			QueueWorkers: *queueWrk,
+		},
+		WALDir:      *walDir,
+		Users:       users,
+		MetricsAddr: *metricsAd,
+	})
+	if err != nil {
+		return nil, err
+	}
+	logf("SMTP on %s; federation %v; bank %s; %d users", d.Node().Addr(), domains, *bankAddr,
+		len(d.Node().Engine().Users()))
+	if a := d.MetricsAddr(); a != nil {
+		logf("metrics and ledger pages on http://%s/", a)
 	}
 	return d, nil
 }

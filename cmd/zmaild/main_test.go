@@ -1,14 +1,20 @@
 package main
 
 import (
+	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"zmail/internal/mail"
 	"zmail/internal/promtext"
+	"zmail/internal/smtp"
 )
 
 func TestZmaildFlagValidation(t *testing.T) {
@@ -105,17 +111,18 @@ func TestObsvSmoke(t *testing.T) {
 		"-index", "0", "-domains", "one.example,two.example", "-insecure",
 		"-listen", "127.0.0.1:0", "-metrics", "127.0.0.1:0",
 		"-user", "alice:1000:50:200", "-peer", "1=127.0.0.1:1",
-	})
+	}, new(atomic.Int64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if d.admin == nil {
-		t.Fatal("boot with -metrics left admin listener nil")
+	if d.MetricsAddr() == nil {
+		t.Fatal("boot with -metrics bound no admin listener")
 	}
+	admin := "http://" + d.MetricsAddr().String()
 
 	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + d.admin.Addr().String() + "/metrics")
+	resp, err := client.Get(admin + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +162,27 @@ func TestObsvSmoke(t *testing.T) {
 		}
 	}
 
-	resp, err = client.Get("http://" + d.admin.Addr().String() + "/healthz")
+	resp, err = client.Get(admin + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz status %d", resp.StatusCode)
+	}
+
+	// One ledger page from the same listener.
+	resp, err = client.Get(admin + "/users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "alice balance=50e¢") {
+		t.Fatalf("/users = %d %q", resp.StatusCode, body)
 	}
 }
 
@@ -177,30 +198,31 @@ func TestWALShutdownKeepsAdmittedMail(t *testing.T) {
 		"-maildir", t.TempDir(), "-queue-depth", "8192", "-queue-workers", "1",
 		"-user", "alice:1000:5000:5000", "-user", "bob:1000:0:5000",
 	}
-	d, err := boot(args)
+	var delivered atomic.Int64
+	d, err := boot(args, &delivered)
 	if err != nil {
 		t.Fatal(err)
 	}
 	from := mail.Address{Local: "alice", Domain: "one.example"}
 	to := mail.Address{Local: "bob", Domain: "one.example"}
 	for i := 0; i < n; i++ {
-		if _, err := d.node.Engine().Submit(mail.NewMessage(from, to, "s", "queued")); err != nil {
+		if _, err := d.Node().Engine().Submit(mail.NewMessage(from, to, "s", "queued")); err != nil {
 			d.Close()
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
 	d.Close()
-	if got := d.delivered.Load(); got != n {
+	if got := delivered.Load(); got != n {
 		t.Fatalf("delivered %d of %d before shutdown returned", got, n)
 	}
 
 	// Same -user flags: the recovered ledger wins over them.
-	d, err = boot(args)
+	d, err = boot(args, &delivered)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	alice, ok := d.node.Engine().User("alice")
+	alice, ok := d.Node().Engine().User("alice")
 	if !ok {
 		t.Fatal("alice missing after reboot")
 	}
@@ -208,7 +230,7 @@ func TestWALShutdownKeepsAdmittedMail(t *testing.T) {
 		t.Fatalf("recovered alice sent=%d balance=%d, want sent=%d balance=%d",
 			alice.Sent, alice.Balance, n, 5000-n)
 	}
-	if bob, _ := d.node.Engine().User("bob"); bob.Balance != n {
+	if bob, _ := d.Node().Engine().User("bob"); bob.Balance != n {
 		t.Fatalf("recovered bob balance=%d, want %d", bob.Balance, n)
 	}
 }
@@ -219,5 +241,102 @@ func TestStringListFlag(t *testing.T) {
 	_ = s.Set("b")
 	if len(s) != 2 || s.String() != "a,b" {
 		t.Fatalf("stringList = %v / %q", s, s.String())
+	}
+}
+
+// TestWALRestartAnswersRelayFromFirstInstant restarts a daemon from a
+// WAL of 10⁵ users on a fixed port while a peer ISP relays paid mail to
+// one of them, dialing from before boot begins. The daemon opens SMTP
+// only once the replay is done, so the peer is refused a connection
+// until then and never meets a 550 for a user the log holds; a 550
+// here would leave the peer's sender charged for mail nobody received.
+func TestWALRestartAnswersRelayFromFirstInstant(t *testing.T) {
+	const users = 100_000
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	port := ln.Addr().String()
+	ln.Close()
+	args := []string{
+		"-index", "0", "-domains", "one.example,two.example", "-insecure",
+		"-listen", port, "-wal", filepath.Join(t.TempDir(), "wal"), "-initavail", "0",
+		"-maildir", t.TempDir(),
+	}
+	seed := append([]string(nil), args...)
+	for u := 0; u < users; u++ {
+		seed = append(seed, "-user", fmt.Sprintf("u%06d:0:0:10", u))
+	}
+	var delivered atomic.Int64
+	d, err := boot(seed, &delivered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	from := mail.Address{Local: "p", Domain: "two.example"}
+	to := mail.Address{Local: fmt.Sprintf("u%06d", users-1), Domain: "one.example"}
+	stop := make(chan struct{})
+	type result struct{ accepted, refused int }
+	done := make(chan result, 1)
+	go func() {
+		var r result
+		defer func() { done <- r }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c, err := smtp.Dial(port, time.Second)
+			if err != nil {
+				time.Sleep(100 * time.Microsecond)
+				continue
+			}
+			if err := c.Hello("two.example"); err == nil {
+				for err == nil {
+					err = c.Send(from, []mail.Address{to}, mail.NewMessage(from, to, "relay", "body"))
+					var pe *smtp.ProtocolError
+					switch {
+					case err == nil:
+						r.accepted++
+					case errors.As(err, &pe) && pe.Code == 550:
+						r.refused++
+						err = c.Reset()
+					}
+					select {
+					case <-stop:
+						c.Close()
+						return
+					default:
+					}
+				}
+			}
+			c.Close()
+		}
+	}()
+
+	d, err = boot(args, &delivered)
+	if err != nil {
+		close(stop)
+		<-done
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for deadline := time.Now().Add(10 * time.Second); delivered.Load() < 10; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Error("the relaying peer delivered nothing after boot")
+			break
+		}
+	}
+	close(stop)
+	r := <-done
+	if r.refused > 0 {
+		t.Fatalf("%d relayed messages for a user in the WAL answered 550 (%d accepted)", r.refused, r.accepted)
+	}
+	if got := d.Node().Engine().Credit()[1]; got != -delivered.Load() {
+		t.Fatalf("credit[peer] = %d after %d paid receipts", got, delivered.Load())
 	}
 }

@@ -1,10 +1,11 @@
 // Package cluster boots a complete Zmail federation over real TCP on
-// loopback: two ISP daemons (the same core.Node that cmd/zmaild runs,
-// with SMTP listeners, persistent bank links, tick loops, admin
-// telemetry and optional WAL durability) in front of either one central
-// bank or the §5 two-level hierarchy — a leaf bank per ISP, forwarding
-// credit reports to a root aggregator that verifies the cross-region
-// pair.
+// loopback: two ISP daemons in front of either one central bank or the
+// §5 two-level hierarchy — a leaf bank per ISP, forwarding credit
+// reports to a root aggregator that verifies the cross-region pair.
+// Every ISP and bank is booted by the same constructors cmd/zmaild and
+// cmd/zbank call (core.StartISPDaemon, core.StartBankDaemon), so the
+// suite runs their boot order, admin listener, optional WAL and
+// shutdown order, not a copy of them.
 //
 // It is the harness for the end-to-end federation test suite in this
 // package (`make cluster`), which re-stakes the in-process simulator's
@@ -20,13 +21,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync/atomic"
 	"time"
 
 	"zmail/internal/bank"
-	"zmail/internal/clock"
 	"zmail/internal/core"
 	"zmail/internal/crypto"
 	"zmail/internal/isp"
@@ -34,8 +33,6 @@ import (
 	"zmail/internal/metrics"
 	"zmail/internal/money"
 	"zmail/internal/obsv"
-	"zmail/internal/persist"
-	"zmail/internal/trace"
 )
 
 // The federation every cluster boots: two ISPs of four users ("u000",
@@ -105,103 +102,34 @@ func (cfg *Config) applyDefaults() {
 	}
 }
 
-// ISP is one booted ISP daemon plus its telemetry surface.
+// ISP is one booted ISP daemon (core.StartISPDaemon) and the identity
+// the suite gave it.
 type ISP struct {
 	Index  int
 	Domain string
-	Region int
 	Users  []string
 
-	node      *core.Node
-	admin     *obsv.Server
+	daemon    *core.ISPDaemon
 	delivered atomic.Int64
 }
 
 // SMTPAddr returns the daemon's bound SMTP address.
-func (i *ISP) SMTPAddr() string { return i.node.Addr().String() }
+func (i *ISP) SMTPAddr() string { return i.daemon.Node().Addr().String() }
 
 // MetricsAddr returns the admin telemetry address.
-func (i *ISP) MetricsAddr() string { return i.admin.Addr().String() }
+func (i *ISP) MetricsAddr() string { return i.daemon.MetricsAddr().String() }
 
 // Engine exposes the daemon's protocol engine (ledger inspection in
 // tests; production callers scrape /metrics instead).
-func (i *ISP) Engine() *isp.Engine { return i.node.Engine() }
+func (i *ISP) Engine() *isp.Engine { return i.daemon.Node().Engine() }
 
 // Delivered counts messages the daemon handed to local mailboxes over
 // its lifetime, surviving restarts (the counter lives in the harness,
 // not the node).
 func (i *ISP) Delivered() int64 { return i.delivered.Load() }
 
-// Close tears this ISP daemon down: telemetry first, then the node —
-// which commits what its admission queue accepted and stops taking
-// mail — and only then the final checkpoint and the WAL close, so every
-// accepted message's debit is logged. Safe on a partially booted
-// daemon — whatever never started is skipped.
-func (i *ISP) Close() error {
-	var firstErr error
-	keep := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if i.admin != nil {
-		keep(i.admin.Close())
-		i.admin = nil
-	}
-	if i.node != nil {
-		keep(i.node.Close())
-		if eng := i.node.Engine(); eng.WALAttached() {
-			keep(eng.Checkpoint())
-			keep(eng.CloseWAL())
-		}
-	}
-	return firstErr
-}
-
-// BankDaemon is one bank-level daemon: the single central bank, or one
-// leaf of the two-level hierarchy.
-type BankDaemon struct {
-	Region int
-	Bank   *bank.Bank
-
-	srv    *core.BankServer
-	admin  *obsv.Server
-	uplink *core.Uplink
-}
-
-// Addr returns the daemon's bound bank-protocol address.
-func (b *BankDaemon) Addr() string { return b.srv.Addr().String() }
-
-// MetricsAddr returns the admin telemetry address.
-func (b *BankDaemon) MetricsAddr() string { return b.admin.Addr().String() }
-
-// Close tears this bank daemon down: telemetry, the root uplink, the
-// serving socket (joining its handlers, so no trade commits after),
-// and finally the checkpoint and the WAL close. Safe on a partially
-// booted daemon.
-func (b *BankDaemon) Close() error {
-	var firstErr error
-	keep := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if b.admin != nil {
-		keep(b.admin.Close())
-		b.admin = nil
-	}
-	if b.uplink != nil {
-		keep(b.uplink.Close())
-	}
-	if b.srv != nil {
-		keep(b.srv.Close())
-	}
-	if b.Bank != nil && b.Bank.WALAttached() {
-		keep(b.Bank.Checkpoint())
-		keep(b.Bank.CloseWAL())
-	}
-	return firstErr
-}
+// Close shuts the daemon down (core.ISPDaemon.Close).
+func (i *ISP) Close() error { return i.daemon.Close() }
 
 // Cluster is a running federation.
 type Cluster struct {
@@ -210,7 +138,7 @@ type Cluster struct {
 	assign  []int // isp index → region
 
 	isps  []*ISP
-	banks []*BankDaemon
+	banks []*core.BankDaemon // one per region
 
 	root      *bank.Root
 	rootSrv   *core.BankServer
@@ -270,178 +198,132 @@ func (c *Cluster) boot() error {
 		cfg.Logf("cluster: root bank on %s", srv.Addr())
 	}
 
-	// Leaf (or central) banks. Daemons are recorded before the error
-	// check: boot helpers return the partially built daemon alongside
-	// their error, so New's Close-on-failure can release whatever did
-	// start (listeners, WALs, tickers) instead of leaking it.
+	// Leaf (or central) banks, then the ISP daemons, then the full peer
+	// mesh once every port is known. A daemon that fails to boot has
+	// released what it started; New's Close releases the rest.
 	for r := 0; r < cfg.Regions; r++ {
 		bd, err := c.bootBank(r)
+		if err != nil {
+			return err
+		}
 		c.banks = append(c.banks, bd)
-		if err != nil {
-			return err
-		}
 	}
-
-	// ISP daemons, then the full peer mesh once every port is known.
 	for i := 0; i < numISPs; i++ {
-		node, err := c.bootISP(i)
-		c.isps = append(c.isps, node)
-		if err != nil {
+		d := &ISP{Index: i, Domain: c.Domains[i]}
+		for u := 0; u < usersPerISP; u++ {
+			d.Users = append(d.Users, fmt.Sprintf("u%03d", u))
+		}
+		if err := c.startISP(d); err != nil {
 			return err
 		}
+		c.isps = append(c.isps, d)
 	}
+	c.wirePeers()
+	return nil
+}
+
+// wirePeers points every ISP's relay at every other ISP's current SMTP
+// address.
+func (c *Cluster) wirePeers() {
 	for i, a := range c.isps {
 		for j, b := range c.isps {
 			if i != j {
-				a.node.AddPeer(j, b.SMTPAddr())
+				a.daemon.Node().AddPeer(j, b.SMTPAddr())
 			}
 		}
 	}
-	return nil
 }
 
 // bootBank starts the bank daemon for one region. With a single
 // region it is the central bank; with several, a leaf that serves only
 // its region's ISPs and forwards their credit reports to the root.
-func (c *Cluster) bootBank(r int) (*BankDaemon, error) {
+func (c *Cluster) bootBank(r int) (*core.BankDaemon, error) {
 	cfg := c.cfg
 	compliant := make([]bool, numISPs)
+	enroll := make(map[int]crypto.Sealer)
+	var members []int
 	for i := 0; i < numISPs; i++ {
 		compliant[i] = c.assign[i] == r
-	}
-
-	bd := &BankDaemon{Region: r}
-	bk, srv, err := core.StartBank(bank.Config{
-		NumISPs:        numISPs,
-		Compliant:      compliant,
-		InitialAccount: ispFunds,
-		OwnSealer:      crypto.Null{},
-		SettleOnVerify: cfg.Settle,
-	}, "127.0.0.1:0", cfg.Logf)
-	if err != nil {
-		return bd, err
-	}
-	bd.Bank, bd.srv = bk, srv
-	for i := 0; i < numISPs; i++ {
 		if compliant[i] {
-			if err := bk.Enroll(i, crypto.Null{}); err != nil {
-				return bd, err
-			}
+			enroll[i] = crypto.Null{}
+			members = append(members, i)
 		}
+	}
+	dcfg := core.BankDaemonConfig{
+		Bank: bank.Config{
+			NumISPs:        numISPs,
+			Compliant:      compliant,
+			InitialAccount: ispFunds,
+			OwnSealer:      crypto.Null{},
+			SettleOnVerify: cfg.Settle,
+		},
+		ListenAddr:  "127.0.0.1:0",
+		Enroll:      enroll,
+		MetricsAddr: "127.0.0.1:0",
+		Logf:        cfg.Logf,
 	}
 	if c.rootSrv != nil {
-		bd.uplink = core.NewUplink(c.rootSrv.Addr().String(), r, cfg.Logf)
-		srv.SetForward(bd.uplink.Forward)
+		dcfg.RootAddr = c.rootSrv.Addr().String()
 	}
 	if cfg.WALDir != "" {
-		dir := filepath.Join(cfg.WALDir, fmt.Sprintf("bank%d", r))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return bd, err
-		}
-		if err := bk.AttachWAL(dir); err != nil {
-			return bd, err
-		}
+		dcfg.WALDir = filepath.Join(cfg.WALDir, fmt.Sprintf("bank%d", r))
 	}
-	reg := metrics.NewRegistry()
-	reg.Register(bk)
-	if bd.admin, err = obsv.Start("127.0.0.1:0", obsv.Config{Registry: reg}); err != nil {
-		return bd, err
+	d, err := core.StartBankDaemon(dcfg)
+	if err != nil {
+		return nil, err
 	}
-	cfg.Logf("cluster: bank[%d] on %s serving %v", r, srv.Addr(), regionMembers(c.assign, r))
-	return bd, nil
+	cfg.Logf("cluster: bank[%d] on %s serving %v", r, d.Addr(), members)
+	return d, nil
 }
 
-func regionMembers(assign []int, r int) []int {
-	var out []int
-	for i, a := range assign {
-		if a == r {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// bootISP builds and starts the daemon for federation index i,
-// recovering from its WAL when one exists (the restart path).
-func (c *Cluster) bootISP(i int) (*ISP, error) {
-	d := &ISP{Index: i, Domain: c.Domains[i], Region: c.assign[i]}
-	for u := 0; u < usersPerISP; u++ {
-		d.Users = append(d.Users, fmt.Sprintf("u%03d", u))
-	}
-	return d, c.startISP(d)
-}
-
-// startISP boots (or reboots) the node behind d; d's identity fields
-// are already set.
+// startISP boots (or reboots, from its WAL) the daemon behind d; d's
+// identity fields are already set.
 func (c *Cluster) startISP(d *ISP) error {
 	cfg := c.cfg
-	clk := clock.System()
-	ring := trace.NewRing(1024)
-	tracer := trace.New(d.Domain, d.Index, clk, ring)
-
-	node, err := core.NewNode(core.NodeConfig{
-		Engine: isp.Config{
-			Index:          d.Index,
-			Domain:         d.Domain,
-			Directory:      isp.NewDirectory(c.Domains, nil),
-			MinAvail:       minAvail,
-			MaxAvail:       maxAvail,
-			InitialAvail:   cfg.InitialAvail,
-			DefaultLimit:   cfg.DailyLimit,
-			FreezeDuration: freezeDuration,
-			Policy:         isp.AcceptUnpaid,
-			BankSealer:     crypto.Null{},
-			OwnSealer:      crypto.Null{},
-			Clock:          clk,
-			Tracer:         tracer,
-			BatchOrders:    cfg.BatchOrders,
-		},
-		ListenAddr:   "127.0.0.1:0",
-		BankAddr:     c.banks[c.assign[d.Index]].Addr(),
-		TickInterval: tickInterval,
-		Queue:        cfg.Queue,
-		QueueDepth:   queueDepth,
-		QueueWorkers: queueWorkers,
-		Mailbox: func(user string, msg *mail.Message) {
-			d.delivered.Add(1)
-		},
-		Logf: func(format string, args ...any) {
-			cfg.Logf("isp[%d]: "+format, append([]any{d.Index}, args...)...)
-		},
-	})
-	if err != nil {
-		return err
+	users := make([]core.User, len(d.Users))
+	for u, name := range d.Users {
+		users[u] = core.User{Name: name, Account: initialAccount, Balance: initialBalance, Limit: cfg.DailyLimit}
 	}
-	d.node = node
-	reg := metrics.NewRegistry()
-	reg.Register(node.Engine())
-	reg.Register(node)
-
+	icfg := core.ISPDaemonConfig{
+		Node: core.NodeConfig{
+			Engine: isp.Config{
+				Index:          d.Index,
+				Domain:         d.Domain,
+				Directory:      isp.NewDirectory(c.Domains, nil),
+				MinAvail:       minAvail,
+				MaxAvail:       maxAvail,
+				InitialAvail:   cfg.InitialAvail,
+				DefaultLimit:   cfg.DailyLimit,
+				FreezeDuration: freezeDuration,
+				Policy:         isp.AcceptUnpaid,
+				BankSealer:     crypto.Null{},
+				OwnSealer:      crypto.Null{},
+				BatchOrders:    cfg.BatchOrders,
+			},
+			ListenAddr:   "127.0.0.1:0",
+			BankAddr:     c.banks[c.assign[d.Index]].Addr().String(),
+			TickInterval: tickInterval,
+			Queue:        cfg.Queue,
+			QueueDepth:   queueDepth,
+			QueueWorkers: queueWorkers,
+			Mailbox: func(user string, msg *mail.Message) {
+				d.delivered.Add(1)
+			},
+			Logf: func(format string, args ...any) {
+				cfg.Logf("isp[%d]: "+format, append([]any{d.Index}, args...)...)
+			},
+		},
+		Users:       users,
+		MetricsAddr: "127.0.0.1:0",
+	}
 	if cfg.WALDir != "" {
-		dir := filepath.Join(cfg.WALDir, fmt.Sprintf("isp%d", d.Index))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		eng := node.Engine()
-		if persist.HasWAL(dir) {
-			if err := eng.RecoverWAL(dir); err != nil {
-				return fmt.Errorf("cluster: recover isp[%d] wal: %w", d.Index, err)
-			}
-		} else if err := eng.AttachWAL(dir); err != nil {
-			return fmt.Errorf("cluster: init isp[%d] wal: %w", d.Index, err)
-		}
+		icfg.WALDir = filepath.Join(cfg.WALDir, fmt.Sprintf("isp%d", d.Index))
 	}
-
-	for _, u := range d.Users {
-		err := node.Engine().RegisterUser(u, initialAccount, initialBalance, cfg.DailyLimit)
-		if err != nil && !errors.Is(err, isp.ErrDuplicateUser) {
-			return err
-		}
+	daemon, err := core.StartISPDaemon(icfg)
+	if err != nil {
+		return fmt.Errorf("cluster: isp[%d]: %w", d.Index, err)
 	}
-
-	if d.admin, err = obsv.Start("127.0.0.1:0", obsv.Config{Registry: reg, Ring: ring}); err != nil {
-		return err
-	}
+	d.daemon = daemon
 	cfg.Logf("cluster: isp[%d] %s smtp on %s", d.Index, d.Domain, d.SMTPAddr())
 	return nil
 }
@@ -449,8 +331,9 @@ func (c *Cluster) startISP(d *ISP) error {
 // ISP returns daemon i.
 func (c *Cluster) ISP(i int) *ISP { return c.isps[i] }
 
-// Banks returns every bank-level daemon (one central, or R leaves).
-func (c *Cluster) Banks() []*BankDaemon { return c.banks }
+// Banks returns every bank-level daemon, indexed by region (one
+// central, or R leaves).
+func (c *Cluster) Banks() []*core.BankDaemon { return c.banks }
 
 // Root returns the root aggregator, nil for the central topology.
 func (c *Cluster) Root() *bank.Root { return c.root }
@@ -463,7 +346,7 @@ func (c *Cluster) MetricsAddrs() []string {
 		out = append(out, d.MetricsAddr())
 	}
 	for _, b := range c.banks {
-		out = append(out, b.MetricsAddr())
+		out = append(out, b.MetricsAddr().String())
 	}
 	if c.rootAdmin != nil {
 		out = append(out, c.rootAdmin.Addr().String())
@@ -475,9 +358,9 @@ func (c *Cluster) MetricsAddrs() []string {
 // leaf (or the central bank) snapshots its ISPs. Completion is
 // observable via AuditComplete.
 func (c *Cluster) TriggerAudit() error {
-	for _, bd := range c.banks {
-		if err := bd.Bank.StartSnapshot(); err != nil {
-			return fmt.Errorf("cluster: bank[%d]: %w", bd.Region, err)
+	for r, bd := range c.banks {
+		if err := bd.Bank().StartSnapshot(); err != nil {
+			return fmt.Errorf("cluster: bank[%d]: %w", r, err)
 		}
 	}
 	c.audits++
@@ -488,7 +371,7 @@ func (c *Cluster) TriggerAudit() error {
 // verified — at every leaf, and (two-level topology) at the root.
 func (c *Cluster) AuditComplete() bool {
 	for _, bd := range c.banks {
-		if !bd.Bank.RoundComplete() {
+		if !bd.Bank().RoundComplete() {
 			return false
 		}
 	}
@@ -504,7 +387,7 @@ func (c *Cluster) AuditComplete() bool {
 func (c *Cluster) Violations() []bank.Violation {
 	var out []bank.Violation
 	for _, bd := range c.banks {
-		out = append(out, bd.Bank.Violations()...)
+		out = append(out, bd.Bank().Violations()...)
 	}
 	if c.root != nil {
 		out = append(out, c.root.Violations()...)
@@ -527,7 +410,7 @@ func (c *Cluster) TotalEPennies() int64 {
 func (c *Cluster) Outstanding() int64 {
 	var total int64
 	for _, bd := range c.banks {
-		total += bd.Bank.Outstanding()
+		total += bd.Bank().Outstanding()
 	}
 	return total
 }
@@ -554,42 +437,25 @@ func (c *Cluster) RestartISP(i int) error {
 	if err := c.startISP(d); err != nil {
 		return err
 	}
-	for j, other := range c.isps {
-		if j == i {
-			continue
-		}
-		other.node.AddPeer(i, d.SMTPAddr())
-		d.node.AddPeer(j, other.SMTPAddr())
-	}
+	c.wirePeers()
 	return nil
 }
 
 // Close tears the whole federation down, ISPs first so their final
 // bank traffic still has a server to fail against quietly.
 func (c *Cluster) Close() error {
-	var firstErr error
-	keep := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	var errs []error
 	for _, d := range c.isps {
-		if d != nil {
-			keep(d.Close())
-		}
+		errs = append(errs, d.Close())
 	}
 	for _, bd := range c.banks {
-		if bd != nil {
-			keep(bd.Close())
-		}
+		errs = append(errs, bd.Close())
 	}
-	if c.rootAdmin != nil {
-		keep(c.rootAdmin.Close())
-	}
+	errs = append(errs, c.rootAdmin.Close())
 	if c.rootSrv != nil {
-		keep(c.rootSrv.Close())
+		errs = append(errs, c.rootSrv.Close())
 	}
-	return firstErr
+	return errors.Join(errs...)
 }
 
 // WaitFor polls cond every few milliseconds until it holds or the

@@ -175,7 +175,7 @@ func TestClusterBatchedFederation(t *testing.T) {
 	// Pool maintenance went over the batch path: both ISPs boot below
 	// MinAvail, so the bank must see coalesced BatchOrder envelopes.
 	waitOr(t, "batch restock traffic", func() bool {
-		return c.Banks()[0].Bank.Stats().BatchOrders >= 2
+		return c.Banks()[0].Bank().Stats().BatchOrders >= 2
 	})
 	waitOr(t, "conservation with batch restocks", c.Conserved)
 
@@ -191,7 +191,7 @@ func TestClusterBatchedFederation(t *testing.T) {
 	// Real-money conservation: mints move pennies out of ISP accounts
 	// into circulation (Outstanding) and netted settlement only shuffles
 	// between accounts, so accounts + circulation stays at the seed.
-	bk := c.Banks()[0].Bank
+	bk := c.Banks()[0].Bank()
 	if got := int64(bk.TotalAccounts()) + bk.Outstanding(); got != int64(numISPs*ispFunds) {
 		t.Fatalf("real-money conservation: accounts+outstanding = %d, want %d",
 			got, numISPs*ispFunds)
@@ -383,9 +383,9 @@ func TestClusterMetricsSurface(t *testing.T) {
 		}
 		return false
 	}
-	for _, b := range c.Banks() {
-		if !hasFamily(b.MetricsAddr(), "zmail_bank_") {
-			t.Errorf("bank[%d] scrape has no zmail_bank_* family", b.Region)
+	for r, b := range c.Banks() {
+		if !hasFamily(b.MetricsAddr().String(), "zmail_bank_") {
+			t.Errorf("bank[%d] scrape has no zmail_bank_* family", r)
 		}
 	}
 	if rootAddr := addrs[len(addrs)-1]; !hasFamily(rootAddr, "zmail_root_") {

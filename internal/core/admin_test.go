@@ -1,8 +1,8 @@
 package core
 
 import (
-	"bufio"
-	"net"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -12,152 +12,90 @@ import (
 	"zmail/internal/mail"
 )
 
-// adminClient drives the console line protocol.
-type adminClient struct {
-	t    *testing.T
-	conn net.Conn
-	r    *bufio.Reader
-}
-
-func dialAdmin(t *testing.T, addr string) *adminClient {
+func adminDaemon(t *testing.T, metricsAddr string) *ISPDaemon {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = conn.Close() })
-	c := &adminClient{t: t, conn: conn, r: bufio.NewReader(conn)}
-	c.readBody() // greeting
-	return c
-}
-
-// cmd sends one command and returns the reply body (without the
-// terminating dot).
-func (c *adminClient) cmd(line string) string {
-	c.t.Helper()
-	if _, err := c.conn.Write([]byte(line + "\r\n")); err != nil {
-		c.t.Fatal(err)
-	}
-	return c.readBody()
-}
-
-func (c *adminClient) readBody() string {
-	c.t.Helper()
-	var b strings.Builder
-	for {
-		_ = c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			c.t.Fatalf("admin read: %v", err)
-		}
-		line = strings.TrimRight(line, "\r\n")
-		if line == "." {
-			return b.String()
-		}
-		b.WriteString(line)
-		b.WriteByte('\n')
-	}
-}
-
-func startAdminNode(t *testing.T) *Node {
-	t.Helper()
-	dir := isp.NewDirectory([]string{"adm.example", "peer.example"}, nil)
-	node, err := NewNode(NodeConfig{
-		Engine: isp.Config{
-			Index: 0, Domain: "adm.example", Directory: dir,
-			InitialAvail: 1000,
-			BankSealer:   crypto.Null{}, OwnSealer: crypto.Null{},
+	d, err := StartISPDaemon(ISPDaemonConfig{
+		Node: NodeConfig{
+			Engine: isp.Config{
+				Index: 0, Domain: "adm.example",
+				Directory:    isp.NewDirectory([]string{"adm.example", "peer.example"}, nil),
+				MinAvail:     100,
+				MaxAvail:     5000,
+				InitialAvail: 1000,
+				BankSealer:   crypto.Null{}, OwnSealer: crypto.Null{},
+			},
+			ListenAddr: "127.0.0.1:0",
+			Logf:       quietLog,
 		},
-		ListenAddr: "127.0.0.1:0",
-		AdminAddr:  "127.0.0.1:0",
-		Logf:       quietLog,
+		Users:       []User{{Name: "alice", Account: 100, Balance: 50, Limit: 20}},
+		MetricsAddr: metricsAddr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = node.Close() })
-	return node
+	t.Cleanup(func() { _ = d.Close() })
+	return d
 }
 
-func TestAdminConsole(t *testing.T) {
-	node := startAdminNode(t)
-	eng := node.Engine()
-	if err := eng.RegisterUser("alice", 100, 50, 20); err != nil {
-		t.Fatal(err)
-	}
+// TestAdminPages reads each ledger page off the admin listener: every
+// one is plain text, and the statement page answers a missing or
+// unknown user with an error status.
+func TestAdminPages(t *testing.T) {
+	d := adminDaemon(t, "127.0.0.1:0")
 	a := mail.MustParseAddress("alice@adm.example")
-	if _, err := eng.SubmitSync(mail.NewMessage(a, a, "self note", "b")); err != nil {
+	if _, err := d.Node().Engine().SubmitSync(mail.NewMessage(a, a, "self note", "b")); err != nil {
 		t.Fatal(err)
 	}
 
-	c := dialAdmin(t, node.AdminAddr().String())
+	client := &http.Client{Timeout: 5 * time.Second}
+	get := func(path string, wantCode int) string {
+		t.Helper()
+		resp, err := client.Get("http://" + d.MetricsAddr().String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != wantCode {
+			t.Fatalf("%s status %d, want %d: %q", path, resp.StatusCode, wantCode, body)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Fatalf("%s Content-Type %q", path, ct)
+		}
+		return string(body)
+	}
 
-	users := c.cmd("USERS")
-	if !strings.Contains(users, "alice") || !strings.Contains(users, "sent=1/20") {
-		t.Fatalf("USERS = %q", users)
+	if users := get("/users", http.StatusOK); !strings.Contains(users, "alice balance=") ||
+		!strings.Contains(users, "sent=1/20") {
+		t.Fatalf("/users = %q", users)
 	}
-	stats := c.cmd("STATS")
-	if !strings.Contains(stats, "submitted=1") || !strings.Contains(stats, "delivered-local=1") {
-		t.Fatalf("STATS = %q", stats)
-	}
-	pool := c.cmd("POOL")
-	if !strings.Contains(pool, "avail=950e¢") {
-		t.Fatalf("POOL = %q", pool)
-	}
-	credit := c.cmd("CREDIT")
-	if !strings.Contains(credit, "credit=[0 0]") {
-		t.Fatalf("CREDIT = %q", credit)
-	}
-	stmt := c.cmd("STATEMENT alice")
+	stmt := get("/statement?user=alice", http.StatusOK)
 	if !strings.Contains(stmt, "Statement for alice@adm.example") ||
 		!strings.Contains(stmt, "sent") || !strings.Contains(stmt, "received") {
-		t.Fatalf("STATEMENT = %q", stmt)
+		t.Fatalf("/statement = %q", stmt)
 	}
-	if got := c.cmd("STATEMENT"); !strings.Contains(got, "ERR usage") {
-		t.Fatalf("bare STATEMENT = %q", got)
+	if got := get("/statement", http.StatusBadRequest); !strings.Contains(got, "usage") {
+		t.Fatalf("bare /statement = %q", got)
 	}
-	if got := c.cmd("FROZEN"); !strings.Contains(got, "frozen=false") {
-		t.Fatalf("FROZEN = %q", got)
+	if got := get("/statement?user=mallory", http.StatusNotFound); !strings.Contains(got, "mallory") {
+		t.Fatalf("unknown-user /statement = %q", got)
 	}
-	if got := c.cmd("BOGUS"); !strings.Contains(got, "ERR unknown") {
-		t.Fatalf("BOGUS = %q", got)
+	if got := get("/credit", http.StatusOK); !strings.Contains(got, "credit=[0 0]") {
+		t.Fatalf("/credit = %q", got)
 	}
-	if got := c.cmd("HELP"); !strings.Contains(got, "STATEMENT") {
-		t.Fatalf("HELP = %q", got)
-	}
-	if got := c.cmd("QUIT"); !strings.Contains(got, "bye") {
-		t.Fatalf("QUIT = %q", got)
+	if got := get("/pool", http.StatusOK); !strings.Contains(got, "avail=950e¢") ||
+		!strings.Contains(got, "band=[100e¢, 5000e¢]") {
+		t.Fatalf("/pool = %q", got)
 	}
 }
 
-func TestAdminConsoleConcurrentSessions(t *testing.T) {
-	node := startAdminNode(t)
-	c1 := dialAdmin(t, node.AdminAddr().String())
-	c2 := dialAdmin(t, node.AdminAddr().String())
-	if got := c1.cmd("FROZEN"); !strings.Contains(got, "frozen=") {
-		t.Fatalf("session1 = %q", got)
-	}
-	if got := c2.cmd("POOL"); !strings.Contains(got, "avail=") {
-		t.Fatalf("session2 = %q", got)
-	}
-}
-
-func TestAdminDisabledByDefault(t *testing.T) {
-	dir := isp.NewDirectory([]string{"noadm.example"}, nil)
-	node, err := NewNode(NodeConfig{
-		Engine: isp.Config{
-			Index: 0, Domain: "noadm.example", Directory: dir,
-			InitialAvail: 100,
-			BankSealer:   crypto.Null{}, OwnSealer: crypto.Null{},
-		},
-		ListenAddr: "127.0.0.1:0",
-		Logf:       quietLog,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	if node.AdminAddr() != nil {
-		t.Fatal("admin console bound without AdminAddr")
+// TestAdminPagesNeedMetricsAddr: without a metrics address the daemon
+// binds no admin listener.
+func TestAdminPagesNeedMetricsAddr(t *testing.T) {
+	if d := adminDaemon(t, ""); d.MetricsAddr() != nil {
+		t.Fatalf("admin listener bound at %v without MetricsAddr", d.MetricsAddr())
 	}
 }

@@ -2,8 +2,11 @@
 // engines: a Node is one compliant ISP (isp.Engine + SMTP server for
 // submissions and peer relay + one outbound relay per peer, a queue
 // drained over a few persistent, pipelined SMTP sessions (relay.go) + a
-// persistent TCP link to the bank), and BankServer is the central bank
-// behind a TCP listener speaking the wire protocol.
+// persistent TCP link to the bank), and BankServer is a bank behind a
+// TCP listener speaking the wire protocol. StartISPDaemon and
+// StartBankDaemon (daemon.go) add the WAL, users or enrollments, the
+// root uplink and the admin listener, and own the boot and shutdown
+// order every deployed daemon runs.
 //
 // Zmail rides unmodified SMTP (§1.3 of the paper): a Node accepts
 // ordinary SMTP transactions. A transaction whose MAIL FROM is a local
@@ -44,9 +47,6 @@ type NodeConfig struct {
 	// Peers maps federation index → SMTP address for every other
 	// compliant ISP.
 	Peers map[int]string
-	// AdminAddr, when set, binds the operator console (see admin.go);
-	// bind it to loopback or an operations network only.
-	AdminAddr string
 	// Mailbox receives locally delivered mail; nil stores messages in
 	// an internal per-user inbox readable via Node.Inbox.
 	Mailbox func(user string, msg *mail.Message)
@@ -76,7 +76,6 @@ type Node struct {
 	inboxes map[string][]*mail.Message
 	relays  map[int]*relay // federation index → outbound relay, which holds the peer's address
 	bankTx  net.Conn
-	adminLn net.Listener
 	closed  bool
 
 	relayStats relayStats
@@ -88,6 +87,21 @@ type Node struct {
 // NewNode builds and starts a node: SMTP listener up, bank link
 // dialed lazily, tick loop running.
 func NewNode(cfg NodeConfig) (*Node, error) {
+	n, err := newNode(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.start(); err != nil {
+		_ = n.Close()
+		return nil, err
+	}
+	return n, nil
+}
+
+// newNode builds a node that holds no socket or goroutine yet: its
+// engine can replay a WAL and register users before start opens the
+// network. Close releases it at either stage.
+func newNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ListenAddr == "" {
 		return nil, errors.New("core: ListenAddr is required")
 	}
@@ -115,21 +129,27 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	n.engine = eng
+	n.server = &smtp.Server{
+		Domain:  eng.Domain(),
+		Backend: (*nodeBackend)(n),
+	}
+	return n, nil
+}
+
+// start opens the node to the network: the admission queue, the SMTP
+// listener, the tick loop and the bank link.
+func (n *Node) start() error {
+	cfg := n.cfg
 	if cfg.Queue {
-		eng.StartQueue(isp.QueueConfig{
+		n.engine.StartQueue(isp.QueueConfig{
 			Depth:   cfg.QueueDepth,
 			Workers: cfg.QueueWorkers,
 			Batch:   cfg.QueueBatch,
 		})
 	}
-
-	n.server = &smtp.Server{
-		Domain:  eng.Domain(),
-		Backend: (*nodeBackend)(n),
-	}
 	l, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
-		return nil, fmt.Errorf("core: listen %s: %w", cfg.ListenAddr, err)
+		return fmt.Errorf("core: listen %s: %w", cfg.ListenAddr, err)
 	}
 	n.addr = l.Addr()
 
@@ -144,15 +164,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		defer n.wg.Done()
 		n.tickLoop()
 	}()
-	if cfg.AdminAddr != "" {
-		if err := n.startAdmin(cfg.AdminAddr); err != nil {
-			// Full teardown, not just the SMTP listener: the Serve and
-			// tick goroutines are already running and must be joined,
-			// or a bad AdminAddr leaks them plus the ticker.
-			_ = n.Close()
-			return nil, err
-		}
-	}
 	if cfg.BankAddr != "" {
 		// Register with the bank eagerly so bank-initiated snapshot
 		// requests can reach us before our first buy/sell.
@@ -164,7 +175,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			}
 		}()
 	}
-	return n, nil
+	return nil
 }
 
 // Engine exposes the underlying protocol engine.
@@ -193,7 +204,6 @@ func (n *Node) Close() error {
 	relays := n.relayList()
 	n.mu.Unlock()
 	close(n.tickStop)
-	n.closeAdmin()
 	if tx != nil {
 		_ = tx.Close()
 	}

@@ -154,6 +154,62 @@ func TestWALEngineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWALBatchOrders runs coalesced bank orders under the WAL: a
+// partially filled order and one still outstanding at the crash. The
+// fill's pool credit and each order's nonce must be logged, or the
+// recovered engine differs from the live one in its pool or reuses a
+// nonce the bank has already seen.
+func TestWALBatchOrders(t *testing.T) {
+	batch := func(c *Config) {
+		c.BatchOrders = true
+		c.InitialAvail = 50
+		c.RestockAmount = 200
+	}
+	dir := filepath.Join(t.TempDir(), "wal")
+	e1, ft, _ := newEngine(t, 0, nil, batch)
+	if err := e1.AttachWAL(dir); err != nil {
+		t.Fatal(err)
+	}
+	order := func() wire.BatchOrder {
+		t.Helper()
+		n := len(ft.bank)
+		if err := e1.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if len(ft.bank) != n+1 || ft.bank[n].Kind != wire.KindBatchOrder {
+			t.Fatalf("tick sent %+v, want one batch order", ft.bank[n:])
+		}
+		var ord wire.BatchOrder
+		if err := ord.UnmarshalBinary(ft.bank[n].Payload); err != nil {
+			t.Fatal(err)
+		}
+		return ord
+	}
+	// Partial fill: 120 of the 500 asked lifts the pool to 170.
+	first := order()
+	if err := e1.HandleBank(batchReply(first.Nonce, 120, 0)); err != nil {
+		t.Fatal(err)
+	}
+	// Draw the pool under the band again and leave that order
+	// unanswered.
+	mustRegister(t, e1, "alice", 0, 100)
+	order()
+	want := exportJSON(t, e1)
+	if st := e1.ExportState(); st.Avail != 70 || st.NonceCounter != 2 {
+		t.Fatalf("live pool %d, nonce counter %d; want 70 and 2", st.Avail, st.NonceCounter)
+	}
+	e1.wal.Swap(nil) // crash without a final checkpoint
+
+	e2, _, _ := newEngine(t, 0, nil, batch)
+	if err := e2.RecoverWAL(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer e2.CloseWAL()
+	if got := exportJSON(t, e2); !bytes.Equal(got, want) {
+		t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestWALRecoverWithoutClose models the process-crash durability
 // contract: appends are write-through, so a WAL abandoned without
 // Close/fsync still replays every completed record.

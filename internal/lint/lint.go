@@ -448,7 +448,6 @@ func DefaultConfig() Config {
 			"zmail/internal/core.Node.inboxes":       {"zmail/internal/core.Node.mu"},
 			"zmail/internal/core.Node.relays":        {"zmail/internal/core.Node.mu"},
 			"zmail/internal/core.Node.bankTx":        {"zmail/internal/core.Node.mu"},
-			"zmail/internal/core.Node.adminLn":       {"zmail/internal/core.Node.mu"},
 			"zmail/internal/core.Node.closed":        {"zmail/internal/core.Node.mu"},
 			// A peer's relay: address, FIFO and session accounting under the
 			// relay mutex, which is never held across a dial or a send.
@@ -471,6 +470,8 @@ func DefaultConfig() Config {
 		},
 		GuardCaptureAllowed: nil,
 		LifecyclePkgs: []string{
+			"zmail/cmd/zbank",
+			"zmail/cmd/zmaild",
 			"zmail/internal/cluster",
 			"zmail/internal/core",
 			"zmail/internal/obsv",
@@ -485,6 +486,7 @@ func DefaultConfig() Config {
 			"zmail/internal/obsv.Start",
 			"zmail/internal/core.NewNode", "zmail/internal/core.NewUplink",
 			"zmail/internal/core.StartBank", "zmail/internal/core.StartBankHandler",
+			"zmail/internal/core.StartISPDaemon", "zmail/internal/core.StartBankDaemon",
 		},
 		LifecycleGoAllowed: []string{
 			// Serve returns when the owner calls Close on the server.

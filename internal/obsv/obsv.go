@@ -6,9 +6,10 @@
 //	/tracez        the most recent spans from the trace ring (?n= limits)
 //	/debug/pprof/  the standard Go profiling handlers
 //
-// The listener is meant for a loopback or otherwise private address —
-// it exposes profiling endpoints and is unauthenticated by design,
-// like the daemons' operator console.
+// plus any plain-text pages the daemon adds (Config.Pages), such as an
+// ISP's ledger views. The listener is meant for a loopback or otherwise
+// private address: it exposes profiling endpoints and ledgers and is
+// unauthenticated by design.
 package obsv
 
 import (
@@ -32,6 +33,9 @@ type Config struct {
 	Ring *trace.Ring
 	// Health is consulted by /healthz; nil means always healthy.
 	Health func() error
+	// Pages are extra plain-text views keyed by path, e.g. "/users";
+	// each is served with a text/plain Content-Type.
+	Pages map[string]http.HandlerFunc
 	// Addr is the listener's actually-bound address, reported by
 	// /healthz as an `addr=` line so harnesses that asked for an
 	// ephemeral port (":0") can confirm what they reached without
@@ -84,6 +88,12 @@ func Handler(cfg Config) http.Handler {
 			fmt.Fprintln(w, s.String())
 		}
 	})
+	for path, page := range cfg.Pages {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			page(w, r)
+		})
+	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -99,8 +109,13 @@ type Server struct {
 }
 
 // Start binds addr (e.g. "127.0.0.1:7070", or ":0" for an ephemeral
-// port) and serves the admin endpoints until Close.
+// port) and serves the admin endpoints until Close. An empty addr
+// serves nothing: the nil *Server it returns has a nil Addr and a no-op
+// Close.
 func Start(addr string, cfg Config) (*Server, error) {
+	if addr == "" {
+		return nil, nil
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obsv: listen %s: %w", addr, err)
@@ -111,8 +126,18 @@ func Start(addr string, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Addr returns the bound address.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
+// Addr returns the bound address, or nil for a nil Server.
+func (s *Server) Addr() net.Addr {
+	if s == nil {
+		return nil
+	}
+	return s.ln.Addr()
+}
 
 // Close stops the listener.
-func (s *Server) Close() error { return s.srv.Close() }
+func (s *Server) Close() error {
+	if s == nil {
+		return nil
+	}
+	return s.srv.Close()
+}
