@@ -91,17 +91,19 @@ fuzz-smoke:
 golden:
 	$(GO) run ./cmd/zsim > zsim_output.txt
 
-# Project-specific static analysis (cmd/zlint): determinism, lock
-# order, ledger encapsulation, dropped persistence/crypto errors, plus
-# the flow tier (e-penny conservation, nonce replay-taint, spec/wire
-# binding). Exits nonzero on any unsuppressed finding.
+# Project-specific static analysis (cmd/zlint): the isp lock order,
+# dropped persistence/crypto errors, e-penny conservation and WAL
+# completeness on every path, spec/wire binding, and the daemons' lock
+# scope, lifecycle and guard disciplines — each pass kept for a
+# mutation only it catches (DESIGN.md decision 8). Exits nonzero on any
+# unsuppressed finding.
 lint:
 	$(GO) run ./cmd/zlint
 
 # Analyzer self-test: sweep the fixture corpus with every pass and pin
 # the total finding count. A pass that goes blind (or noisy) changes
 # the count and fails here; re-pin after intentional corpus changes.
-LINT_FIXTURE_FINDINGS = 81
+LINT_FIXTURE_FINDINGS = 59
 lint-fixtures:
 	$(GO) run ./cmd/zlint -testdata internal/lint/testdata -expect $(LINT_FIXTURE_FINDINGS)
 

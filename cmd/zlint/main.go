@@ -1,13 +1,14 @@
 // Command zlint runs zmail's project-specific static analysis over the
-// module: eleven passes (detrand, lockorder, ledgerguard, errdrop,
-// moneyflow, nonceflow, specbind, walflow, lockscope, lifecycle,
-// guardflow) that machine-check the invariants the reproduction
-// depends on. See internal/lint for what each pass guards and why.
+// module: eight passes (lockorder, errdrop, moneyflow, specbind,
+// walflow, lockscope, lifecycle, guardflow) that machine-check the
+// invariants the reproduction depends on where its tests cannot. See
+// internal/lint for what each pass guards and DESIGN.md decision 8 for
+// the mutations only each one catches.
 //
 // Usage:
 //
 //	zlint                  # analyze the whole module, exit 1 on findings
-//	zlint -pass detrand,errdrop
+//	zlint -pass walflow,errdrop
 //	zlint -v               # package count, pass set, per-pass wall time
 //	zlint -list            # show the passes and their one-line docs
 //	zlint -format github   # emit GitHub Actions ::error annotations
@@ -180,23 +181,14 @@ func runTestdata(dir, root string, passes []lint.Pass, format string, expect int
 		return loader.ModulePath() + "/" + filepath.ToSlash(rel), nil
 	}
 
-	// Register everything first so fixture-to-fixture imports resolve
-	// independent of sweep order.
-	paths := make(map[string]string, len(dirs))
+	total := 0
+	var sum []lint.PassTiming
 	for _, d := range dirs {
 		ip, err := importPath(d)
 		if err != nil {
 			fmt.Fprintln(stderr, "zlint:", err)
 			return 2
 		}
-		paths[d] = ip
-		loader.RegisterDir(d, ip)
-	}
-
-	total := 0
-	var sum []lint.PassTiming
-	for _, d := range dirs {
-		ip := paths[d]
 		pkg, err := loader.LoadDir(d, ip)
 		if err != nil {
 			fmt.Fprintln(stderr, "zlint:", err)

@@ -9,8 +9,8 @@ import (
 
 // TestSelfCleanTree is `make lint` end to end: the driver over the
 // whole module must exit 0 with no output. This is the gate the
-// Makefile and CI wire in; if a determinism or lock-order regression
-// lands, this test names the file and line.
+// Makefile and CI wire in; if a lock-order or WAL-completeness
+// regression lands, this test names the file and line.
 func TestSelfCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is slow; run without -short")
@@ -62,14 +62,14 @@ func TestVerboseTimings(t *testing.T) {
 	}
 }
 
-// TestListPasses pins the eleven pass names: suppression directives and
+// TestListPasses pins the eight pass names: suppression directives and
 // CI annotations refer to passes by name.
 func TestListPasses(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{"detrand", "lockorder", "ledgerguard", "errdrop", "moneyflow", "nonceflow", "specbind", "walflow", "lockscope", "lifecycle", "guardflow"} {
+	for _, name := range []string{"lockorder", "errdrop", "moneyflow", "specbind", "walflow", "lockscope", "lifecycle", "guardflow"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing pass %s:\n%s", name, stdout.String())
 		}

@@ -69,9 +69,9 @@ func (b *Bank) exportStateLocked() *BankState {
 	return st
 }
 
-// RestoreState loads a snapshot into a freshly-constructed bank with
+// restoreState loads a snapshot into a freshly-constructed bank with
 // the same federation size.
-func (b *Bank) RestoreState(st *BankState) error {
+func (b *Bank) restoreState(st *BankState) error {
 	if st == nil {
 		return fmt.Errorf("bank: nil state")
 	}

@@ -29,7 +29,7 @@ func TestBankStateRoundTrip(t *testing.T) {
 	}
 
 	b2, _ := newBank(t, 3, nil)
-	if err := b2.RestoreState(&loaded); err != nil {
+	if err := b2.restoreState(&loaded); err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,30 +63,30 @@ func TestBankStateRoundTrip(t *testing.T) {
 
 func TestBankRestoreValidation(t *testing.T) {
 	b, _ := newBank(t, 2, nil)
-	if err := b.RestoreState(nil); err == nil {
+	if err := b.restoreState(nil); err == nil {
 		t.Error("nil state accepted")
 	}
 	good := &BankState{Version: BankStateVersion, NumISPs: 2, Accounts: []int64{5, 5}}
 	bad := *good
 	bad.Version = 99
-	if err := b.RestoreState(&bad); err == nil {
+	if err := b.restoreState(&bad); err == nil {
 		t.Error("wrong version accepted")
 	}
 	bad = *good
 	bad.NumISPs = 3
-	if err := b.RestoreState(&bad); err == nil {
+	if err := b.restoreState(&bad); err == nil {
 		t.Error("wrong federation size accepted")
 	}
 	bad = *good
 	bad.Accounts = []int64{5, -1}
-	if err := b.RestoreState(&bad); err == nil {
+	if err := b.restoreState(&bad); err == nil {
 		t.Error("negative account accepted")
 	}
 	// Mid-round restore refused.
 	if err := b.StartSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RestoreState(good); err == nil {
+	if err := b.restoreState(good); err == nil {
 		t.Error("restore during a round accepted")
 	}
 }

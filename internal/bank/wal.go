@@ -376,7 +376,7 @@ func (b *Bank) RecoverWAL(dir string) error {
 	if rp != nil {
 		rp.finalize()
 	}
-	if err := b.RestoreState(&snap); err != nil {
+	if err := b.restoreState(&snap); err != nil {
 		if cerr := w.Close(); cerr != nil {
 			return fmt.Errorf("bank: restore after replay: %w (wal close also failed: %v)", err, cerr)
 		}

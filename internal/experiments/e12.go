@@ -144,9 +144,7 @@ func E12(_ int64) (*Result, error) {
 // real daemons on real sockets, so this is genuine wall-clock waiting:
 // the timing bounds retries only and never reaches the report output.
 func waitUntil(timeout time.Duration, cond func() bool) bool {
-	//zlint:ignore detrand E12 polls live TCP daemons; wall-clock timeout only bounds the wait and never feeds output
 	deadline := time.Now().Add(timeout)
-	//zlint:ignore detrand same live-socket poll loop; see deadline above
 	for time.Now().Before(deadline) {
 		if cond() {
 			return true

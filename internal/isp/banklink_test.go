@@ -156,12 +156,23 @@ func TestTickBuysWhenLow(t *testing.T) {
 	if e.Avail() != 250 {
 		t.Fatalf("pool after buy = %v, want 250", e.Avail())
 	}
-	// Replay is rejected and has no effect.
+	// Replay is rejected and has no effect, also while the next buy is
+	// outstanding: only that buy's nonce may close it.
 	if err := e.HandleBank(reply); !errors.Is(err, ErrStaleReply) {
 		t.Fatalf("replay: %v", err)
 	}
 	if e.Avail() != 250 {
 		t.Fatal("replayed reply changed the pool")
+	}
+	mustRegister(t, e, "whale", 0, 200)
+	if err := e.Tick(); err != nil || len(ft.bank) != 2 {
+		t.Fatalf("second buy: %v, %d requests", err, len(ft.bank))
+	}
+	if err := e.HandleBank(reply); !errors.Is(err, ErrStaleReply) {
+		t.Fatalf("replay during the next buy: %v", err)
+	}
+	if e.Avail() != 50 {
+		t.Fatalf("replayed reply minted into the pool during the next buy: %v", e.Avail())
 	}
 }
 

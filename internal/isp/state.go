@@ -10,7 +10,7 @@ import (
 // Durable state. A zmaild restart must not lose the ledger: balances
 // are user money and the credit array is this period's claim against
 // the federation. ExportState captures everything durable; a fresh
-// engine built with the same Config restores it with RestoreState.
+// engine built with the same Config restores it with restoreState.
 //
 // Deliberately NOT persisted, and why that is safe:
 //
@@ -128,10 +128,10 @@ func (e *Engine) exportState(onCut func()) *EngineState {
 	return st
 }
 
-// RestoreState loads a snapshot into a freshly-constructed engine
+// restoreState loads a snapshot into a freshly-constructed engine
 // (same Config as the exporter). It refuses mismatched identity or
 // schema, and refuses to clobber an engine that already has users.
-func (e *Engine) RestoreState(st *EngineState) error {
+func (e *Engine) restoreState(st *EngineState) error {
 	if st == nil {
 		return fmt.Errorf("isp: nil state")
 	}

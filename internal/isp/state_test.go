@@ -39,7 +39,7 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 
 	e2, _, _ := newEngine(t, 0, nil, nil)
-	if err := e2.RestoreState(&loaded); err != nil {
+	if err := e2.restoreState(&loaded); err != nil {
 		t.Fatal(err)
 	}
 
@@ -90,7 +90,7 @@ func TestStateRoundTrip(t *testing.T) {
 
 func TestRestoreValidation(t *testing.T) {
 	e, _, _ := newEngine(t, 0, nil, nil)
-	if err := e.RestoreState(nil); err == nil {
+	if err := e.restoreState(nil); err == nil {
 		t.Error("nil state accepted")
 	}
 	good := &EngineState{Version: EngineStateVersion, Domain: "a.example", Index: 0,
@@ -98,33 +98,33 @@ func TestRestoreValidation(t *testing.T) {
 
 	bad := *good
 	bad.Version = 99
-	if err := e.RestoreState(&bad); err == nil {
+	if err := e.restoreState(&bad); err == nil {
 		t.Error("wrong version accepted")
 	}
 	bad = *good
 	bad.Domain = "other.example"
-	if err := e.RestoreState(&bad); err == nil {
+	if err := e.restoreState(&bad); err == nil {
 		t.Error("wrong domain accepted")
 	}
 	bad = *good
 	bad.Credit = []int64{0}
-	if err := e.RestoreState(&bad); err == nil {
+	if err := e.restoreState(&bad); err == nil {
 		t.Error("wrong federation size accepted")
 	}
 	bad = *good
 	bad.Avail = -5
-	if err := e.RestoreState(&bad); err == nil {
+	if err := e.restoreState(&bad); err == nil {
 		t.Error("negative pool accepted")
 	}
 	bad = *good
 	bad.Users = []UserState{{Name: "x", Balance: -1, Limit: 5}}
-	if err := e.RestoreState(&bad); err == nil {
+	if err := e.restoreState(&bad); err == nil {
 		t.Error("negative balance accepted")
 	}
 
 	// Restoring onto a non-fresh engine refuses.
 	mustRegister(t, e, "existing", 0, 1)
-	if err := e.RestoreState(good); err == nil {
+	if err := e.restoreState(good); err == nil {
 		t.Error("restore onto populated engine accepted")
 	}
 }

@@ -468,7 +468,7 @@ func (r *ispReplay) finalize(st *EngineState) {
 // RecoverWAL boots a freshly-built engine from the WAL at dir: load
 // the snapshot, replay every surviving record, restore, and resume
 // logging to the same WAL. The engine must have the exporter's Config
-// (RestoreState checks identity) and no registered users.
+// (restoreState checks identity) and no registered users.
 func (e *Engine) RecoverWAL(dir string) error {
 	if e.wal.Load() != nil {
 		return fmt.Errorf("isp: wal already attached")
@@ -487,7 +487,7 @@ func (e *Engine) RecoverWAL(dir string) error {
 	if rp != nil {
 		rp.finalize(&snap)
 	}
-	if err := e.RestoreState(&snap); err != nil {
+	if err := e.restoreState(&snap); err != nil {
 		if cerr := w.Close(); cerr != nil {
 			return fmt.Errorf("isp: restore after replay: %w (wal close also failed: %v)", err, cerr)
 		}

@@ -3,6 +3,7 @@ package isp
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -32,7 +33,8 @@ func exportJSON(t testing.TB, e *Engine) []byte {
 // driveWALWorkload pushes an engine through every mutation class the
 // WAL records: registration, deposits/withdrawals, limit changes,
 // local and remote sends, user trades, bank trades (nonce + pool), a
-// snapshot round (credit zeroing), a zombie warning, and end-of-day.
+// snapshot round (credit zeroing), end-of-day, and a zombie warning
+// from both the synchronous and the queued send path.
 func driveWALWorkload(t *testing.T, e *Engine, ft *fakeTransport, clk *clock.Virtual) {
 	t.Helper()
 	mustRegister(t, e, "alice", 100, 40)
@@ -94,6 +96,29 @@ func driveWALWorkload(t *testing.T, e *Engine, ft *fakeTransport, clk *clock.Vir
 	// Leave some post-reset activity in the log.
 	if _, err := e.SubmitSync(mail.NewMessage(addr("bob@a.example"), addr("alice@a.example"), "s2", "b2")); err != nil {
 		t.Fatal(err)
+	}
+	// A zombie warning from each path that can trip the daily limit,
+	// each the last record its user gets: a synchronous send over the
+	// limit (charge), then an admission check with the queue attached
+	// (Submit), after the user's one admitted message has committed.
+	if err := e.SetLimit("whale", 1); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []error{nil, ErrLimitExceeded} {
+		if _, err := e.SubmitSync(mail.NewMessage(addr("whale@a.example"), addr("alice@a.example"), fmt.Sprint("w", i), "b")); !errors.Is(err, want) {
+			t.Fatalf("whale send %d: %v, want %v", i, err, want)
+		}
+	}
+	if err := e.SetLimit("bob", 2); err != nil {
+		t.Fatal(err)
+	}
+	e.StartQueue(QueueConfig{Depth: 8, Workers: 1, Batch: 1})
+	defer e.StopQueue()
+	for i, want := range []error{nil, ErrLimitExceeded} {
+		if _, err := e.Submit(mail.NewMessage(addr("bob@a.example"), addr("alice@a.example"), fmt.Sprint("q", i), "b")); !errors.Is(err, want) {
+			t.Fatalf("bob admission %d: %v, want %v", i, err, want)
+		}
+		e.FlushQueue()
 	}
 }
 

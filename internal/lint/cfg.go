@@ -1,9 +1,10 @@
 package lint
 
 // Control-flow graphs and a forward dataflow driver for the
-// flow-sensitive passes (moneyflow, nonceflow). The builder is
-// deliberately small and stdlib-only: blocks hold statements and the
-// condition expressions that decide their successors, and the driver
+// flow-sensitive passes (moneyflow, walflow, lifecycle and the lockset
+// tier). The builder is deliberately small and stdlib-only: blocks
+// hold statements and the condition expressions that decide their
+// successors, and the driver
 // iterates a pure transfer function to a fixpoint. Function literals
 // are never descended into — each literal is its own analysis unit
 // (see flow.go), so a closure's body shows up exactly once.
@@ -392,8 +393,8 @@ func (b *cfgBuilder) typeSwitchStmt(s *ast.TypeSwitchStmt) {
 	for _, c := range s.Body.List {
 		cc := c.(*ast.CaseClause)
 		blk := b.newBlock(head)
-		// Case type expressions become nodes: nonceflow treats a type
-		// expression naming a nonce-bearing message as a decode anchor.
+		// Case expressions become nodes of their clause's block, so a
+		// pass sees what the clause head evaluates.
 		for _, e := range cc.List {
 			blk.nodes = append(blk.nodes, e)
 		}

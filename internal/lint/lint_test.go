@@ -159,26 +159,11 @@ func fixtureCfg(rel string) Config {
 	return FixtureConfig(fixturePath(rel))
 }
 
-func TestDetRandFixtures(t *testing.T) {
-	passes := []Pass{DetRand()}
-	for _, c := range []string{"detrand/bad", "detrand/clean", "detrand/suppressed", "detrand/unsuppressed"} {
-		t.Run(c, func(t *testing.T) { checkFixture(t, c, passes, fixtureCfg(c)) })
-	}
-}
-
 func TestLockOrderFixtures(t *testing.T) {
 	passes := []Pass{LockOrder()}
 	for _, c := range []string{"lockorder/bad", "lockorder/clean"} {
 		t.Run(c, func(t *testing.T) { checkFixture(t, c, passes, fixtureCfg(c)) })
 	}
-}
-
-func TestLedgerGuardFixtures(t *testing.T) {
-	passes := []Pass{LedgerGuard()}
-	// The owning package must load first so the intruder's import
-	// resolves; it is also its own clean fixture.
-	checkFixture(t, "ledgerguard/owner", passes, DefaultConfig())
-	checkFixture(t, "ledgerguard/intruder", passes, DefaultConfig())
 }
 
 func TestErrDropFixtures(t *testing.T) {
@@ -191,13 +176,6 @@ func TestErrDropFixtures(t *testing.T) {
 func TestMoneyFlowFixtures(t *testing.T) {
 	passes := []Pass{MoneyFlow()}
 	for _, c := range []string{"moneyflow/bad", "moneyflow/clean", "moneyflow/suppressed", "moneyflow/unsuppressed"} {
-		t.Run(c, func(t *testing.T) { checkFixture(t, c, passes, fixtureCfg(c)) })
-	}
-}
-
-func TestNonceFlowFixtures(t *testing.T) {
-	passes := []Pass{NonceFlow()}
-	for _, c := range []string{"nonceflow/bad", "nonceflow/clean", "nonceflow/suppressed", "nonceflow/unsuppressed"} {
 		t.Run(c, func(t *testing.T) { checkFixture(t, c, passes, fixtureCfg(c)) })
 	}
 }
@@ -278,7 +256,7 @@ func TestSpecBindAllowlists(t *testing.T) {
 // the same package proves both passes do fire there.
 func TestCommaDirectiveFixture(t *testing.T) {
 	rel := "zlint/comma"
-	checkFixture(t, rel, []Pass{DetRand(), MoneyFlow()}, fixtureCfg(rel))
+	checkFixture(t, rel, []Pass{MoneyFlow(), WalFlow()}, fixtureCfg(rel))
 }
 
 // TestMalformedDirectives asserts directive hygiene: a typo'd pass name
@@ -286,57 +264,44 @@ func TestCommaDirectiveFixture(t *testing.T) {
 func TestMalformedDirectives(t *testing.T) {
 	rel := "zlint/malformed"
 	pkg := loadFixture(t, rel)
-	diags := Run([]*Package{pkg}, []Pass{DetRand()}, fixtureCfg(rel))
+	diags := Run([]*Package{pkg}, []Pass{WalFlow()}, fixtureCfg(rel))
 
-	var zlintCount, detrandCount int
+	var zlintCount, walflowCount int
 	for _, d := range diags {
 		switch d.Pass {
 		case "zlint":
 			zlintCount++
-		case "detrand":
-			detrandCount++
+		case "walflow":
+			walflowCount++
 		}
 	}
 	if zlintCount != 2 {
 		t.Errorf("got %d zlint directive findings, want 2 (unknown pass + missing reason): %v", zlintCount, diags)
 	}
-	if detrandCount != 2 {
-		t.Errorf("got %d detrand findings, want 2 (malformed directives must not suppress): %v", detrandCount, diags)
+	if walflowCount != 2 {
+		t.Errorf("got %d walflow findings, want 2 (malformed directives must not suppress): %v", walflowCount, diags)
 	}
 }
 
 // TestSuppressionDeletionFails is the acceptance check in miniature:
-// the suppressed fixture is clean, and its directive-stripped twin
-// (same code, comments deleted) fails.
+// each pass's suppressed fixture is clean, and its directive-stripped
+// twin (same code, comment deleted) fails with exactly one finding.
 func TestSuppressionDeletionFails(t *testing.T) {
-	passes := []Pass{DetRand()}
-
-	sup := loadFixture(t, "detrand/suppressed")
-	if diags := Run([]*Package{sup}, passes, fixtureCfg("detrand/suppressed")); len(diags) != 0 {
-		t.Errorf("suppressed fixture should be clean, got %v", diags)
-	}
-
-	unsup := loadFixture(t, "detrand/unsuppressed")
-	diags := Run([]*Package{unsup}, passes, fixtureCfg("detrand/unsuppressed"))
-	if len(diags) != 2 {
-		t.Errorf("unsuppressed twin should fail with 2 findings, got %v", diags)
-	}
-
-	// The flow passes have the same pairs; each twin must fail with
-	// exactly one finding where its suppressed sibling is clean.
-	for rel, pass := range map[string]Pass{
-		"moneyflow/unsuppressed": MoneyFlow(),
-		"nonceflow/unsuppressed": NonceFlow(),
-		"specbind/unsuppressed":  SpecBind(),
-		"walflow/unsuppressed":   WalFlow(),
-		"lockscope/unsuppressed": LockScope(),
-		"lifecycle/unsuppressed": Lifecycle(),
-		"guardflow/unsuppressed": GuardFlow(),
+	for dir, pass := range map[string]Pass{
+		"moneyflow": MoneyFlow(),
+		"specbind":  SpecBind(),
+		"walflow":   WalFlow(),
+		"lockscope": LockScope(),
+		"lifecycle": Lifecycle(),
+		"guardflow": GuardFlow(),
 	} {
-		pkg := loadFixture(t, rel)
-		diags := Run([]*Package{pkg}, []Pass{pass}, fixtureCfg(rel))
-		if len(diags) != 1 {
-			t.Errorf("%s: stripped twin should fail with 1 finding, got %v", rel, diags)
+		sup := dir + "/suppressed"
+		if diags := Run([]*Package{loadFixture(t, sup)}, []Pass{pass}, fixtureCfg(sup)); len(diags) != 0 {
+			t.Errorf("%s: suppressed fixture should be clean, got %v", sup, diags)
+		}
+		unsup := dir + "/unsuppressed"
+		if diags := Run([]*Package{loadFixture(t, unsup)}, []Pass{pass}, fixtureCfg(unsup)); len(diags) != 1 {
+			t.Errorf("%s: stripped twin should fail with 1 finding, got %v", unsup, diags)
 		}
 	}
 }
@@ -355,18 +320,10 @@ func TestWholeTreeClean(t *testing.T) {
 	}
 }
 
-// TestDefaultConfigCoversRoadmapPackages pins the policy: the packages
-// the golden/determinism gates depend on stay scoped.
+// TestDefaultConfigCoversRoadmapPackages pins the policy: the ledger,
+// durability and daemon packages stay scoped.
 func TestDefaultConfigCoversRoadmapPackages(t *testing.T) {
 	cfg := DefaultConfig()
-	for _, p := range []string{
-		"zmail/internal/sim", "zmail/internal/chaos", "zmail/internal/experiments",
-		"zmail/internal/economy", "zmail/cmd/zsim",
-	} {
-		if !pathMatches(p, cfg.DeterminismPkgs) {
-			t.Errorf("determinism policy must cover %s", p)
-		}
-	}
 	if !pathMatches("zmail/internal/isp", cfg.LockOrderPkgs) {
 		t.Errorf("lock-order policy must cover internal/isp")
 	}
@@ -378,9 +335,6 @@ func TestDefaultConfigCoversRoadmapPackages(t *testing.T) {
 	for _, p := range []string{"zmail/internal/isp", "zmail/internal/bank", "zmail/internal/ap/zmailspec"} {
 		if !pathMatches(p, cfg.MoneyflowPkgs) {
 			t.Errorf("moneyflow policy must cover %s", p)
-		}
-		if !pathMatches(p, cfg.NonceflowPkgs) {
-			t.Errorf("nonceflow policy must cover %s", p)
 		}
 	}
 	if len(cfg.SpecBind.SpecPkgs) == 0 || len(cfg.SpecBind.WirePkgs) == 0 || len(cfg.SpecBind.HandlerPkgs) == 0 {
@@ -405,10 +359,10 @@ func TestDefaultConfigCoversRoadmapPackages(t *testing.T) {
 		t.Errorf("guardflow policy must declare guarded fields")
 	}
 	// Subpackage and non-prefix behavior.
-	if !pathMatches("zmail/internal/sim/sub", cfg.DeterminismPkgs) {
+	if !pathMatches("zmail/internal/isp/sub", cfg.LockOrderPkgs) {
 		t.Errorf("prefix match must cover subpackages")
 	}
-	if pathMatches("zmail/internal/simnet", cfg.DeterminismPkgs) {
-		t.Errorf("zmail/internal/simnet must NOT match the zmail/internal/sim prefix")
+	if pathMatches("zmail/internal/ispx", cfg.LockOrderPkgs) {
+		t.Errorf("zmail/internal/ispx must NOT match the zmail/internal/isp prefix")
 	}
 }

@@ -70,14 +70,6 @@ func (l *Loader) ModulePath() string { return l.modulePath }
 // ModuleRoot reports the directory holding the module's go.mod.
 func (l *Loader) ModuleRoot() string { return l.moduleRoot }
 
-// RegisterDir indexes a directory under an import path without
-// checking it. The `zlint -testdata` sweep registers every fixture
-// directory up front so fixture-to-fixture imports (ledgerguard's
-// intruder importing its owner) resolve regardless of load order.
-func (l *Loader) RegisterDir(dir, asImportPath string) {
-	l.dirs[asImportPath] = dir
-}
-
 // findModule walks up from dir to the nearest go.mod and parses its
 // module line.
 func findModule(dir string) (root, modPath string, err error) {

@@ -22,8 +22,7 @@ package lint
 // Reported at a root: every exit path, error exits included, whose net
 // delta is not zero, and any delta the analysis cannot bound (it grows
 // inside a loop). Direct assignments (`e.avail = x`) are
-// initialization, not flow, and are ledgerguard's concern; the
-// `account` field is real pennies — the open boundary where value
+// initialization, not flow; the `account` field is real pennies — the open boundary where value
 // enters and leaves the e-penny economy — so it is deliberately outside
 // the conserved set.
 

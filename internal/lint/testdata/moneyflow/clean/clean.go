@@ -82,8 +82,8 @@ func blessedMint(l *ledger) {
 	l.avail += 100
 }
 
-// Reset is a direct assignment, which is initialization, not flow;
-// ledger-field encapsulation is ledgerguard's concern.
+// Reset is a direct assignment, which is initialization, not flow,
+// so moneyflow leaves it alone.
 func Reset(l *ledger) {
 	l.avail = 0
 }

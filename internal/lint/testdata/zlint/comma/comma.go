@@ -5,19 +5,19 @@ package comma
 
 import "time"
 
-type pot struct {
+type Engine struct {
 	avail int64
 }
 
-// Jitter burns e-pennies proportional to the wall clock: a detrand and
-// a moneyflow finding on the same line, silenced by one directive.
-func Jitter(p *pot) {
-	//zlint:ignore detrand,moneyflow one directive, two passes: clock-funded burn is this fixture's point
+// Jitter burns unlogged pool e-pennies: a moneyflow and a walflow
+// finding on the same line, silenced by one directive.
+func Jitter(p *Engine) {
+	//zlint:ignore moneyflow,walflow one directive, two passes: an unlogged clock-funded burn is this fixture's point
 	p.avail -= time.Now().UnixNano()
 }
 
 // Raw is the in-package stripped twin: without the directive both
 // passes must fire on the line.
-func Raw(p *pot) {
-	p.avail -= time.Now().UnixNano() //want detrand moneyflow
+func Raw(p *Engine) {
+	p.avail -= time.Now().UnixNano() //want moneyflow walflow
 }

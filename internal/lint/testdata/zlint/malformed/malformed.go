@@ -7,18 +7,18 @@
 // line would parse as its reason).
 package malformed
 
-import "time"
+type vault struct{ stash int64 }
 
 // BadPassName carries a directive naming a pass that does not exist;
 // the typo is reported and the underlying finding is NOT silenced.
-func BadPassName() time.Time {
-	//zlint:ignore detrnd wall clock is fine here
-	return time.Now() //want detrand
+func BadPassName(v *vault) {
+	//zlint:ignore walflw the stash is a cache recomputed on boot
+	v.stash++ //want walflow
 }
 
 // MissingReason names a real pass but gives no justification; also
 // reported, also not silenced.
-func MissingReason() time.Time {
-	//zlint:ignore detrand
-	return time.Now() //want detrand
+func MissingReason(v *vault) {
+	//zlint:ignore walflow
+	v.stash++ //want walflow
 }

@@ -209,7 +209,7 @@ func (r *Registry) SetLatency(name string, h *LatencyHist, labels ...string) {
 }
 
 // sortedKeys returns a map's keys in sorted order, so the renderers can
-// iterate deterministically (and stay clean under the detrand lint).
+// iterate deterministically (TestWritePromGolden pins the order).
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

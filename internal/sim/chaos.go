@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"zmail/internal/bank"
@@ -76,17 +75,8 @@ func (l *lossLedger) reportLoss() int64 {
 // nonce/seq replay protection survived the crash.
 type replayProbes struct {
 	mu     sync.Mutex
-	toBank map[int]*wire.Envelope // last Buy/Sell delivered, by ISP index
-	toISP  map[int]*wire.Envelope // last Buy/SellReply delivered, by ISP index
-}
-
-func sortedKeys(m map[int]*wire.Envelope) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
+	toBank []*wire.Envelope // last Buy/Sell delivered, by ISP index
+	toISP  []*wire.Envelope // last Buy/SellReply delivered, by ISP index
 }
 
 // chaosTrace is the simnet trace hook active during RunChaos.
@@ -420,7 +410,7 @@ func (w *World) RunChaos(aud *chaos.Auditor, workload func(step int)) (retErr er
 		}
 	}()
 	w.losses = &lossLedger{}
-	w.probes = &replayProbes{toBank: make(map[int]*wire.Envelope), toISP: make(map[int]*wire.Envelope)}
+	w.probes = &replayProbes{toBank: make([]*wire.Envelope, w.Cfg.NumISPs), toISP: make([]*wire.Envelope, w.Cfg.NumISPs)}
 	w.Net.SetTrace(w.chaosTrace)
 	defer w.Net.SetTrace(nil)
 
@@ -460,8 +450,10 @@ func (w *World) RunChaos(aud *chaos.Auditor, workload func(step int)) (retErr er
 	toBank, toISP := w.probes.toBank, w.probes.toISP
 	w.probes.mu.Unlock()
 	pre := w.Bank.Stats()
-	for _, i := range sortedKeys(toBank) {
-		env := toBank[i]
+	for i, env := range toBank {
+		if env == nil {
+			continue
+		}
 		err := w.Bank.Handle(env)
 		aud.CheckReplayRejected(fmt.Sprintf("bank<-isp[%d] %v", i, env.Kind), err, bank.ErrReplay)
 	}
@@ -469,11 +461,10 @@ func (w *World) RunChaos(aud *chaos.Auditor, workload func(step int)) (retErr er
 	aud.Checkf(pre.Minted == post.Minted && pre.Burned == post.Burned,
 		"nonce-monotonic@mint-counters", "minted %d->%d burned %d->%d",
 		pre.Minted, post.Minted, pre.Burned, post.Burned)
-	for _, i := range sortedKeys(toISP) {
-		if w.Engines[i] == nil {
+	for i, env := range toISP {
+		if env == nil || w.Engines[i] == nil {
 			continue
 		}
-		env := toISP[i]
 		err := w.Engines[i].HandleBank(env)
 		aud.CheckReplayRejected(fmt.Sprintf("isp[%d]<-bank %v", i, env.Kind), err, isp.ErrStaleReply)
 	}

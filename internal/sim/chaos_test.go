@@ -86,11 +86,20 @@ func chaosWorld(t *testing.T, plan *chaos.Plan) *World {
 // from persisted state, finishes with zero auditor violations, and two
 // identical runs produce byte-identical audit reports.
 func TestChaosAcceptanceScenario(t *testing.T) {
+	events := acceptancePlan().Events
+	last := events[len(events)-1].At
 	run := func() (string, int) {
 		w := chaosWorld(t, acceptancePlan())
 		aud := chaos.NewAuditor()
+		start := w.Clock.Now()
 		if err := w.RunChaos(aud, chaosWorkload(w)); err != nil {
 			t.Fatal(err)
+		}
+		// Event times are offsets on the world's virtual clock: the run
+		// spans the plan plus the final drain and audit round, and never
+		// jumps to the wall clock.
+		if span := w.Clock.Now().Sub(start); span < last || span > last+time.Hour {
+			t.Fatalf("chaos run advanced the world clock by %v for a plan ending at %v", span, last)
 		}
 		return aud.Report(), len(aud.Checks())
 	}
