@@ -45,7 +45,7 @@ bench-record:
 	@test -n "$(N)" || { echo "usage: make bench-record N=<number>"; exit 2; }
 	{ $(GO) test -run xxx -bench 'EngineSend|EngineSubmitAsync|WorldStep|ISPSubmit|ISPReceive|NodeRelay|SMTPTxn|MailCodec' -benchmem . && \
 	  $(GO) test -run xxx -bench 'BuyHandling|BankBatchOrder' -benchmem ./internal/bank/ && \
-	  $(GO) test -run xxx -bench 'WALCheckpoint|WALReplay' -benchmem ./internal/isp/ ; } \
+	  $(GO) test -run xxx -bench 'WALCheckpoint|WALReplay' -benchmem ./internal/isp/ ./internal/persist/ ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_$(N).json
 	cat BENCH_$(N).json
 
@@ -77,12 +77,13 @@ chaos:
 	$(GO) test -run 'Chaos|Crash|Restart|Replay|Recover|Generate|Validate|Auditor|Antisymmetry' \
 		./internal/simnet/ ./internal/sim/ ./internal/persist/ ./internal/chaos/ -v
 
-# Fuzz smoke — the wire codec, and the mail codec and SMTP DATA framing
-# against their frozen references: each target runs briefly; go test
-# allows one -fuzz pattern per invocation, hence the loop.
+# Fuzz smoke — the wire codec, the mail codec and SMTP DATA framing
+# against their frozen references, and the WAL's recovery scan: each
+# target runs briefly; go test allows one -fuzz pattern per invocation,
+# hence the loop.
 fuzz-smoke:
 	for f in wire/FuzzDecodeEnvelope wire/FuzzDecodeBodies wire/FuzzReadEnvelope \
-			mail/FuzzMessageRoundTrip smtp/FuzzDataFraming; do \
+			mail/FuzzMessageRoundTrip smtp/FuzzDataFraming persist/FuzzScanSegment; do \
 		$(GO) test -run xxx -fuzz "^$${f#*/}$$" -fuzztime 5s ./internal/$${f%/*}/ || exit 1; \
 	done
 

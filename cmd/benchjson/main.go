@@ -5,6 +5,9 @@
 //
 //	BenchmarkName-8   	     100	  11234 ns/op	  512 B/op	  7 allocs/op
 //
+// Any further value/unit pair — a b.ReportMetric such as ns/record —
+// is kept under its unit in the result's metrics.
+//
 // The trailing -N GOMAXPROCS suffix is stripped so benchmark names are
 // the same on every machine. When both WAL checkpoint benchmarks are
 // present, a derived speedup ratio (whole-state JSON ns/op over WAL
@@ -37,6 +40,8 @@ type benchResult struct {
 	NsPerOp     float64 `json:"nsPerOp"`
 	BytesPerOp  int64   `json:"bytesPerOp"`
 	AllocsPerOp int64   `json:"allocsPerOp"`
+	// Metrics holds the benchmark's own b.ReportMetric values by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 type record struct {
@@ -121,6 +126,11 @@ func parseLine(line string) (benchResult, bool) {
 			r.BytesPerOp = int64(v)
 		case "allocs/op":
 			r.AllocsPerOp = int64(v)
+		default:
+			if r.Metrics == nil {
+				r.Metrics = make(map[string]float64)
+			}
+			r.Metrics[f[i+1]] = v
 		}
 	}
 	if r.NsPerOp == 0 {

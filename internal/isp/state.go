@@ -130,7 +130,8 @@ func (e *Engine) exportState(onCut func()) *EngineState {
 
 // restoreState loads a snapshot into a freshly-constructed engine
 // (same Config as the exporter). It refuses mismatched identity or
-// schema, and refuses to clobber an engine that already has users.
+// schema, and refuses to clobber an engine that already has users. The
+// engine takes the users' journals over, so st must not be used after.
 func (e *Engine) restoreState(st *EngineState) error {
 	if st == nil {
 		return fmt.Errorf("isp: nil state")
@@ -184,7 +185,7 @@ func (e *Engine) restoreState(st *EngineState) error {
 			sent:        us.Sent,
 			limit:       us.Limit,
 			warnedToday: us.WarnedToday,
-			journal:     append([]Entry(nil), us.Journal...),
+			journal:     us.Journal,
 		}
 		s.mu.Unlock()
 	}

@@ -2,7 +2,6 @@ package isp
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"zmail/internal/persist"
@@ -275,33 +274,70 @@ func (e *Engine) AttachWAL(dir string) error {
 }
 
 // ispReplay accumulates snapshot+log state during RecoverWAL. Pool and
-// credit are folded as commutative sums; user rows live in a map keyed
-// by name, touched only by their own stripe segment's records.
+// credit are folded as commutative sums; user rows live in one map per
+// stripe, keyed by name and touched only by their own stripe segment's
+// records. A record in a segment it could not have been logged to —
+// a user record whose name hashes to another stripe, a stripe record in
+// the meta segment, a meta record in a stripe segment — means the log
+// was written with another stripe count, and fails the replay.
 type ispReplay struct {
-	users  map[string]*UserState
-	pool   int64
-	credit []int64
-	seq    uint64
-	jseq   int64
-	nonce  uint32
-	mask   uint32
+	stripes []map[string]*UserState
+	pool    int64
+	credit  []int64
+	seq     uint64
+	jseq    int64
+	nonce   uint32
+	mask    uint32
 }
 
 func newISPReplay(st *EngineState, mask uint32) *ispReplay {
 	r := &ispReplay{
-		users:  make(map[string]*UserState, len(st.Users)),
-		pool:   st.Avail,
-		credit: append([]int64(nil), st.Credit...),
-		seq:    st.Seq,
-		jseq:   st.JournalSeq,
-		nonce:  st.NonceCounter,
-		mask:   mask,
+		stripes: make([]map[string]*UserState, mask+1),
+		pool:    st.Avail,
+		credit:  append([]int64(nil), st.Credit...),
+		seq:     st.Seq,
+		jseq:    st.JournalSeq,
+		nonce:   st.NonceCounter,
+		mask:    mask,
+	}
+	for i := range r.stripes {
+		r.stripes[i] = make(map[string]*UserState, len(st.Users)/len(r.stripes))
 	}
 	for i := range st.Users {
-		row := st.Users[i]
-		r.users[row.Name] = &row
+		row := &st.Users[i]
+		r.stripes[fnv1a32(row.Name)&mask][row.Name] = row
 	}
 	return r
+}
+
+// misfiled rejects a record kind found in a segment it is never logged
+// to: stripe records belong in stripe segments, cold-state records in
+// the meta segment.
+func (r *ispReplay) misfiled(seg int, kind byte) error {
+	meta := seg == len(r.stripes)
+	switch kind {
+	case ispRecUserPut, ispRecSend, ispRecWarn, ispRecTrade, ispRecDayReset:
+		if meta {
+			return fmt.Errorf("isp: wal record kind %d in meta segment %d", kind, seg)
+		}
+	case ispRecPoolAdd, ispRecCreditAdd, ispRecCreditZero, ispRecNonce:
+		if !meta {
+			return fmt.Errorf("isp: wal record kind %d in stripe segment %d", kind, seg)
+		}
+	}
+	return nil
+}
+
+// row finds the user a stripe record of segment seg names. name
+// aliases the payload; the lookup does not copy it.
+func (r *ispReplay) row(seg int, name []byte) (*UserState, error) {
+	if row, ok := r.stripes[seg][string(name)]; ok {
+		return row, nil
+	}
+	if want := int(fnv1a32(string(name)) & r.mask); want != seg {
+		return nil, fmt.Errorf("isp: wal record for %q in segment %d, its stripe is %d", name, seg, want)
+	}
+	return nil, fmt.Errorf("isp: wal record for unknown user %q", name)
 }
 
 // bumpSeq raises the journal high-water mark to cover en.
@@ -320,10 +356,17 @@ func appendJournal(row *UserState, en Entry) {
 	}
 }
 
-// apply replays one record from segment seg.
+// apply replays one record from segment seg. The payload is valid only
+// during the call: names are looked up without copying, and everything
+// kept (a put's name, each journal entry's strings) is copied by the
+// decoder.
 func (r *ispReplay) apply(seg int, payload []byte) error {
 	d := persist.DecodeRecord(payload)
-	switch kind := d.U8(); kind {
+	kind := d.U8()
+	if err := r.misfiled(seg, kind); err != nil {
+		return err
+	}
+	switch kind {
 	case ispRecUserPut:
 		poolDelta := d.I64()
 		row := &UserState{Name: d.Str()}
@@ -344,10 +387,13 @@ func (r *ispReplay) apply(seg int, payload []byte) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		r.users[row.Name] = row
+		if want := int(fnv1a32(row.Name) & r.mask); want != seg {
+			return fmt.Errorf("isp: wal record for %q in segment %d, its stripe is %d", row.Name, seg, want)
+		}
+		r.stripes[seg][row.Name] = row
 		r.pool = r.pool + poolDelta
 	case ispRecSend:
-		name := d.Str()
+		name := d.Blob()
 		balDelta := d.I64()
 		sentDelta := d.I64()
 		// One entry per e-penny moved, and no entry is shorter than a
@@ -364,9 +410,9 @@ func (r *ispReplay) apply(seg int, payload []byte) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		row, ok := r.users[name]
-		if !ok {
-			return fmt.Errorf("isp: wal send for unknown user %q", name)
+		row, err := r.row(seg, name)
+		if err != nil {
+			return err
 		}
 		row.Balance = row.Balance + balDelta
 		row.Sent += sentDelta
@@ -375,17 +421,17 @@ func (r *ispReplay) apply(seg int, payload []byte) error {
 			r.bumpSeq(en)
 		}
 	case ispRecWarn:
-		name := d.Str()
+		name := d.Blob()
 		if err := d.Err(); err != nil {
 			return err
 		}
-		row, ok := r.users[name]
-		if !ok {
-			return fmt.Errorf("isp: wal warn for unknown user %q", name)
+		row, err := r.row(seg, name)
+		if err != nil {
+			return err
 		}
 		row.WarnedToday = true
 	case ispRecTrade:
-		name := d.Str()
+		name := d.Blob()
 		accountDelta := d.I64()
 		balDelta := d.I64()
 		poolDelta := d.I64()
@@ -393,9 +439,9 @@ func (r *ispReplay) apply(seg int, payload []byte) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		row, ok := r.users[name]
-		if !ok {
-			return fmt.Errorf("isp: wal trade for unknown user %q", name)
+		row, err := r.row(seg, name)
+		if err != nil {
+			return err
 		}
 		row.Account = row.Account + accountDelta
 		row.Balance = row.Balance + balDelta
@@ -439,11 +485,9 @@ func (r *ispReplay) apply(seg int, payload []byte) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		for name, row := range r.users {
-			if int(fnv1a32(name)&r.mask) == seg {
-				row.Sent = 0
-				row.WarnedToday = false
-			}
+		for _, row := range r.stripes[seg] {
+			row.Sent = 0
+			row.WarnedToday = false
 		}
 	default:
 		return fmt.Errorf("%w: kind %d", persist.ErrBadRecord, kind)
@@ -451,18 +495,22 @@ func (r *ispReplay) apply(seg int, payload []byte) error {
 	return nil
 }
 
-// finalize folds the replayed state back into st.
+// finalize folds the replayed state back into st. Users come out in
+// no particular order: restoreState files them by stripe, and only
+// ExportState promises sorted output.
 func (r *ispReplay) finalize(st *EngineState) {
 	st.Avail = r.pool
 	st.Credit = r.credit
 	st.Seq = r.seq
 	st.JournalSeq = r.jseq
 	st.NonceCounter = r.nonce
-	st.Users = st.Users[:0]
-	for _, row := range r.users {
-		st.Users = append(st.Users, *row)
+	users := make([]UserState, 0, len(st.Users))
+	for _, b := range r.stripes {
+		for _, row := range b {
+			users = append(users, *row)
+		}
 	}
-	sort.Slice(st.Users, func(i, j int) bool { return st.Users[i].Name < st.Users[j].Name })
+	st.Users = users
 }
 
 // RecoverWAL boots a freshly-built engine from the WAL at dir: load

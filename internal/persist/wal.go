@@ -23,10 +23,20 @@
 // the snapshot and skipped; within a segment, records whose LSN does
 // not increase are duplicates and skipped; the first record with a bad
 // length or checksum ends the segment (torn tail) and the file is
-// truncated back to the last good boundary.
+// truncated back to the last good boundary. Only running out of data
+// (io.EOF, io.ErrUnexpectedEOF) is a torn tail: any other read error
+// fails recovery. A directory holding a segment file at an index the
+// caller did not ask for fails recovery too — it was written with more
+// segments. Recovery changes no file until every segment has been read
+// and applied, so a failed recovery leaves the directory as it found
+// it. Each segment is read through one buffered reader that the whole
+// recovery reuses, so the payload handed to apply aliases that buffer
+// and is valid only during the call: apply copies what it keeps.
+// Segments are replayed one after another, on the caller's goroutine.
 package persist
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -35,6 +45,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -137,6 +149,11 @@ func CreateWAL(dir string, numSegments int, state any) (*WAL, error) {
 // segment) are skipped; a torn or corrupt tail ends its segment and is
 // truncated away. Missing segment files are recreated empty, so a
 // crash between CreateWAL's snapshot and its segment creation heals.
+// A directory holding a segment at or beyond numSegments was written
+// with another segment count and is refused. The payload handed to
+// apply is valid only during the call. No file changes unless every
+// segment scans and applies cleanly: a read error, a failed apply or a
+// refused directory leaves the WAL as it was.
 func RecoverWAL(dir string, numSegments int, statePtr any, apply func(seg int, payload []byte) error) (*WAL, error) {
 	if numSegments <= 0 {
 		return nil, fmt.Errorf("persist: wal needs at least one segment, got %d", numSegments)
@@ -148,25 +165,60 @@ func RecoverWAL(dir string, numSegments int, statePtr any, apply func(seg int, p
 	if snap.Version != walSnapVersion {
 		return nil, fmt.Errorf("persist: wal snapshot version %d, want %d", snap.Version, walSnapVersion)
 	}
+	if err := checkSegmentCount(dir, numSegments); err != nil {
+		return nil, err
+	}
 	if err := json.Unmarshal(snap.State, statePtr); err != nil {
 		return nil, fmt.Errorf("persist: wal snapshot state: %w", err)
 	}
 	w := &WAL{dir: dir, segs: make([]*segment, numSegments)}
 	w.mark.Store(snap.Mark)
-	maxLSN := snap.Mark
+	// Scan every segment before touching any file; the scanned ones
+	// keep their open handle, and a nil file marks one to (re)create.
+	br := bufio.NewReaderSize(nil, scanBufSize)
 	for i := range w.segs {
-		seg, err := recoverSegment(dir, i, snap.Mark, apply)
+		seg, err := recoverSegment(dir, i, snap.Mark, br, apply)
 		if err != nil {
 			w.closeSegments()
 			return nil, err
 		}
 		w.segs[i] = seg
-		if seg.lastLSN > maxLSN {
-			maxLSN = seg.lastLSN
+	}
+	maxLSN := snap.Mark
+	for i, seg := range w.segs {
+		if err := seg.settle(dir, i); err != nil {
+			w.closeSegments()
+			return nil, err
 		}
+		maxLSN = max(maxLSN, seg.lastLSN)
 	}
 	w.lsn.Store(maxLSN)
 	return w, nil
+}
+
+// checkSegmentCount refuses a directory that holds a segment file at
+// index n or beyond: the WAL was written with more segments than the
+// caller now asks for, and replaying only the first n would silently
+// drop the rest.
+func checkSegmentCount(dir string, n int) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("persist: wal dir: %w", err)
+	}
+	for _, ent := range ents {
+		num, ok := strings.CutPrefix(ent.Name(), "seg")
+		if !ok {
+			continue
+		}
+		num, ok = strings.CutSuffix(num, ".wal")
+		if !ok {
+			continue
+		}
+		if i, err := strconv.Atoi(num); err == nil && i >= n {
+			return fmt.Errorf("persist: wal %s holds segment %d, recovering %d segments", dir, i, n)
+		}
+	}
+	return nil
 }
 
 // createSegment writes a fresh header-only segment file and fsyncs it.
@@ -190,82 +242,167 @@ func createSegment(dir string, i int) (*segment, error) {
 	return &segment{f: f, size: segHeaderSize}, nil
 }
 
-// recoverSegment scans one segment file, applying surviving records,
-// and truncates any torn or corrupt tail so subsequent appends land on
-// a clean boundary.
-func recoverSegment(dir string, i int, mark uint64, apply func(seg int, payload []byte) error) (*segment, error) {
-	path := segPath(dir, i)
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+// scanBufSize is the recovery read buffer: one per RecoverWAL, shared
+// by every segment. A record that fits is checked and applied in place;
+// a larger one (up to MaxWALRecordSize) is read whole into a buffer
+// that the segment's scan keeps.
+const scanBufSize = 256 << 10
+
+// recoverSegment opens segment i and replays it through br, reset onto
+// the file. It changes nothing on disk: a missing or header-torn file
+// comes back with a nil f, and settle later (re)creates it or cuts the
+// scanned file back to its last good record.
+func recoverSegment(dir string, i int, mark uint64, br *bufio.Reader, apply func(seg int, payload []byte) error) (*segment, error) {
+	f, err := os.OpenFile(segPath(dir, i), os.O_RDWR, 0o644)
 	if errors.Is(err, os.ErrNotExist) {
-		return createSegment(dir, i)
+		return &segment{}, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("persist: wal segment %d: %w", i, err)
 	}
-	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		// A header-truncated segment cannot hold records; rebuild it.
+	br.Reset(f)
+	if err := readSegHeader(br, i); err != nil {
 		_ = f.Close()
-		return createSegment(dir, i)
+		if errors.Is(err, errTornHeader) {
+			// A header-truncated segment cannot hold records; rebuild it.
+			return &segment{}, nil
+		}
+		return nil, err
+	}
+	good, lastLSN, err := scanSegment(br, i, mark, apply)
+	if err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	return &segment{f: f, size: segHeaderSize + good, lastLSN: lastLSN}, nil
+}
+
+// errTornHeader reports a segment file shorter than its header.
+var errTornHeader = errors.New("persist: wal segment header torn")
+
+// readSegHeader reads and checks segment i's header from r. A file that
+// ends inside the header is errTornHeader; any other read error is
+// returned as it is.
+func readSegHeader(r io.Reader, i int) error {
+	var hdr [segHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if tornTail(err) {
+			return errTornHeader
+		}
+		return fmt.Errorf("persist: wal segment %d header: %w", i, err)
 	}
 	if binary.LittleEndian.Uint16(hdr[0:2]) != walMagic {
-		_ = f.Close()
-		return nil, fmt.Errorf("persist: wal segment %d: bad magic", i)
+		return fmt.Errorf("persist: wal segment %d: bad magic", i)
 	}
 	if hdr[2] != walVersion {
-		_ = f.Close()
-		return nil, fmt.Errorf("persist: wal segment %d: version %d, want %d", i, hdr[2], walVersion)
+		return fmt.Errorf("persist: wal segment %d: version %d, want %d", i, hdr[2], walVersion)
 	}
 	if got := int(binary.LittleEndian.Uint32(hdr[4:8])); got != i {
-		_ = f.Close()
-		return nil, fmt.Errorf("persist: wal segment %d: header claims index %d", i, got)
+		return fmt.Errorf("persist: wal segment %d: header claims index %d", i, got)
 	}
+	return nil
+}
 
-	seg := &segment{f: f, size: segHeaderSize}
-	good := int64(segHeaderSize) // end of the last intact record
-	var lenBuf [4]byte
+// tornTail reports whether a read error means the data simply ran out:
+// a crash mid-append leaves a short file, never an I/O error.
+func tornTail(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+}
+
+// scanSegment replays the records of segment seg from r, which starts
+// just past the segment header, and returns the byte length of the
+// intact record prefix and the highest LSN in it. The first record
+// with a bad length or checksum, or cut short by the end of r, ends
+// the prefix; any other read error is returned, because a record the
+// disk failed to deliver is not a torn tail. Records at or below mark,
+// and records whose LSN does not increase, are counted in the prefix
+// but not applied. The payload handed to apply aliases the read
+// buffer, valid only during the call. When r is a *bufio.Reader it is
+// read directly, so one buffer serves every segment of a recovery.
+func scanSegment(r io.Reader, seg int, mark uint64, apply func(seg int, payload []byte) error) (good int64, lastLSN uint64, err error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReaderSize(r, scanBufSize)
+	}
+	var big []byte // records too large for br, read whole
 	for {
-		if _, err := io.ReadFull(f, lenBuf[:]); err != nil {
-			break // clean EOF or truncated length prefix: tail ends here
+		lenBuf, err := br.Peek(4)
+		if err != nil {
+			return good, lastLSN, scanErr(seg, err)
 		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
+		n := int(binary.LittleEndian.Uint32(lenBuf))
 		if n < recHeaderSize || n > recHeaderSize+MaxWALRecordSize {
-			break // garbage length: treat as torn tail
+			return good, lastLSN, nil // garbage length: treat as torn tail
 		}
-		rec := make([]byte, n)
-		if _, err := io.ReadFull(f, rec); err != nil {
-			break // record body cut short
-		}
-		sum := binary.LittleEndian.Uint32(rec[0:4])
-		if crc32.ChecksumIEEE(rec[4:]) != sum {
-			break // first bad checksum ends the segment
-		}
-		lsn := binary.LittleEndian.Uint64(rec[4:12])
-		good += 4 + int64(n)
-		if lsn <= mark || lsn <= seg.lastLSN {
-			// Covered by the snapshot, or a duplicated tail (same
-			// segment replayed twice): skip but keep scanning.
-			if lsn > seg.lastLSN {
-				seg.lastLSN = lsn
+		// A record that fits in br is peeked in place and discarded
+		// once applied; a larger one is read past into big.
+		inPlace := 4+n <= br.Size()
+		var rec []byte
+		if inPlace {
+			p, err := br.Peek(4 + n)
+			if err != nil {
+				return good, lastLSN, scanErr(seg, err)
 			}
-			continue
+			rec = p[4:]
+		} else {
+			if cap(big) < 4+n {
+				big = make([]byte, 4+n)
+			}
+			rec = big[:4+n]
+			if _, err := io.ReadFull(br, rec); err != nil {
+				return good, lastLSN, scanErr(seg, err)
+			}
+			rec = rec[4:]
 		}
-		if err := apply(i, rec[recHeaderSize:]); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("persist: wal segment %d replay lsn %d: %w", i, lsn, err)
+		if crc32.ChecksumIEEE(rec[4:]) != binary.LittleEndian.Uint32(rec[0:4]) {
+			return good, lastLSN, nil // first bad checksum ends the segment
 		}
-		seg.lastLSN = lsn
+		// A record covered by the snapshot, or a duplicated tail (same
+		// segment replayed twice), is skipped but the scan goes on.
+		lsn := binary.LittleEndian.Uint64(rec[4:12])
+		if lsn > mark && lsn > lastLSN {
+			if err := apply(seg, rec[recHeaderSize:]); err != nil {
+				return good, lastLSN, fmt.Errorf("persist: wal segment %d replay lsn %d: %w", seg, lsn, err)
+			}
+		}
+		lastLSN = max(lastLSN, lsn)
+		good += 4 + int64(n)
+		if inPlace {
+			if _, err := br.Discard(4 + n); err != nil {
+				return good, lastLSN, scanErr(seg, err)
+			}
+		}
 	}
-	if err := f.Truncate(good); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("persist: wal segment %d truncate: %w", i, err)
+}
+
+// scanErr maps a read error that stopped a scan: nil for a torn tail
+// (the intact prefix stands), the error itself otherwise.
+func scanErr(seg int, err error) error {
+	if tornTail(err) {
+		return nil
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("persist: wal segment %d seek: %w", i, err)
+	return fmt.Errorf("persist: wal segment %d read: %w", seg, err)
+}
+
+// settle finishes a scanned segment for appending: a segment with no
+// file is created fresh; a scanned one is cut back to its last intact
+// record so appends land on a clean boundary.
+func (s *segment) settle(dir string, i int) error {
+	if s.f == nil {
+		fresh, err := createSegment(dir, i)
+		if err != nil {
+			return err
+		}
+		s.f, s.size = fresh.f, fresh.size
+		return nil
 	}
-	seg.size = good
-	return seg, nil
+	if err := s.f.Truncate(s.size); err != nil {
+		return fmt.Errorf("persist: wal segment %d truncate: %w", i, err)
+	}
+	if _, err := s.f.Seek(s.size, io.SeekStart); err != nil {
+		return fmt.Errorf("persist: wal segment %d seek: %w", i, err)
+	}
+	return nil
 }
 
 // Append writes one mutation record to segment seg. The LSN is drawn
