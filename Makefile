@@ -43,7 +43,7 @@ bench:
 #   make bench-record N=31
 bench-record:
 	@test -n "$(N)" || { echo "usage: make bench-record N=<number>"; exit 2; }
-	{ $(GO) test -run xxx -bench 'EngineSend|EngineSubmitAsync|WorldStep|ISPSubmit|ISPReceive|NodeRelay|SMTPTxn|MailCodec' -benchmem . && \
+	{ $(GO) test -run xxx -bench 'EngineSend|EngineSubmitAsync|WorldStep|ISPSubmit|ISPReceive|NodeRelay|NodeListFanout|SMTPTxn|MailCodec' -benchmem . && \
 	  $(GO) test -run xxx -bench 'BuyHandling|BankBatchOrder' -benchmem ./internal/bank/ && \
 	  $(GO) test -run xxx -bench 'WALCheckpoint|WALReplay' -benchmem ./internal/isp/ ./internal/persist/ ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_$(N).json

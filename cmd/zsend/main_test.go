@@ -2,6 +2,7 @@ package main
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -76,6 +77,12 @@ func TestZsendFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-from", "x@y.example", "-to", "bad", "-body", "b"}); err == nil {
 		t.Error("bad -to accepted")
+	}
+	for _, class := range []string{"ack", "bulk"} {
+		err := run([]string{"-server", "127.0.0.1:1", "-from", "x@y.example", "-to", "z@y.example", "-body", "b", "-class", class})
+		if err == nil || !strings.Contains(err.Error(), "-class") {
+			t.Errorf("-class %s: err = %v, want the flag refused", class, err)
+		}
 	}
 }
 

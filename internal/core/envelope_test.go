@@ -91,15 +91,24 @@ func TestSubmissionAllOrNothing(t *testing.T) {
 }
 
 // TestListOneTransactionPerPeer: a 16-recipient list post reaches the
-// peer as one relayed transaction with 16 RCPTs, and every recipient's
-// ack comes back on its own.
+// peer as one relayed transaction with 16 RCPTs, and the 16 acks come
+// back as one coalesced ack in one transaction: two relayed
+// transactions for the round trip, where one per recipient took 17.
+// The ack sink still sees every acker, and every e-penny comes back.
 func TestListOneTransactionPerPeer(t *testing.T) {
 	const subscribers = 16
 	var diag diagnostics
 	var delivered, acked atomic.Int64
+	var mu sync.Mutex
+	ackers := map[mail.Address]bool{}
 	a := relayNode(t, 0, "list", func(c *NodeConfig) {
 		c.Logf = diag.logf
-		c.AckSink = func(string, *mail.Message) { acked.Add(1) }
+		c.AckSink = func(_ string, ack *mail.Message) {
+			mu.Lock()
+			ackers[ack.From] = true
+			mu.Unlock()
+			acked.Add(1)
+		}
 	})
 	b := relayNode(t, 1, "bob", func(c *NodeConfig) {
 		c.Logf = diag.logf
@@ -124,13 +133,20 @@ func TestListOneTransactionPerPeer(t *testing.T) {
 	waitFor(t, "every delivery and every ack", func() bool {
 		return delivered.Load() == subscribers && acked.Load() == subscribers
 	})
+	mu.Lock()
+	if len(ackers) != subscribers {
+		t.Errorf("the ack sink saw %d distinct ackers, want %d", len(ackers), subscribers)
+	}
+	mu.Unlock()
 	for name, want := range map[string]float64{"zmail_relay_sent_total": 1, "zmail_relay_rcpts_total": subscribers} {
 		if got := relayStat(a, name); got != want {
 			t.Errorf("list side %s = %v, want %v", name, got, want)
 		}
 	}
-	if got := relayStat(b, "zmail_relay_sent_total"); got != subscribers {
-		t.Errorf("ack side sent %v transactions, want one ack each: %d", got, subscribers)
+	for name, want := range map[string]float64{"zmail_relay_sent_total": 1, "zmail_relay_rcpts_total": 1} {
+		if got := relayStat(b, name); got != want {
+			t.Errorf("ack side %s = %v, want %v: one coalesced ack", name, got, want)
+		}
 	}
 	if u, _ := a.Engine().User("list"); u.Balance != 100_000 || u.Sent != subscribers {
 		t.Errorf("distributor after the round trip = %+v, want every e-penny refunded", u)
@@ -195,5 +211,68 @@ func TestRelaySplitsRefusedTransaction(t *testing.T) {
 	}
 	if lines := diag.all(); len(lines) != 1 {
 		t.Fatalf("%d diagnostics, want one for c: %q", len(lines), lines)
+	}
+}
+
+// TestAckSubmissionRefused: acks are the ISP's to send, and are exempt
+// from the §5 daily limit only for that reason. A user at limit 3 who
+// submits five ack-class messages over SMTP is refused all five with a
+// 550, and so is a forged coalesced ack naming another user: nobody is
+// charged, the limit is untouched, and nothing is relayed.
+func TestAckSubmissionRefused(t *testing.T) {
+	for _, queue := range []bool{false, true} {
+		t.Run(fmt.Sprintf("queue=%v", queue), func(t *testing.T) {
+			var diag diagnostics
+			a := relayNode(t, 0, "alice", func(c *NodeConfig) {
+				c.Logf = diag.logf
+				c.Queue = queue
+			})
+			b := relayNode(t, 1, "bob", func(c *NodeConfig) { c.Logf = diag.logf })
+			a.AddPeer(1, b.Addr().String())
+			eng := a.Engine()
+			for _, name := range []string{"sender", "carol"} {
+				if err := eng.RegisterUser(name, 0, 100, 3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			from := mail.Address{Local: "sender", Domain: relayDomains[0]}
+			to := mail.Address{Local: "bob", Domain: relayDomains[1]}
+			refused := func(what string, msg *mail.Message) {
+				t.Helper()
+				err := sendOverSMTP(t, a, from, []mail.Address{to}, msg)
+				var pe *smtp.ProtocolError
+				if !errors.As(err, &pe) || pe.Code != 550 {
+					t.Errorf("%s: send = %v, want a 550", what, err)
+				}
+			}
+			for i := 0; i < 5; i++ {
+				ack := mail.NewMessage(from, to, "Ack: post 1", "")
+				ack.SetClass(mail.ClassAck)
+				refused(fmt.Sprint("ack ", i), ack)
+			}
+			forged := mail.NewMessage(from, to, "Ack: post 1", "carol\nsender")
+			forged.SetClass(mail.ClassAck)
+			forged.SetHeader(mail.HeaderAckCount, "2")
+			refused("forged coalesced ack", forged)
+
+			eng.FlushQueue()
+			for _, name := range []string{"sender", "carol"} {
+				if u, _ := eng.User(name); u.Balance != 100 || u.Sent != 0 {
+					t.Errorf("%s after the refusals = %+v, want balance 100 and sent 0", name, u)
+				}
+			}
+			if c := eng.Credit()[1]; c != 0 {
+				t.Errorf("credit against the peer = %d, want 0", c)
+			}
+			if st := eng.Stats(); st.SentPaid != 0 || st.Submitted != 0 {
+				t.Errorf("stats after the refusals = %+v, want nothing submitted", st)
+			}
+			if got := relayStat(a, "zmail_relay_sent_total"); got != 0 {
+				t.Errorf("relayed %v transactions, want none", got)
+			}
+			if got := b.Engine().Stats().ReceivedPaid; got != 0 {
+				t.Errorf("peer received %d paid messages, want none", got)
+			}
+		})
 	}
 }

@@ -22,7 +22,9 @@ import (
 // share one charge of k, one WAL record, one credit add and one relayed
 // message; those at one other domain share one unpaid send. A group
 // that fails does not stop the others; the outcome is the first
-// group's, the error the first failure.
+// group's, the error the first failure. A coalesced acknowledgment
+// (one carrying mail.HeaderAckCount, see ack.go) commits as the single
+// acks it stands for, in one transaction (sendAcks).
 //
 // SubmitSync is the synchronous half of the submit surface: the
 // deterministic simulator, tests, and golden paths call it directly so
@@ -60,7 +62,18 @@ func (e *Engine) traceFor(msg *mail.Message) trace.ID {
 
 func (e *Engine) submit(em *emitQueue, msg *mail.Message, thawing bool) (SendOutcome, error) {
 	rcpts := msg.Recipients()
-	e.stats.submitted.Add(int64(len(rcpts)))
+	isAck := msg.Class() == mail.ClassAck
+	// A coalesced ack counts as the single acks it stands for.
+	var ackers []string
+	n := len(rcpts)
+	if isAck && msg.Header(mail.HeaderAckCount) != "" {
+		var err error
+		if ackers, err = coalescedAckers(msg); err != nil {
+			return 0, err
+		}
+		n = len(ackers)
+	}
+	e.stats.submitted.Add(int64(n))
 
 	if msg.From.Domain != e.cfg.Domain {
 		return 0, fmt.Errorf("isp: sender %v is not a %s user", msg.From, e.cfg.Domain)
@@ -94,12 +107,14 @@ func (e *Engine) submit(em *emitQueue, msg *mail.Message, thawing bool) (SendOut
 		e.mu.Lock()
 		e.outbox = append(e.outbox, msg)
 		e.mu.Unlock()
-		e.stats.buffered.Add(int64(len(rcpts)))
+		e.stats.buffered.Add(int64(n))
 		e.tracer.Record(tid, "buffer", 0, "frozen")
 		return SentBuffered, nil
 	}
 
-	isAck := msg.Class() == mail.ClassAck
+	if ackers != nil {
+		return e.sendAcks(em, msg, ackers, tid, thawing)
+	}
 	if len(rcpts) > 1 {
 		return e.submitEnvelope(em, msg, ss, tid, isAck)
 	}
@@ -351,38 +366,6 @@ func (e *Engine) deliver(em *emitQueue, local string, msg *mail.Message) {
 	}
 }
 
-// generateAck builds and submits the §5 acknowledgment for a delivered
-// mailing-list message: an automatic email from the recipient back to
-// the distributor that "returns the e-penny back to the distributor".
-func (e *Engine) generateAck(local string, listMsg *mail.Message) {
-	ack := mail.NewMessage(
-		mail.Address{Local: local, Domain: e.cfg.Domain},
-		listMsg.From,
-		"Ack: "+listMsg.Subject(),
-		"",
-	)
-	ack.SetClass(mail.ClassAck)
-	if id := listMsg.ID(); id != "" {
-		ack.SetHeader(mail.HeaderAckFor, id)
-	}
-	// The ack continues the list message's flow: copying the trace
-	// header chains the whole §5 round trip — distribute, deliver, ack,
-	// refund — under the distributor's original ID.
-	if t := listMsg.Header(mail.HeaderTrace); t != "" {
-		ack.SetHeader(mail.HeaderTrace, t)
-	}
-	e.stats.acksGenerated.Add(1)
-	// Submit via the synchronous path: the ack pays one e-penny (the one
-	// the list message just delivered) back toward the distributor, and
-	// must not re-enter the admission queue it may be draining from.
-	if _, err := e.SubmitSync(ack); err != nil {
-		// An unfunded ack means the recipient's balance was already
-		// drained between delivery and ack; drop it. The distributor's
-		// pruning logic treats a missing ack as a dead subscriber.
-		e.stats.acksGenerated.Add(-1)
-	}
-}
-
 // ReceiveRemote accepts a message arriving from a peer ISP (the SMTP
 // server path). fromDomain identifies the transmitting ISP — in a real
 // deployment it is authenticated by the SMTP session (connecting IP /
@@ -395,9 +378,17 @@ func (e *Engine) generateAck(local string, listMsg *mail.Message) {
 // A message with several envelope recipients is taken all or nothing:
 // every recipient must be a user of this domain before any is
 // credited, so a refusal means nobody was paid and the sender may
-// retry each recipient on its own. Each recipient then gets its own
-// copy, its own credit and, for list mail, its own ack, all under one
-// freeze read hold, so the transaction falls in one billing period.
+// retry each recipient on its own. Paid recipients are then credited
+// stripe by stripe, in ascending stripe order, each stripe's records
+// logged in one write, and the credit change for the whole transaction
+// is one add and one record, all under one freeze read hold, so the
+// transaction falls in one billing period. Each recipient still gets
+// its own copy; the list recipients of one transaction share one
+// coalesced acknowledgment (see generateAcks). Unpaid mail is
+// classified once per message, before the freeze read hold.
+//
+// A coalesced acknowledgment (an ack carrying mail.HeaderAckCount) is
+// checked whole before anyone is credited; see receiveAcks.
 //
 // ReceiveRemote is safe for concurrent use; inbound mail keeps flowing
 // during a snapshot freeze (the §4.4 quiet period exists precisely so
@@ -418,14 +409,26 @@ func (e *Engine) receiveRemote(em *emitQueue, fromDomain string, msg *mail.Messa
 			return fmt.Errorf("isp: message for %v relayed to wrong ISP %s", to, e.cfg.Domain)
 		}
 	}
-	if len(rcpts) > 1 {
-		// Users are never deleted, so one found here is still there
-		// when it is credited below.
+	fromIndex, fromCompliant, known := e.cfg.Directory.Lookup(fromDomain)
+	paid := known && fromCompliant
+	if msg.Class() == mail.ClassAck && msg.Header(mail.HeaderAckCount) != "" {
+		return e.receiveAcks(em, fromIndex, paid, msg)
+	}
+	// Users are never deleted, so one found here is still there when it
+	// is credited below. A paid single recipient is looked up under its
+	// stripe lock instead.
+	if len(rcpts) > 1 || !paid {
 		for _, to := range rcpts {
 			if _, ok := e.User(to.Local); !ok {
 				return fmt.Errorf("%w: %q", ErrUnknownUser, to.Local)
 			}
 		}
+	}
+	// The spam filter sees each message once, after the recipients are
+	// known to exist and before the freeze read hold.
+	keep := true
+	if !paid && e.cfg.Policy == FilterUnpaid && e.cfg.Filter != nil {
+		keep = e.cfg.Filter(msg)
 	}
 
 	e.freezeMu.RLock()
@@ -434,55 +437,21 @@ func (e *Engine) receiveRemote(em *emitQueue, fromDomain string, msg *mail.Messa
 	// Adopt the sender's flow ID; foreign mail has no header and stays
 	// untraced (zero ID spans are recorded but unlinked).
 	tid, _ := trace.ParseID(msg.Header(mail.HeaderTrace))
-	fromIndex, fromCompliant, known := e.cfg.Directory.Lookup(fromDomain)
-
+	if paid {
+		return e.receivePaid(em, msg, fromIndex, tid)
+	}
 	for _, to := range rcpts {
 		m := msg
 		if len(rcpts) > 1 {
 			m = msg.CopyFor(to)
 		}
-		rs := e.stripeFor(to.Local)
-		if known && fromCompliant {
-			e.lockStripe(rs)
-			recipient, ok := rs.users[to.Local]
-			if !ok {
-				rs.mu.Unlock()
-				return fmt.Errorf("%w: %q", ErrUnknownUser, to.Local)
-			}
-			recipient.balance++
-			re := e.journalUser(recipient, EntryReceived, m.From.String(), +1, 0, m.ID())
-			e.walSend(rs.idx, recipient.name, +1, 0, re)
-			rs.mu.Unlock()
-			e.credit[fromIndex].Add(-1)
-			e.walCreditAdd(fromIndex, -1)
-			e.stats.receivedPaid.Add(1)
-			e.tracer.Record(tid, "transfer", -1, "paid")
-			e.tracer.Record(tid, "credit", +1, "delivered")
-			e.deliver(em, to.Local, m)
-			continue
-		}
-
-		// Unpaid mail: the recipient must exist, then apply policy.
-		e.lockStripe(rs)
-		_, ok := rs.users[to.Local]
-		rs.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownUser, to.Local)
-		}
 		e.stats.receivedUnpaid.Add(1)
-		switch e.cfg.Policy {
-		case RejectUnpaid:
+		if e.cfg.Policy == RejectUnpaid || !keep {
 			e.stats.discarded.Add(1)
 			e.tracer.Record(tid, "receive", 0, "discarded")
 			continue
-		case FilterUnpaid:
-			//zlint:ignore lockscope the spam filter must classify before the delivery decision counts, and freezeMu is held in shared mode here — a freeze waits at worst one filter call, and filters are pure in-memory classifiers by contract (§2.1 unpaid-mail policy)
-			if e.cfg.Filter != nil && !e.cfg.Filter(m) {
-				e.stats.discarded.Add(1)
-				e.tracer.Record(tid, "receive", 0, "discarded")
-				continue
-			}
-		case TagUnpaid:
+		}
+		if e.cfg.Policy == TagUnpaid {
 			m.SetHeader(HeaderUnpaid, "yes")
 		}
 		e.stats.deliveredLocal.Add(1)
@@ -491,6 +460,84 @@ func (e *Engine) receiveRemote(em *emitQueue, fromDomain string, msg *mail.Messa
 		em.add(func() { e.cfg.Transport.DeliverLocal(local, m) })
 	}
 	return nil
+}
+
+// receivePaid credits the recipients of msg, paid mail from the peer
+// at fromIndex: one e-penny each, one record per recipient written
+// stripe by stripe, and one credit record for the transaction. The
+// caller holds freezeMu for read and has checked that every recipient
+// of a multi-recipient message exists.
+func (e *Engine) receivePaid(em *emitQueue, msg *mail.Message, fromIndex int, tid trace.ID) error {
+	rcpts := msg.Recipients()
+	order := rcpts
+	var one [1][]byte
+	recs := one[:0]
+	if len(rcpts) > 1 {
+		// Visit the recipients in ascending stripe order, the package's
+		// lock order, so each stripe is locked once.
+		order = slices.Clone(rcpts)
+		slices.SortStableFunc(order, func(a, b mail.Address) int {
+			return e.stripeFor(a.Local).idx - e.stripeFor(b.Local).idx
+		})
+		recs = make([][]byte, 0, len(rcpts))
+	}
+	for len(order) > 0 {
+		rs := e.stripeFor(order[0].Local)
+		recs = recs[:0]
+		e.lockStripe(rs)
+		for ; len(order) > 0 && e.stripeFor(order[0].Local) == rs; order = order[1:] {
+			recipient, ok := rs.users[order[0].Local]
+			if !ok {
+				rs.mu.Unlock()
+				return fmt.Errorf("%w: %q", ErrUnknownUser, order[0].Local)
+			}
+			if rec := e.creditReceived(recipient, fromIndex, msg); rec != nil {
+				recs = append(recs, rec)
+			}
+		}
+		e.walBatch(rs.idx, recs)
+		rs.mu.Unlock()
+	}
+	k := int64(len(rcpts))
+	e.walCreditAdd(fromIndex, -k)
+	e.stats.receivedPaid.Add(k)
+	e.tracer.Record(tid, "transfer", -k, "paid")
+	e.tracer.Record(tid, "credit", +k, "delivered")
+	// The list recipients of one transaction share one coalesced ack; a
+	// lone recipient's list mail is acked by deliver, as other mail is
+	// delivered.
+	list := msg.Class() == mail.ClassList && len(rcpts) > 1
+	var ackers []string
+	for _, to := range rcpts {
+		m := msg
+		if len(rcpts) > 1 {
+			m = msg.CopyFor(to)
+		}
+		if !list {
+			e.deliver(em, to.Local, m)
+			continue
+		}
+		e.stats.deliveredLocal.Add(1)
+		em.add(func() { e.cfg.Transport.DeliverLocal(to.Local, m) })
+		ackers = append(ackers, to.Local)
+	}
+	if list {
+		em.add(func() { e.generateAcks(ackers, msg) })
+	}
+	return nil
+}
+
+// creditReceived is one recipient's share of a paid receive: the
+// e-penny the recipient earns, paired with the one our claim against
+// the sending peer gives up, and its statement line. It returns the
+// line's WAL record for the caller's stripe batch; the caller logs the
+// credit change once for the whole transaction. Caller holds the
+// recipient's stripe lock and freezeMu for read.
+func (e *Engine) creditReceived(recipient *user, fromIndex int, msg *mail.Message) []byte {
+	recipient.balance++
+	e.credit[fromIndex].Add(-1)
+	re := e.journalUser(recipient, EntryReceived, msg.From.String(), +1, 0, msg.ID())
+	return e.walSendRecord(recipient.name, +1, 0, re)
 }
 
 // BuyEPennies moves x e-pennies from the ISP pool to a user in exchange

@@ -144,18 +144,51 @@ func (e *Engine) walSend(seg int, name string, balDelta, sentDelta int64, ens ..
 	if w == nil {
 		return
 	}
+	payload, err := encSend(name, balDelta, sentDelta, ens...)
+	e.walAppend(w, seg, payload, err)
+}
+
+// encSend encodes the payload walSend appends.
+func encSend(name string, balDelta, sentDelta int64, ens ...Entry) ([]byte, error) {
 	var enc persist.RecordEnc
 	enc.U8(ispRecSend)
 	enc.Str(name)
 	enc.I64(balDelta)
 	enc.I64(sentDelta)
-	var err error
 	for _, en := range ens {
-		if err = walEncEntry(&enc, en); err != nil {
-			break
+		if err := walEncEntry(&enc, en); err != nil {
+			return nil, err
 		}
 	}
-	e.walAppend(w, seg, enc.B, err)
+	return enc.B, nil
+}
+
+// walSendRecord encodes one walSend record for a batch that walBatch
+// appends later. It returns nil when no WAL is attached, and when the
+// encoding fails, which is counted here and drops only this record.
+// Caller holds the user's stripe lock.
+func (e *Engine) walSendRecord(name string, balDelta, sentDelta int64, ens ...Entry) []byte {
+	if e.wal.Load() == nil {
+		return nil
+	}
+	payload, err := encSend(name, balDelta, sentDelta, ens...)
+	if err != nil {
+		e.walErrs.Add(1)
+	}
+	return payload
+}
+
+// walBatch appends the records one stripe's share of a transaction
+// encoded (walSendRecord) to segment seg in one write. Caller holds
+// that stripe's lock, so the records land in mutation order.
+func (e *Engine) walBatch(seg int, recs [][]byte) {
+	w := e.wal.Load()
+	if w == nil || len(recs) == 0 {
+		return
+	}
+	if err := w.AppendBatch(seg, recs); err != nil {
+		e.walErrs.Add(int64(len(recs)))
+	}
 }
 
 // walWarn logs the §5 zombie-warning flag. Caller holds the user's

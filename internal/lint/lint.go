@@ -284,7 +284,7 @@ func DefaultConfig() Config {
 			"zmail/internal/isp:walWarn", "zmail/internal/isp:walTrade",
 			"zmail/internal/isp:walPoolAdd", "zmail/internal/isp:walCreditAdd",
 			"zmail/internal/isp:walCreditZero", "zmail/internal/isp:walNonce",
-			"zmail/internal/isp:walDayReset",
+			"zmail/internal/isp:walDayReset", "zmail/internal/isp:walBatch",
 			"zmail/internal/bank:walBuy", "zmail/internal/bank:walSell",
 			"zmail/internal/bank:walNonce", "zmail/internal/bank:walDeposit",
 			"zmail/internal/bank:walRound", "zmail/internal/bank:walSeq",

@@ -410,11 +410,28 @@ func (s *segment) settle(dir string, i int) error {
 // Write errors stick: once a segment fails, every later Append, Sync,
 // and Close on it reports the first failure.
 func (w *WAL) Append(seg int, payload []byte) error {
+	return w.AppendBatch(seg, [][]byte{payload})
+}
+
+// AppendBatch writes several mutation records to segment seg in one
+// write(2). Each record keeps its own LSN and checksum, exactly as if
+// appended one by one, so recovery cannot tell the two apart: a crash
+// mid-write leaves an intact prefix of the batch and a torn tail. A
+// payload over MaxWALRecordSize refuses the whole batch before anything
+// is written; write errors stick as they do for Append.
+func (w *WAL) AppendBatch(seg int, payloads [][]byte) error {
 	if w.closed.Load() {
 		return ErrWALClosed
 	}
-	if len(payload) > MaxWALRecordSize {
-		return fmt.Errorf("%w: %d bytes", ErrRecordSize, len(payload))
+	n := 0
+	for _, p := range payloads {
+		if len(p) > MaxWALRecordSize {
+			return fmt.Errorf("%w: %d bytes", ErrRecordSize, len(p))
+		}
+		n += 4 + recHeaderSize + len(p)
+	}
+	if n == 0 {
+		return nil
 	}
 	s := w.segs[seg]
 	s.mu.Lock()
@@ -422,18 +439,26 @@ func (w *WAL) Append(seg int, payload []byte) error {
 	if s.err != nil {
 		return s.err
 	}
-	lsn := w.lsn.Add(1)
-	buf := make([]byte, 4+recHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(recHeaderSize+len(payload)))
-	binary.LittleEndian.PutUint64(buf[8:16], lsn)
-	copy(buf[16:], payload)
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
+	// LSNs are drawn as one block under the segment mutex, so file order
+	// within the segment stays LSN order.
+	last := w.lsn.Add(uint64(len(payloads)))
+	lsn := last - uint64(len(payloads))
+	buf := make([]byte, 0, n)
+	for _, p := range payloads {
+		lsn++
+		off := len(buf)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(recHeaderSize+len(p)))
+		buf = binary.LittleEndian.AppendUint32(buf, 0) // crc, filled below
+		buf = binary.LittleEndian.AppendUint64(buf, lsn)
+		buf = append(buf, p...)
+		binary.LittleEndian.PutUint32(buf[off+4:off+8], crc32.ChecksumIEEE(buf[off+8:]))
+	}
 	if _, err := s.f.Write(buf); err != nil {
 		s.err = fmt.Errorf("persist: wal append seg %d: %w", seg, err)
 		return s.err
 	}
 	s.size += int64(len(buf))
-	s.lastLSN = lsn
+	s.lastLSN = last
 	return nil
 }
 
