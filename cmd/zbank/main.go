@@ -20,6 +20,10 @@
 //	zbank -listen :7999 -isps 4 -serve 0,1 -root roothost:7900 -insecure
 //	zbank -listen :7998 -isps 4 -serve 2,3 -root roothost:7900 -insecure
 //
+// -settle nets real money after each verified round and is refused on
+// a root or a leaf: the root verifies cross-region credit, but no bank
+// in the tree settles it yet, so only a central bank settles.
+//
 // For local experiments, -insecure replaces all sealed boxes with
 // plaintext (the protocol logic, nonces and audits still run).
 //
@@ -121,7 +125,7 @@ func run(args []string) error {
 		funds      = fs.Int64("funds", 1_000_000, "initial real-penny account per compliant ISP")
 		auditEvery = fs.Duration("audit-every", 0, "run credit audits on this interval (0 = manual only)")
 		insecure   = fs.Bool("insecure", false, "use plaintext sealers (local experiments only)")
-		settle     = fs.Bool("settle", false, "net real money between ISP accounts after each verified audit round")
+		settle     = fs.Bool("settle", false, "net real money between ISP accounts after each verified audit round (central bank only)")
 		walDir     = fs.String("wal", "", "write-ahead-log directory; every mutation is logged, boot replays the log, checkpoints after audits and on shutdown")
 		metricsAd  = fs.String("metrics", "", "admin telemetry listen address (loopback only!), e.g. 127.0.0.1:7071")
 	)
@@ -156,6 +160,9 @@ func run(args []string) error {
 		return usagef("-serve and -root must come together")
 	case *serveCSV != "":
 		role = "leaf"
+		if *settle {
+			return usagef("-settle does not apply to a leaf (-serve/-root): the root verifies cross-region credit but no bank settles it yet, so only a central bank settles")
+		}
 		var err error
 		if serve, err = parseIndexCSV("-serve", *serveCSV, *isps); err != nil {
 			return err

@@ -43,6 +43,8 @@ func TestZbankUsageFailures(t *testing.T) {
 		{"root with wal", []string{"-isps", "2", "-insecure",
 			"-assign", "0,1", "-wal", t.TempDir()}},
 		{"root with settle", []string{"-isps", "2", "-insecure", "-assign", "0,1", "-settle"}},
+		{"leaf with settle", []string{"-isps", "2", "-insecure",
+			"-serve", "0", "-root", "127.0.0.1:7900", "-settle"}},
 		{"central with leaf flags", []string{"-isps", "2", "-insecure", "-serve", "0"}},
 		{"missing key material", []string{"-isps", "2"}},
 	}

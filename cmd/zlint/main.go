@@ -1,6 +1,6 @@
 // Command zlint runs zmail's project-specific static analysis over the
-// module: eight passes (lockorder, errdrop, moneyflow, specbind,
-// walflow, lockscope, lifecycle, guardflow) that machine-check the
+// module: six passes (lockorder, errdrop, moneyflow, lockscope,
+// lifecycle, guardflow) that machine-check the
 // invariants the reproduction depends on where its tests cannot. See
 // internal/lint for what each pass guards and DESIGN.md decision 8 for
 // the mutations only each one catches.
@@ -8,7 +8,7 @@
 // Usage:
 //
 //	zlint                  # analyze the whole module, exit 1 on findings
-//	zlint -pass walflow,errdrop
+//	zlint -pass moneyflow,errdrop
 //	zlint -v               # package count, pass set, per-pass wall time
 //	zlint -list            # show the passes and their one-line docs
 //	zlint -format github   # emit GitHub Actions ::error annotations

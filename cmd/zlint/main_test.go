@@ -9,8 +9,10 @@ import (
 
 // TestSelfCleanTree is `make lint` end to end: the driver over the
 // whole module must exit 0 with no output. This is the gate the
-// Makefile and CI wire in; if a lock-order or WAL-completeness
-// regression lands, this test names the file and line.
+// Makefile and CI wire in; if a lock-order or conservation regression
+// lands, this test names the file and line. It is the tree's one
+// whole-module lint run in tier-1, and it goes through the CLI's flag
+// path.
 func TestSelfCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is slow; run without -short")
@@ -62,14 +64,14 @@ func TestVerboseTimings(t *testing.T) {
 	}
 }
 
-// TestListPasses pins the eight pass names: suppression directives and
+// TestListPasses pins the six pass names: suppression directives and
 // CI annotations refer to passes by name.
 func TestListPasses(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{"lockorder", "errdrop", "moneyflow", "specbind", "walflow", "lockscope", "lifecycle", "guardflow"} {
+	for _, name := range []string{"lockorder", "errdrop", "moneyflow", "lockscope", "lifecycle", "guardflow"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing pass %s:\n%s", name, stdout.String())
 		}
@@ -87,17 +89,17 @@ func TestUnknownFormatIsUsageError(t *testing.T) {
 // TestTestdataSweep runs the self-test mode over one fixture cluster
 // and checks the JSON and github output shapes plus the -expect pin.
 func TestTestdataSweep(t *testing.T) {
-	const dir = "../../internal/lint/testdata/specbind"
+	const dir = "../../internal/lint/testdata/lifecycle"
 
-	// The specbind cluster carries exactly 4 findings (3 drift classes
-	// in bad + 1 in the unsuppressed twin); -expect holds it there.
+	// The lifecycle cluster carries exactly 5 findings (4 in bad + 1 in
+	// the unsuppressed twin); -expect holds it there.
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-testdata", dir, "-expect", "4", "-format", "json"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("specbind sweep exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	if code := run([]string{"-testdata", dir, "-expect", "5", "-format", "json"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("lifecycle sweep exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("want 4 JSON findings, got %d:\n%s", len(lines), stdout.String())
+	if len(lines) != 5 {
+		t.Fatalf("want 5 JSON findings, got %d:\n%s", len(lines), stdout.String())
 	}
 	for _, line := range lines {
 		var f struct {
@@ -109,7 +111,7 @@ func TestTestdataSweep(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &f); err != nil {
 			t.Fatalf("finding is not one JSON object per line: %v\n%s", err, line)
 		}
-		if f.Pass != "specbind" || f.File == "" || f.Line == 0 || f.Msg == "" {
+		if f.Pass != "lifecycle" || f.File == "" || f.Line == 0 || f.Msg == "" {
 			t.Errorf("JSON finding incomplete: %+v", f)
 		}
 	}
@@ -117,7 +119,7 @@ func TestTestdataSweep(t *testing.T) {
 	// A wrong pin must fail the run.
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-testdata", dir, "-expect", "3"}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-testdata", dir, "-expect", "4"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("wrong -expect pin exited %d, want 1", code)
 	}
 

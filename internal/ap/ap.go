@@ -133,9 +133,9 @@ func (s *System) AddInvariant(name string, hold func() bool) {
 }
 
 // ReceiveKinds enumerates the message kinds some process is registered
-// to receive, sorted and deduplicated. It is the runtime half of the
-// specbind static check: the spec's receive vocabulary read off the
-// live action set instead of the source text.
+// to receive, sorted and deduplicated: the spec's receive vocabulary
+// read off the live action set, which zmailspec's tests compare with
+// the wire codec's kinds.
 func (s *System) ReceiveKinds() []string {
 	seen := make(map[string]bool)
 	for _, p := range s.procs {

@@ -466,6 +466,10 @@ func (b *Bank) startSnapshotLocked() error {
 		b.gathering = false
 		return errors.New("bank: no compliant ISPs to snapshot")
 	}
+	// The round consumes its seq: an ISP that reports moves past it, so
+	// a bank that crashes mid-round must replay to seq+1, the value
+	// ExportState reports while gathering.
+	b.walSeq(b.seq + 1)
 	return nil
 }
 
@@ -492,8 +496,7 @@ func (b *Bank) AbortRound() error {
 	}
 	b.gathering = false
 	b.total = 0
-	b.seq++
-	b.walSeq(b.seq)
+	b.seq++ // logged when the round started
 	b.stats.RoundsAborted++
 	b.cfg.Tracer.Record(b.roundTrace, "audit", 0, "aborted")
 	for i := range b.verify {

@@ -154,7 +154,9 @@ func (b *Bank) walSettle(transfers []Transfer) {
 	b.walAppend(enc.B)
 }
 
-// walSeq logs an aborted round's seq advance. Call with mu held.
+// walSeq logs the seq a started round consumes, so a replay resumes
+// past it whether the round then verifies (walRound logs the same
+// value) or aborts. Call with mu held.
 func (b *Bank) walSeq(newSeq uint64) {
 	if b.wal == nil {
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -19,44 +20,80 @@ func bankJSON(t testing.TB, b *Bank) []byte {
 	return j
 }
 
-// driveBankWorkload pushes a bank through every durable mutation
-// class: accepted and denied buys, a sell, a rejected sell (nonce-only
-// record), a deposit, a verified audit round with a violation, and an
-// aborted round.
-func driveBankWorkload(t *testing.T, b *Bank) {
+// requireBankRecovers is the WAL completeness check: it recovers a copy
+// of the live log at dir into a fresh two-ISP bank and requires the
+// recovered ledger to equal b's byte for byte. Called after every step
+// of a workload, it names the step whose mutation no record carries,
+// whether or not any crash would have landed there.
+func requireBankRecovers(t *testing.T, step string, b *Bank, dir string) {
 	t.Helper()
+	cp := filepath.Join(t.TempDir(), "wal")
+	if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
+		t.Fatalf("after %s: copy the log: %v", step, err)
+	}
+	b2, _ := newBank(t, 2, nil)
+	if err := b2.RecoverWAL(cp); err != nil {
+		t.Fatalf("after %s: recover: %v", step, err)
+	}
+	defer b2.CloseWAL()
+	if got, want := bankJSON(t, b2), bankJSON(t, b); !bytes.Equal(got, want) {
+		t.Fatalf("after %s: recovered state differs:\n got %s\nwant %s", step, got, want)
+	}
+}
+
+// driveBankWorkload pushes a two-ISP bank, logging to dir, through
+// every durable mutation class: accepted and denied buys, a sell, a
+// rejected sell (nonce-only record), a deposit, coalesced orders, a
+// verified audit round with a violation, and an aborted round. After
+// every step, a copy of the log recovers to the live state.
+func driveBankWorkload(t *testing.T, b *Bank, dir string) {
+	t.Helper()
+	step := func(name string) {
+		t.Helper()
+		requireBankRecovers(t, name, b, dir)
+	}
 	if err := b.Handle(buyEnv(0, 200, 1)); err != nil {
 		t.Fatal(err)
 	}
+	step("buy")
 	if err := b.Handle(buyEnv(1, 5000, 2)); err != nil { // denied: broke
 		t.Fatal(err)
 	}
+	step("denied buy")
 	if err := b.Handle(sellEnv(0, 50, 3)); err != nil {
 		t.Fatal(err)
 	}
+	step("sell")
 	if err := b.Handle(sellEnv(1, -7, 4)); err == nil { // rejected, nonce retired
 		t.Fatal("negative sell accepted")
 	}
+	step("rejected sell")
 	if err := b.Deposit(1, 25); err != nil {
 		t.Fatal(err)
 	}
+	step("deposit")
 	if err := b.Handle(batchEnv(0, 100, 40, 5)); err != nil { // coalesced mint+burn
 		t.Fatal(err)
 	}
+	step("batch order")
 	if err := b.Handle(batchEnv(1, 5000, 0, 6)); err != nil { // partial fill
 		t.Fatal(err)
 	}
+	step("partial fill")
 	if err := b.Handle(batchEnv(0, 0, 0, 7)); err == nil { // rejected, nonce retired
 		t.Fatal("empty batch order accepted")
 	}
+	step("rejected batch order")
 	// Round 1 verifies with a violation: isp0 claims +3 against isp1,
 	// isp1 claims only -2 back.
 	if err := b.StartSnapshot(); err != nil {
 		t.Fatal(err)
 	}
+	step("round 1 start")
 	if err := b.Handle(reportEnv(0, 0, []int64{0, -2})); err != nil {
 		t.Fatal(err)
 	}
+	step("first report")
 	if err := b.Handle(reportEnv(1, 0, []int64{3, 0})); err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +103,16 @@ func driveBankWorkload(t *testing.T, b *Bank) {
 	if len(b.Violations()) == 0 {
 		t.Fatal("expected a flagged pair")
 	}
+	step("verified round")
 	// Round 2 aborts (seq retires without a verify).
 	if err := b.StartSnapshot(); err != nil {
 		t.Fatal(err)
 	}
+	step("round 2 start")
 	if err := b.AbortRound(); err != nil {
 		t.Fatal(err)
 	}
+	step("aborted round")
 }
 
 // recoverBank replays the WAL at dir into a fresh two-ISP bank.
@@ -93,7 +133,7 @@ func TestWALBankRoundTrip(t *testing.T) {
 	if err := b1.AttachWAL(dir); err != nil {
 		t.Fatal(err)
 	}
-	driveBankWorkload(t, b1)
+	driveBankWorkload(t, b1, dir)
 	want := bankJSON(t, b1)
 	if n := b1.WALErrors(); n != 0 {
 		t.Fatalf("%d wal append errors", n)
@@ -187,7 +227,7 @@ func TestWALBankCompaction(t *testing.T) {
 	if err := b1.AttachWAL(dir); err != nil {
 		t.Fatal(err)
 	}
-	driveBankWorkload(t, b1)
+	driveBankWorkload(t, b1, dir)
 	if err := b1.CompactWAL(); err != nil {
 		t.Fatal(err)
 	}

@@ -76,8 +76,10 @@ type Config struct {
 	// Queue starts each ISP's admission queue so SMTP DATA returns at
 	// admission.
 	Queue bool
-	// Settle enables settlement at every (leaf) bank: each verified
-	// audit round moves real money by multilateral netting.
+	// Settle enables settlement at the central bank: each verified
+	// audit round moves real money by multilateral netting. New refuses
+	// it with Regions > 1, where the root verifies cross-region credit
+	// but no bank settles it (DESIGN decision 12).
 	Settle bool
 
 	// WALDir, when set, gives every daemon a write-ahead log under
@@ -156,6 +158,9 @@ func New(cfg Config) (*Cluster, error) {
 	cfg.applyDefaults()
 	if cfg.Regions > numISPs {
 		return nil, fmt.Errorf("cluster: %d regions for %d ISPs", cfg.Regions, numISPs)
+	}
+	if cfg.Settle && cfg.Regions > 1 {
+		return nil, fmt.Errorf("cluster: Settle with %d regions: cross-region credit is verified at the root but settled by no bank", cfg.Regions)
 	}
 	c := &Cluster{cfg: cfg}
 	for i := 0; i < numISPs; i++ {

@@ -60,6 +60,21 @@ func waitOr(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// TestClusterRefusesTreeSettlement: with more than one region the root
+// verifies cross-region credit but no bank settles it, so New refuses
+// Settle there rather than boot a federation that says nothing about
+// the credit it leaves unsettled.
+func TestClusterRefusesTreeSettlement(t *testing.T) {
+	c, err := New(Config{Regions: 2, Settle: true})
+	if err == nil {
+		_ = c.Close()
+		t.Fatal("New accepted Settle with two regions")
+	}
+	if !strings.Contains(err.Error(), "Settle") {
+		t.Errorf("error %q does not name Settle", err)
+	}
+}
+
 // TestClusterFederationEndToEnd is the flagship: two ISP daemons, two
 // leaf banks, and a root aggregator — five processes' worth of state
 // on five real TCP listeners — carrying paid mail in both directions,

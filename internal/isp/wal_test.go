@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -30,73 +31,136 @@ func exportJSON(t testing.TB, e *Engine) []byte {
 	return b
 }
 
-// driveWALWorkload pushes an engine through every mutation class the
-// WAL records: registration, deposits/withdrawals, limit changes,
-// local and remote sends, user trades, bank trades (nonce + pool), a
-// snapshot round (credit zeroing), end-of-day, and a zombie warning
-// from both the synchronous and the queued send path.
-func driveWALWorkload(t *testing.T, e *Engine, ft *fakeTransport, clk *clock.Virtual) {
+// walConfig shapes the engines driveWALWorkload runs on: a restock
+// large enough that one accepted buy plus a user's sale lifts the pool
+// over MaxAvail, and a retry window so a lost bank reply re-arms.
+func walConfig(c *Config) {
+	c.RestockAmount = 900
+	c.RestockRetry = time.Minute
+}
+
+// requireRecovers is the WAL completeness check: it recovers a copy of
+// the live log at dir into a fresh engine built with mutate and
+// requires the recovered ledger to equal e's byte for byte. Called
+// after every step of a workload, it names the step whose mutation no
+// record carries, whether or not any crash would have landed there.
+func requireRecovers(t *testing.T, step string, e *Engine, dir string, mutate func(*Config)) {
 	t.Helper()
+	cp := filepath.Join(t.TempDir(), "wal")
+	if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
+		t.Fatalf("after %s: copy the log: %v", step, err)
+	}
+	e2, _, _ := newEngine(t, 0, nil, mutate)
+	if err := e2.RecoverWAL(cp); err != nil {
+		t.Fatalf("after %s: recover: %v", step, err)
+	}
+	defer e2.CloseWAL()
+	if got, want := exportJSON(t, e2), exportJSON(t, e); !bytes.Equal(got, want) {
+		t.Fatalf("after %s: recovered state differs:\n got %s\nwant %s", step, got, want)
+	}
+}
+
+// driveWALWorkload pushes an engine built with walConfig, logging to
+// dir, through every mutation class the WAL records: registration,
+// deposits/withdrawals, limit changes, local and remote sends, user
+// trades, split-order bank trades (a buy whose reply is lost, its
+// re-armed retry and reply, then a sell escrowed out of the pool and
+// its reply), a snapshot round (credit zeroing), end-of-day, and a
+// zombie warning from both the synchronous and the queued send path.
+// After every step, a copy of the log recovers to the live state.
+func driveWALWorkload(t *testing.T, e *Engine, dir string, ft *fakeTransport, clk *clock.Virtual) {
+	t.Helper()
+	step := func(name string) {
+		t.Helper()
+		requireRecovers(t, name, e, dir, walConfig)
+	}
 	mustRegister(t, e, "alice", 100, 40)
 	mustRegister(t, e, "bob", 50, 10)
 	mustRegister(t, e, "carol", 80, 20)
+	step("registration")
 	if err := e.Deposit("alice", 30); err != nil {
 		t.Fatal(err)
 	}
+	step("deposit")
 	if err := e.Withdraw("alice", 5); err != nil {
 		t.Fatal(err)
 	}
+	step("withdrawal")
 	if err := e.SetLimit("bob", 25); err != nil {
 		t.Fatal(err)
 	}
+	step("limit change")
 	// Local send (two stripes move), paid remote send (credit delta),
 	// inbound remote (balance up, credit down).
 	if _, err := e.SubmitSync(mail.NewMessage(addr("alice@a.example"), addr("bob@a.example"), "s", "b")); err != nil {
 		t.Fatal(err)
 	}
+	step("local send")
 	if _, err := e.SubmitSync(mail.NewMessage(addr("alice@a.example"), addr("x@b.example"), "s", "b")); err != nil {
 		t.Fatal(err)
 	}
+	step("remote send")
 	if err := e.ReceiveRemote("b.example", mail.NewMessage(addr("x@b.example"), addr("carol@a.example"), "s", "b")); err != nil {
 		t.Fatal(err)
 	}
+	step("remote receive")
 	// User↔pool trades.
 	if err := e.BuyEPennies("bob", 7); err != nil {
 		t.Fatal(err)
 	}
+	step("user buy")
 	if err := e.SellEPennies("carol", 3); err != nil {
 		t.Fatal(err)
 	}
-	// Bank trade: drain the pool under MinAvail, tick a buy out
-	// (burns a nonce), accept the reply (pool delta).
-	nbank := len(ft.bank)
+	step("user sell")
+	// Bank trades in the split form. Drain the pool under MinAvail and
+	// tick a buy out (burns a nonce); its reply is lost.
 	mustRegister(t, e, "whale", 0, int64(e.Avail())-50)
-	if err := e.Tick(); err != nil {
+	step("whale registration")
+	lost := tickBank[wire.Buy](t, e, ft, wire.KindBuy)
+	step("buy tick")
+	// After RestockRetry the buy side re-arms and a second buy goes
+	// out under a fresh nonce; its reply is accepted (pool delta).
+	clk.Advance(e.cfg.RestockRetry)
+	buy := tickBank[wire.Buy](t, e, ft, wire.KindBuy)
+	if buy.Nonce == lost.Nonce || e.Stats().RestockRetries != 1 {
+		t.Fatalf("re-armed buy nonce %d (lost %d), %d retries", buy.Nonce, lost.Nonce, e.Stats().RestockRetries)
+	}
+	step("re-armed buy tick")
+	if err := e.HandleBank(&wire.Envelope{Kind: wire.KindBuyReply, From: -1,
+		Payload: (&wire.BuyReply{Nonce: buy.Nonce, Accepted: true}).MarshalBinary()}); err != nil {
 		t.Fatal(err)
 	}
-	if len(ft.bank) != nbank+1 {
-		t.Fatalf("tick sent %d bank messages, want 1", len(ft.bank)-nbank)
-	}
-	var buy wire.Buy
-	if err := buy.UnmarshalBinary(ft.bank[nbank].Payload); err != nil {
+	step("buyreply")
+	// The whale sells back enough to lift the pool over MaxAvail; the
+	// next tick sells the excess, escrowed out of the pool at send
+	// (burns a nonce and moves the pool), and the reply closes it.
+	if err := e.SellEPennies("whale", 100); err != nil {
 		t.Fatal(err)
 	}
-	reply := &wire.Envelope{Kind: wire.KindBuyReply, From: -1,
-		Payload: (&wire.BuyReply{Nonce: buy.Nonce, Accepted: true}).MarshalBinary()}
-	if err := e.HandleBank(reply); err != nil {
+	step("whale sell")
+	sell := tickBank[wire.Sell](t, e, ft, wire.KindSell)
+	step("sell tick")
+	if err := e.HandleBank(&wire.Envelope{Kind: wire.KindSellReply, From: -1,
+		Payload: (&wire.SellReply{Nonce: sell.Nonce}).MarshalBinary()}); err != nil {
 		t.Fatal(err)
 	}
+	step("sellreply")
 	// Snapshot round: freeze, let the quiet period expire, report —
 	// zeroes the credit array and advances seq in the meta segment —
 	// and thaw.
 	e.ForceSnapshot()
+	step("freeze")
 	clk.Advance(thawAfter)
+	step("snapshot round")
 	// Day rollover resets sent/warned stripe by stripe.
 	e.EndOfDay()
+	step("end of day")
 	// Leave some post-reset activity in the log.
 	if _, err := e.SubmitSync(mail.NewMessage(addr("bob@a.example"), addr("alice@a.example"), "s2", "b2")); err != nil {
 		t.Fatal(err)
 	}
+	step("post-reset send")
 	// A zombie warning from each path that can trip the daily limit,
 	// each the last record its user gets: a synchronous send over the
 	// limit (charge), then an admission check with the queue attached
@@ -104,14 +168,17 @@ func driveWALWorkload(t *testing.T, e *Engine, ft *fakeTransport, clk *clock.Vir
 	if err := e.SetLimit("whale", 1); err != nil {
 		t.Fatal(err)
 	}
+	step("whale limit")
 	for i, want := range []error{nil, ErrLimitExceeded} {
 		if _, err := e.SubmitSync(mail.NewMessage(addr("whale@a.example"), addr("alice@a.example"), fmt.Sprint("w", i), "b")); !errors.Is(err, want) {
 			t.Fatalf("whale send %d: %v, want %v", i, err, want)
 		}
+		step(fmt.Sprint("whale send ", i))
 	}
 	if err := e.SetLimit("bob", 2); err != nil {
 		t.Fatal(err)
 	}
+	step("bob limit")
 	e.StartQueue(QueueConfig{Depth: 8, Workers: 1, Batch: 1})
 	defer e.StopQueue()
 	for i, want := range []error{nil, ErrLimitExceeded} {
@@ -119,7 +186,29 @@ func driveWALWorkload(t *testing.T, e *Engine, ft *fakeTransport, clk *clock.Vir
 			t.Fatalf("bob admission %d: %v, want %v", i, err, want)
 		}
 		e.FlushQueue()
+		step(fmt.Sprint("bob admission ", i))
 	}
+}
+
+// tickBank ticks e and decodes the one bank message the tick must
+// send, of kind k.
+func tickBank[M any, P interface {
+	*M
+	UnmarshalBinary([]byte) error
+}](t *testing.T, e *Engine, ft *fakeTransport, k wire.Kind) M {
+	t.Helper()
+	n := len(ft.bank)
+	if err := e.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ft.bank) != n+1 || ft.bank[n].Kind != k {
+		t.Fatalf("tick sent %+v, want one %v", ft.bank[n:], k)
+	}
+	var m M
+	if err := P(&m).UnmarshalBinary(ft.bank[n].Payload); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // recoverInto builds a fresh engine with the same config shape and
@@ -137,7 +226,7 @@ func recoverInto(t *testing.T, dir string) *Engine {
 // and demand the exported snapshots match byte for byte.
 func TestWALEngineRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	e1, ft, clk := newEngine(t, 0, nil, nil)
+	e1, ft, clk := newEngine(t, 0, nil, walConfig)
 	if e1.WALAttached() {
 		t.Fatal("fresh engine claims a WAL")
 	}
@@ -147,7 +236,7 @@ func TestWALEngineRoundTrip(t *testing.T) {
 	if !e1.WALAttached() {
 		t.Fatal("attach did not take")
 	}
-	driveWALWorkload(t, e1, ft, clk)
+	driveWALWorkload(t, e1, dir, ft, clk)
 	want := exportJSON(t, e1)
 	if n := e1.WALErrors(); n != 0 {
 		t.Fatalf("%d wal append errors", n)
@@ -180,14 +269,18 @@ func TestWALEngineRoundTrip(t *testing.T) {
 }
 
 // TestWALBatchOrders runs coalesced bank orders under the WAL: a
-// partially filled order and one still outstanding at the crash. The
-// fill's pool credit and each order's nonce must be logged, or the
-// recovered engine differs from the live one in its pool or reuses a
-// nonce the bank has already seen.
+// sell-side order the bank answers, a partially filled buy, and one
+// order still outstanding at the crash. Each order's nonce and pool
+// escrow, and each fill's pool credit, must be logged: after every
+// step a copy of the log recovers to the live state. The nonces the
+// bank sees must rise strictly from order to order and across the
+// crash; the persisted nonce counter alone cannot show this, since an
+// order that resent its predecessor's nonce would still advance it,
+// and the bank would refuse that order as a replay.
 func TestWALBatchOrders(t *testing.T) {
 	batch := func(c *Config) {
 		c.BatchOrders = true
-		c.InitialAvail = 50
+		c.InitialAvail = 1500
 		c.RestockAmount = 200
 	}
 	dir := filepath.Join(t.TempDir(), "wal")
@@ -195,37 +288,54 @@ func TestWALBatchOrders(t *testing.T) {
 	if err := e1.AttachWAL(dir); err != nil {
 		t.Fatal(err)
 	}
-	order := func() wire.BatchOrder {
+	step := func(name string) {
 		t.Helper()
-		n := len(ft.bank)
-		if err := e1.Tick(); err != nil {
-			t.Fatal(err)
+		requireRecovers(t, name, e1, dir, batch)
+	}
+	var sent []uint64
+	order := func(e *Engine, ft *fakeTransport) wire.BatchOrder {
+		t.Helper()
+		ord := tickBank[wire.BatchOrder](t, e, ft, wire.KindBatchOrder)
+		if n := len(sent); n > 0 && ord.Nonce <= sent[n-1] {
+			t.Fatalf("order %d carries nonce %#x, not above the previous %#x", n+1, ord.Nonce, sent[n-1])
 		}
-		if len(ft.bank) != n+1 || ft.bank[n].Kind != wire.KindBatchOrder {
-			t.Fatalf("tick sent %+v, want one batch order", ft.bank[n:])
-		}
-		var ord wire.BatchOrder
-		if err := ord.UnmarshalBinary(ft.bank[n].Payload); err != nil {
-			t.Fatal(err)
-		}
+		sent = append(sent, ord.Nonce)
 		return ord
 	}
-	// Partial fill: 120 of the 500 asked lifts the pool to 170.
-	first := order()
-	if err := e1.HandleBank(batchReply(first.Nonce, 120, 0)); err != nil {
+	// A pool over MaxAvail sells down to the midpoint 550, escrowed at
+	// send; the reply burns it.
+	sell := order(e1, ft)
+	if sell.Buy != 0 || sell.Sell != 950 || e1.Avail() != 550 {
+		t.Fatalf("sell order %+v leaves pool %d; want sell 950, pool 550", sell, e1.Avail())
+	}
+	step("sell order")
+	if err := e1.HandleBank(batchReply(sell.Nonce, 0, 950)); err != nil {
 		t.Fatal(err)
 	}
+	step("sell reply")
+	// Partial fill: draw the pool to 50, and 120 of the 500 asked lifts
+	// it to 170.
+	mustRegister(t, e1, "alice", 0, 500)
+	step("registration")
+	buy := order(e1, ft)
+	step("buy order")
+	if err := e1.HandleBank(batchReply(buy.Nonce, 120, 0)); err != nil {
+		t.Fatal(err)
+	}
+	step("partial fill")
 	// Draw the pool under the band again and leave that order
 	// unanswered.
-	mustRegister(t, e1, "alice", 0, 100)
-	order()
+	mustRegister(t, e1, "bob", 0, 100)
+	step("second registration")
+	order(e1, ft)
+	step("outstanding order")
 	want := exportJSON(t, e1)
-	if st := e1.ExportState(); st.Avail != 70 || st.NonceCounter != 2 {
-		t.Fatalf("live pool %d, nonce counter %d; want 70 and 2", st.Avail, st.NonceCounter)
+	if st := e1.ExportState(); st.Avail != 70 || st.NonceCounter != 3 {
+		t.Fatalf("live pool %d, nonce counter %d; want 70 and 3", st.Avail, st.NonceCounter)
 	}
 	e1.wal.Swap(nil) // crash without a final checkpoint
 
-	e2, _, _ := newEngine(t, 0, nil, batch)
+	e2, ft2, _ := newEngine(t, 0, nil, batch)
 	if err := e2.RecoverWAL(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +343,9 @@ func TestWALBatchOrders(t *testing.T) {
 	if got := exportJSON(t, e2); !bytes.Equal(got, want) {
 		t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
 	}
+	// The pool is still under the band, so the recovered engine orders
+	// again, above every nonce sent before the crash.
+	order(e2, ft2)
 }
 
 // TestWALRecoverWithoutClose models the process-crash durability
@@ -240,11 +353,11 @@ func TestWALBatchOrders(t *testing.T) {
 // Close/fsync still replays every completed record.
 func TestWALRecoverWithoutClose(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	e1, ft, clk := newEngine(t, 0, nil, nil)
+	e1, ft, clk := newEngine(t, 0, nil, walConfig)
 	if err := e1.AttachWAL(dir); err != nil {
 		t.Fatal(err)
 	}
-	driveWALWorkload(t, e1, ft, clk)
+	driveWALWorkload(t, e1, dir, ft, clk)
 	want := exportJSON(t, e1)
 	// Crash: detach without closing. The file handles leak for the
 	// test's duration, exactly like a killed process pre-reap.
@@ -335,11 +448,11 @@ func TestWALCrashMidDrain(t *testing.T) {
 // not lose or double-apply anything.
 func TestWALCompactionMidTraffic(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	e1, ft, clk := newEngine(t, 0, nil, nil)
+	e1, ft, clk := newEngine(t, 0, nil, walConfig)
 	if err := e1.AttachWAL(dir); err != nil {
 		t.Fatal(err)
 	}
-	driveWALWorkload(t, e1, ft, clk)
+	driveWALWorkload(t, e1, dir, ft, clk)
 	if err := e1.CompactWAL(); err != nil {
 		t.Fatal(err)
 	}

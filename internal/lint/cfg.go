@@ -1,7 +1,7 @@
 package lint
 
 // Control-flow graphs and a forward dataflow driver for the
-// flow-sensitive passes (moneyflow, walflow, lifecycle and the lockset
+// flow-sensitive passes (moneyflow, lifecycle and the lockset
 // tier). The builder is deliberately small and stdlib-only: blocks
 // hold statements and the condition expressions that decide their
 // successors, and the driver
@@ -26,7 +26,7 @@ import (
 // block (if/for conditions, switch tags and case expressions, range
 // operands). An optional errGate filters dataflow facts entering the
 // block: it encodes which branch of an `err != nil` check the block
-// lives on (see the call summaries in pathflow.go).
+// lives on (see the call summaries in moneyflow.go).
 type cfgBlock struct {
 	index int
 	nodes []ast.Node

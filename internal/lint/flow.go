@@ -345,3 +345,31 @@ func inStringList(s string, list []string) bool {
 	}
 	return false
 }
+
+// A summaryMemo computes each flow unit's summary once, on first
+// demand, so an analysis that reads its callees' summaries runs bottom
+// up through the call graph. A unit asked for while its own summary is
+// still being computed — recursion — gets the cycle value instead.
+type summaryMemo[R any] struct {
+	analyze func(*flowUnit) R
+	cycle   R
+	done    map[*flowUnit]R
+	busy    map[*flowUnit]bool
+}
+
+func (m *summaryMemo[R]) of(fu *flowUnit) R {
+	if r, ok := m.done[fu]; ok {
+		return r
+	}
+	if m.busy[fu] {
+		return m.cycle
+	}
+	if m.done == nil {
+		m.done, m.busy = map[*flowUnit]R{}, map[*flowUnit]bool{}
+	}
+	m.busy[fu] = true
+	r := m.analyze(fu)
+	delete(m.busy, fu)
+	m.done[fu] = r
+	return r
+}

@@ -7,7 +7,7 @@ import (
 )
 
 // TestGuardflowBadShapeRacesAtRuntime is the runtime twin of the
-// guardflow static pass, in the specbind-twin spirit: the static pass
+// guardflow static pass: the static pass
 // proves the unguarded-counter shape wrong on every schedule; this
 // test runs that exact shape (testdata/guardflow/runtime mirrors the
 // bad fixture's Deposit/Peek pair) under the race detector and

@@ -1,16 +1,18 @@
 // Package lint is zmail's project-specific static analyzer. It encodes
 // the invariants the reproduction depends on and its tests cannot see
-// on every path — the isp lock hierarchy, e-penny conservation and WAL
-// completeness on rarely run paths, never-dropped persistence/crypto
-// errors, and the lock, goroutine and resource disciplines of the
-// daemons — as compile-time checks, so a violation is a build failure
-// instead of a chaos-harness bisect. Determinism, replay protection and
-// ledger encapsulation are left to the byte-identical zsim golden, the
-// replay tests and the unexported restore paths; DESIGN.md decision 8
-// records, per pass, the mutations only that pass catches.
+// on every path — the isp lock hierarchy, e-penny conservation on
+// rarely run paths, never-dropped persistence/crypto errors, and the
+// lock, goroutine and resource disciplines of the daemons — as
+// compile-time checks, so a violation is a build failure instead of a
+// chaos-harness bisect. Determinism, replay protection, ledger
+// encapsulation, WAL completeness and spec/wire agreement are left to
+// runtime checks: the byte-identical zsim golden, the replay tests,
+// the unexported restore paths, the recover-after-every-step WAL tests
+// and the spec's kind-agreement test. DESIGN.md decision 8 records,
+// per pass, the mutations only that pass catches.
 //
 // The analyzer is stdlib-only (go/parser, go/ast, go/types with the
-// source importer); go.mod stays dependency-free. Eight passes run
+// source importer); go.mod stays dependency-free. Six passes run
 // over every package in the module:
 //
 //   - lockorder: within internal/isp, mutex acquisitions must respect
@@ -22,14 +24,6 @@
 //   - moneyflow: CFG dataflow proving e-penny conservation — every
 //     ledger debit pairs with an equal credit on every path, with
 //     mint/burn allowed only at the blessed bank-exchange functions;
-//   - specbind: the AP spec's message kinds, the wire codec's Kind
-//     constants, and the registered Go handlers must enumerate
-//     consistently (module-level; drift is a finding on both sides);
-//   - walflow: CFG dataflow proving WAL completeness — every mutation
-//     of WAL-logged durable state (user rows, the e-penny pool, credit
-//     arrays, nonce counters, bank accounts/seq) is paired with a WAL
-//     append on every non-error exit path, so a crash at any instant
-//     replays to the state the locks protected;
 //   - lockscope: across the federation packages, no network I/O,
 //     channel operation, or other blocking call may run under a held
 //     stripe, bank, or node mutex (the uplink mutex, whose job is
@@ -50,9 +44,8 @@
 // lockorder, lockscope and guardflow are predicates over one lockset
 // engine (lockset.go: a must-hold dataflow computed once per function
 // body), and lockscope's "may block" summaries ride guardflow's
-// bottom-up call-summary walk. moneyflow and walflow are clients of one
-// path-set summary engine (pathflow.go), whose summary memo guardflow
-// shares.
+// bottom-up call-summary walk. moneyflow keeps its own path-set
+// summaries (moneyflow.go) on the summary memo guardflow uses.
 //
 // A finding that is intentional is silenced in place with
 //
@@ -86,15 +79,12 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Pass, d.Msg)
 }
 
-// A Pass inspects type-checked packages and reports findings. Run
-// analyzes one package at a time; RunModule sees every loaded package
-// at once (specbind needs the spec, wire and handler packages side by
-// side). A pass sets exactly one of the two.
+// A Pass inspects type-checked packages, one at a time, and reports
+// findings.
 type Pass struct {
-	Name      string
-	Doc       string
-	Run       func(u *Unit) []Diagnostic
-	RunModule func(units []*Unit) []Diagnostic
+	Name string
+	Doc  string
+	Run  func(u *Unit) []Diagnostic
 }
 
 // Unit is the per-package input handed to a pass. Besides the package
@@ -147,28 +137,6 @@ type Config struct {
 	// AP closures) are the sanctioned mint/burn points — the bank
 	// exchange paths where e-pennies are created against real pennies.
 	MintFuncs []string
-
-	// SpecBind scopes the spec/wire/handler drift check.
-	SpecBind SpecBindConfig
-
-	// WalflowPkgs are import-path prefixes where walflow applies: the
-	// packages whose durable state is WAL-backed.
-	WalflowPkgs []string
-	// WALFields are owner-qualified "Type.field" names (both parts
-	// case-insensitive) of WAL-logged durable state. Owner qualification
-	// keeps the exported snapshot structs (EngineState, BankState) and
-	// the replay folders out of scope — they rebuild state *from* the
-	// log, they do not originate mutations that need logging.
-	WALFields []string
-	// WALAppendFuncs ("importpath:FuncName") are the WAL append hooks.
-	// Any call to one clears the pending-mutation obligation on that
-	// path (coarse pairing: the hooks each log the full mutation batch
-	// their call site just performed).
-	WALAppendFuncs []string
-	// WALExemptFuncs ("importpath:FuncName") are blessed: constructors
-	// and recovery/restore paths whose mutations are (re)building state
-	// from a snapshot or the log itself.
-	WALExemptFuncs []string
 
 	// LockScopeBlockingFuncs ("importpath.Name" or
 	// "importpath.Recv.Name") are known-blocking calls beyond the built
@@ -249,52 +217,6 @@ func DefaultConfig() Config {
 			"zmail/internal/ap/zmailspec:rcv-sellreply",
 			// The rate conversion between pennies and e-pennies.
 			"zmail/internal/money:FromPennies",
-		},
-		SpecBind: SpecBindConfig{
-			SpecPkgs:     []string{"zmail/internal/ap/zmailspec"},
-			WirePkgs:     []string{"zmail/internal/wire"},
-			HandlerPkgs:  []string{"zmail/internal/bank", "zmail/internal/isp", "zmail/internal/core"},
-			KindTypeName: "Kind",
-			// email travels the SMTP data plane, resume is documented
-			// deviation 3 (freeze recovery) — neither has a bank-link
-			// codec. hello is the transport bootstrap below the AP model.
-			// batchorder/batchreply coalesce the spec's buy and sell
-			// exchanges into one round trip (DESIGN decision 15); the AP
-			// model keeps the split messages it was verified with.
-			SpecOnly: []string{"email", "resume"},
-			WireOnly: []string{"hello", "batchorder", "batchreply"},
-		},
-		WalflowPkgs: []string{
-			"zmail/internal/isp",
-			"zmail/internal/bank",
-		},
-		WALFields: []string{
-			// ISP durable state: per-user rows, the e-penny pool, the
-			// credit array, the audit sequence, and the nonce counter.
-			"user.account", "user.balance", "user.sent", "user.limit",
-			"user.warnedToday", "user.journal",
-			"Engine.avail", "Engine.credit", "Engine.seq", "Engine.nonces",
-			"accountStripe.users",
-			// Bank durable state: real-penny accounts, replay nonces, and
-			// the verification round sequence.
-			"Bank.account", "Bank.seenNonces", "Bank.seq",
-		},
-		WALAppendFuncs: []string{
-			"zmail/internal/isp:walUserPut", "zmail/internal/isp:walSend",
-			"zmail/internal/isp:walWarn", "zmail/internal/isp:walTrade",
-			"zmail/internal/isp:walPoolAdd", "zmail/internal/isp:walCreditAdd",
-			"zmail/internal/isp:walCreditZero", "zmail/internal/isp:walNonce",
-			"zmail/internal/isp:walDayReset", "zmail/internal/isp:walBatch",
-			"zmail/internal/bank:walBuy", "zmail/internal/bank:walSell",
-			"zmail/internal/bank:walNonce", "zmail/internal/bank:walDeposit",
-			"zmail/internal/bank:walRound", "zmail/internal/bank:walSeq",
-			"zmail/internal/bank:walSettle", "zmail/internal/bank:walBatch",
-		},
-		WALExemptFuncs: []string{
-			// Constructors build initial state the first snapshot covers;
-			// restoreState *is* the replay target.
-			"zmail/internal/isp:New", "zmail/internal/isp:restoreState",
-			"zmail/internal/bank:New", "zmail/internal/bank:restoreState",
 		},
 		LockScopeBlockingFuncs: []string{
 			"zmail/internal/wire.ReadEnvelope",
@@ -457,22 +379,9 @@ func FixtureConfig(fixturePkg string) Config {
 	cfg.LockOrderPkgs = append(cfg.LockOrderPkgs, fixturePkg)
 	cfg.MoneyflowPkgs = append(cfg.MoneyflowPkgs, fixturePkg)
 	cfg.MintFuncs = append(cfg.MintFuncs, fixturePkg+":blessedMint")
-	cfg.SpecBind.SpecPkgs = []string{fixturePkg}
-	cfg.SpecBind.WirePkgs = []string{fixturePkg}
-	cfg.SpecBind.HandlerPkgs = []string{fixturePkg}
-	// The project allowlists name real kinds; against a fixture package
-	// they would all read as stale.
-	cfg.SpecBind.SpecOnly = nil
-	cfg.SpecBind.WireOnly = nil
-	// Durability/lifecycle tier conventions: fixtures log via a local
-	// "walAppend", restore via "blessedRestore", track "vault.stash" and
-	// "vault.tokens" as WAL fields (names chosen to dodge the money
-	// field list), acquire via a local "open", and may park a
-	// goroutine in a self-terminating local "pump".
-	cfg.WalflowPkgs = append(cfg.WalflowPkgs, fixturePkg)
-	cfg.WALFields = append(cfg.WALFields, "vault.stash", "vault.tokens")
-	cfg.WALAppendFuncs = append(cfg.WALAppendFuncs, fixturePkg+":walAppend")
-	cfg.WALExemptFuncs = append(cfg.WALExemptFuncs, fixturePkg+":blessedRestore")
+	// Lock scope and lifecycle conventions: fixtures block in a local
+	// "slowRPC", acquire via a local "open", and may park a goroutine
+	// in a self-terminating local "pump".
 	cfg.LockScopeBlockingFuncs = append(cfg.LockScopeBlockingFuncs, fixturePkg+".slowRPC")
 	// Lockset tier: fixtures guard "vault.coins" with a plain mutex and
 	// "vault.open" with an RWMutex, bless "blessedInit" as a
@@ -490,7 +399,7 @@ func FixtureConfig(fixturePkg string) Config {
 
 // Passes returns the full pass set, in reporting order.
 func Passes() []Pass {
-	return []Pass{LockOrder(), ErrDrop(), MoneyFlow(), SpecBind(), WalFlow(), LockScope(), Lifecycle(), GuardFlow()}
+	return []Pass{LockOrder(), ErrDrop(), MoneyFlow(), LockScope(), Lifecycle(), GuardFlow()}
 }
 
 // PassNames lists the valid pass names (used to validate suppression
@@ -540,8 +449,8 @@ func RunTimed(pkgs []*Package, passes []Pass, cfg Config) ([]Diagnostic, []PassT
 	for _, name := range PassNames() {
 		valid[name] = true
 	}
-	// Suppressions merge across packages up front: module-level passes
-	// report positions in any loaded package.
+	// Suppressions merge across packages up front, so a finding is
+	// matched against the directives of whichever file it names.
 	merged := suppressionSet{byFileLine: make(map[string][]suppression)}
 	units := make([]*Unit, 0, len(pkgs))
 	for _, pkg := range pkgs {
@@ -556,13 +465,8 @@ func RunTimed(pkgs []*Package, passes []Pass, cfg Config) ([]Diagnostic, []PassT
 	for _, p := range passes {
 		start := time.Now()
 		var diags []Diagnostic
-		if p.Run != nil {
-			for _, u := range units {
-				diags = append(diags, p.Run(u)...)
-			}
-		}
-		if p.RunModule != nil {
-			diags = append(diags, p.RunModule(units)...)
+		for _, u := range units {
+			diags = append(diags, p.Run(u)...)
 		}
 		timings = append(timings, PassTiming{Name: p.Name, Elapsed: time.Since(start)})
 		for _, d := range diags {

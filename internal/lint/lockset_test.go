@@ -143,13 +143,12 @@ func isProbe(es *ast.ExprStmt) bool {
 	return ok && id.Name == "probe"
 }
 
-// TestLockPassesSeeISP runs the lockset clients and the two summary
-// passes (moneyflow, walflow) straight through Pass.Run, before
-// suppression filtering, over the real packages that carry the tree's
-// moneyflow directives. The raw result must be exactly the four
-// findings those directives exist for, each on the line just
-// below its directive, and no walflow finding at all; through Run, the
-// directives must silence every one.
+// TestLockPassesSeeISP runs the lockset clients and the summary pass
+// moneyflow straight through Pass.Run, before suppression filtering,
+// over the real packages that carry the tree's moneyflow directives.
+// The raw result must be exactly the four findings those directives
+// exist for, each on the line just below its directive; through Run,
+// the directives must silence every one.
 func TestLockPassesSeeISP(t *testing.T) {
 	type want struct{ pass, file, msg string }
 	cases := []struct {
@@ -172,7 +171,7 @@ func TestLockPassesSeeISP(t *testing.T) {
 	for _, pkg := range loadModule(t) {
 		pkgs[pkg.ImportPath] = pkg
 	}
-	passes := []Pass{LockOrder(), LockScope(), GuardFlow(), MoneyFlow(), WalFlow()}
+	passes := []Pass{LockOrder(), LockScope(), GuardFlow(), MoneyFlow()}
 	total := 0
 	for _, c := range cases {
 		pkg := pkgs[c.pkg]

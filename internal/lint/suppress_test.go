@@ -15,7 +15,7 @@ func supDiag(file string, line int, pass string) Diagnostic {
 func TestCoversCommaForm(t *testing.T) {
 	set := suppressionSet{byFileLine: map[string][]suppression{
 		"a.go": {{
-			passes: map[string]bool{"walflow": true, "moneyflow": true},
+			passes: map[string]bool{"guardflow": true, "moneyflow": true},
 			line:   10,
 			file:   "a.go",
 		}},
@@ -25,13 +25,13 @@ func TestCoversCommaForm(t *testing.T) {
 		d    Diagnostic
 		want bool
 	}{
-		{supDiag("a.go", 10, "walflow"), true},    // same line
-		{supDiag("a.go", 11, "walflow"), true},    // line below
+		{supDiag("a.go", 10, "guardflow"), true},  // same line
+		{supDiag("a.go", 11, "guardflow"), true},  // line below
 		{supDiag("a.go", 11, "moneyflow"), true},  // second pass of the comma list
-		{supDiag("a.go", 11, "guardflow"), false}, // pass not named
-		{supDiag("a.go", 12, "walflow"), false},   // too far down
-		{supDiag("a.go", 9, "walflow"), false},    // directive covers down, not up
-		{supDiag("b.go", 10, "walflow"), false},   // other file
+		{supDiag("a.go", 11, "lockscope"), false}, // pass not named
+		{supDiag("a.go", 12, "guardflow"), false}, // too far down
+		{supDiag("a.go", 9, "guardflow"), false},  // directive covers down, not up
+		{supDiag("b.go", 10, "guardflow"), false}, // other file
 	} {
 		if got := set.covers(tc.d); got != tc.want {
 			t.Errorf("covers(%s:%d %s) = %v, want %v", tc.d.Pos.Filename, tc.d.Pos.Line, tc.d.Pass, got, tc.want)
@@ -47,7 +47,7 @@ func TestSuppressionNamesFlowPasses(t *testing.T) {
 	for _, name := range PassNames() {
 		valid[name] = true
 	}
-	for _, name := range []string{"moneyflow", "specbind", "walflow"} {
+	for _, name := range []string{"moneyflow", "lockscope", "lifecycle", "guardflow"} {
 		if !valid[name] {
 			t.Errorf("PassNames() must include %q for //zlint:ignore validation", name)
 		}
@@ -65,7 +65,7 @@ func TestSuppressionNamesFlowPasses(t *testing.T) {
 	if len(sups) != 1 {
 		t.Fatalf("want 1 parsed directive, got %d", len(sups))
 	}
-	if !sups[0].passes["moneyflow"] || !sups[0].passes["walflow"] {
+	if !sups[0].passes["moneyflow"] || !sups[0].passes["guardflow"] {
 		t.Errorf("comma directive must name both passes, got %v", sups[0].passes)
 	}
 }

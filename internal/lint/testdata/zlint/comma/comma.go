@@ -3,21 +3,24 @@
 // including the flow passes added after the directive syntax shipped.
 package comma
 
-import "time"
+import "sync"
 
-type Engine struct {
+type vault struct {
+	mu    sync.Mutex
+	coins int64
 	avail int64
 }
 
-// Jitter burns unlogged pool e-pennies: a moneyflow and a walflow
-// finding on the same line, silenced by one directive.
-func Jitter(p *Engine) {
-	//zlint:ignore moneyflow,walflow one directive, two passes: an unlogged clock-funded burn is this fixture's point
-	p.avail -= time.Now().UnixNano()
+// Jitter burns pool e-pennies by an amount read without the vault's
+// lock: a moneyflow and a guardflow finding on the same line, silenced
+// by one directive.
+func Jitter(v *vault) {
+	//zlint:ignore moneyflow,guardflow one directive, two passes: an unguarded, unpaired burn is this fixture's point
+	v.avail -= v.coins
 }
 
 // Raw is the in-package stripped twin: without the directive both
 // passes must fire on the line.
-func Raw(p *Engine) {
-	p.avail -= time.Now().UnixNano() //want moneyflow walflow
+func Raw(v *vault) {
+	v.avail -= v.coins //want moneyflow guardflow
 }

@@ -7,18 +7,18 @@
 // line would parse as its reason).
 package malformed
 
-type vault struct{ stash int64 }
+type pool struct{ avail int64 }
 
 // BadPassName carries a directive naming a pass that does not exist;
 // the typo is reported and the underlying finding is NOT silenced.
-func BadPassName(v *vault) {
-	//zlint:ignore walflw the stash is a cache recomputed on boot
-	v.stash++ //want walflow
+func BadPassName(p *pool) {
+	//zlint:ignore moneyflw the pool is topped up by the bank on boot
+	p.avail++ //want moneyflow
 }
 
 // MissingReason names a real pass but gives no justification; also
 // reported, also not silenced.
-func MissingReason(v *vault) {
-	//zlint:ignore walflow
-	v.stash++ //want walflow
+func MissingReason(p *pool) {
+	//zlint:ignore moneyflow
+	p.avail++ //want moneyflow
 }

@@ -93,7 +93,7 @@ func (k Kind) String() string {
 
 // Kinds enumerates every defined message kind, in declaration order.
 // Keep in sync with the const block above; wire_test pins completeness
-// against String(), and the specbind runtime twin compares this
+// against String(), and zmailspec's kind-agreement test compares this
 // enumeration against the AP spec's receive vocabulary.
 func Kinds() []Kind {
 	return []Kind{KindBuy, KindBuyReply, KindSell, KindSellReply, KindRequest, KindReply, KindHello, KindBatchOrder, KindBatchReply}
