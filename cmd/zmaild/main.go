@@ -11,6 +11,12 @@
 //	       -key isp0.key -bankpub bank.pub \
 //	       -user alice:1000:50:200 -user bob:1000:50:200
 //
+// The pool is kept inside the -minavail/-maxavail band by one sealed
+// order to the bank per tick, carrying both sides of the band: below
+// the band it buys back up to the midpoint, and the bank fills as much
+// as the ISP's account covers; above it, it sells the excess down to
+// the midpoint.
+//
 // Users are local:accountPennies:balanceEPennies:dailyLimit. Delivered
 // mail is printed to stdout; pass -maildir to store messages as files
 // instead.
@@ -144,8 +150,8 @@ func boot(args []string, delivered *atomic.Int64) (*core.ISPDaemon, error) {
 		keyFile   = fs.String("key", "", "this ISP's private key file")
 		bankPub   = fs.String("bankpub", "", "bank public key file")
 		insecure  = fs.Bool("insecure", false, "plaintext sealers (local experiments only)")
-		minAvail  = fs.Int64("minavail", 1000, "pool low-water mark")
-		maxAvail  = fs.Int64("maxavail", 100000, "pool high-water mark")
+		minAvail  = fs.Int64("minavail", 1000, "pool low-water mark; below it the ISP buys the pool back up to the band midpoint")
+		maxAvail  = fs.Int64("maxavail", 100000, "pool high-water mark; above it the ISP sells the excess down to the band midpoint")
 		initAvail = fs.Int64("initavail", 10000, "initial pool")
 		limit     = fs.Int64("limit", 500, "default per-user daily send limit")
 		freeze    = fs.Duration("freeze", 10*time.Minute, "snapshot quiet period (paper: 10m)")
@@ -153,7 +159,6 @@ func boot(args []string, delivered *atomic.Int64) (*core.ISPDaemon, error) {
 		maildir   = fs.String("maildir", "", "store delivered mail under this directory instead of stdout")
 		metricsAd = fs.String("metrics", "", "admin listen address (loopback only!) for telemetry and ledger pages, e.g. 127.0.0.1:7070")
 		walDir    = fs.String("wal", "", "write-ahead-log directory; every mutation is logged, boot replays the log, checkpoints every 5m and on shutdown")
-		batchOrd  = fs.Bool("batch-orders", false, "coalesce bank buy/sell into one batch order per tick")
 		queueDep  = fs.Int("queue-depth", 0, "admission queue depth; >0 decouples SMTP accept latency from ledger commit")
 		queueWrk  = fs.Int("queue-workers", 0, "admission queue drain workers (0 = default, with -queue-depth)")
 	)
@@ -287,7 +292,6 @@ func boot(args []string, delivered *atomic.Int64) (*core.ISPDaemon, error) {
 				Policy:         pol,
 				BankSealer:     bankSealer,
 				OwnSealer:      ownSealer,
-				BatchOrders:    *batchOrd,
 			},
 			ListenAddr:   *listen,
 			BankAddr:     *bankAddr,

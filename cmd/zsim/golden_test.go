@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -42,40 +41,4 @@ func TestGoldenOutput(t *testing.T) {
 	t.Fatalf("output length differs: got %d lines, golden has %d "+
 		"(regenerate with `make golden` if the change is intentional)",
 		len(gotLines), len(wantLines))
-}
-
-// TestSameSeedRunsIdentical is the seed-stability half of the golden
-// contract: two in-process runs with the same non-default seed must be
-// byte-identical (the golden file only pins seed 1).
-func TestSameSeedRunsIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment suite")
-	}
-	runOnce := func() string {
-		var out strings.Builder
-		if err := run([]string{"-seed", "7"}, &out); err != nil {
-			t.Fatal(err)
-		}
-		return out.String()
-	}
-	a, b := runOnce(), runOnce()
-	if a != b {
-		i := 0
-		for i < len(a) && i < len(b) && a[i] == b[i] {
-			i++
-		}
-		lo := i - 80
-		if lo < 0 {
-			lo = 0
-		}
-		t.Fatalf("same seed, different output near byte %d:\n...%s\nvs\n...%s",
-			i, snippet(a, lo, i+80), snippet(b, lo, i+80))
-	}
-}
-
-func snippet(s string, lo, hi int) string {
-	if hi > len(s) {
-		hi = len(s)
-	}
-	return fmt.Sprintf("%q", s[lo:hi])
 }

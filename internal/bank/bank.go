@@ -49,7 +49,7 @@ type Config struct {
 	// selects the nominal 1:1 rate.
 	SettleRate money.Penny
 	// Tracer records mint/burn/audit spans (nil disables tracing).
-	// Buy and sell spans join the requesting ISP's flow via the
+	// Mint and burn spans join the ordering ISP's flow via the
 	// envelope trace; audit rounds get a bank-minted flow of their own.
 	Tracer *trace.Tracer
 }
@@ -81,9 +81,9 @@ type Stats struct {
 	BuysAccepted int64
 	BuysDenied   int64
 	Sells        int64
-	// Batch-order counters: one BatchOrders tick per coalesced
-	// buy+sell processed; BatchPartialFills counts orders whose buy
-	// side was only partly covered by the ISP's account.
+	// BatchOrders counts pool orders processed; BatchPartialFills
+	// counts orders whose buy side was only partly covered by the
+	// ISP's account.
 	BatchOrders       int64
 	BatchPartialFills int64
 	Minted            int64
@@ -264,7 +264,7 @@ func (b *Bank) sealTo(index int, kind wire.Kind, body []byte) (*wire.Envelope, e
 	return &wire.Envelope{Kind: kind, From: -1, Payload: sealed}, nil
 }
 
-// Handle processes one inbound envelope from an ISP: buy, sell, or a
+// Handle processes one inbound envelope from an ISP: a pool order or a
 // snapshot reply. Replayed nonces are counted and rejected (§4.3's
 // replay protection made explicit with bank-side memory).
 func (b *Bank) Handle(env *wire.Envelope) error {
@@ -291,66 +291,6 @@ func (b *Bank) handleLocked(env *wire.Envelope) error {
 	tid := trace.ID(env.Trace)
 
 	switch env.Kind {
-	case wire.KindBuy:
-		var m wire.Buy
-		if err := m.UnmarshalBinary(plain); err != nil {
-			return err
-		}
-		if b.seenNonces[m.Nonce] {
-			b.stats.Replays++
-			return ErrReplay
-		}
-		b.seenNonces[m.Nonce] = true
-		accepted := m.Value > 0 && b.account[g] >= money.Penny(m.Value)
-		if accepted {
-			b.account[g] -= money.Penny(m.Value)
-			b.stats.Minted += m.Value
-			b.stats.BuysAccepted++
-			b.cfg.Tracer.Record(tid, "mint", m.Value, "accepted")
-		} else {
-			b.stats.BuysDenied++
-			b.cfg.Tracer.Record(tid, "mint", 0, "denied")
-		}
-		b.walBuy(m.Nonce, g, m.Value, accepted)
-		reply, err := b.sealTo(g, wire.KindBuyReply,
-			(&wire.BuyReply{Nonce: m.Nonce, Accepted: accepted}).MarshalBinary())
-		if err != nil {
-			return err
-		}
-		reply.Trace = env.Trace
-		b.emitq = append(b.emitq, func() { b.cfg.Transport.SendISP(g, reply) })
-		return nil
-
-	case wire.KindSell:
-		var m wire.Sell
-		if err := m.UnmarshalBinary(plain); err != nil {
-			return err
-		}
-		if b.seenNonces[m.Nonce] {
-			b.stats.Replays++
-			return ErrReplay
-		}
-		b.seenNonces[m.Nonce] = true
-		if m.Value <= 0 {
-			// The nonce memory above is durable replay protection even
-			// though the sell itself is rejected.
-			b.walNonce(m.Nonce)
-			return errors.New("bank: sell of non-positive value")
-		}
-		b.account[g] += money.Penny(m.Value)
-		b.stats.Burned += m.Value
-		b.stats.Sells++
-		b.walSell(m.Nonce, g, m.Value)
-		b.cfg.Tracer.Record(tid, "burn", -m.Value, "accepted")
-		reply, err := b.sealTo(g, wire.KindSellReply,
-			(&wire.SellReply{Nonce: m.Nonce}).MarshalBinary())
-		if err != nil {
-			return err
-		}
-		reply.Trace = env.Trace
-		b.emitq = append(b.emitq, func() { b.cfg.Transport.SendISP(g, reply) })
-		return nil
-
 	case wire.KindBatchOrder:
 		var m wire.BatchOrder
 		if err := m.UnmarshalBinary(plain); err != nil {
@@ -366,8 +306,8 @@ func (b *Bank) handleLocked(env *wire.Envelope) error {
 			b.walNonce(m.Nonce)
 			return errors.New("bank: batch order with no positive side")
 		}
-		// Buy side fills up to the ISP's account — a partial fill, not
-		// the Buy message's all-or-nothing denial, so a thin account
+		// The buy side fills up to the ISP's account — a partial fill,
+		// not the paper's all-or-nothing buyreply, so a thin account
 		// still restocks what it can afford in the same round trip.
 		fill := m.Buy
 		if avail := int64(b.account[g]); fill > avail {

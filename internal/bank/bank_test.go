@@ -43,19 +43,32 @@ func newBank(t *testing.T, n int, compliant []bool) (*Bank, *fakeTransport) {
 	return b, ft
 }
 
-func buyEnv(from int32, value int64, nonce uint64) *wire.Envelope {
-	return &wire.Envelope{Kind: wire.KindBuy, From: from,
-		Payload: (&wire.Buy{Value: value, Nonce: nonce}).MarshalBinary()}
-}
-
-func sellEnv(from int32, value int64, nonce uint64) *wire.Envelope {
-	return &wire.Envelope{Kind: wire.KindSell, From: from,
-		Payload: (&wire.Sell{Value: value, Nonce: nonce}).MarshalBinary()}
-}
-
 func batchEnv(from int32, buy, sell int64, nonce uint64) *wire.Envelope {
 	return &wire.Envelope{Kind: wire.KindBatchOrder, From: from,
 		Payload: (&wire.BatchOrder{Buy: buy, Sell: sell, Nonce: nonce}).MarshalBinary()}
+}
+
+// buyEnv and sellEnv are one-sided orders.
+func buyEnv(from int32, value int64, nonce uint64) *wire.Envelope {
+	return batchEnv(from, value, 0, nonce)
+}
+
+func sellEnv(from int32, value int64, nonce uint64) *wire.Envelope {
+	return batchEnv(from, 0, value, nonce)
+}
+
+// batchReplyOf decodes the bank's one reply to ISP index i.
+func batchReplyOf(t *testing.T, ft *fakeTransport, i int) wire.BatchReply {
+	t.Helper()
+	replies := ft.out[i]
+	if len(replies) != 1 || replies[0].Kind != wire.KindBatchReply {
+		t.Fatalf("replies = %+v", replies)
+	}
+	var br wire.BatchReply
+	if err := br.UnmarshalBinary(replies[0].Payload); err != nil {
+		t.Fatal(err)
+	}
+	return br
 }
 
 func reportEnv(from int32, seq uint64, credits []int64) *wire.Envelope {
@@ -90,53 +103,53 @@ func TestBuyAcceptedAndDebited(t *testing.T) {
 	if b.Outstanding() != 300 {
 		t.Fatalf("outstanding = %d", b.Outstanding())
 	}
-	replies := ft.out[0]
-	if len(replies) != 1 || replies[0].Kind != wire.KindBuyReply {
-		t.Fatalf("replies = %+v", replies)
-	}
-	var br wire.BuyReply
-	if err := br.UnmarshalBinary(replies[0].Payload); err != nil {
-		t.Fatal(err)
-	}
-	if !br.Accepted || br.Nonce != 1 {
+	if br := batchReplyOf(t, ft, 0); br.BuyFilled != 300 || br.Nonce != 1 {
 		t.Fatalf("reply = %+v", br)
 	}
 }
 
+// TestBuyDeniedWhenBroke: an empty account fills nothing; the order
+// is answered with BuyFilled 0 and counted as denied.
 func TestBuyDeniedWhenBroke(t *testing.T) {
 	b, ft := newBank(t, 1, nil)
-	if err := b.Handle(buyEnv(0, 5000, 1)); err != nil {
+	if err := b.Handle(buyEnv(0, 1000, 1)); err != nil { // empties the account
+		t.Fatal(err)
+	}
+	ft.out[0] = nil
+	if err := b.Handle(buyEnv(0, 5000, 2)); err != nil {
 		t.Fatal(err)
 	}
 	acct, _ := b.Account(0)
-	if acct != 1000 {
+	if acct != 0 {
 		t.Fatal("denied buy changed the account")
 	}
-	var br wire.BuyReply
-	_ = br.UnmarshalBinary(ft.out[0][0].Payload)
-	if br.Accepted {
-		t.Fatal("overdraw accepted")
+	if br := batchReplyOf(t, ft, 0); br.BuyFilled != 0 || br.Nonce != 2 {
+		t.Fatalf("overdraw filled: %+v", br)
 	}
 	st := b.Stats()
-	if st.BuysDenied != 1 || st.Minted != 0 {
+	if st.BuysDenied != 1 || st.Minted != 1000 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestBuyZeroOrNegativeDenied(t *testing.T) {
-	b, _ := newBank(t, 1, nil)
-	if err := b.Handle(buyEnv(0, 0, 1)); err != nil {
-		t.Fatal(err)
+	b, ft := newBank(t, 1, nil)
+	if err := b.Handle(buyEnv(0, 0, 1)); err == nil {
+		t.Fatal("zero buy accepted")
 	}
-	if err := b.Handle(buyEnv(0, -50, 2)); err != nil {
-		t.Fatal(err)
+	if err := b.Handle(buyEnv(0, -50, 2)); err == nil {
+		t.Fatal("negative buy accepted")
 	}
-	if b.Stats().BuysAccepted != 0 {
+	if b.Stats().BuysAccepted != 0 || len(ft.out[0]) != 0 {
 		t.Fatal("non-positive buy accepted")
 	}
 	acct, _ := b.Account(0)
 	if acct != 1000 {
 		t.Fatal("account changed")
+	}
+	// Both nonces are retired although the orders were refused.
+	if err := b.Handle(buyEnv(0, 10, 2)); !errors.Is(err, ErrReplay) {
+		t.Fatalf("refused order's nonce reusable: %v", err)
 	}
 }
 
@@ -152,10 +165,8 @@ func TestSellCredited(t *testing.T) {
 	if b.Outstanding() != -200 {
 		t.Fatalf("outstanding = %d", b.Outstanding())
 	}
-	var sr wire.SellReply
-	_ = sr.UnmarshalBinary(ft.out[0][0].Payload)
-	if sr.Nonce != 7 {
-		t.Fatalf("reply nonce = %d", sr.Nonce)
+	if br := batchReplyOf(t, ft, 0); br.Nonce != 7 || br.SellBurned != 200 || br.BuyFilled != 0 {
+		t.Fatalf("reply = %+v", br)
 	}
 }
 
@@ -173,23 +184,15 @@ func TestBatchOrderMintAndBurn(t *testing.T) {
 		st.BuysAccepted != 1 || st.Sells != 1 || st.BatchPartialFills != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	replies := ft.out[0]
-	if len(replies) != 1 || replies[0].Kind != wire.KindBatchReply {
-		t.Fatalf("replies = %+v", replies)
-	}
-	var br wire.BatchReply
-	if err := br.UnmarshalBinary(replies[0].Payload); err != nil {
-		t.Fatal(err)
-	}
-	if br.Nonce != 5 || br.BuyFilled != 300 || br.SellBurned != 100 {
+	if br := batchReplyOf(t, ft, 0); br.Nonce != 5 || br.BuyFilled != 300 || br.SellBurned != 100 {
 		t.Fatalf("reply = %+v", br)
 	}
 }
 
 func TestBatchOrderPartialFill(t *testing.T) {
 	b, ft := newBank(t, 1, nil)
-	// The buy side exceeds the account: a Buy message would be denied
-	// outright, a batch order fills what the account covers.
+	// The buy side exceeds the account: the order fills what the
+	// account covers.
 	if err := b.Handle(batchEnv(0, 5000, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +235,6 @@ func TestBatchOrderReplay(t *testing.T) {
 	}
 	if len(ft.out[0]) != 1 {
 		t.Fatal("replay generated a reply")
-	}
-	// Nonces are global across message types: a plain buy reusing a
-	// batch nonce is a replay too.
-	if err := b.Handle(buyEnv(0, 10, 9)); !errors.Is(err, ErrReplay) {
-		t.Fatalf("cross-type nonce reuse: %v", err)
 	}
 }
 
@@ -299,10 +297,10 @@ func TestReplayRejected(t *testing.T) {
 	if len(ft.out[0]) != 1 {
 		t.Fatal("replay generated a reply")
 	}
-	// Nonces are global across message types: a sell reusing a buy
-	// nonce is also a replay.
+	// The nonce, not the body, is what is remembered: a sell reusing
+	// a buy's nonce is also a replay.
 	if err := b.Handle(sellEnv(0, 10, 42)); !errors.Is(err, ErrReplay) {
-		t.Fatalf("cross-type nonce reuse: %v", err)
+		t.Fatalf("nonce reuse with another body: %v", err)
 	}
 }
 

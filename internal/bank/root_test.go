@@ -110,8 +110,8 @@ func TestRootRejectsDuplicatesAndStrays(t *testing.T) {
 	if err := r.Handle(report(t, 7, 0, []int64{0, 0})); !errors.Is(err, ErrUnknownISP) {
 		t.Fatalf("out-of-range From = %v, want ErrUnknownISP", err)
 	}
-	if err := r.Handle(&wire.Envelope{Kind: wire.KindBuy, From: 0}); err == nil {
-		t.Error("buy on the uplink accepted")
+	if err := r.Handle(&wire.Envelope{Kind: wire.KindBatchOrder, From: 0}); err == nil {
+		t.Error("order on the uplink accepted")
 	}
 	if err := r.Handle(&wire.Envelope{Kind: wire.KindHello, From: 0}); err != nil {
 		t.Errorf("hello = %v, want nil", err)

@@ -17,9 +17,12 @@ import (
 
 // Bank WAL record kinds (first payload byte).
 const (
+	// bankRecBuy and bankRecSell are written no more: they logged the
+	// retired split buy/sell exchange. Replay still reads them, so a log
+	// written before the batch order became the only form recovers.
 	bankRecBuy     byte = iota + 1 // nonce retired + mint (when accepted)
 	bankRecSell                    // nonce retired + burn
-	bankRecNonce                   // nonce retired, no ledger effect (rejected sell)
+	bankRecNonce                   // nonce retired, no ledger effect (rejected order)
 	bankRecDeposit                 // out-of-band account funding
 	bankRecRound                   // audit round verified: seq advance + violations
 	bankRecSeq                     // audit round aborted: seq advance
@@ -47,34 +50,6 @@ func (b *Bank) walAppend(payload []byte) {
 	}
 }
 
-// walBuy logs a §4.3 buy: the nonce is retired either way, the mint
-// only when accepted. Call with mu held.
-func (b *Bank) walBuy(nonce uint64, isp int, value int64, accepted bool) {
-	if b.wal == nil {
-		return
-	}
-	var enc persist.RecordEnc
-	enc.U8(bankRecBuy)
-	enc.U64(nonce)
-	enc.U32(uint32(isp))
-	enc.I64(value)
-	enc.Flag(accepted)
-	b.walAppend(enc.B)
-}
-
-// walSell logs a §4.3 sell (burn). Call with mu held.
-func (b *Bank) walSell(nonce uint64, isp int, value int64) {
-	if b.wal == nil {
-		return
-	}
-	var enc persist.RecordEnc
-	enc.U8(bankRecSell)
-	enc.U64(nonce)
-	enc.U32(uint32(isp))
-	enc.I64(value)
-	b.walAppend(enc.B)
-}
-
 // walBatch logs a coalesced batch order: the nonce is retired, fill
 // pennies left the account as a mint and sell pennies returned as a
 // burn (either side may be zero). Call with mu held.
@@ -91,9 +66,9 @@ func (b *Bank) walBatch(nonce uint64, isp int, fill, sell int64) {
 	b.walAppend(enc.B)
 }
 
-// walNonce logs a nonce retired with no ledger effect: the sell-of-
-// nonpositive-value path marks the nonce seen before rejecting, and
-// that memory is durable replay protection. Call with mu held.
+// walNonce logs a nonce retired with no ledger effect: a degenerate
+// order is marked seen before it is rejected, and that memory is
+// durable replay protection. Call with mu held.
 func (b *Bank) walNonce(nonce uint64) {
 	if b.wal == nil {
 		return

@@ -6,7 +6,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"zmail/internal/persist"
+	"zmail/internal/wire"
 )
 
 // bankJSON is the equivalence oracle: sorted, versioned snapshots of
@@ -42,44 +46,34 @@ func requireBankRecovers(t *testing.T, step string, b *Bank, dir string) {
 }
 
 // driveBankWorkload pushes a two-ISP bank, logging to dir, through
-// every durable mutation class: accepted and denied buys, a sell, a
-// rejected sell (nonce-only record), a deposit, coalesced orders, a
-// verified audit round with a violation, and an aborted round. After
-// every step, a copy of the log recovers to the live state.
+// every durable mutation class: a buy, a buy that empties an account,
+// a denied buy, a sell, a deposit, a two-sided order, a partial fill, a
+// rejected order (nonce-only record), a verified audit round with a
+// violation, and an aborted round. After every step, a copy of the log
+// recovers to the live state.
 func driveBankWorkload(t *testing.T, b *Bank, dir string) {
 	t.Helper()
 	step := func(name string) {
 		t.Helper()
 		requireBankRecovers(t, name, b, dir)
 	}
-	if err := b.Handle(buyEnv(0, 200, 1)); err != nil {
-		t.Fatal(err)
+	order := func(name string, env *wire.Envelope) {
+		t.Helper()
+		if err := b.Handle(env); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		step(name)
 	}
-	step("buy")
-	if err := b.Handle(buyEnv(1, 5000, 2)); err != nil { // denied: broke
-		t.Fatal(err)
-	}
-	step("denied buy")
-	if err := b.Handle(sellEnv(0, 50, 3)); err != nil {
-		t.Fatal(err)
-	}
-	step("sell")
-	if err := b.Handle(sellEnv(1, -7, 4)); err == nil { // rejected, nonce retired
-		t.Fatal("negative sell accepted")
-	}
-	step("rejected sell")
+	order("buy", buyEnv(0, 200, 1))
+	order("draining buy", buyEnv(1, 1000, 2))
+	order("denied buy", buyEnv(1, 10, 3)) // broke: fills 0
+	order("sell", sellEnv(0, 50, 4))
 	if err := b.Deposit(1, 25); err != nil {
 		t.Fatal(err)
 	}
 	step("deposit")
-	if err := b.Handle(batchEnv(0, 100, 40, 5)); err != nil { // coalesced mint+burn
-		t.Fatal(err)
-	}
-	step("batch order")
-	if err := b.Handle(batchEnv(1, 5000, 0, 6)); err != nil { // partial fill
-		t.Fatal(err)
-	}
-	step("partial fill")
+	order("batch order", batchEnv(0, 100, 40, 5)) // coalesced mint+burn
+	order("partial fill", batchEnv(1, 5000, 0, 6))
 	if err := b.Handle(batchEnv(0, 0, 0, 7)); err == nil { // rejected, nonce retired
 		t.Fatal("empty batch order accepted")
 	}
@@ -165,6 +159,57 @@ func TestWALBankRoundTrip(t *testing.T) {
 	}
 	if err := b3.CloseWAL(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWALLegacySplitRecordsReplay: a log written while the split
+// buy/sell exchange still ran holds bankRecBuy and bankRecSell records.
+// Nothing writes them now, but such a log is input from outside and
+// must still recover: an accepted buy mints, a denied one only retires
+// its nonce, and a sell burns.
+func TestWALLegacySplitRecordsReplay(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	b1, _ := newBank(t, 2, nil)
+	if err := b1.AttachWAL(dir); err != nil {
+		t.Fatal(err)
+	}
+	legacy := func(tag byte, nonce uint64, isp int, value int64, accepted ...bool) {
+		var enc persist.RecordEnc
+		enc.U8(tag)
+		enc.U64(nonce)
+		enc.U32(uint32(isp))
+		enc.I64(value)
+		for _, a := range accepted {
+			enc.Flag(a)
+		}
+		b1.mu.Lock()
+		b1.walAppend(enc.B)
+		b1.mu.Unlock()
+	}
+	legacy(bankRecBuy, 11, 0, 300, true)   // accepted: mint 300
+	legacy(bankRecBuy, 12, 1, 5000, false) // denied: nonce only
+	legacy(bankRecSell, 13, 1, 40)         // burn 40
+	if n := b1.WALErrors(); n != 0 {
+		t.Fatalf("%d wal append errors", n)
+	}
+	if err := b1.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	b2 := recoverBank(t, dir)
+	defer b2.CloseWAL()
+	st := b2.ExportState()
+	if !slices.Equal(st.Accounts, []int64{700, 1040}) || st.Minted != 300 || st.Burned != 40 {
+		t.Fatalf("recovered accounts %v, minted %d, burned %d; want [700 1040], 300, 40",
+			st.Accounts, st.Minted, st.Burned)
+	}
+	if !slices.Equal(st.Nonces, []uint64{11, 12, 13}) {
+		t.Fatalf("retired nonces = %v, want [11 12 13]", st.Nonces)
+	}
+	for _, n := range st.Nonces {
+		if err := b2.Handle(buyEnv(0, 10, n)); !errors.Is(err, ErrReplay) {
+			t.Fatalf("nonce %d reusable after recovery: %v", n, err)
+		}
 	}
 }
 

@@ -70,9 +70,6 @@ type Config struct {
 	// InitialAvail is each ISP's starting e-penny pool (default 10000).
 	InitialAvail money.EPenny
 
-	// BatchOrders has every ISP coalesce its bank buy/sell traffic into
-	// sealed wire.BatchOrder round trips (partial-fill replies).
-	BatchOrders bool
 	// Queue starts each ISP's admission queue so SMTP DATA returns at
 	// admission.
 	Queue bool
@@ -303,7 +300,6 @@ func (c *Cluster) startISP(d *ISP) error {
 				Policy:         isp.AcceptUnpaid,
 				BankSealer:     crypto.Null{},
 				OwnSealer:      crypto.Null{},
-				BatchOrders:    cfg.BatchOrders,
 			},
 			ListenAddr:   "127.0.0.1:0",
 			BankAddr:     c.banks[c.assign[d.Index]].Addr().String(),

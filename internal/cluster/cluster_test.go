@@ -153,16 +153,14 @@ func TestClusterFederationEndToEnd(t *testing.T) {
 }
 
 // TestClusterBatchedFederation boots the batch-first federation: every
-// ISP runs the admission queue (SMTP DATA returns at admission) and
-// coalesced bank orders, and the bank settles verified rounds with
-// multilateral netting. Paid mail flows, pools restock through
+// ISP runs the admission queue (SMTP DATA returns at admission), and
+// the bank settles verified rounds with multilateral netting. Paid mail flows, pools restock through
 // BatchOrder round trips, audits verify, settlement moves real money,
 // and conservation holds throughout.
 func TestClusterBatchedFederation(t *testing.T) {
 	c := newTestCluster(t, Config{
-		BatchOrders: true,
-		Queue:       true,
-		Settle:      true,
+		Queue:  true,
+		Settle: true,
 		// Registration funds user balances from the pool (4 × 200), so a
 		// 1500-e-penny pool lands at 700 — below the default MinAvail of
 		// 1000 — and the very first tick issues a batch restock order.

@@ -13,9 +13,10 @@ import (
 	"zmail/internal/wire"
 )
 
+// buyEnv is a buy-only pool order from ISP 0.
 func buyEnv(nonce uint64, value int64) *wire.Envelope {
-	return &wire.Envelope{Kind: wire.KindBuy, From: 0,
-		Payload: (&wire.Buy{Value: value, Nonce: nonce}).MarshalBinary()}
+	return &wire.Envelope{Kind: wire.KindBatchOrder, From: 0,
+		Payload: (&wire.BatchOrder{Buy: value, Nonce: nonce}).MarshalBinary()}
 }
 
 // TestBankDaemonWALOrderAfterReplay restarts a bank from a WAL of 10⁵
@@ -46,12 +47,12 @@ func TestBankDaemonWALOrderAfterReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Zero-value buys are denied but their nonces are logged, which
+	// Empty orders are refused but their nonces are logged, which
 	// makes the replay long.
 	const orders = 100_000
 	for nonce := uint64(3); nonce < orders; nonce++ {
-		if err := d.Bank().Handle(buyEnv(nonce, 0)); err != nil {
-			t.Fatal(err)
+		if err := d.Bank().Handle(buyEnv(nonce, 0)); err == nil {
+			t.Fatal("empty order accepted")
 		}
 	}
 	if err := d.Bank().Handle(buyEnv(1, 100)); err != nil {
@@ -98,12 +99,12 @@ func TestBankDaemonWALOrderAfterReplay(t *testing.T) {
 	if env == nil {
 		t.Fatal("no reply to the order")
 	}
-	var reply wire.BuyReply
+	var reply wire.BatchReply
 	if err := reply.UnmarshalBinary(env.Payload); err != nil {
 		t.Fatal(err)
 	}
-	if env.Kind != wire.KindBuyReply || reply.Nonce != 2 || !reply.Accepted {
-		t.Fatalf("reply %v %+v, want an accepted buy reply for nonce 2", env.Kind, reply)
+	if env.Kind != wire.KindBatchReply || reply.Nonce != 2 || reply.BuyFilled != 50 {
+		t.Fatalf("reply %v %+v, want nonce 2 filled with 50", env.Kind, reply)
 	}
 	check := func(b *bank.Bank) {
 		t.Helper()

@@ -23,10 +23,20 @@ func TestRunUnknown(t *testing.T) {
 
 // TestAllExperimentsPass is the headline integration test: every
 // paper-claim experiment must pass, on a seed different from the CLI
-// default to guard against seed-tuned results.
+// default to guard against seed-tuned results. The suite runs twice and
+// the two renderings must be byte-identical, so output that depends on
+// map order or wall time fails here too (the golden file only pins
+// seed 1).
 func TestAllExperimentsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite is slow (RSA, TCP, model checking)")
+	}
+	render := func(results []*Result) string {
+		var b strings.Builder
+		for _, r := range results {
+			b.WriteString(r.String())
+		}
+		return b.String()
 	}
 	results, err := RunAll(7)
 	if err != nil {
@@ -49,6 +59,22 @@ func TestAllExperimentsPass(t *testing.T) {
 			t.Errorf("%s static title %q != result title %q", r.ID, Title(r.ID), r.Title)
 		}
 	}
+	again, err := RunAll(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := render(results), render(again); a != b {
+		i := 0
+		for i < len(a) && i < len(b) && a[i] == b[i] {
+			i++
+		}
+		t.Fatalf("same seed, different output near byte %d:\n%q\nvs\n%q", i, snippet(a, i), snippet(b, i))
+	}
+}
+
+// snippet quotes s around byte i.
+func snippet(s string, i int) string {
+	return s[max(0, i-80):min(len(s), i+80)]
 }
 
 // TestSeedStability: a couple more seeds on the cheap, seed-sensitive

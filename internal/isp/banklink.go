@@ -16,11 +16,13 @@ var (
 )
 
 // Tick runs the §4.3 pool-maintenance guards: if the pool is below
-// MinAvail and no buy is outstanding, request more inventory from the
-// bank; if above MaxAvail and no sell is outstanding, sell the excess.
-// Call it periodically (the simulator calls it after every delivery
-// round; the daemon on a timer). Tick only touches the cold pool state
-// and never blocks the send path.
+// MinAvail it orders inventory from the bank, and if it is above
+// MaxAvail it sells the excess; both sides travel in one sealed, nonced
+// wire.BatchOrder, and the bank answers with a partial-fill
+// wire.BatchReply. One order is outstanding at a time. Call it
+// periodically (the simulator calls it after every delivery round; the
+// daemon on a timer). Tick only touches the cold pool state and never
+// blocks the send path.
 func (e *Engine) Tick() error {
 	var em emitQueue
 	err := e.tick(&em)
@@ -28,107 +30,19 @@ func (e *Engine) Tick() error {
 	return err
 }
 
+// tick departs from the paper's literal §4.3 in three ways, each
+// recorded in DESIGN decision 15: it refills to the band midpoint, not
+// by a fixed quantum; the bank may fill the buy side partially; and one
+// order covers both sides, so one exchange is outstanding, not one per
+// side.
 func (e *Engine) tick(em *emitQueue) error {
-	if e.cfg.BatchOrders {
-		return e.tickBatch(em)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	// Re-arm a trade whose request (or reply) was lost in transit. The
-	// sell's escrow is NOT refunded on re-arm: if the bank burned the
-	// original and only the reply was lost, a refund would mint value.
-	// Re-arming just unblocks future sells so the pool band recovers;
-	// any stranded escrow is the loss the chaos auditor (internal/chaos)
-	// accounts explicitly.
-	if e.cfg.RestockRetry > 0 {
-		now := e.cfg.Clock.Now()
-		if !e.canBuy && now.Sub(e.buyAt) >= e.cfg.RestockRetry {
-			e.canBuy = true
-			e.stats.restockRetries.Add(1)
-		}
-		if !e.canSell && now.Sub(e.sellAt) >= e.cfg.RestockRetry {
-			e.canSell = true
-			e.stats.restockRetries.Add(1)
-		}
-	}
-
-	if e.avail < e.cfg.MinAvail && e.canBuy {
-		if e.cfg.BankSealer == nil {
-			return ErrNotConfigured
-		}
-		nonce, err := e.nonces.Next()
-		if err != nil {
-			return fmt.Errorf("isp: buy nonce: %w", err)
-		}
-		e.walNonce(e.nonces.Counter())
-		e.canBuy = false
-		e.ns1 = nonce
-		e.buyVal = e.cfg.RestockAmount
-		e.buyAt = e.cfg.Clock.Now()
-		body := (&wire.Buy{Value: int64(e.buyVal), Nonce: uint64(nonce)}).MarshalBinary()
-		sealed, err := e.cfg.BankSealer.Seal(body)
-		if err != nil {
-			e.canBuy = true
-			return fmt.Errorf("isp: seal buy: %w", err)
-		}
-		e.buyTrace = e.tracer.Next()
-		e.tracer.Record(e.buyTrace, "buy", int64(e.buyVal), "request")
-		env := &wire.Envelope{Kind: wire.KindBuy, From: int32(e.cfg.Index), Trace: uint64(e.buyTrace), Payload: sealed}
-		em.add(func() { e.cfg.Transport.SendBank(env) })
-	}
-
-	if e.avail > e.cfg.MaxAvail && e.canSell {
-		if e.cfg.BankSealer == nil {
-			return ErrNotConfigured
-		}
-		nonce, err := e.nonces.Next()
-		if err != nil {
-			return fmt.Errorf("isp: sell nonce: %w", err)
-		}
-		e.walNonce(e.nonces.Counter())
-		e.canSell = false
-		e.ns2 = nonce
-		// Sell down to the midpoint of the operating band. The sold
-		// amount is escrowed out of the pool now: the paper's §4.3
-		// pseudocode decrements avail only when the sellreply arrives,
-		// which lets user buys during the bank round-trip overdraw the
-		// pool (found by the model checker, experiment E14).
-		mid := e.cfg.MinAvail + (e.cfg.MaxAvail-e.cfg.MinAvail)/2
-		e.sellVal = e.avail - mid
-		e.avail -= e.sellVal
-		e.walPoolAdd(-int64(e.sellVal))
-		e.sellAt = e.cfg.Clock.Now()
-		body := (&wire.Sell{Value: int64(e.sellVal), Nonce: uint64(nonce)}).MarshalBinary()
-		sealed, err := e.cfg.BankSealer.Seal(body)
-		if err != nil {
-			e.avail += e.sellVal
-			e.walPoolAdd(int64(e.sellVal))
-			e.canSell = true
-			return fmt.Errorf("isp: seal sell: %w", err)
-		}
-		e.sellTrace = e.tracer.Next()
-		e.tracer.Record(e.sellTrace, "sell", -int64(e.sellVal), "escrow")
-		env := &wire.Envelope{Kind: wire.KindSell, From: int32(e.cfg.Index), Trace: uint64(e.sellTrace), Payload: sealed}
-		em.add(func() { e.cfg.Transport.SendBank(env) })
-	}
-	return nil
-}
-
-// tickBatch is the coalesced-order variant of tick (Config.BatchOrders):
-// both sides of the §4.3 pool maintenance travel in one sealed, nonced
-// wire.BatchOrder, so one bank round trip, one nonce, and one seal
-// amortize over the whole order instead of one exchange per side. The
-// bank answers with a partial-fill BatchReply (it grants as much of the
-// buy as the ISP's account covers).
-func (e *Engine) tickBatch(em *emitQueue) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-
-	// Re-arm an order whose request or reply was lost. As with legacy
-	// sells, escrow is never refunded on re-arm — if the bank burned the
-	// original sell and the reply was lost, a refund would mint; the
-	// stranded escrow is the chaos-accounted loss.
+	// Re-arm an order whose request or reply was lost. Escrow is never
+	// refunded on re-arm — if the bank burned the original sell and the
+	// reply was lost, a refund would mint; the stranded escrow is the
+	// loss the chaos auditor (internal/chaos) accounts explicitly.
 	if e.cfg.RestockRetry > 0 && !e.canOrder &&
 		e.cfg.Clock.Now().Sub(e.ordAt) >= e.cfg.RestockRetry {
 		e.canOrder = true
@@ -141,12 +55,7 @@ func (e *Engine) tickBatch(em *emitQueue) error {
 	mid := e.cfg.MinAvail + (e.cfg.MaxAvail-e.cfg.MinAvail)/2
 	var buy, sell money.EPenny
 	if e.avail < e.cfg.MinAvail {
-		// Refill to the band midpoint, never ordering less than the
-		// configured restock quantum.
 		buy = mid - e.avail
-		if buy < e.cfg.RestockAmount {
-			buy = e.cfg.RestockAmount
-		}
 	}
 	if e.avail > e.cfg.MaxAvail {
 		sell = e.avail - mid
@@ -165,7 +74,6 @@ func (e *Engine) tickBatch(em *emitQueue) error {
 	e.canOrder = false
 	e.ordNonce = nonce
 	e.ordBuy = buy
-	e.ordSell = sell
 	e.ordAt = e.cfg.Clock.Now()
 	if sell > 0 {
 		// Escrow the sold amount out of the pool at send time (the E14
@@ -191,7 +99,7 @@ func (e *Engine) tickBatch(em *emitQueue) error {
 	return nil
 }
 
-// HandleBank processes a control message from the bank: buy/sell
+// HandleBank processes a control message from the bank: order
 // replies (§4.3) and snapshot requests (§4.4). Replies with stale or
 // replayed nonces are dropped with ErrStaleReply, exactly as the
 // paper's ns≠nr branches skip.
@@ -212,44 +120,6 @@ func (e *Engine) handleBank(em *emitQueue, env *wire.Envelope) error {
 	}
 
 	switch env.Kind {
-	case wire.KindBuyReply:
-		var br wire.BuyReply
-		if err := br.UnmarshalBinary(plain); err != nil {
-			return err
-		}
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if e.canBuy || br.Nonce != uint64(e.ns1) {
-			return ErrStaleReply
-		}
-		e.canBuy = true
-		e.lat.bankRTT.Observe(e.cfg.Clock.Now().Sub(e.buyAt))
-		if br.Accepted {
-			e.avail += e.buyVal
-			e.walPoolAdd(int64(e.buyVal))
-			e.tracer.Record(e.buyTrace, "restock", int64(e.buyVal), "accepted")
-		} else {
-			e.tracer.Record(e.buyTrace, "restock", 0, "denied")
-		}
-		return nil
-
-	case wire.KindSellReply:
-		var sr wire.SellReply
-		if err := sr.UnmarshalBinary(plain); err != nil {
-			return err
-		}
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if e.canSell || sr.Nonce != uint64(e.ns2) {
-			return ErrStaleReply
-		}
-		// The sold amount was escrowed at send time; the reply only
-		// closes the exchange.
-		e.canSell = true
-		e.lat.bankRTT.Observe(e.cfg.Clock.Now().Sub(e.sellAt))
-		e.tracer.Record(e.sellTrace, "restock", 0, "sold")
-		return nil
-
 	case wire.KindBatchReply:
 		var br wire.BatchReply
 		if err := br.UnmarshalBinary(plain); err != nil {

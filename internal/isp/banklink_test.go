@@ -121,182 +121,13 @@ func TestUserTradeConservation(t *testing.T) {
 	}
 }
 
-func TestTickBuysWhenLow(t *testing.T) {
-	e, ft, _ := newEngine(t, 0, nil, func(c *Config) {
-		c.InitialAvail = 50 // below MinAvail 100
-		c.RestockAmount = 200
-	})
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ft.bank) != 1 || ft.bank[0].Kind != wire.KindBuy {
-		t.Fatalf("bank traffic = %+v", ft.bank)
-	}
-	// Second tick must not double-buy while a request is pending.
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ft.bank) != 1 {
-		t.Fatalf("double buy: %d requests", len(ft.bank))
-	}
-
-	// Decode the request and accept it.
-	var buy wire.Buy
-	if err := buy.UnmarshalBinary(ft.bank[0].Payload); err != nil {
-		t.Fatal(err)
-	}
-	if buy.Value != 200 {
-		t.Fatalf("buy value = %d", buy.Value)
-	}
-	reply := &wire.Envelope{Kind: wire.KindBuyReply, From: -1,
-		Payload: (&wire.BuyReply{Nonce: buy.Nonce, Accepted: true}).MarshalBinary()}
-	if err := e.HandleBank(reply); err != nil {
-		t.Fatal(err)
-	}
-	if e.Avail() != 250 {
-		t.Fatalf("pool after buy = %v, want 250", e.Avail())
-	}
-	// Replay is rejected and has no effect, also while the next buy is
-	// outstanding: only that buy's nonce may close it.
-	if err := e.HandleBank(reply); !errors.Is(err, ErrStaleReply) {
-		t.Fatalf("replay: %v", err)
-	}
-	if e.Avail() != 250 {
-		t.Fatal("replayed reply changed the pool")
-	}
-	mustRegister(t, e, "whale", 0, 200)
-	if err := e.Tick(); err != nil || len(ft.bank) != 2 {
-		t.Fatalf("second buy: %v, %d requests", err, len(ft.bank))
-	}
-	if err := e.HandleBank(reply); !errors.Is(err, ErrStaleReply) {
-		t.Fatalf("replay during the next buy: %v", err)
-	}
-	if e.Avail() != 50 {
-		t.Fatalf("replayed reply minted into the pool during the next buy: %v", e.Avail())
-	}
-}
-
-func TestTickBuyDenied(t *testing.T) {
-	e, ft, _ := newEngine(t, 0, nil, func(c *Config) { c.InitialAvail = 50 })
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	var buy wire.Buy
-	_ = buy.UnmarshalBinary(ft.bank[0].Payload)
-	reply := &wire.Envelope{Kind: wire.KindBuyReply, From: -1,
-		Payload: (&wire.BuyReply{Nonce: buy.Nonce, Accepted: false}).MarshalBinary()}
-	if err := e.HandleBank(reply); err != nil {
-		t.Fatal(err)
-	}
-	if e.Avail() != 50 {
-		t.Fatal("denied buy changed the pool")
-	}
-	// Engine may retry on the next tick.
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ft.bank) != 2 {
-		t.Fatal("no retry after denial")
-	}
-}
-
-func TestTickSellsWhenHigh(t *testing.T) {
-	e, ft, _ := newEngine(t, 0, nil, func(c *Config) { c.InitialAvail = 2000 })
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ft.bank) != 1 || ft.bank[0].Kind != wire.KindSell {
-		t.Fatalf("bank traffic = %+v", ft.bank)
-	}
-	var sell wire.Sell
-	if err := sell.UnmarshalBinary(ft.bank[0].Payload); err != nil {
-		t.Fatal(err)
-	}
-	// Escrow at send: pool already reduced to the band midpoint (550).
-	if e.Avail() != 550 {
-		t.Fatalf("pool after escrow = %v, want 550", e.Avail())
-	}
-	if sell.Value != 1450 {
-		t.Fatalf("sell value = %d", sell.Value)
-	}
-	reply := &wire.Envelope{Kind: wire.KindSellReply, From: -1,
-		Payload: (&wire.SellReply{Nonce: sell.Nonce}).MarshalBinary()}
-	if err := e.HandleBank(reply); err != nil {
-		t.Fatal(err)
-	}
-	if e.Avail() != 550 {
-		t.Fatalf("pool after sellreply = %v, want 550", e.Avail())
-	}
-	if err := e.HandleBank(reply); !errors.Is(err, ErrStaleReply) {
-		t.Fatalf("replayed sellreply: %v", err)
-	}
-}
-
-// TestSellReplyLostReArms is the regression test for the one-sided
-// retry bug: RestockRetry re-armed only lost buys, so a single dropped
-// SellReply wedged the sell side forever and the pool band could never
-// come back down.
-func TestSellReplyLostReArms(t *testing.T) {
-	e, ft, clk := newEngine(t, 0, nil, func(c *Config) {
-		c.InitialAvail = 2000
-		c.RestockRetry = time.Minute
-	})
-	mustRegister(t, e, "whale", 0, 900)
-	if err := e.Tick(); err != nil { // sells 1450, escrow to the midpoint 550
-		t.Fatal(err)
-	}
-	if len(ft.bank) != 1 || ft.bank[0].Kind != wire.KindSell {
-		t.Fatalf("bank traffic = %+v", ft.bank)
-	}
-	// The SellReply is lost. The pool climbs back above MaxAvail, but
-	// within the retry window no second sell may go out.
-	if err := e.SellEPennies("whale", 900); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ft.bank) != 1 {
-		t.Fatal("sold again while the first exchange was still pending")
-	}
-	// After RestockRetry the sell side re-arms and the band recovers.
-	clk.Advance(time.Minute)
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ft.bank) != 2 || ft.bank[1].Kind != wire.KindSell {
-		t.Fatalf("sell not re-armed after lost reply: %+v", ft.bank)
-	}
-	if e.Stats().RestockRetries != 1 {
-		t.Fatalf("RestockRetries = %d, want 1", e.Stats().RestockRetries)
-	}
-	// Escrow semantics survive the retry: both sells' amounts left the
-	// pool at send time (no refund of the stranded first escrow), so the
-	// pool sits at the midpoint again.
-	if e.Avail() != 550 {
-		t.Fatalf("pool = %v, want 550", e.Avail())
-	}
-	// The original reply arriving late is stale: its nonce was replaced.
-	var firstSell wire.Sell
-	_ = firstSell.UnmarshalBinary(ft.bank[0].Payload)
-	late := &wire.Envelope{Kind: wire.KindSellReply, From: -1,
-		Payload: (&wire.SellReply{Nonce: firstSell.Nonce}).MarshalBinary()}
-	if err := e.HandleBank(late); !errors.Is(err, ErrStaleReply) {
-		t.Fatalf("late first reply: %v", err)
-	}
-}
-
 func batchReply(nonce uint64, fill, burned int64) *wire.Envelope {
 	return &wire.Envelope{Kind: wire.KindBatchReply, From: -1,
 		Payload: (&wire.BatchReply{Nonce: nonce, BuyFilled: fill, SellBurned: burned}).MarshalBinary()}
 }
 
 func TestBatchTickBuysWhenLow(t *testing.T) {
-	e, ft, _ := newEngine(t, 0, nil, func(c *Config) {
-		c.BatchOrders = true
-		c.InitialAvail = 50
-		c.RestockAmount = 200
-	})
+	e, ft, _ := newEngine(t, 0, nil, func(c *Config) { c.InitialAvail = 50 })
 	if err := e.Tick(); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +145,7 @@ func TestBatchTickBuysWhenLow(t *testing.T) {
 	if err := ord.UnmarshalBinary(ft.bank[0].Payload); err != nil {
 		t.Fatal(err)
 	}
-	// Refills to the band midpoint (550 - 50 = 500 > RestockAmount).
+	// Refills to the band midpoint: 550 - 50 = 500.
 	if ord.Buy != 500 || ord.Sell != 0 {
 		t.Fatalf("order = %+v", ord)
 	}
@@ -325,17 +156,29 @@ func TestBatchTickBuysWhenLow(t *testing.T) {
 		t.Fatalf("pool after fill = %v, want 550", e.Avail())
 	}
 	// Nonce replay of the reply is stale.
-	if err := e.HandleBank(batchReply(ord.Nonce, 500, 0)); !errors.Is(err, ErrStaleReply) {
+	reply := batchReply(ord.Nonce, 500, 0)
+	if err := e.HandleBank(reply); !errors.Is(err, ErrStaleReply) {
 		t.Fatalf("replayed batch reply: %v", err)
 	}
 	if e.Avail() != 550 {
 		t.Fatal("replayed reply changed the pool")
 	}
+	// Also while the next order is outstanding: only that order's
+	// nonce may close it.
+	mustRegister(t, e, "whale", 0, 500)
+	if err := e.Tick(); err != nil || len(ft.bank) != 2 {
+		t.Fatalf("second order: %v, %d requests", err, len(ft.bank))
+	}
+	if err := e.HandleBank(reply); !errors.Is(err, ErrStaleReply) {
+		t.Fatalf("replay during the next order: %v", err)
+	}
+	if e.Avail() != 50 {
+		t.Fatalf("replayed reply minted into the pool during the next order: %v", e.Avail())
+	}
 }
 
 func TestBatchTickSellsWhenHigh(t *testing.T) {
 	e, ft, _ := newEngine(t, 0, nil, func(c *Config) {
-		c.BatchOrders = true
 		c.InitialAvail = 2000
 	})
 	if err := e.Tick(); err != nil {
@@ -348,29 +191,55 @@ func TestBatchTickSellsWhenHigh(t *testing.T) {
 	if ord.Buy != 0 || ord.Sell != 1450 {
 		t.Fatalf("order = %+v", ord)
 	}
-	// Escrow at send, exactly like the legacy sell path.
+	// The sold amount is escrowed out of the pool at send.
 	if e.Avail() != 550 {
 		t.Fatalf("pool after escrow = %v, want 550", e.Avail())
 	}
-	if err := e.HandleBank(batchReply(ord.Nonce, 0, 1450)); err != nil {
+	reply := batchReply(ord.Nonce, 0, 1450)
+	if err := e.HandleBank(reply); err != nil {
 		t.Fatal(err)
 	}
 	if e.Avail() != 550 {
 		t.Fatalf("pool after reply = %v, want 550", e.Avail())
 	}
+	if err := e.HandleBank(reply); !errors.Is(err, ErrStaleReply) {
+		t.Fatalf("replayed sell reply: %v", err)
+	}
 }
 
+// TestBatchPartialFillCredited: the bank fills what the ISP's account
+// covers. A fill of 0 is the denied buy: the pool is unchanged and the
+// next tick orders again.
 func TestBatchPartialFillCredited(t *testing.T) {
 	e, ft, _ := newEngine(t, 0, nil, func(c *Config) {
-		c.BatchOrders = true
 		c.InitialAvail = 50
 	})
-	if err := e.Tick(); err != nil {
+	order := func(i int) wire.BatchOrder {
+		t.Helper()
+		if err := e.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if len(ft.bank) != i+1 {
+			t.Fatalf("order %d not sent: %d requests", i, len(ft.bank))
+		}
+		var ord wire.BatchOrder
+		if err := ord.UnmarshalBinary(ft.bank[i].Payload); err != nil {
+			t.Fatal(err)
+		}
+		return ord
+	}
+	ord := order(0)
+	if err := e.HandleBank(batchReply(ord.Nonce, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	var ord wire.BatchOrder
-	_ = ord.UnmarshalBinary(ft.bank[0].Payload)
+	if e.Avail() != 50 {
+		t.Fatalf("denied buy changed the pool: %v", e.Avail())
+	}
 	// The bank could only cover 30 of the 500 asked.
+	ord = order(1)
+	if ord.Buy != 500 {
+		t.Fatalf("retry after denial: buy %d, want 500", ord.Buy)
+	}
 	if err := e.HandleBank(batchReply(ord.Nonce, 30, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -378,22 +247,13 @@ func TestBatchPartialFillCredited(t *testing.T) {
 		t.Fatalf("pool after partial fill = %v, want 80", e.Avail())
 	}
 	// Still below MinAvail: the next tick orders up to the midpoint again.
-	if err := e.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ft.bank) != 2 {
-		t.Fatal("no follow-up order after partial fill")
-	}
-	var ord2 wire.BatchOrder
-	_ = ord2.UnmarshalBinary(ft.bank[1].Payload)
-	if ord2.Buy != 470 {
-		t.Fatalf("follow-up buy = %d, want 470", ord2.Buy)
+	if ord = order(2); ord.Buy != 470 {
+		t.Fatalf("follow-up buy = %d, want 470", ord.Buy)
 	}
 }
 
 func TestBatchReplyOverfillRejected(t *testing.T) {
 	e, ft, _ := newEngine(t, 0, nil, func(c *Config) {
-		c.BatchOrders = true
 		c.InitialAvail = 50
 	})
 	if err := e.Tick(); err != nil {
@@ -415,9 +275,10 @@ func TestBatchReplyOverfillRejected(t *testing.T) {
 	}
 }
 
+// TestBatchOrderLostReplyReArms: RestockRetry re-arms the one order
+// slot after a lost reply, so the pool band recovers on both sides.
 func TestBatchOrderLostReplyReArms(t *testing.T) {
 	e, ft, clk := newEngine(t, 0, nil, func(c *Config) {
-		c.BatchOrders = true
 		c.InitialAvail = 2000
 		c.RestockRetry = time.Minute
 	})
@@ -449,6 +310,18 @@ func TestBatchOrderLostReplyReArms(t *testing.T) {
 	if len(ft.bank) != 2 || ft.bank[1].Kind != wire.KindBatchOrder {
 		t.Fatalf("order not re-armed after lost reply: %+v", ft.bank)
 	}
+	// Escrow semantics survive the retry: both sells left the pool at
+	// send time (no refund of the stranded first escrow), so the pool
+	// sits at the midpoint again.
+	if e.Avail() != 550 {
+		t.Fatalf("pool = %v, want 550", e.Avail())
+	}
+	// The original reply arriving late is stale: its nonce was replaced.
+	var first wire.BatchOrder
+	_ = first.UnmarshalBinary(ft.bank[0].Payload)
+	if err := e.HandleBank(batchReply(first.Nonce, 0, first.Sell)); !errors.Is(err, ErrStaleReply) {
+		t.Fatalf("late first reply: %v", err)
+	}
 }
 
 // TestSellEscrowPreventsOverdraw is the regression test for the §4.3
@@ -464,11 +337,9 @@ func TestSellEscrowPreventsOverdraw(t *testing.T) {
 	if err := e.BuyEPennies("whale", 500); err != nil {
 		t.Fatal(err)
 	}
-	var sell wire.Sell
-	_ = sell.UnmarshalBinary(ft.bank[0].Payload)
-	reply := &wire.Envelope{Kind: wire.KindSellReply, From: -1,
-		Payload: (&wire.SellReply{Nonce: sell.Nonce}).MarshalBinary()}
-	if err := e.HandleBank(reply); err != nil {
+	var ord wire.BatchOrder
+	_ = ord.UnmarshalBinary(ft.bank[0].Payload)
+	if err := e.HandleBank(batchReply(ord.Nonce, 0, ord.Sell)); err != nil {
 		t.Fatal(err)
 	}
 	if e.Avail() < 0 {
@@ -664,7 +535,7 @@ func TestHandleBankWithoutSealers(t *testing.T) {
 	if err := e.Tick(); !errors.Is(err, ErrNotConfigured) {
 		t.Fatalf("tick without sealers: %v", err)
 	}
-	env := &wire.Envelope{Kind: wire.KindBuyReply}
+	env := &wire.Envelope{Kind: wire.KindBatchReply}
 	if err := e.HandleBank(env); !errors.Is(err, ErrNotConfigured) {
 		t.Fatalf("handle without sealers: %v", err)
 	}
@@ -672,7 +543,7 @@ func TestHandleBankWithoutSealers(t *testing.T) {
 
 func TestHandleBankBadPayload(t *testing.T) {
 	e, _, _ := newEngine(t, 0, nil, nil)
-	env := &wire.Envelope{Kind: wire.KindBuyReply, Payload: []byte{1}}
+	env := &wire.Envelope{Kind: wire.KindBatchReply, Payload: []byte{1}}
 	if err := e.HandleBank(env); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
@@ -694,26 +565,23 @@ func TestHandleBankSealedWithRealCrypto(t *testing.T) {
 	if err := e.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	var buy wire.Buy
-	if err := buy.UnmarshalBinary(ft.bank[0].Payload); err != nil { // BankSealer is Null
+	var ord wire.BatchOrder
+	if err := ord.UnmarshalBinary(ft.bank[0].Payload); err != nil { // BankSealer is Null
 		t.Fatal(err)
 	}
-	sealed, err := ispBox.PublicOnly().Seal((&wire.BuyReply{Nonce: buy.Nonce, Accepted: true}).MarshalBinary())
+	sealed, err := ispBox.PublicOnly().Seal((&wire.BatchReply{Nonce: ord.Nonce, BuyFilled: ord.Buy}).MarshalBinary())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.HandleBank(&wire.Envelope{Kind: wire.KindBuyReply, Payload: sealed}); err != nil {
+	if err := e.HandleBank(&wire.Envelope{Kind: wire.KindBatchReply, Payload: sealed}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Avail() != 10+460 { // restock = (1000-100)/2 = 450... see below
-		// RestockAmount defaults to (MaxAvail-MinAvail)/2 = 450.
-		if e.Avail() != 460 {
-			t.Fatalf("pool = %v, want 460", e.Avail())
-		}
+	if e.Avail() != 550 { // refilled to the band midpoint
+		t.Fatalf("pool = %v, want 550", e.Avail())
 	}
 	// Tampered payload rejected.
 	sealed[10] ^= 1
-	if err := e.HandleBank(&wire.Envelope{Kind: wire.KindBuyReply, Payload: sealed}); err == nil {
+	if err := e.HandleBank(&wire.Envelope{Kind: wire.KindBatchReply, Payload: sealed}); err == nil {
 		t.Fatal("tampered sealed payload accepted")
 	}
 }

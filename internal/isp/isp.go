@@ -166,15 +166,14 @@ type Config struct {
 	Transport Transport
 
 	// MinAvail/MaxAvail bound the e-penny pool (§4.3). When the pool
-	// drops below MinAvail the engine buys RestockAmount from the bank;
-	// above MaxAvail it sells the excess down to the midpoint.
+	// drops below MinAvail the engine orders it back up to the band
+	// midpoint; above MaxAvail it sells the excess down to the
+	// midpoint.
 	MinAvail, MaxAvail money.EPenny
 	// InitialAvail seeds the pool.
 	InitialAvail money.EPenny
-	// RestockAmount is the buy size; 0 means (MaxAvail-MinAvail)/2.
-	RestockAmount money.EPenny
-	// RestockRetry re-arms an unanswered pool buy after this much time,
-	// so a buy request lost to a bank crash does not park the restock
+	// RestockRetry re-arms an unanswered pool order after this much
+	// time, so an order lost to a bank crash does not park the restock
 	// handshake forever. Zero disables retries, matching the paper's
 	// reliable-channel assumption. Retrying is safe when the request was
 	// lost (the bank never minted); if instead the reply was lost after
@@ -182,12 +181,10 @@ type Config struct {
 	// auditor (internal/chaos) accounts explicitly.
 	RestockRetry time.Duration
 
-	// BatchOrders coalesces pool maintenance into single sealed
-	// wire.BatchOrder messages (one RTT + one nonce + one seal covering
-	// both the buy and the sell side, with partial-fill replies) instead
-	// of the paper's separate buy/sell exchanges. Requires a bank that
-	// understands KindBatchOrder. Off by default so seeded simulations
-	// keep the legacy per-side handshake byte-identical.
+	// BatchOrders is ignored: every engine trades through one
+	// wire.BatchOrder exchange (see Tick).
+	//
+	// Deprecated: ignored; kept so that existing callers still compile.
 	BatchOrders bool
 
 	// DefaultLimit is the per-user daily send cap applied when a user
@@ -358,7 +355,7 @@ type engineLatencies struct {
 	submit     *metrics.LatencyHist // SubmitSync, end to end
 	admit      *metrics.LatencyHist // Submit admission (policy + enqueue)
 	receive    *metrics.LatencyHist // ReceiveRemote, end to end
-	bankRTT    *metrics.LatencyHist // buy/sell issue → reply
+	bankRTT    *metrics.LatencyHist // pool order issue → reply
 	stripeWait *metrics.LatencyHist // contended stripe-lock waits
 }
 
@@ -409,28 +406,16 @@ type Engine struct {
 
 	// mu guards the cold state: pool level, bank trade handshakes and
 	// the frozen outbox.
-	mu        sync.Mutex
-	avail     money.EPenny
-	outbox    []*mail.Message
-	seq       uint64
-	canBuy    bool
-	canSell   bool
-	ns1       crypto.Nonce // pending buy nonce
-	ns2       crypto.Nonce // pending sell nonce
-	buyVal    money.EPenny
-	sellVal   money.EPenny
-	buyAt     time.Time // when the pending buy was issued (RestockRetry)
-	sellAt    time.Time // when the pending sell was issued (RTT metric)
-	buyTrace  trace.ID  // flow ID of the pending buy exchange
-	sellTrace trace.ID  // flow ID of the pending sell exchange
+	mu     sync.Mutex
+	avail  money.EPenny
+	outbox []*mail.Message
+	seq    uint64
 
-	// Coalesced-order handshake state (Config.BatchOrders; see
-	// tickBatch). One outstanding order at a time, mirroring the
-	// one-outstanding-buy/one-outstanding-sell discipline above.
+	// Pool-order handshake state (see tick): one outstanding
+	// BatchOrder at a time.
 	canOrder bool
 	ordNonce crypto.Nonce // pending order nonce
 	ordBuy   money.EPenny // buy side of the pending order
-	ordSell  money.EPenny // escrowed sell side of the pending order
 	ordAt    time.Time    // when the pending order was issued
 	ordTrace trace.ID     // flow ID of the pending order exchange
 }
@@ -461,9 +446,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.MaxAvail <= cfg.MinAvail {
 		return nil, fmt.Errorf("isp: MaxAvail %d must exceed MinAvail %d", cfg.MaxAvail, cfg.MinAvail)
 	}
-	if cfg.RestockAmount == 0 {
-		cfg.RestockAmount = (cfg.MaxAvail - cfg.MinAvail) / 2
-	}
 	if cfg.DefaultLimit == 0 {
 		cfg.DefaultLimit = 500
 	}
@@ -488,8 +470,6 @@ func New(cfg Config) (*Engine, error) {
 		stripes:  make([]accountStripe, cfg.Stripes),
 		credit:   make([]atomic.Int64, cfg.Directory.Len()),
 		avail:    cfg.InitialAvail,
-		canBuy:   true,
-		canSell:  true,
 		canOrder: true,
 		msgIDs:   mail.NewMessageIDCounter(cfg.Domain),
 		lat:      newEngineLatencies(),

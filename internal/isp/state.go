@@ -18,11 +18,11 @@ import (
 //     loses the buffered submissions (clients retry, as with any MTA
 //     restart) and skips the round's report; the bank's round stalls
 //     and is retried next period;
-//   - in-flight bank trades — a buy reply arriving for a pre-restart
-//     nonce is dropped by the nonce check. An accepted-but-unapplied
-//     buy is the one real loss window; operators should drain (stop
+//   - the in-flight bank order — a reply arriving for a pre-restart
+//     nonce is dropped by the nonce check. A filled-but-unapplied
+//     order is the one real loss window; operators should drain (stop
 //     Tick) before planned restarts. Config.RestockRetry re-arms a lost
-//     buy so the pool recovers; the stranded value of a lost *reply* is
+//     order so the pool recovers; the stranded value of a lost *reply* is
 //     what internal/chaos's auditor accounts for.
 //
 // The nonce source's monotonic counter IS persisted (NonceCounter):

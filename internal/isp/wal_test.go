@@ -31,11 +31,12 @@ func exportJSON(t testing.TB, e *Engine) []byte {
 	return b
 }
 
-// walConfig shapes the engines driveWALWorkload runs on: a restock
-// large enough that one accepted buy plus a user's sale lifts the pool
-// over MaxAvail, and a retry window so a lost bank reply re-arms.
+// walConfig shapes the engines driveWALWorkload runs on: a band
+// narrow enough that a refill to its midpoint plus a user's sale lifts
+// the pool over MaxAvail, and a retry window so a lost bank reply
+// re-arms.
 func walConfig(c *Config) {
-	c.RestockAmount = 900
+	c.MaxAvail = 600
 	c.RestockRetry = time.Minute
 }
 
@@ -63,9 +64,9 @@ func requireRecovers(t *testing.T, step string, e *Engine, dir string, mutate fu
 // driveWALWorkload pushes an engine built with walConfig, logging to
 // dir, through every mutation class the WAL records: registration,
 // deposits/withdrawals, limit changes, local and remote sends, user
-// trades, split-order bank trades (a buy whose reply is lost, its
-// re-armed retry and reply, then a sell escrowed out of the pool and
-// its reply), a snapshot round (credit zeroing), end-of-day, and a
+// trades, bank orders (a buy whose reply is lost, its re-armed retry
+// and fill, then a sell escrowed out of the pool and its reply), a
+// snapshot round (credit zeroing), end-of-day, and a
 // zombie warning from both the synchronous and the queued send path.
 // After every step, a copy of the log recovers to the live state.
 func driveWALWorkload(t *testing.T, e *Engine, dir string, ft *fakeTransport, clk *clock.Virtual) {
@@ -113,39 +114,40 @@ func driveWALWorkload(t *testing.T, e *Engine, dir string, ft *fakeTransport, cl
 		t.Fatal(err)
 	}
 	step("user sell")
-	// Bank trades in the split form. Drain the pool under MinAvail and
-	// tick a buy out (burns a nonce); its reply is lost.
+	// Bank orders. Drain the pool under MinAvail and tick a buy order
+	// out (burns a nonce); its reply is lost.
 	mustRegister(t, e, "whale", 0, int64(e.Avail())-50)
 	step("whale registration")
-	lost := tickBank[wire.Buy](t, e, ft, wire.KindBuy)
-	step("buy tick")
-	// After RestockRetry the buy side re-arms and a second buy goes
-	// out under a fresh nonce; its reply is accepted (pool delta).
+	lost := tickBank[wire.BatchOrder](t, e, ft, wire.KindBatchOrder)
+	step("buy order")
+	// After RestockRetry the order slot re-arms and a second order goes
+	// out under a fresh nonce; the bank fills it (pool delta).
 	clk.Advance(e.cfg.RestockRetry)
-	buy := tickBank[wire.Buy](t, e, ft, wire.KindBuy)
+	buy := tickBank[wire.BatchOrder](t, e, ft, wire.KindBatchOrder)
 	if buy.Nonce == lost.Nonce || e.Stats().RestockRetries != 1 {
-		t.Fatalf("re-armed buy nonce %d (lost %d), %d retries", buy.Nonce, lost.Nonce, e.Stats().RestockRetries)
+		t.Fatalf("re-armed order nonce %d (lost %d), %d retries", buy.Nonce, lost.Nonce, e.Stats().RestockRetries)
 	}
-	step("re-armed buy tick")
-	if err := e.HandleBank(&wire.Envelope{Kind: wire.KindBuyReply, From: -1,
-		Payload: (&wire.BuyReply{Nonce: buy.Nonce, Accepted: true}).MarshalBinary()}); err != nil {
+	step("re-armed buy order")
+	if err := e.HandleBank(batchReply(buy.Nonce, buy.Buy, 0)); err != nil {
 		t.Fatal(err)
 	}
-	step("buyreply")
+	step("fill")
 	// The whale sells back enough to lift the pool over MaxAvail; the
 	// next tick sells the excess, escrowed out of the pool at send
 	// (burns a nonce and moves the pool), and the reply closes it.
-	if err := e.SellEPennies("whale", 100); err != nil {
+	if err := e.SellEPennies("whale", 300); err != nil {
 		t.Fatal(err)
 	}
 	step("whale sell")
-	sell := tickBank[wire.Sell](t, e, ft, wire.KindSell)
-	step("sell tick")
-	if err := e.HandleBank(&wire.Envelope{Kind: wire.KindSellReply, From: -1,
-		Payload: (&wire.SellReply{Nonce: sell.Nonce}).MarshalBinary()}); err != nil {
+	sell := tickBank[wire.BatchOrder](t, e, ft, wire.KindBatchOrder)
+	if sell.Buy != 0 || sell.Sell == 0 {
+		t.Fatalf("sell tick ordered %+v", sell)
+	}
+	step("sell order")
+	if err := e.HandleBank(batchReply(sell.Nonce, 0, sell.Sell)); err != nil {
 		t.Fatal(err)
 	}
-	step("sellreply")
+	step("sell reply")
 	// Snapshot round: freeze, let the quiet period expire, report —
 	// zeroes the credit array and advances seq in the meta segment —
 	// and thaw.
@@ -268,7 +270,7 @@ func TestWALEngineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALBatchOrders runs coalesced bank orders under the WAL: a
+// TestWALBatchOrders runs bank orders under the WAL: a
 // sell-side order the bank answers, a partially filled buy, and one
 // order still outstanding at the crash. Each order's nonce and pool
 // escrow, and each fill's pool credit, must be logged: after every
@@ -278,11 +280,7 @@ func TestWALEngineRoundTrip(t *testing.T) {
 // order that resent its predecessor's nonce would still advance it,
 // and the bank would refuse that order as a replay.
 func TestWALBatchOrders(t *testing.T) {
-	batch := func(c *Config) {
-		c.BatchOrders = true
-		c.InitialAvail = 1500
-		c.RestockAmount = 200
-	}
+	batch := func(c *Config) { c.InitialAvail = 1500 }
 	dir := filepath.Join(t.TempDir(), "wal")
 	e1, ft, _ := newEngine(t, 0, nil, batch)
 	if err := e1.AttachWAL(dir); err != nil {

@@ -204,12 +204,10 @@ func DefaultConfig() Config {
 		},
 		MoneyFields: []string{"balance", "credit", "avail"},
 		MintFuncs: []string{
-			// ISP side of the bank exchange: buyreply mints pool
-			// e-pennies against the bank account, the sell tick burns
-			// them into escrow. tickBatch is the coalesced-order twin:
-			// one sealed BatchOrder escrows the sell side at send.
+			// ISP side of the bank exchange: the order reply mints pool
+			// e-pennies against the bank account, and the tick escrows
+			// an order's sell side out of the pool at send.
 			"zmail/internal/isp:tick",
-			"zmail/internal/isp:tickBatch",
 			"zmail/internal/isp:handleBank",
 			// The AP model's equivalents, registered as closures.
 			"zmail/internal/ap/zmailspec:rcv-buyreply",
@@ -263,26 +261,14 @@ func DefaultConfig() Config {
 			"zmail/internal/isp.user.journal":        {"zmail/internal/isp.accountStripe.mu", "zmail/internal/isp.Engine.freezeMu:W"},
 			"zmail/internal/isp.user.pending":        {"zmail/internal/isp.accountStripe.mu", "zmail/internal/isp.Engine.freezeMu:W"},
 			// ISP cold state under Engine.mu.
-			"zmail/internal/isp.Engine.avail":     {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.outbox":    {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.seq":       {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.canBuy":    {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.canSell":   {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.ns1":       {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.ns2":       {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.buyVal":    {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.sellVal":   {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.buyAt":     {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.sellAt":    {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.buyTrace":  {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.sellTrace": {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			// Coalesced-order cold state (DESIGN decision 15): one
-			// outstanding BatchOrder slot per engine, under Engine.mu like
-			// the split-order state it replaces.
+			"zmail/internal/isp.Engine.avail":  {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
+			"zmail/internal/isp.Engine.outbox": {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
+			"zmail/internal/isp.Engine.seq":    {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
+			// Pool-order cold state (DESIGN decision 15): one
+			// outstanding BatchOrder slot per engine.
 			"zmail/internal/isp.Engine.canOrder": {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
 			"zmail/internal/isp.Engine.ordNonce": {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
 			"zmail/internal/isp.Engine.ordBuy":   {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
-			"zmail/internal/isp.Engine.ordSell":  {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
 			"zmail/internal/isp.Engine.ordAt":    {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
 			"zmail/internal/isp.Engine.ordTrace": {"zmail/internal/isp.Engine.mu", "zmail/internal/isp.Engine.freezeMu:W"},
 			// The freeze flag itself: the write side flips it, the read

@@ -12,8 +12,8 @@ package lint
 // function literals are units of their own — the AP spec registers its
 // whole economy as closures, labeled by their registration name. A
 // path's fact is its net ledger delta, a multiset of canonical amount
-// expressions with signed counts: `e.avail -= e.sellVal` adds
-// ("e.sellVal", -1) and a later `e.avail += e.sellVal` cancels it. The
+// expressions with signed counts: `e.avail -= sell` adds
+// ("sell", -1) and a later `e.avail += sell` cancels it. The
 // state is the set of deltas reaching a point, each tagged with the
 // error outcome of the last summarized call whose error the path bound;
 // past mwMaxPaths distinct paths, or once a delta outgrows mwMaxTerms,
@@ -170,7 +170,7 @@ func (d *deltaSet) key() string {
 }
 
 // render prints the net delta for a finding message, e.g. "-1" or
-// "-e.sellVal" or "+2*st.BuyValue".
+// "-sell" or "+2*st.BuyValue".
 func (d *deltaSet) render() string {
 	terms := make([]string, 0, len(d.net))
 	for amt, c := range d.net {

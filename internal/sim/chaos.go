@@ -52,14 +52,16 @@ func (l *lossLedger) pairSums() map[[2]int]int64 {
 	return out
 }
 
-// valueLoss reports dropped control messages that strand e-penny value:
-// a lost sell request leaves the seller's escrow unburned-but-gone, a
-// lost buy reply may leave accepted mint unapplied, and a lost credit
-// report removes a whole credit row from the federation ledger.
+// valueLoss reports dropped control messages that may strand e-penny
+// value: a lost order may carry a sell side whose escrow is now
+// unburned-but-gone, a lost order reply may leave a filled buy
+// unapplied, and a lost credit report removes a whole credit row from
+// the federation ledger. The order bodies are sealed, so every lost
+// order and reply counts.
 func (l *lossLedger) valueLoss() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.bankKind[wire.KindSell] + l.bankKind[wire.KindBuyReply] + l.bankKind[wire.KindReply]
+	return l.bankKind[wire.KindBatchOrder] + l.bankKind[wire.KindBatchReply] + l.bankKind[wire.KindReply]
 }
 
 // reportLoss reports dropped §4.4 credit reports, which additionally
@@ -75,8 +77,8 @@ func (l *lossLedger) reportLoss() int64 {
 // nonce/seq replay protection survived the crash.
 type replayProbes struct {
 	mu     sync.Mutex
-	toBank []*wire.Envelope // last Buy/Sell delivered, by ISP index
-	toISP  []*wire.Envelope // last Buy/SellReply delivered, by ISP index
+	toBank []*wire.Envelope // last BatchOrder delivered, by ISP index
+	toISP  []*wire.Envelope // last BatchReply delivered, by ISP index
 }
 
 // chaosTrace is the simnet trace hook active during RunChaos.
@@ -87,10 +89,9 @@ func (w *World) chaosTrace(ev simnet.Event) {
 			return
 		}
 		w.probes.mu.Lock()
-		if ev.To == nodeBank && (env.Kind == wire.KindBuy || env.Kind == wire.KindSell) {
+		if ev.To == nodeBank && env.Kind == wire.KindBatchOrder {
 			w.probes.toBank[int(env.From)] = env
-		} else if i, isISP := w.nodeIdx[ev.To]; isISP && ev.From == nodeBank &&
-			(env.Kind == wire.KindBuyReply || env.Kind == wire.KindSellReply) {
+		} else if i, isISP := w.nodeIdx[ev.To]; isISP && ev.From == nodeBank && env.Kind == wire.KindBatchReply {
 			w.probes.toISP[i] = env
 		}
 		w.probes.mu.Unlock()
@@ -367,7 +368,7 @@ func (w *World) applyChaosEvent(ev chaos.Event) error {
 //   - e-penny conservation at every quiescent point (crashed nodes
 //     contribute their durable totals), exactly when no value-stranding
 //     control message was lost, with an explanatory note otherwise;
-//   - nonce monotonicity: the last delivered pre-crash buy/sell (and
+//   - nonce monotonicity: the last delivered pre-crash pool order (and
 //     reply) for every ISP is replayed after all restarts and must be
 //     rejected without moving the mint counters;
 //   - credit antisymmetry: a final §4.4 audit round's flagged pairs

@@ -350,7 +350,7 @@ func TestCrashDuringFreezeRecovers(t *testing.T) {
 	}
 }
 
-// TestNonceReplayAfterBankRestart replays a captured buy against a
+// TestNonceReplayAfterBankRestart replays a captured buy order against a
 // restarted bank directly (the unit-level version of the auditor's
 // probe) and checks the mint counters do not move.
 func TestNonceReplayAfterBankRestart(t *testing.T) {
@@ -361,7 +361,7 @@ func TestNonceReplayAfterBankRestart(t *testing.T) {
 	var captured *wire.Envelope
 	w.Net.SetTrace(func(ev simnet.Event) {
 		if env, ok := ev.Payload.(*wire.Envelope); ok && !ev.Dropped &&
-			ev.To == nodeBank && env.Kind == wire.KindBuy {
+			ev.To == nodeBank && env.Kind == wire.KindBatchOrder {
 			captured = env
 		}
 	})

@@ -3,19 +3,14 @@
 //
 // The message bodies mirror the paper's channel messages:
 //
-//	buy(x)        ISP → bank   request to buy e-pennies (sealed, nonced)
-//	buyreply(x)   bank → ISP   grant/deny (echoes nonce)
-//	sell(x)       ISP → bank   sell e-pennies back (sealed, nonced)
-//	sellreply(x)  bank → ISP   confirmation (echoes nonce)
+//	batchorder(x) ISP → bank   coalesced buy/sell order (sealed, nonced)
+//	batchreply(x) bank → ISP   partial-fill grant (echoes nonce)
 //	request(x)    bank → ISP   credit-array snapshot request (seq)
 //	reply(x)      ISP → bank   the ISP's credit array
 //
-// plus the batch-order extension (one coalesced buy+sell per sealed
-// message, amortizing a round trip, a nonce, and a seal across many
-// e-pennies):
-//
-//	batchorder(x) ISP → bank   coalesced buy/sell order (sealed, nonced)
-//	batchreply(x) bank → ISP   partial-fill grant (echoes nonce)
+// The paper's buy/buyreply and sell/sellreply pairs travel as one
+// batchorder/batchreply exchange: one round trip, one nonce and one
+// seal cover both sides of the pool trade.
 //
 // Bodies are fixed little-endian binary; each travels inside an
 // Envelope that carries the message kind, the sender's ISP index, an
@@ -42,40 +37,28 @@ import (
 // Kind discriminates envelope payloads.
 type Kind uint8
 
-// Message kinds, one per paper message. The batch kinds extend the
-// paper's vocabulary and are appended after KindHello so existing
-// on-the-wire byte values never change.
+// Message kinds. The byte values are fixed on the wire: 1–4 belonged to
+// the retired split buy/buyreply/sell/sellreply exchange, the envelope
+// decoder refuses them, and no kind may reuse them.
 const (
-	KindBuy Kind = iota + 1
-	KindBuyReply
-	KindSell
-	KindSellReply
-	KindRequest
-	KindReply
+	KindRequest Kind = 5
+	KindReply   Kind = 6
 	// KindHello carries no payload; an ISP sends it immediately after
 	// connecting so the bank can associate the connection with the
 	// ISP's index before any substantive traffic flows (needed for
 	// bank-initiated snapshot requests).
-	KindHello
-	// KindBatchOrder coalesces one buy and one sell into a single
-	// sealed, nonced order (see BatchOrder).
-	KindBatchOrder
+	KindHello Kind = 7
+	// KindBatchOrder carries the §4.3 pool trade: one sealed, nonced
+	// buy and sell order (see BatchOrder).
+	KindBatchOrder Kind = 8
 	// KindBatchReply answers a batch order with the partially-fillable
 	// grant (see BatchReply).
-	KindBatchReply
+	KindBatchReply Kind = 9
 )
 
 // String names the kind.
 func (k Kind) String() string {
 	switch k {
-	case KindBuy:
-		return "buy"
-	case KindBuyReply:
-		return "buyreply"
-	case KindSell:
-		return "sell"
-	case KindSellReply:
-		return "sellreply"
 	case KindRequest:
 		return "request"
 	case KindReply:
@@ -96,14 +79,18 @@ func (k Kind) String() string {
 // against String(), and zmailspec's kind-agreement test compares this
 // enumeration against the AP spec's receive vocabulary.
 func Kinds() []Kind {
-	return []Kind{KindBuy, KindBuyReply, KindSell, KindSellReply, KindRequest, KindReply, KindHello, KindBatchOrder, KindBatchReply}
+	return []Kind{KindRequest, KindReply, KindHello, KindBatchOrder, KindBatchReply}
 }
+
+// retiredKind reports a byte value of the retired split exchange.
+func retiredKind(k Kind) bool { return k >= 1 && k <= 4 }
 
 // Errors returned by decoders.
 var (
 	ErrShortMessage = errors.New("wire: message truncated")
 	ErrBadMagic     = errors.New("wire: bad envelope magic")
 	ErrTooLarge     = errors.New("wire: envelope exceeds size limit")
+	ErrRetiredKind  = errors.New("wire: retired message kind")
 )
 
 // MaxEnvelopeSize bounds a framed envelope; a credit array for 4096
@@ -151,6 +138,9 @@ func (e *Envelope) UnmarshalBinary(data []byte) error {
 		return ErrBadMagic
 	}
 	e.Kind = Kind(data[2])
+	if retiredKind(e.Kind) {
+		return fmt.Errorf("%w %d", ErrRetiredKind, data[2])
+	}
 	e.From = int32(binary.LittleEndian.Uint32(data[3:7]))
 	e.Trace = binary.LittleEndian.Uint64(data[7:15])
 	e.Payload = append([]byte(nil), data[EnvelopeHeaderSize:]...)
@@ -210,108 +200,6 @@ func ReadEnvelope(r io.Reader) (*Envelope, error) {
 		return nil, err
 	}
 	return &e, nil
-}
-
-// Buy is the paper's buy(NCR(B_b, buyvalue|ns1)) body: the ISP wants to
-// buy Value e-pennies; Nonce guards against replay.
-type Buy struct {
-	Value int64
-	Nonce uint64
-}
-
-// AppendBinary appends the encoded body to buf.
-func (m *Buy) AppendBinary(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Value))
-	return binary.LittleEndian.AppendUint64(buf, m.Nonce)
-}
-
-// MarshalBinary encodes the body.
-func (m *Buy) MarshalBinary() []byte { return m.AppendBinary(nil) }
-
-// UnmarshalBinary decodes the body.
-func (m *Buy) UnmarshalBinary(data []byte) error {
-	if len(data) < 16 {
-		return ErrShortMessage
-	}
-	m.Value = int64(binary.LittleEndian.Uint64(data[0:8]))
-	m.Nonce = binary.LittleEndian.Uint64(data[8:16])
-	return nil
-}
-
-// BuyReply is the paper's buyreply(NCR(R_b, nr|accepted)) body.
-type BuyReply struct {
-	Nonce    uint64
-	Accepted bool
-}
-
-// AppendBinary appends the encoded body to buf.
-func (m *BuyReply) AppendBinary(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, m.Nonce)
-	accepted := byte(0)
-	if m.Accepted {
-		accepted = 1
-	}
-	return append(buf, accepted)
-}
-
-// MarshalBinary encodes the body.
-func (m *BuyReply) MarshalBinary() []byte { return m.AppendBinary(nil) }
-
-// UnmarshalBinary decodes the body.
-func (m *BuyReply) UnmarshalBinary(data []byte) error {
-	if len(data) < 9 {
-		return ErrShortMessage
-	}
-	m.Nonce = binary.LittleEndian.Uint64(data[0:8])
-	m.Accepted = data[8] == 1
-	return nil
-}
-
-// Sell is the paper's sell(NCR(B_b, sellvalue|ns2)) body.
-type Sell struct {
-	Value int64
-	Nonce uint64
-}
-
-// AppendBinary appends the encoded body to buf.
-func (m *Sell) AppendBinary(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Value))
-	return binary.LittleEndian.AppendUint64(buf, m.Nonce)
-}
-
-// MarshalBinary encodes the body.
-func (m *Sell) MarshalBinary() []byte { return m.AppendBinary(nil) }
-
-// UnmarshalBinary decodes the body.
-func (m *Sell) UnmarshalBinary(data []byte) error {
-	if len(data) < 16 {
-		return ErrShortMessage
-	}
-	m.Value = int64(binary.LittleEndian.Uint64(data[0:8]))
-	m.Nonce = binary.LittleEndian.Uint64(data[8:16])
-	return nil
-}
-
-// SellReply is the paper's sellreply(NCR(R_b, nr)) body.
-type SellReply struct {
-	Nonce uint64
-}
-
-// AppendBinary appends the encoded body to buf.
-func (m *SellReply) AppendBinary(buf []byte) []byte {
-	return binary.LittleEndian.AppendUint64(buf, m.Nonce)
-}
-
-// MarshalBinary encodes the body.
-func (m *SellReply) MarshalBinary() []byte { return m.AppendBinary(nil) }
-
-// UnmarshalBinary decodes the body.
-func (m *SellReply) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return ErrShortMessage
-	}
-	m.Nonce = binary.LittleEndian.Uint64(data)
-	return nil
 }
 
 // Request is the paper's request(NCR(R_b, seq)) body: the bank asks for

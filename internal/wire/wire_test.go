@@ -10,55 +10,16 @@ import (
 	"testing/quick"
 )
 
-func TestBuyRoundTrip(t *testing.T) {
-	f := func(value int64, nonce uint64) bool {
-		in := Buy{Value: value, Nonce: nonce}
-		var out Buy
-		return out.UnmarshalBinary(in.MarshalBinary()) == nil && out == in
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBuyReplyRoundTrip(t *testing.T) {
-	f := func(nonce uint64, accepted bool) bool {
-		in := BuyReply{Nonce: nonce, Accepted: accepted}
-		var out BuyReply
-		return out.UnmarshalBinary(in.MarshalBinary()) == nil && out == in
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSellRoundTrip(t *testing.T) {
-	f := func(value int64, nonce uint64) bool {
-		in := Sell{Value: value, Nonce: nonce}
-		var out Sell
-		return out.UnmarshalBinary(in.MarshalBinary()) == nil && out == in
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSellReplyAndRequestRoundTrip(t *testing.T) {
+func TestRequestRoundTrip(t *testing.T) {
 	f := func(n uint64) bool {
-		var sr SellReply
-		var rq Request
-		okSr := sr.UnmarshalBinary(SellReply{Nonce: n}.marshal()) == nil && sr.Nonce == n
-		okRq := rq.UnmarshalBinary(Request{Seq: n}.marshal()) == nil && rq.Seq == n
-		return okSr && okRq
+		in := Request{Seq: n}
+		var out Request
+		return out.UnmarshalBinary(in.MarshalBinary()) == nil && out == in
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
-
-// marshal adapters (value receivers for quick closures).
-func (m SellReply) marshal() []byte { return (&m).MarshalBinary() }
-func (m Request) marshal() []byte   { return (&m).MarshalBinary() }
 
 func TestCreditReportRoundTrip(t *testing.T) {
 	f := func(seq uint64, credits []int64) bool {
@@ -97,7 +58,7 @@ func TestTruncatedBodies(t *testing.T) {
 	cases := []interface {
 		UnmarshalBinary([]byte) error
 	}{
-		&Buy{}, &BuyReply{}, &Sell{}, &SellReply{}, &Request{}, &CreditReport{},
+		&Request{}, &CreditReport{},
 		&BatchOrder{}, &BatchReply{},
 	}
 	for _, m := range cases {
@@ -150,10 +111,6 @@ func TestAppendBinaryPrefix(t *testing.T) {
 		AppendBinary([]byte) []byte
 		MarshalBinary() []byte
 	}{
-		&Buy{Value: -7, Nonce: 99},
-		&BuyReply{Nonce: 3, Accepted: true},
-		&Sell{Value: 12, Nonce: 4},
-		&SellReply{Nonce: 5},
 		&Request{Seq: 6},
 		&CreditReport{Seq: 7, Credits: []int64{-1, 0, 8}},
 		&BatchOrder{Buy: 300, Sell: 0, Nonce: 11},
@@ -197,7 +154,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		in := Envelope{Kind: Kind(kind), From: from, Trace: trace, Payload: payload}
 		var out Envelope
 		if err := out.UnmarshalBinary(in.MarshalBinary()); err != nil {
-			return false
+			return retiredKind(in.Kind) && errors.Is(err, ErrRetiredKind)
 		}
 		return out.Kind == in.Kind && out.From == in.From && out.Trace == in.Trace &&
 			bytes.Equal(out.Payload, in.Payload)
@@ -208,7 +165,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestEnvelopeBadMagic(t *testing.T) {
-	raw := (&Envelope{Kind: KindBuy, From: 0}).MarshalBinary()
+	raw := (&Envelope{Kind: KindBatchOrder, From: 0}).MarshalBinary()
 	raw[0] = 0xFF
 	var out Envelope
 	if err := out.UnmarshalBinary(raw); !errors.Is(err, ErrBadMagic) {
@@ -219,7 +176,7 @@ func TestEnvelopeBadMagic(t *testing.T) {
 func TestEnvelopeStreamFraming(t *testing.T) {
 	var buf bytes.Buffer
 	envs := []*Envelope{
-		{Kind: KindBuy, From: 0, Payload: []byte("one")},
+		{Kind: KindBatchOrder, From: 0, Payload: []byte("one")},
 		{Kind: KindRequest, From: -1, Payload: nil},
 		{Kind: KindReply, From: 3, Payload: bytes.Repeat([]byte{9}, 1000)},
 	}
@@ -259,7 +216,7 @@ func TestEnvelopeSizeLimit(t *testing.T) {
 
 func TestEnvelopeTruncatedStream(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteEnvelope(&buf, &Envelope{Kind: KindBuy, Payload: []byte("hello")}); err != nil {
+	if err := WriteEnvelope(&buf, &Envelope{Kind: KindBatchOrder, Payload: []byte("hello")}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()[:buf.Len()-2]
@@ -270,9 +227,8 @@ func TestEnvelopeTruncatedStream(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	names := map[Kind]string{
-		KindBuy: "buy", KindBuyReply: "buyreply", KindSell: "sell",
-		KindSellReply: "sellreply", KindRequest: "request", KindReply: "reply",
-		KindHello: "hello", KindBatchOrder: "batchorder", KindBatchReply: "batchreply",
+		KindRequest: "request", KindReply: "reply", KindHello: "hello",
+		KindBatchOrder: "batchorder", KindBatchReply: "batchreply",
 	}
 	for k, want := range names {
 		if k.String() != want {
@@ -285,7 +241,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestEnvelopePayloadCopied(t *testing.T) {
-	raw := (&Envelope{Kind: KindBuy, Payload: []byte("abc")}).MarshalBinary()
+	raw := (&Envelope{Kind: KindBatchReply, Payload: []byte("abc")}).MarshalBinary()
 	var out Envelope
 	if err := out.UnmarshalBinary(raw); err != nil {
 		t.Fatal(err)
@@ -300,10 +256,6 @@ func TestEnvelopePayloadCopied(t *testing.T) {
 // arbitrary input must error cleanly, never panic or over-allocate.
 func TestUnmarshalNeverPanics(t *testing.T) {
 	decoders := []func() interface{ UnmarshalBinary([]byte) error }{
-		func() interface{ UnmarshalBinary([]byte) error } { return &Buy{} },
-		func() interface{ UnmarshalBinary([]byte) error } { return &BuyReply{} },
-		func() interface{ UnmarshalBinary([]byte) error } { return &Sell{} },
-		func() interface{ UnmarshalBinary([]byte) error } { return &SellReply{} },
 		func() interface{ UnmarshalBinary([]byte) error } { return &Request{} },
 		func() interface{ UnmarshalBinary([]byte) error } { return &CreditReport{} },
 		func() interface{ UnmarshalBinary([]byte) error } { return &BatchOrder{} },
@@ -362,6 +314,31 @@ func TestKindsComplete(t *testing.T) {
 		k := Kind(i)
 		if k.String() != fmt.Sprintf("wire.Kind(%d)", i) && !enumerated[k] {
 			t.Errorf("String() names %v but Kinds() omits it", k)
+		}
+	}
+}
+
+// TestKindByteValues pins the on-the-wire byte of every kind. The split
+// exchange's 1–4 are retired: Kinds() and String() drop them, the
+// decoder refuses them, and the survivors keep their values.
+func TestKindByteValues(t *testing.T) {
+	want := map[Kind]byte{KindRequest: 5, KindReply: 6, KindHello: 7, KindBatchOrder: 8, KindBatchReply: 9}
+	if len(Kinds()) != len(want) {
+		t.Fatalf("Kinds() = %v, want the %d kinds pinned here", Kinds(), len(want))
+	}
+	for _, k := range Kinds() {
+		if b, ok := want[k]; !ok || byte(k) != b {
+			t.Errorf("%v is byte %d, want %d", k, byte(k), b)
+		}
+	}
+	for b := byte(1); b <= 4; b++ {
+		if got := Kind(b).String(); got != fmt.Sprintf("wire.Kind(%d)", b) {
+			t.Errorf("retired kind %d is named %q", b, got)
+		}
+		raw := (&Envelope{Kind: Kind(b), Payload: []byte("x")}).MarshalBinary()
+		var out Envelope
+		if err := out.UnmarshalBinary(raw); !errors.Is(err, ErrRetiredKind) {
+			t.Errorf("retired kind %d decoded: err = %v", b, err)
 		}
 	}
 }
