@@ -75,7 +75,9 @@ func (e enrollFlag) Set(v string) error {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], stop); err != nil {
 		fmt.Fprintln(os.Stderr, "zbank:", err)
 		os.Exit(1)
 	}
@@ -112,7 +114,8 @@ func parseIndexCSV(flagName, csv string, n int) ([]int, error) {
 	return out, nil
 }
 
-func run(args []string) error {
+// run boots the bank the flags describe and serves until stop fires.
+func run(args []string, stop <-chan os.Signal) error {
 	fs := flag.NewFlagSet("zbank", flag.ContinueOnError)
 	enrollments := enrollFlag{}
 	var (
@@ -191,7 +194,7 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "zbank[%s]: "+format+"\n", append([]any{role}, a...)...)
 	}
 	if role == "root" {
-		return runRoot(*listen, *isps, *assignCSV, *metricsAd, ownSealer, logf)
+		return runRoot(*listen, *isps, *assignCSV, *metricsAd, ownSealer, logf, stop)
 	}
 
 	// A leaf serves only its region: the other indexes stay
@@ -260,9 +263,6 @@ func run(args []string) error {
 	}
 	logf("listening on %s for %d ISPs (funds %v each)", d.Addr(), *isps, money.Penny(*funds))
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-
 	var ticker *time.Ticker
 	var tick <-chan time.Time
 	if *auditEvery > 0 {
@@ -280,10 +280,11 @@ func run(args []string) error {
 				logf("audit: %v", err)
 				continue
 			}
-			// Poll briefly for completion, then report.
-			deadline := time.Now().Add(time.Minute)
-			for !bk.RoundComplete() && time.Now().Before(deadline) {
-				time.Sleep(100 * time.Millisecond)
+			// Poll briefly for completion, then report. A round
+			// stalled on a down ISP must not hold up shutdown.
+			if !awaitRound(bk, stop) {
+				logf("shutting down")
+				return nil
 			}
 			st := bk.Stats()
 			logf("audit round %d complete; %d total violations; %d e-pennies outstanding",
@@ -304,11 +305,29 @@ func run(args []string) error {
 	}
 }
 
+// awaitRound polls for up to a minute for the bank's audit round to
+// complete. It returns false if stop fires first.
+func awaitRound(bk *bank.Bank, stop <-chan os.Signal) bool {
+	poll := time.NewTicker(100 * time.Millisecond)
+	defer poll.Stop()
+	deadline := time.After(time.Minute)
+	for !bk.RoundComplete() {
+		select {
+		case <-poll.C:
+		case <-deadline:
+			return true
+		case <-stop:
+			return false
+		}
+	}
+	return true
+}
+
 // runRoot serves the top of the two-level hierarchy: a passive
 // aggregator that accepts credit reports forwarded by the leaves,
 // joins them by round, and verifies the cross-region pairs. It holds
 // no accounts and mints nothing, so there is no ledger to persist.
-func runRoot(listen string, isps int, assignCSV, metricsAd string, ownSealer crypto.Sealer, logf func(string, ...any)) error {
+func runRoot(listen string, isps int, assignCSV, metricsAd string, ownSealer crypto.Sealer, logf func(string, ...any), stop <-chan os.Signal) error {
 	assign, err := parseIndexCSV("-assign", assignCSV, isps)
 	if err != nil {
 		return err
@@ -346,8 +365,6 @@ func runRoot(listen string, isps int, assignCSV, metricsAd string, ownSealer cry
 	}
 	logf("root listening on %s for %d ISPs (regions %v)", srv.Addr(), isps, assign)
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	report := time.NewTicker(time.Minute)
 	defer report.Stop()
 	known := 0

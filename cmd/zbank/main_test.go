@@ -1,24 +1,29 @@
 package main
 
 import (
+	"net"
+	"os"
 	"strings"
 	"testing"
+	"time"
+
+	"zmail/internal/wire"
 )
 
 func TestZbankFlagValidation(t *testing.T) {
-	if err := run([]string{"-insecure"}); err == nil {
+	if err := run([]string{"-insecure"}, nil); err == nil {
 		t.Error("missing -isps accepted")
 	}
-	if err := run([]string{"-isps", "2"}); err == nil {
+	if err := run([]string{"-isps", "2"}, nil); err == nil {
 		t.Error("missing key material accepted (neither -key nor -insecure)")
 	}
-	if err := run([]string{"-isps", "2", "-key", "/nonexistent/bank.key"}); err == nil {
+	if err := run([]string{"-isps", "2", "-key", "/nonexistent/bank.key"}, nil); err == nil {
 		t.Error("unreadable key file accepted")
 	}
-	if err := run([]string{"-isps", "2", "-insecure", "-enroll", "garbage"}); err == nil {
+	if err := run([]string{"-isps", "2", "-insecure", "-enroll", "garbage"}, nil); err == nil {
 		t.Error("malformed -enroll accepted")
 	}
-	if err := run([]string{"-isps", "2", "-insecure", "-enroll", "x=file.pub"}); err == nil {
+	if err := run([]string{"-isps", "2", "-insecure", "-enroll", "x=file.pub"}, nil); err == nil {
 		t.Error("non-numeric -enroll index accepted")
 	}
 }
@@ -50,7 +55,7 @@ func TestZbankUsageFailures(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run(tc.args)
+			err := run(tc.args, nil)
 			if err == nil {
 				t.Fatal("bad invocation accepted")
 			}
@@ -66,7 +71,7 @@ func TestZbankUsageFailures(t *testing.T) {
 // non-zero before the serve loop.
 func TestZbankMetricsBootFailure(t *testing.T) {
 	err := run([]string{"-isps", "2", "-insecure",
-		"-listen", "127.0.0.1:0", "-metrics", "203.0.113.1:0"})
+		"-listen", "127.0.0.1:0", "-metrics", "203.0.113.1:0"}, nil)
 	if err == nil {
 		t.Fatal("unbindable -metrics address accepted")
 	}
@@ -74,7 +79,7 @@ func TestZbankMetricsBootFailure(t *testing.T) {
 		t.Fatalf("bind failure %q misreported as a usage error", err)
 	}
 	err = run([]string{"-isps", "2", "-insecure", "-assign", "0,1",
-		"-listen", "127.0.0.1:0", "-metrics", "203.0.113.1:0"})
+		"-listen", "127.0.0.1:0", "-metrics", "203.0.113.1:0"}, nil)
 	if err == nil {
 		t.Fatal("root: unbindable -metrics address accepted")
 	}
@@ -100,4 +105,100 @@ func TestEnrollFlagParsing(t *testing.T) {
 	if e.String() == "" {
 		t.Error("String() empty")
 	}
+}
+
+// freeAddr returns a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	_ = ln.Close()
+	return addr
+}
+
+// startRun runs the daemon in the background and returns its stop
+// channel and its result once addr accepts connections.
+func startRun(t *testing.T, args []string, addr string) (chan<- os.Signal, <-chan error) {
+	t.Helper()
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() { done <- run(args, stop) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		conn, err := net.Dial("tcp", addr)
+		if err == nil {
+			_ = conn.Close()
+			return stop, done
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("run exited before listening: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("nothing listens on %s: %v", addr, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// stopRun stops the daemon and requires run to return within two
+// seconds and to have released addrs.
+func stopRun(t *testing.T, stop chan<- os.Signal, done <-chan error, addrs ...string) {
+	t.Helper()
+	stop <- os.Interrupt
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("run did not return within 2s of stop")
+	}
+	for _, addr := range addrs {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatalf("the stopped daemon still holds %s: %v", addr, err)
+		}
+		_ = ln.Close()
+	}
+}
+
+// TestZbankStopReleasesListener: after stop, run returns and the -listen
+// and -metrics ports can be bound again, in central and in root mode.
+func TestZbankStopReleasesListener(t *testing.T) {
+	for name, mode := range map[string][]string{
+		"central": {"-isps", "1"},
+		"root":    {"-isps", "2", "-assign", "0,1"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			addr, metrics := freeAddr(t), freeAddr(t)
+			stop, done := startRun(t, append(mode, "-insecure", "-listen", addr, "-metrics", metrics), addr)
+			stopRun(t, stop, done, addr, metrics)
+		})
+	}
+}
+
+// TestZbankStopDuringStalledAudit: a SIGTERM while an audit round waits
+// on an ISP that never answers shuts the bank down at once.
+func TestZbankStopDuringStalledAudit(t *testing.T) {
+	addr := freeAddr(t)
+	stop, done := startRun(t, []string{"-isps", "1", "-insecure", "-listen", addr, "-audit-every", "20ms"}, addr)
+	// A silent ISP: it registers and reads the round's request, so the
+	// round has started, and never replies.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteEnvelope(conn, &wire.Envelope{Kind: wire.KindHello, From: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if env, err := wire.ReadEnvelope(conn); err != nil || env.Kind != wire.KindRequest {
+		t.Fatalf("read the audit request: %v, %v", env, err)
+	}
+	stopRun(t, stop, done, addr)
 }

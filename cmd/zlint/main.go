@@ -1,7 +1,7 @@
 // Command zlint runs zmail's project-specific static analysis over the
-// module: six passes (lockorder, errdrop, moneyflow, lockscope,
-// lifecycle, guardflow) that machine-check the
-// invariants the reproduction depends on where its tests cannot. See
+// module: four passes (lockorder, errdrop, moneyflow, guardflow) that
+// machine-check the invariants the reproduction depends on where its
+// tests cannot. See
 // internal/lint for what each pass guards and DESIGN.md decision 8 for
 // the mutations only each one catches.
 //

@@ -27,11 +27,12 @@ func TestSelfCleanTree(t *testing.T) {
 	}
 }
 
-// TestPassSubset runs a single pass by name over the lockscope fixture
-// corpus, which carries five lockscope findings and no errdrop ones.
+// TestPassSubset runs a single pass by name over the lockorder fixture
+// corpus, which carries four lockorder findings, one moneyflow finding
+// and no errdrop ones.
 func TestPassSubset(t *testing.T) {
-	const dir = "../../internal/lint/testdata/lockscope"
-	for _, c := range []struct{ pass, expect string }{{"errdrop", "0"}, {"lockscope", "5"}} {
+	const dir = "../../internal/lint/testdata/lockorder"
+	for _, c := range []struct{ pass, expect string }{{"errdrop", "0"}, {"lockorder", "4"}} {
 		var stdout, stderr strings.Builder
 		if code := run([]string{"-pass", c.pass, "-testdata", dir, "-expect", c.expect}, &stdout, &stderr); code != 0 {
 			t.Fatalf("%s-only run exited %d: %s%s", c.pass, code, stdout.String(), stderr.String())
@@ -64,17 +65,21 @@ func TestVerboseTimings(t *testing.T) {
 	}
 }
 
-// TestListPasses pins the six pass names: suppression directives and
+// TestListPasses pins the four pass names: suppression directives and
 // CI annotations refer to passes by name.
 func TestListPasses(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{"lockorder", "errdrop", "moneyflow", "lockscope", "lifecycle", "guardflow"} {
+	names := []string{"lockorder", "errdrop", "moneyflow", "guardflow"}
+	for _, name := range names {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing pass %s:\n%s", name, stdout.String())
 		}
+	}
+	if got := strings.Count(strings.TrimSpace(stdout.String()), "\n") + 1; got != len(names) {
+		t.Errorf("-list shows %d passes, want %d:\n%s", got, len(names), stdout.String())
 	}
 }
 
@@ -89,17 +94,17 @@ func TestUnknownFormatIsUsageError(t *testing.T) {
 // TestTestdataSweep runs the self-test mode over one fixture cluster
 // and checks the JSON and github output shapes plus the -expect pin.
 func TestTestdataSweep(t *testing.T) {
-	const dir = "../../internal/lint/testdata/lifecycle"
+	const dir = "../../internal/lint/testdata/moneyflow"
 
-	// The lifecycle cluster carries exactly 5 findings (4 in bad + 1 in
+	// The moneyflow cluster carries exactly 7 findings (6 in bad + 1 in
 	// the unsuppressed twin); -expect holds it there.
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-testdata", dir, "-expect", "5", "-format", "json"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("lifecycle sweep exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	if code := run([]string{"-testdata", dir, "-expect", "7", "-format", "json"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("moneyflow sweep exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("want 5 JSON findings, got %d:\n%s", len(lines), stdout.String())
+	if len(lines) != 7 {
+		t.Fatalf("want 7 JSON findings, got %d:\n%s", len(lines), stdout.String())
 	}
 	for _, line := range lines {
 		var f struct {
@@ -111,7 +116,7 @@ func TestTestdataSweep(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &f); err != nil {
 			t.Fatalf("finding is not one JSON object per line: %v\n%s", err, line)
 		}
-		if f.Pass != "lifecycle" || f.File == "" || f.Line == 0 || f.Msg == "" {
+		if f.Pass != "moneyflow" || f.File == "" || f.Line == 0 || f.Msg == "" {
 			t.Errorf("JSON finding incomplete: %+v", f)
 		}
 	}
@@ -119,7 +124,7 @@ func TestTestdataSweep(t *testing.T) {
 	// A wrong pin must fail the run.
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-testdata", dir, "-expect", "4"}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-testdata", dir, "-expect", "6"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("wrong -expect pin exited %d, want 1", code)
 	}
 

@@ -85,13 +85,16 @@ func checkAddr(flagName, addr string) error {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], stop); err != nil {
 		fmt.Fprintln(os.Stderr, "zmaild:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run boots the daemon the flags describe and serves until stop fires.
+func run(args []string, stop <-chan os.Signal) error {
 	var delivered atomic.Int64
 	d, err := boot(args, &delivered)
 	if err != nil {
@@ -107,8 +110,6 @@ func run(args []string) error {
 	// Daily reset of sent counters at local midnight.
 	midnight := time.NewTimer(untilMidnight())
 	defer midnight.Stop()
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	for {
 		select {
 		case <-midnight.C:

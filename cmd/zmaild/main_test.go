@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -18,41 +19,41 @@ import (
 )
 
 func TestZmaildFlagValidation(t *testing.T) {
-	if err := run([]string{"-insecure"}); err == nil {
+	if err := run([]string{"-insecure"}, nil); err == nil {
 		t.Error("missing -index/-domains accepted")
 	}
-	if err := run([]string{"-index", "0", "-insecure"}); err == nil {
+	if err := run([]string{"-index", "0", "-insecure"}, nil); err == nil {
 		t.Error("missing -domains accepted")
 	}
-	if err := run([]string{"-index", "5", "-domains", "a.example,b.example", "-insecure"}); err == nil {
+	if err := run([]string{"-index", "5", "-domains", "a.example,b.example", "-insecure"}, nil); err == nil {
 		t.Error("index beyond domains accepted")
 	}
-	if err := run([]string{"-index", "0", "-domains", "a.example,b.example"}); err == nil {
+	if err := run([]string{"-index", "0", "-domains", "a.example,b.example"}, nil); err == nil {
 		t.Error("missing key material accepted")
 	}
 	if err := run([]string{
 		"-index", "0", "-domains", "a.example,b.example", "-insecure",
 		"-compliant", "1",
-	}); err == nil {
+	}, nil); err == nil {
 		t.Error("short -compliant accepted")
 	}
 	if err := run([]string{
 		"-index", "0", "-domains", "a.example,b.example", "-insecure",
 		"-policy", "shred",
-	}); err == nil {
+	}, nil); err == nil {
 		t.Error("unknown -policy accepted")
 	}
 	if err := run([]string{
 		"-index", "0", "-domains", "a.example,b.example", "-insecure",
 		"-peer", "garbage",
-	}); err == nil {
+	}, nil); err == nil {
 		t.Error("malformed -peer accepted")
 	}
 	if err := run([]string{
 		"-index", "0", "-domains", "a.example,b.example", "-insecure",
 		"-listen", "127.0.0.1:0",
 		"-user", "alice:10", // wrong arity
-	}); err == nil {
+	}, nil); err == nil {
 		t.Error("malformed -user accepted")
 	}
 }
@@ -73,7 +74,7 @@ func TestZmaildUsageFailures(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run(tc.args)
+			err := run(tc.args, nil)
 			if err == nil {
 				t.Fatal("bad invocation accepted")
 			}
@@ -86,19 +87,22 @@ func TestZmaildUsageFailures(t *testing.T) {
 
 // TestZmaildMetricsBootFailure: a well-formed but unbindable metrics
 // address is a boot failure (non-zero exit), discovered before the
-// daemon enters its serve loop.
+// daemon enters its serve loop, and the SMTP port bound before it is
+// released.
 func TestZmaildMetricsBootFailure(t *testing.T) {
+	addr := freeAddr(t)
 	err := run([]string{
 		"-index", "0", "-domains", "a.example", "-insecure",
-		"-listen", "127.0.0.1:0",
+		"-listen", addr,
 		"-metrics", "203.0.113.1:0", // TEST-NET-3: never assigned locally
-	})
+	}, nil)
 	if err == nil {
 		t.Fatal("unbindable -metrics address accepted")
 	}
 	if strings.HasPrefix(err.Error(), "usage:") {
 		t.Fatalf("bind failure %q misreported as a usage error", err)
 	}
+	mustRebind(t, addr)
 }
 
 // TestObsvSmoke boots a full daemon on ephemeral ports, scrapes the
@@ -339,4 +343,57 @@ func TestWALRestartAnswersRelayFromFirstInstant(t *testing.T) {
 	if got := d.Node().Engine().Credit()[1]; got != -delivered.Load() {
 		t.Fatalf("credit[peer] = %d after %d paid receipts", got, delivered.Load())
 	}
+}
+
+// freeAddr returns a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	_ = ln.Close()
+	return addr
+}
+
+// mustRebind fails the test unless addr can be bound.
+func mustRebind(t *testing.T, addr string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("the daemon still holds %s: %v", addr, err)
+	}
+	_ = ln.Close()
+}
+
+// TestZmaildStopReleasesListener: after stop, run returns and the
+// -listen and -metrics ports can be bound again.
+func TestZmaildStopReleasesListener(t *testing.T) {
+	addr, metrics := freeAddr(t), freeAddr(t)
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-index", "0", "-domains", "one.example", "-insecure", "-listen", addr, "-metrics", metrics}, stop)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if conn, err := net.Dial("tcp", addr); err == nil {
+			_ = conn.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("nothing listens on %s", addr)
+		}
+	}
+	stop <- os.Interrupt
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("run did not return within 2s of stop")
+	}
+	mustRebind(t, addr)
+	mustRebind(t, metrics)
 }

@@ -260,16 +260,11 @@ func (n *Node) bankConn() (net.Conn, error) {
 		return nil, errors.New("core: no bank address configured")
 	}
 
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+	// The hello lets the bank route snapshot requests to this link
+	// before we ever buy or sell.
+	conn, err := dialHello(addr, int32(n.engine.Index()))
 	if err != nil {
-		return nil, fmt.Errorf("core: dial bank: %w", err)
-	}
-	// Identify ourselves so the bank can route snapshot requests to
-	// this connection before we ever buy or sell.
-	hello := &wire.Envelope{Kind: wire.KindHello, From: int32(n.engine.Index())}
-	if err := wire.WriteEnvelope(conn, hello); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("core: bank hello: %w", err)
+		return nil, fmt.Errorf("core: bank link: %w", err)
 	}
 
 	n.mu.Lock()

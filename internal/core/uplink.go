@@ -42,14 +42,9 @@ func (u *Uplink) Send(env *wire.Envelope) error {
 		return net.ErrClosed
 	}
 	if u.conn == nil {
-		conn, err := net.DialTimeout("tcp", u.addr, 10*time.Second)
+		conn, err := dialHello(u.addr, u.from)
 		if err != nil {
-			return fmt.Errorf("core: dial uplink %s: %w", u.addr, err)
-		}
-		hello := &wire.Envelope{Kind: wire.KindHello, From: u.from}
-		if err := wire.WriteEnvelope(conn, hello); err != nil {
-			_ = conn.Close()
-			return fmt.Errorf("core: uplink hello: %w", err)
+			return fmt.Errorf("core: uplink: %w", err)
 		}
 		u.conn = conn
 	}
@@ -81,4 +76,26 @@ func (u *Uplink) Close() error {
 		return err
 	}
 	return nil
+}
+
+// dial opens a bank-protocol link; core's tests replace it to stall or
+// fake one.
+var dial = func(addr string) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, 10*time.Second)
+}
+
+// dialHello opens a bank-protocol link — an ISP's to its bank, a leaf
+// bank's to the root — and announces from in a hello envelope, so the
+// far end can route to the link before anything else crosses it. A
+// conn whose hello fails is closed.
+func dialHello(addr string, from int32) (net.Conn, error) {
+	conn, err := dial(addr)
+	if err != nil {
+		return nil, fmt.Errorf("dial %s: %w", addr, err)
+	}
+	if err := wire.WriteEnvelope(conn, &wire.Envelope{Kind: wire.KindHello, From: from}); err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("hello to %s: %w", addr, err)
+	}
+	return conn, nil
 }

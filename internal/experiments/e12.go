@@ -14,9 +14,9 @@ import (
 )
 
 // E12 — unmodified SMTP end to end (§1.3): two real Zmail daemons and a
-// bank server on loopback TCP, real RSA sealed boxes, a message
-// submitted with a plain SMTP client, payment settled, and a snapshot
-// round audited over the wire.
+// bank daemon on loopback TCP, booted as zmaild and zbank boot them,
+// real RSA sealed boxes, a message submitted with a plain SMTP client,
+// payment settled, and a snapshot round audited over the wire.
 func E12(_ int64) (*Result, error) {
 	domains := []string{"alpha.example", "beta.example"}
 	dir := isp.NewDirectory(domains, nil)
@@ -33,44 +33,53 @@ func E12(_ int64) (*Result, error) {
 	}
 
 	quiet := func(string, ...any) {}
-	bk, bankSrv, err := core.StartBank(bank.Config{
-		NumISPs:        2,
-		InitialAccount: 1_000_000,
-		OwnSealer:      bankBox,
-	}, "127.0.0.1:0", quiet)
+	bd, err := core.StartBankDaemon(core.BankDaemonConfig{
+		Bank: bank.Config{
+			NumISPs:        2,
+			InitialAccount: 1_000_000,
+			OwnSealer:      bankBox,
+		},
+		ListenAddr: "127.0.0.1:0",
+		Enroll:     map[int]crypto.Sealer{0: ispBoxes[0], 1: ispBoxes[1]},
+		Logf:       quiet,
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer bankSrv.Close()
-	for i := range ispBoxes {
-		if err := bk.Enroll(i, ispBoxes[i]); err != nil {
-			return nil, err
-		}
-	}
+	defer bd.Close()
+	bk := bd.Bank()
 
+	users := [][]core.User{
+		{{Name: "alice", Account: 1000, Balance: 50, Limit: 100}},
+		{{Name: "bob", Account: 1000, Balance: 50, Limit: 100}},
+	}
 	nodes := make([]*core.Node, 2)
 	for i := range nodes {
-		nodes[i], err = core.NewNode(core.NodeConfig{
-			Engine: isp.Config{
-				Index:          i,
-				Domain:         domains[i],
-				Directory:      dir,
-				MinAvail:       100,
-				MaxAvail:       100_000,
-				InitialAvail:   10_000,
-				FreezeDuration: 150 * time.Millisecond,
-				BankSealer:     bankBox.PublicOnly(),
-				OwnSealer:      ispBoxes[i],
+		d, err := core.StartISPDaemon(core.ISPDaemonConfig{
+			Node: core.NodeConfig{
+				Engine: isp.Config{
+					Index:          i,
+					Domain:         domains[i],
+					Directory:      dir,
+					MinAvail:       100,
+					MaxAvail:       100_000,
+					InitialAvail:   10_000,
+					FreezeDuration: 150 * time.Millisecond,
+					BankSealer:     bankBox.PublicOnly(),
+					OwnSealer:      ispBoxes[i],
+				},
+				ListenAddr:   "127.0.0.1:0",
+				BankAddr:     bd.Addr().String(),
+				TickInterval: 50 * time.Millisecond,
+				Logf:         quiet,
 			},
-			ListenAddr:   "127.0.0.1:0",
-			BankAddr:     bankSrv.Addr().String(),
-			TickInterval: 50 * time.Millisecond,
-			Logf:         quiet,
+			Users: users[i],
 		})
 		if err != nil {
 			return nil, err
 		}
-		defer nodes[i].Close()
+		defer d.Close()
+		nodes[i] = d.Node()
 	}
 	// Exchange peer addresses now that both listeners are bound.
 	for i := range nodes {
@@ -79,13 +88,6 @@ func E12(_ int64) (*Result, error) {
 				nodes[i].AddPeer(j, nodes[j].Addr().String())
 			}
 		}
-	}
-
-	if err := nodes[0].Engine().RegisterUser("alice", 1000, 50, 100); err != nil {
-		return nil, err
-	}
-	if err := nodes[1].Engine().RegisterUser("bob", 1000, 50, 100); err != nil {
-		return nil, err
 	}
 
 	alice := mail.MustParseAddress("alice@alpha.example")

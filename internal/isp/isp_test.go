@@ -19,6 +19,8 @@ type fakeTransport struct {
 	local  []delivered
 	acks   []delivered
 	onMail func(sentMail)
+	// onLocal, when set, runs on each local delivery.
+	onLocal func(delivered)
 }
 
 type sentMail struct {
@@ -42,6 +44,9 @@ func (f *fakeTransport) SendMail(toIndex int, toDomain string, msg *mail.Message
 func (f *fakeTransport) SendBank(env *wire.Envelope) { f.bank = append(f.bank, env) }
 func (f *fakeTransport) DeliverLocal(user string, msg *mail.Message) {
 	f.local = append(f.local, delivered{user, msg})
+	if f.onLocal != nil {
+		f.onLocal(delivered{user, msg})
+	}
 }
 func (f *fakeTransport) DeliverAck(user string, msg *mail.Message) {
 	f.acks = append(f.acks, delivered{user, msg})

@@ -1,8 +1,7 @@
 package lint
 
 // Control-flow graphs and a forward dataflow driver for the
-// flow-sensitive passes (moneyflow, lifecycle and the lockset
-// tier). The builder is deliberately small and stdlib-only: blocks
+// flow-sensitive passes (moneyflow and the lockset tier). The builder is deliberately small and stdlib-only: blocks
 // hold statements and the condition expressions that decide their
 // successors, and the driver
 // iterates a pure transfer function to a fixpoint. Function literals

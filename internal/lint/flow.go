@@ -177,20 +177,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// qualifiedFuncName renders a *types.Func as "pkgpath.Name" or
-// "pkgpath.Recv.Name" for methods — the form the config lists use.
-func qualifiedFuncName(fn *types.Func) string {
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if named := namedTypeOf(sig.Recv().Type()); named != nil {
-			return qualifiedTypeName(named) + "." + fn.Name()
-		}
-	}
-	if fn.Pkg() == nil {
-		return fn.Name()
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
-}
-
 // inspectShallow walks n without descending into function literals,
 // whose bodies are separate analysis units.
 func inspectShallow(n ast.Node, visit func(ast.Node) bool) {

@@ -18,8 +18,6 @@ package lint
 //     discharge them. Accesses through locals freshly built from a
 //     composite literal (the constructor idiom) are unshared and
 //     skipped; whole functions are blessed via Config.GuardExemptFuncs.
-//     The same summary walk records whether each unit may block, which
-//     is what lockscope reads at call sites.
 //
 //  2. Atomic/plain mixing. A field updated through sync/atomic — a
 //     typed atomic.Int64/Bool/Pointer or an old-style atomic.AddInt64
@@ -137,10 +135,9 @@ func gfGuardNames(guards []gfGuard) string {
 }
 
 // gfResult is one unit's summary: the obligations its callers must
-// discharge, and why a call to it may block ("" if it cannot).
+// discharge.
 type gfResult struct {
 	requires []gfObligation
-	mayBlock string
 }
 
 type gfAnalyzer struct {
@@ -152,31 +149,28 @@ type gfAnalyzer struct {
 	// requirements for the back edge, as the summary passes do.
 	memo summaryMemo[*gfResult]
 
-	invoked   map[*ast.BlockStmt]bool      // literal bodies invoked (or deferred) directly
-	goCalls   map[*ast.CallExpr]bool       // the Call of every go statement
-	calls     map[*types.Func]int          // static in-package call-position uses
-	uses      map[*types.Func]int          // all in-package uses
-	commHeads map[ast.Node]*ast.SelectStmt // select comm-clause heads → the select if it parks there, else nil
+	invoked map[*ast.BlockStmt]bool // literal bodies invoked (or deferred) directly
+	goCalls map[*ast.CallExpr]bool  // the Call of every go statement
+	calls   map[*types.Func]int     // static in-package call-position uses
+	uses    map[*types.Func]int     // all in-package uses
 
 	diags []Diagnostic
 	seen  map[token.Pos]bool
 }
 
 // guardSummaries runs the summary walk once per Unit, over every flow
-// unit in order, so guardflow and lockscope read the same results
-// whichever passes run.
+// unit in order.
 func (u *Unit) guardSummaries() *gfAnalyzer {
 	if u.summaries != nil {
 		return u.summaries
 	}
 	a := &gfAnalyzer{
-		u:         u,
-		invoked:   map[*ast.BlockStmt]bool{},
-		goCalls:   map[*ast.CallExpr]bool{},
-		calls:     map[*types.Func]int{},
-		uses:      map[*types.Func]int{},
-		commHeads: map[ast.Node]*ast.SelectStmt{},
-		seen:      map[token.Pos]bool{},
+		u:       u,
+		invoked: map[*ast.BlockStmt]bool{},
+		goCalls: map[*ast.CallExpr]bool{},
+		calls:   map[*types.Func]int{},
+		uses:    map[*types.Func]int{},
+		seen:    map[token.Pos]bool{},
 	}
 	a.memo = summaryMemo[*gfResult]{analyze: a.analyze, cycle: &gfResult{}}
 	u.summaries = a
@@ -233,19 +227,6 @@ func (a *gfAnalyzer) scanRefs() {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				a.goCalls[n.Call] = true
-			case *ast.SelectStmt:
-				// A select with no default arm parks: charge its first head.
-				parks := n
-				for _, c := range n.Body.List {
-					if c.(*ast.CommClause).Comm == nil {
-						parks = nil
-					}
-				}
-				for _, c := range n.Body.List {
-					if comm := c.(*ast.CommClause).Comm; comm != nil {
-						a.commHeads[comm], parks = parks, nil
-					}
-				}
 			case *ast.CallExpr:
 				if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
 					// A go-statement literal runs on a fresh lockset and
@@ -289,24 +270,16 @@ func (a *gfAnalyzer) isRoot(fu *flowUnit) bool {
 	return a.uses[fu.fn] > a.calls[fu.fn]
 }
 
-// analyze walks one unit's lockset: it collects the unmet obligations
-// (none for a Config.GuardExemptFuncs function) and the first operation
-// that may block.
+// analyze walks one unit's lockset and collects the unmet obligations
+// (none for a Config.GuardExemptFuncs function).
 func (a *gfAnalyzer) analyze(fu *flowUnit) *gfResult {
 	res := &gfResult{}
-	exempt := fu.fn != nil && inStringList(fu.qualifiedName(a.u.Pkg.ImportPath), a.u.Cfg.GuardExemptFuncs)
+	if fu.fn != nil && inStringList(fu.qualifiedName(a.u.Pkg.ImportPath), a.u.Cfg.GuardExemptFuncs) {
+		return res
+	}
 	fresh := a.freshLocals(fu)
 	for _, h := range a.u.lockset(fu.body) {
-		if !exempt {
-			a.checkNode(h.n, h.held, fresh, res)
-		}
-		if res.mayBlock == "" {
-			a.blockingOps(h.n, func(_ token.Pos, _, why string) {
-				if res.mayBlock == "" {
-					res.mayBlock = why
-				}
-			})
-		}
+		a.checkNode(h.n, h.held, fresh, res)
 	}
 	return res
 }

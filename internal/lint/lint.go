@@ -2,17 +2,19 @@
 // the invariants the reproduction depends on and its tests cannot see
 // on every path — the isp lock hierarchy, e-penny conservation on
 // rarely run paths, never-dropped persistence/crypto errors, and the
-// lock, goroutine and resource disciplines of the daemons — as
-// compile-time checks, so a violation is a build failure instead of a
-// chaos-harness bisect. Determinism, replay protection, ledger
-// encapsulation, WAL completeness and spec/wire agreement are left to
-// runtime checks: the byte-identical zsim golden, the replay tests,
-// the unexported restore paths, the recover-after-every-step WAL tests
-// and the spec's kind-agreement test. DESIGN.md decision 8 records,
-// per pass, the mutations only that pass catches.
+// guard discipline of shared state — as compile-time checks, so a
+// violation is a build failure instead of a chaos-harness bisect.
+// Determinism, replay protection, ledger encapsulation, WAL
+// completeness, spec/wire agreement and the daemons' lock scope and
+// shutdown are left to runtime checks: the byte-identical zsim golden,
+// the replay tests, the unexported restore paths, the
+// recover-after-every-step WAL tests, the spec's kind-agreement test,
+// and the stall and stop tests of core, bank, isp, zbank and zmaild.
+// DESIGN.md decision 8 records, per pass, the mutations only that pass
+// catches.
 //
 // The analyzer is stdlib-only (go/parser, go/ast, go/types with the
-// source importer); go.mod stays dependency-free. Six passes run
+// source importer); go.mod stays dependency-free. Four passes run
 // over every package in the module:
 //
 //   - lockorder: within internal/isp, mutex acquisitions must respect
@@ -24,15 +26,6 @@
 //   - moneyflow: CFG dataflow proving e-penny conservation — every
 //     ledger debit pairs with an equal credit on every path, with
 //     mint/burn allowed only at the blessed bank-exchange functions;
-//   - lockscope: across the federation packages, no network I/O,
-//     channel operation, or other blocking call may run under a held
-//     stripe, bank, or node mutex (the uplink mutex, whose job is
-//     serializing a connection, is config-allowed);
-//   - lifecycle: every spawned goroutine has a shutdown path (WaitGroup
-//     join, stop-channel select, or an allowlisted self-terminating
-//     call) and every acquired closeable resource (listeners, conns,
-//     tickers, WALs, obsv servers) is closed, returned, or handed to an
-//     owner that exposes Close/Stop on every path;
 //   - guardflow: Eraser-style lockset dataflow — every access to a
 //     declared shared field (Config.GuardedFields) happens with its
 //     guard provably held on every path, with transitive call
@@ -41,11 +34,10 @@
 //     captured into go bodies are guarded, channel-transferred,
 //     per-iteration, or explicitly blessed.
 //
-// lockorder, lockscope and guardflow are predicates over one lockset
-// engine (lockset.go: a must-hold dataflow computed once per function
-// body), and lockscope's "may block" summaries ride guardflow's
-// bottom-up call-summary walk. moneyflow keeps its own path-set
-// summaries (moneyflow.go) on the summary memo guardflow uses.
+// lockorder and guardflow are predicates over one lockset engine
+// (lockset.go: a must-hold dataflow computed once per function body).
+// moneyflow keeps its own path-set summaries (moneyflow.go) on the
+// summary memo guardflow uses.
 //
 // A finding that is intentional is silenced in place with
 //
@@ -138,19 +130,9 @@ type Config struct {
 	// exchange paths where e-pennies are created against real pennies.
 	MintFuncs []string
 
-	// LockScopeBlockingFuncs ("importpath.Name" or
-	// "importpath.Recv.Name") are known-blocking calls beyond the built
-	// in net-package detection: wire codec reads/writes, SMTP dials,
-	// transport callbacks, time.Sleep, WaitGroup.Wait.
-	LockScopeBlockingFuncs []string
-	// LockScopeAllowedLocks ("importpath.Type.field") are mutexes whose
-	// documented job is serializing blocking I/O (the core.Uplink link
-	// mutex); ops under only these locks are not findings.
-	LockScopeAllowedLocks []string
-
-	// GuardflowPkgs are import-path prefixes where guardflow and
-	// lockscope apply: every package whose structs are mutated from
-	// more than one goroutine.
+	// GuardflowPkgs are import-path prefixes where guardflow applies:
+	// every package whose structs are mutated from more than one
+	// goroutine.
 	GuardflowPkgs []string
 	// GuardedFields maps each shared field, as
 	// "importpath.Owner.field", to the guards that protect it, each
@@ -171,16 +153,6 @@ type Config struct {
 	// blessed for capture into a go body despite being written on both
 	// sides of the spawn.
 	GuardCaptureAllowed []string
-
-	// LifecyclePkgs are import-path prefixes where lifecycle applies.
-	LifecyclePkgs []string
-	// LifecycleAcquireFuncs ("importpath.Name" or "importpath.Recv.Name")
-	// return closeable resources whose results the pass tracks.
-	LifecycleAcquireFuncs []string
-	// LifecycleGoAllowed ("importpath.Name" or "importpath.Recv.Name")
-	// are self-terminating calls a goroutine body may consist of without
-	// its own join/stop plumbing (http.Server.Serve ends at Close).
-	LifecycleGoAllowed []string
 }
 
 // DefaultConfig is the project policy enforced by `make lint`.
@@ -215,31 +187,6 @@ func DefaultConfig() Config {
 			"zmail/internal/ap/zmailspec:rcv-sellreply",
 			// The rate conversion between pennies and e-pennies.
 			"zmail/internal/money:FromPennies",
-		},
-		LockScopeBlockingFuncs: []string{
-			"zmail/internal/wire.ReadEnvelope",
-			"zmail/internal/wire.WriteEnvelope",
-			"zmail/internal/smtp.SendMail",
-			"zmail/internal/smtp.Dial",
-			// What core's relay sessions call on their persistent clients.
-			"zmail/internal/smtp.Client.Ehlo",
-			"zmail/internal/smtp.Client.Hello",
-			"zmail/internal/smtp.Client.Send",
-			"zmail/internal/smtp.Client.Quit",
-			"zmail/internal/core.Uplink.Send",
-			// The ISP transport contract: callbacks fire after every lock
-			// is released (the emit-queue discipline).
-			"zmail/internal/isp.Transport.SendMail",
-			"zmail/internal/isp.Transport.SendBank",
-			"zmail/internal/isp.Transport.DeliverLocal",
-			"zmail/internal/isp.Transport.DeliverAck",
-			"time.Sleep",
-			"sync.WaitGroup.Wait",
-		},
-		LockScopeAllowedLocks: []string{
-			// The uplink mutex exists to serialize dial/write on one TCP
-			// link; blocking under it is the design.
-			"zmail/internal/core.Uplink.mu",
 		},
 		GuardflowPkgs: []string{
 			"zmail/internal/isp",
@@ -330,29 +277,6 @@ func DefaultConfig() Config {
 			"zmail/internal/bank:NewRoot",
 		},
 		GuardCaptureAllowed: nil,
-		LifecyclePkgs: []string{
-			"zmail/cmd/zbank",
-			"zmail/cmd/zmaild",
-			"zmail/internal/cluster",
-			"zmail/internal/core",
-			"zmail/internal/obsv",
-			"zmail/internal/mempool",
-		},
-		LifecycleAcquireFuncs: []string{
-			"net.Listen", "net.Dial", "net.DialTimeout",
-			"net.Listener.Accept", "net.TCPListener.Accept",
-			"time.NewTicker", "time.NewTimer",
-			"zmail/internal/smtp.Dial",
-			"zmail/internal/persist.CreateWAL", "zmail/internal/persist.RecoverWAL",
-			"zmail/internal/obsv.Start",
-			"zmail/internal/core.NewNode", "zmail/internal/core.NewUplink",
-			"zmail/internal/core.StartBank", "zmail/internal/core.StartBankHandler",
-			"zmail/internal/core.StartISPDaemon", "zmail/internal/core.StartBankDaemon",
-		},
-		LifecycleGoAllowed: []string{
-			// Serve returns when the owner calls Close on the server.
-			"net/http.Server.Serve",
-		},
 	}
 }
 
@@ -365,10 +289,6 @@ func FixtureConfig(fixturePkg string) Config {
 	cfg.LockOrderPkgs = append(cfg.LockOrderPkgs, fixturePkg)
 	cfg.MoneyflowPkgs = append(cfg.MoneyflowPkgs, fixturePkg)
 	cfg.MintFuncs = append(cfg.MintFuncs, fixturePkg+":blessedMint")
-	// Lock scope and lifecycle conventions: fixtures block in a local
-	// "slowRPC", acquire via a local "open", and may park a goroutine
-	// in a self-terminating local "pump".
-	cfg.LockScopeBlockingFuncs = append(cfg.LockScopeBlockingFuncs, fixturePkg+".slowRPC")
 	// Lockset tier: fixtures guard "vault.coins" with a plain mutex and
 	// "vault.open" with an RWMutex, bless "blessedInit" as a
 	// single-threaded path and "relay"'s captured counter.
@@ -377,15 +297,12 @@ func FixtureConfig(fixturePkg string) Config {
 	cfg.GuardedFields[fixturePkg+".vault.open"] = []string{fixturePkg + ".vault.gate"}
 	cfg.GuardExemptFuncs = append(cfg.GuardExemptFuncs, fixturePkg+":blessedInit")
 	cfg.GuardCaptureAllowed = append(cfg.GuardCaptureAllowed, fixturePkg+":Relay.blessed")
-	cfg.LifecyclePkgs = append(cfg.LifecyclePkgs, fixturePkg)
-	cfg.LifecycleAcquireFuncs = append(cfg.LifecycleAcquireFuncs, fixturePkg+".open")
-	cfg.LifecycleGoAllowed = append(cfg.LifecycleGoAllowed, fixturePkg+".pump")
 	return cfg
 }
 
 // Passes returns the full pass set, in reporting order.
 func Passes() []Pass {
-	return []Pass{LockOrder(), ErrDrop(), MoneyFlow(), LockScope(), Lifecycle(), GuardFlow()}
+	return []Pass{LockOrder(), ErrDrop(), MoneyFlow(), GuardFlow()}
 }
 
 // PassNames lists the valid pass names (used to validate suppression

@@ -180,20 +180,6 @@ func TestMoneyFlowFixtures(t *testing.T) {
 	}
 }
 
-func TestLockScopeFixtures(t *testing.T) {
-	passes := []Pass{LockScope()}
-	for _, c := range []string{"lockscope/bad", "lockscope/clean", "lockscope/suppressed", "lockscope/unsuppressed"} {
-		t.Run(c, func(t *testing.T) { checkFixture(t, c, passes, fixtureCfg(c)) })
-	}
-}
-
-func TestLifecycleFixtures(t *testing.T) {
-	passes := []Pass{Lifecycle()}
-	for _, c := range []string{"lifecycle/bad", "lifecycle/clean", "lifecycle/suppressed", "lifecycle/unsuppressed"} {
-		t.Run(c, func(t *testing.T) { checkFixture(t, c, passes, fixtureCfg(c)) })
-	}
-}
-
 func TestGuardFlowFixtures(t *testing.T) {
 	passes := []Pass{GuardFlow()}
 	for _, c := range []string{"guardflow/bad", "guardflow/clean", "guardflow/suppressed", "guardflow/unsuppressed", "guardflow/runtime"} {
@@ -239,8 +225,6 @@ func TestMalformedDirectives(t *testing.T) {
 func TestSuppressionDeletionFails(t *testing.T) {
 	for dir, pass := range map[string]Pass{
 		"moneyflow": MoneyFlow(),
-		"lockscope": LockScope(),
-		"lifecycle": Lifecycle(),
 		"guardflow": GuardFlow(),
 	} {
 		sup := dir + "/suppressed"
@@ -271,14 +255,9 @@ func TestDefaultConfigCoversRoadmapPackages(t *testing.T) {
 			t.Errorf("moneyflow policy must cover %s", p)
 		}
 	}
-	for _, p := range []string{"zmail/internal/cluster", "zmail/internal/core", "zmail/internal/obsv"} {
-		if !pathMatches(p, cfg.LifecyclePkgs) {
-			t.Errorf("lifecycle policy must cover %s", p)
-		}
-	}
 	for _, p := range []string{"zmail/internal/isp", "zmail/internal/bank", "zmail/internal/core", "zmail/internal/cluster"} {
 		if !pathMatches(p, cfg.GuardflowPkgs) {
-			t.Errorf("guardflow/lockscope policy must cover %s", p)
+			t.Errorf("guardflow policy must cover %s", p)
 		}
 	}
 	if len(cfg.GuardedFields) == 0 {

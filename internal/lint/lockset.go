@@ -2,8 +2,8 @@ package lint
 
 // The lockset engine, the package's one held-lock simulation: a forward
 // must-hold dataflow over each function body's CFG, run once per body
-// and cached on the Unit; guardflow, lockorder and lockscope are
-// predicates over its per-node state. A lock is keyed by type and field
+// and cached on the Unit; guardflow and lockorder are predicates over
+// its per-node state. A lock is keyed by type and field
 // ("importpath.Owner.field"), not by instance. Deferred unlocks are not
 // applied: the lock stays held to the end of the function, as it does
 // at run time.

@@ -171,7 +171,7 @@ func TestLockPassesSeeISP(t *testing.T) {
 	for _, pkg := range loadModule(t) {
 		pkgs[pkg.ImportPath] = pkg
 	}
-	passes := []Pass{LockOrder(), LockScope(), GuardFlow(), MoneyFlow()}
+	passes := []Pass{LockOrder(), GuardFlow(), MoneyFlow()}
 	total := 0
 	for _, c := range cases {
 		pkg := pkgs[c.pkg]

@@ -28,7 +28,7 @@ func TestCoversCommaForm(t *testing.T) {
 		{supDiag("a.go", 10, "guardflow"), true},  // same line
 		{supDiag("a.go", 11, "guardflow"), true},  // line below
 		{supDiag("a.go", 11, "moneyflow"), true},  // second pass of the comma list
-		{supDiag("a.go", 11, "lockscope"), false}, // pass not named
+		{supDiag("a.go", 11, "lockorder"), false}, // pass not named
 		{supDiag("a.go", 12, "guardflow"), false}, // too far down
 		{supDiag("a.go", 9, "guardflow"), false},  // directive covers down, not up
 		{supDiag("b.go", 10, "guardflow"), false}, // other file
@@ -47,7 +47,7 @@ func TestSuppressionNamesFlowPasses(t *testing.T) {
 	for _, name := range PassNames() {
 		valid[name] = true
 	}
-	for _, name := range []string{"moneyflow", "lockscope", "lifecycle", "guardflow"} {
+	for _, name := range []string{"moneyflow", "guardflow"} {
 		if !valid[name] {
 			t.Errorf("PassNames() must include %q for //zlint:ignore validation", name)
 		}

@@ -125,7 +125,9 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 	s.mu.Lock()
 	if s.closed {
+		// Close ran before Serve took the listener, so it is ours to close.
 		s.mu.Unlock()
+		_ = l.Close()
 		return net.ErrClosed
 	}
 	s.listener = l

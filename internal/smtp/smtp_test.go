@@ -543,6 +543,29 @@ func TestServerClose(t *testing.T) {
 	}
 }
 
+// TestServeAfterCloseClosesListener: a Serve that starts after Close
+// closes the listener it was handed, so a daemon shut down during boot
+// releases its port.
+func TestServeAfterCloseClosesListener(t *testing.T) {
+	srv := &Server{Domain: "test.example", Backend: &recordingBackend{}}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(l); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve after Close returned %v", err)
+	}
+	again, err := net.Listen("tcp", l.Addr().String())
+	if err != nil {
+		_ = l.Close()
+		t.Fatalf("the listener is still open: %v", err)
+	}
+	_ = again.Close()
+}
+
 func TestClientHelloRequired(t *testing.T) {
 	addr := startServer(t, &recordingBackend{})
 	c, err := Dial(addr, 5*time.Second)
