@@ -1,14 +1,13 @@
 // Command zlint runs zmail's project-specific static analysis over the
-// module: four passes (lockorder, errdrop, moneyflow, guardflow) that
-// machine-check the invariants the reproduction depends on where its
-// tests cannot. See
+// module: two passes (lockorder, errdrop) that machine-check the
+// invariants the reproduction depends on where its tests cannot. See
 // internal/lint for what each pass guards and DESIGN.md decision 8 for
 // the mutations only each one catches.
 //
 // Usage:
 //
 //	zlint                  # analyze the whole module, exit 1 on findings
-//	zlint -pass moneyflow,errdrop
+//	zlint -pass lockorder,errdrop
 //	zlint -v               # package count, pass set, per-pass wall time
 //	zlint -list            # show the passes and their one-line docs
 //	zlint -format github   # emit GitHub Actions ::error annotations

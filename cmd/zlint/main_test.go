@@ -9,7 +9,7 @@ import (
 
 // TestSelfCleanTree is `make lint` end to end: the driver over the
 // whole module must exit 0 with no output. This is the gate the
-// Makefile and CI wire in; if a lock-order or conservation regression
+// Makefile and CI wire in; if a lock-order or dropped-error regression
 // lands, this test names the file and line. It is the tree's one
 // whole-module lint run in tier-1, and it goes through the CLI's flag
 // path.
@@ -28,8 +28,7 @@ func TestSelfCleanTree(t *testing.T) {
 }
 
 // TestPassSubset runs a single pass by name over the lockorder fixture
-// corpus, which carries four lockorder findings, one moneyflow finding
-// and no errdrop ones.
+// corpus, which carries four lockorder findings and no errdrop ones.
 func TestPassSubset(t *testing.T) {
 	const dir = "../../internal/lint/testdata/lockorder"
 	for _, c := range []struct{ pass, expect string }{{"errdrop", "0"}, {"lockorder", "4"}} {
@@ -55,24 +54,24 @@ func TestUnknownPassIsUsageError(t *testing.T) {
 // -testdata mode it sums each pass over the fixtures.
 func TestVerboseTimings(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-v", "-pass", "errdrop,guardflow", "-testdata", "../../internal/lint/testdata/guardflow"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-v", "-pass", "errdrop,lockorder", "-testdata", "../../internal/lint/testdata/lockorder"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("verbose run exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
-	for _, name := range []string{"errdrop", "guardflow"} {
+	for _, name := range []string{"errdrop", "lockorder"} {
 		if !strings.Contains(stderr.String(), "zlint: "+name) {
 			t.Errorf("-v output missing wall time for %s:\n%s", name, stderr.String())
 		}
 	}
 }
 
-// TestListPasses pins the four pass names: suppression directives and
+// TestListPasses pins the two pass names: suppression directives and
 // CI annotations refer to passes by name.
 func TestListPasses(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	names := []string{"lockorder", "errdrop", "moneyflow", "guardflow"}
+	names := []string{"lockorder", "errdrop"}
 	for _, name := range names {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing pass %s:\n%s", name, stdout.String())
@@ -94,17 +93,17 @@ func TestUnknownFormatIsUsageError(t *testing.T) {
 // TestTestdataSweep runs the self-test mode over one fixture cluster
 // and checks the JSON and github output shapes plus the -expect pin.
 func TestTestdataSweep(t *testing.T) {
-	const dir = "../../internal/lint/testdata/moneyflow"
+	const dir = "../../internal/lint/testdata/lockorder"
 
-	// The moneyflow cluster carries exactly 7 findings (6 in bad + 1 in
-	// the unsuppressed twin); -expect holds it there.
+	// The lockorder cluster carries exactly 4 findings, all in bad;
+	// -expect holds it there.
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-testdata", dir, "-expect", "7", "-format", "json"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("moneyflow sweep exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	if code := run([]string{"-testdata", dir, "-expect", "4", "-format", "json"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("lockorder sweep exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if len(lines) != 7 {
-		t.Fatalf("want 7 JSON findings, got %d:\n%s", len(lines), stdout.String())
+	if len(lines) != 4 {
+		t.Fatalf("want 4 JSON findings, got %d:\n%s", len(lines), stdout.String())
 	}
 	for _, line := range lines {
 		var f struct {
@@ -116,7 +115,7 @@ func TestTestdataSweep(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &f); err != nil {
 			t.Fatalf("finding is not one JSON object per line: %v\n%s", err, line)
 		}
-		if f.Pass != "moneyflow" || f.File == "" || f.Line == 0 || f.Msg == "" {
+		if f.Pass != "lockorder" || f.File == "" || f.Line == 0 || f.Msg == "" {
 			t.Errorf("JSON finding incomplete: %+v", f)
 		}
 	}
@@ -124,7 +123,7 @@ func TestTestdataSweep(t *testing.T) {
 	// A wrong pin must fail the run.
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-testdata", dir, "-expect", "6"}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-testdata", dir, "-expect", "3"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("wrong -expect pin exited %d, want 1", code)
 	}
 
@@ -139,17 +138,16 @@ func TestTestdataSweep(t *testing.T) {
 	}
 }
 
-// TestGuardflowGithubAnnotations confirms the lockset findings flow
-// through the CI annotation path like every other pass: the guardflow
-// bad corpus under -format github must emit ::error lines titled with
-// the pass name.
-func TestGuardflowGithubAnnotations(t *testing.T) {
+// TestErrdropGithubAnnotations confirms findings flow through the CI
+// annotation path: the errdrop bad corpus under -format github must
+// emit one ::error line per finding, titled with the pass name.
+func TestErrdropGithubAnnotations(t *testing.T) {
 	var stdout, stderr strings.Builder
-	code := run([]string{"-testdata", "../../internal/lint/testdata/guardflow/bad", "-format", "github", "-expect", "13"}, &stdout, &stderr)
+	code := run([]string{"-testdata", "../../internal/lint/testdata/errdrop/bad", "-format", "github", "-expect", "7"}, &stdout, &stderr)
 	if code != 0 {
-		t.Fatalf("guardflow bad sweep exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+		t.Fatalf("errdrop bad sweep exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "title=zlint guardflow::") {
+	if n := strings.Count(stdout.String(), "title=zlint errdrop::"); n != 7 {
 		t.Errorf("github format should title annotations with the pass, got:\n%s", stdout.String())
 	}
 }

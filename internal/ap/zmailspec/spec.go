@@ -343,8 +343,8 @@ func (s *Spec) buildISP(i int) {
 			if st.Balance[sender] >= 1 && st.Sent[sender] < cfg.Limit {
 				// Cheat mode (E4) charges the user but never credits the
 				// peer ISP; CheatedSends records the skimmed value and the
-				// bank's verification round is what catches it.
-				//zlint:ignore moneyflow the cheat branch skips Credit[j]++ by design; E4's bank verification flags the imbalance
+				// bank's verification round is what catches it. The skipped
+				// Credit[j]++ is by design: E4's verification flags it.
 				st.Balance[sender]--
 				if st.Cheat {
 					s.CheatedSends++

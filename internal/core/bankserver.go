@@ -29,7 +29,8 @@ type BankServer struct {
 	logf func(format string, args ...any)
 
 	mu      sync.Mutex
-	conns   map[int]net.Conn // ISP index → connection
+	conns   map[int]net.Conn      // ISP index → connection
+	live    map[net.Conn]struct{} // every accepted connection, registered or not
 	forward func(env *wire.Envelope)
 	ln      net.Listener
 	closed  bool
@@ -44,7 +45,7 @@ func NewBankServer(b BankHandler, logf func(string, ...any)) *BankServer {
 	if logf == nil {
 		logf = log.Printf
 	}
-	return &BankServer{bank: b, logf: logf, conns: make(map[int]net.Conn)}
+	return &BankServer{bank: b, logf: logf, conns: make(map[int]net.Conn), live: make(map[net.Conn]struct{})}
 }
 
 // SetForward installs a hook that receives a copy of every credit
@@ -125,7 +126,15 @@ func (s *BankServer) Listen(addr string) error {
 			if err != nil {
 				return
 			}
+			s.mu.Lock()
+			if s.closed {
+				s.mu.Unlock()
+				_ = conn.Close()
+				continue
+			}
+			s.live[conn] = struct{}{}
 			s.wg.Add(1)
+			s.mu.Unlock()
 			go func() {
 				defer s.wg.Done()
 				s.serveConn(conn)
@@ -145,12 +154,14 @@ func (s *BankServer) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Close stops the listener and all connections.
+// Close stops the listener and every accepted connection, including
+// one whose client has not sent an envelope yet, then waits for their
+// handlers.
 func (s *BankServer) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	ln := s.ln
-	for _, c := range s.conns {
+	for c := range s.live {
 		_ = c.Close()
 	}
 	s.conns = make(map[int]net.Conn)
@@ -177,6 +188,10 @@ func (s *BankServer) serveConn(conn net.Conn) {
 		idx := int(env.From)
 		if registered != idx {
 			s.mu.Lock()
+			if s.closed {
+				s.mu.Unlock()
+				break // Close already closed conn
+			}
 			if old := s.conns[idx]; old != nil && old != conn {
 				_ = old.Close()
 			}
@@ -200,11 +215,10 @@ func (s *BankServer) serveConn(conn net.Conn) {
 			}
 		}
 	}
-	if registered >= 0 {
-		s.mu.Lock()
-		if s.conns[registered] == conn {
-			delete(s.conns, registered)
-		}
-		s.mu.Unlock()
+	s.mu.Lock()
+	delete(s.live, conn)
+	if registered >= 0 && s.conns[registered] == conn {
+		delete(s.conns, registered)
 	}
+	s.mu.Unlock()
 }

@@ -374,3 +374,26 @@ func TestFailedHelloClosesConn(t *testing.T) {
 		}
 	}
 }
+
+// TestBankServerCloseWithSilentClient: a client that connected and never
+// sent an envelope does not hold Close, so a bank daemon's shutdown and
+// final checkpoint never wait on an idle peer.
+func TestBankServerCloseWithSilentClient(t *testing.T) {
+	srv, err := StartBankHandler(&stallingHandler{}, "127.0.0.1:0", quietLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Give the accept loop time to take the connection, so Close finds
+	// it accepted rather than still in the listen backlog.
+	time.Sleep(50 * time.Millisecond)
+	returnsPromptly(t, "BankServer.Close with a silent client", func() {
+		if err := srv.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+}

@@ -158,20 +158,14 @@ func (e *Engine) generateAcks(locals []string, listMsg *mail.Message) {
 	for _, l := range single {
 		groups = append(groups, []string{l})
 	}
-	// Each ack commits inside a function literal, which moneyflow proves
-	// on its own, as submitEnvelope's groups do: summed over this loop,
-	// E4's cheat mode would leave the analysis no bound.
-	send := func(ackers []string) {
+	for _, ackers := range groups {
 		if len(ackers) == 1 {
 			e.generateAck(ackers[0], listMsg)
-			return
+			continue
 		}
 		// sendAcks takes back the acks it drops, as generateAck does.
 		e.stats.acksGenerated.Add(int64(len(ackers)))
 		_, _ = e.SubmitSync(ackFrom(e.newAck(ackers[0], listMsg), ackers))
-	}
-	for _, g := range groups {
-		send(g)
 	}
 }
 

@@ -260,11 +260,10 @@ func (e *Engine) thaw() {
 	// Drain the buffered outbox through the normal submission path.
 	// Messages that can no longer be funded are dropped, mirroring what
 	// a real MTA queue does when an account is closed mid-queue. The
-	// loop's net delta is per-send × queue length — unbounded to the
-	// analysis; each drained send conserves individually via submit.
+	// drain repeats submit, which conserves e-pennies per send, so the
+	// loop does too.
 	for _, msg := range outbox {
 		var em emitQueue
-		//zlint:ignore moneyflow outbox drain repeats submit, whose per-send conservation is checked on its own
 		_, _ = e.submit(&em, msg, true)
 		em.run()
 	}

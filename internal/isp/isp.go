@@ -536,10 +536,9 @@ func (e *Engine) RegisterUser(name string, account money.Penny, balance money.EP
 	if balance > e.avail {
 		return fmt.Errorf("%w: need %v, pool has %v", ErrPoolExhausted, balance, e.avail)
 	}
-	// Pool → user transfer: the matching credit is the new user's
-	// composite-literal balance on the next line, which is
-	// initialization rather than a tracked ledger delta.
-	//zlint:ignore moneyflow the debited e-pennies land in the new user's starting balance one line down
+	// Pool → user transfer: the debit has no credit of its own, because
+	// the debited e-pennies land in the new user's starting balance, the
+	// composite literal one line down.
 	e.avail -= balance
 	u := &user{name: name, account: account, balance: balance, limit: limit}
 	s.users[name] = u

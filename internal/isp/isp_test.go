@@ -254,25 +254,30 @@ func TestSubmitForeignDomain(t *testing.T) {
 	}
 }
 
+// TestSubmitRejections: each refused submission names its cause and
+// moves no money: every balance, the pool and the credit array are as
+// they were.
 func TestSubmitRejections(t *testing.T) {
 	e, _, _ := newEngine(t, 0, nil, nil)
 	mustRegister(t, e, "poor", 0, 0)
 	mustRegister(t, e, "bob", 0, 5)
-	msg := mail.NewMessage(addr("poor@a.example"), addr("bob@a.example"), "s", "b")
-	if _, err := e.SubmitSync(msg); !errors.Is(err, ErrInsufficientBalance) {
-		t.Fatalf("broke sender: %v", err)
-	}
-	msg = mail.NewMessage(addr("ghost@a.example"), addr("bob@a.example"), "s", "b")
-	if _, err := e.SubmitSync(msg); !errors.Is(err, ErrUnknownUser) {
-		t.Fatalf("unknown sender: %v", err)
-	}
-	msg = mail.NewMessage(addr("alien@b.example"), addr("bob@a.example"), "s", "b")
-	if _, err := e.SubmitSync(msg); err == nil {
-		t.Fatal("foreign sender accepted on submission path")
-	}
-	msg = mail.NewMessage(addr("bob@a.example"), addr("ghost@a.example"), "s", "b")
-	if _, err := e.SubmitSync(msg); !errors.Is(err, ErrUnknownUser) {
-		t.Fatalf("unknown local recipient: %v", err)
+	before := ledgerOf(e)
+	for _, c := range []struct {
+		what, from, to string
+		want           error
+	}{
+		{"broke sender", "poor@a.example", "bob@a.example", ErrInsufficientBalance},
+		{"unknown sender", "ghost@a.example", "bob@a.example", ErrUnknownUser},
+		{"foreign sender", "alien@b.example", "bob@a.example", nil},
+		{"unknown local recipient", "bob@a.example", "ghost@a.example", ErrUnknownUser},
+	} {
+		_, err := e.SubmitSync(mail.NewMessage(addr(c.from), addr(c.to), "s", "b"))
+		if err == nil || c.want != nil && !errors.Is(err, c.want) {
+			t.Fatalf("%s: %v, want %v", c.what, err, c.want)
+		}
+		if after := ledgerOf(e); !after.equal(before) {
+			t.Fatalf("%s: refused but the ledger moved:\n before %+v\n after  %+v", c.what, before, after)
+		}
 	}
 }
 

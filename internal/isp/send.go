@@ -158,20 +158,15 @@ func (e *Engine) submitEnvelope(em *emitQueue, msg *mail.Message, ss *accountStr
 		}
 		groups[i] = append(groups[i], to)
 	}
-	// A peer's group debits k and credits k. It commits inside a
-	// function literal, which moneyflow proves on its own: summed over
-	// this loop, E4's cheat mode (a debit left uncredited on purpose)
-	// would leave the analysis no bound.
-	send := func(out *mail.Message) {
+	// A peer's group debits k and credits k.
+	for _, g := range groups {
+		out := envelopeFor(msg, g)
 		toIndex, toCompliant, known := e.cfg.Directory.Lookup(out.To.Domain)
 		if known && toCompliant {
 			note(e.sendPaid(em, out, ss, toIndex, tid, isAck))
-			return
+		} else {
+			note(e.sendUnpaid(em, out, ss, toIndex, tid))
 		}
-		note(e.sendUnpaid(em, out, ss, toIndex, tid))
-	}
-	for _, g := range groups {
-		send(envelopeFor(msg, g))
 	}
 	return outcome, firstErr
 }
@@ -322,8 +317,7 @@ func (e *Engine) charge(em *emitQueue, sender *user, n int, isAck bool) error {
 	// (paid remote) in the caller — except in cheat mode (experiment
 	// E4), which skips the credit on purpose; the bank's §4.4
 	// verification, not local conservation, is what catches a cheating
-	// ISP.
-	//zlint:ignore moneyflow E4 cheat mode deliberately leaves this debit uncredited; bank-side verification is the enforcement
+	// ISP. Cheat mode leaves this debit uncredited deliberately.
 	sender.balance -= money.EPenny(n)
 	if !isAck {
 		sender.sent += int64(n)

@@ -1,12 +1,12 @@
 package lint
 
-// Control-flow graphs and a forward dataflow driver for the
-// flow-sensitive passes (moneyflow and the lockset tier). The builder is deliberately small and stdlib-only: blocks
-// hold statements and the condition expressions that decide their
-// successors, and the driver
+// Control-flow graphs and a forward dataflow solver for the lockset
+// engine (lockset.go), which lockorder reads. The builder is
+// deliberately small and stdlib-only: blocks hold statements and the
+// condition expressions that decide their successors, and the solver
 // iterates a pure transfer function to a fixpoint. Function literals
 // are never descended into — each literal is its own analysis unit
-// (see flow.go), so a closure's body shows up exactly once.
+// (see flowUnits), so a closure's body shows up exactly once.
 //
 // Supported control flow: if/else, for, range, switch (including
 // fallthrough), type switch, select, labeled break/continue, return,
@@ -17,27 +17,17 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"slices"
 )
 
 // A cfgBlock is a straight-line run of nodes with its successor edges.
 // Nodes are statements plus the condition expressions evaluated in the
 // block (if/for conditions, switch tags and case expressions, range
-// operands). An optional errGate filters dataflow facts entering the
-// block: it encodes which branch of an `err != nil` check the block
-// lives on (see the call summaries in moneyflow.go).
+// operands).
 type cfgBlock struct {
 	index int
 	nodes []ast.Node
 	succs []*cfgBlock
 	npred int
-
-	// errGate, when set, means this block is only reached when the
-	// error variable named gateVar is (wantErr=true) or is not
-	// (wantErr=false) nil.
-	gateVar string
-	wantErr bool
-	gated   bool
 }
 
 // A cfg is one function body's control-flow graph. entry has no
@@ -198,27 +188,6 @@ func (b *cfgBuilder) branch(s *ast.BranchStmt) {
 	b.cur = nil
 }
 
-// errCheckCond recognizes `v != nil` / `v == nil` where v is a plain
-// identifier, returning the variable name and whether the TRUE branch
-// is the error (non-nil) branch.
-func errCheckCond(cond ast.Expr) (name string, trueIsErr, ok bool) {
-	bin, isBin := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !isBin || (bin.Op != token.NEQ && bin.Op != token.EQL) {
-		return "", false, false
-	}
-	x, y := ast.Unparen(bin.X), ast.Unparen(bin.Y)
-	id, isID := x.(*ast.Ident)
-	nilSide, isNil := y.(*ast.Ident)
-	if !isID || !isNil || nilSide.Name != "nil" {
-		id, isID = y.(*ast.Ident)
-		nilSide, isNil = x.(*ast.Ident)
-		if !isID || !isNil || nilSide.Name != "nil" {
-			return "", false, false
-		}
-	}
-	return id.Name, bin.Op == token.NEQ, true
-}
-
 func (b *cfgBuilder) ifStmt(s *ast.IfStmt) {
 	if s.Init != nil {
 		b.stmt(s.Init)
@@ -229,13 +198,7 @@ func (b *cfgBuilder) ifStmt(s *ast.IfStmt) {
 	b.add(s.Cond)
 	cond := b.cur
 
-	gateVar, trueIsErr, isErrCheck := errCheckCond(s.Cond)
-
-	then := b.newBlock(cond)
-	if isErrCheck {
-		then.gated, then.gateVar, then.wantErr = true, gateVar, trueIsErr
-	}
-	b.cur = then
+	b.cur = b.newBlock(cond)
 	b.stmt(s.Body)
 	thenEnd := b.cur
 
@@ -244,23 +207,13 @@ func (b *cfgBuilder) ifStmt(s *ast.IfStmt) {
 		b.link(thenEnd, join)
 	}
 	if s.Else != nil {
-		els := b.newBlock(cond)
-		if isErrCheck {
-			els.gated, els.gateVar, els.wantErr = true, gateVar, !trueIsErr
-		}
-		b.cur = els
+		b.cur = b.newBlock(cond)
 		b.stmt(s.Else)
 		if b.cur != nil {
 			b.link(b.cur, join)
 		}
 	} else {
-		// The implicit else: materialize it so the err-gate applies to
-		// the fallthrough edge too.
-		els := b.newBlock(cond)
-		if isErrCheck {
-			els.gated, els.gateVar, els.wantErr = true, gateVar, !trueIsErr
-		}
-		b.link(els, join)
+		b.link(cond, join)
 	}
 	b.cur = join
 	if join.npred == 0 {
@@ -469,9 +422,6 @@ type flowLattice[S any] struct {
 	transfer func(S, ast.Node) S
 	join     func(S, S) S
 	equal    func(S, S) bool
-	// gate filters the facts entering an err-gated block; nil disables
-	// gating for the pass.
-	gate func(S, string, bool) S
 }
 
 // forwardFlow iterates the transfer function to a fixpoint and returns
@@ -521,9 +471,6 @@ func forwardFlow[S any](g *cfg, entry S, lat flowLattice[S]) map[*cfgBlock]S {
 				if !any {
 					continue // no predecessor state yet
 				}
-				if blk.gated && lat.gate != nil {
-					s = lat.gate(s, blk.gateVar, blk.wantErr)
-				}
 			}
 			in[blk] = s
 			for _, n := range blk.nodes {
@@ -539,32 +486,4 @@ func forwardFlow[S any](g *cfg, entry S, lat flowLattice[S]) map[*cfgBlock]S {
 		}
 	}
 	return in
-}
-
-// flowExits runs forwardFlow over g, then replays each reachable block
-// from its entry state and hands exit the state that leaves the body:
-// at every return (ret is the statement) and off the end of the body
-// (ret is nil). A path that ends in a panic call has no exit.
-func flowExits[S any](g *cfg, entry S, lat flowLattice[S], exit func(s S, ret *ast.ReturnStmt)) {
-	in := forwardFlow(g, entry, lat)
-	for _, blk := range g.reversePostorder() {
-		s, ok := in[blk]
-		if !ok {
-			continue
-		}
-		ended := false
-		for _, n := range blk.nodes {
-			s = lat.transfer(s, n)
-			switch n := n.(type) {
-			case *ast.ReturnStmt:
-				exit(s, n)
-				ended = true
-			case *ast.ExprStmt:
-				ended = ended || isPanicCall(n.X)
-			}
-		}
-		if !ended && slices.Contains(blk.succs, g.exit) {
-			exit(s, nil)
-		}
-	}
 }

@@ -60,28 +60,6 @@ func TestCFGIfElse(t *testing.T) {
 	}
 }
 
-// TestCFGErrGates pins the err-branch gating that moneyflow's call
-// summaries rely on: both arms of `if err != nil`, including a
-// materialized implicit else, carry opposite gates on the same var.
-func TestCFGErrGates(t *testing.T) {
-	g := buildCFG(parseBody(t, "if err != nil {\n return err\n}\nreturn nil"))
-	var gated []*cfgBlock
-	for _, b := range g.blocks {
-		if b.gated {
-			gated = append(gated, b)
-		}
-	}
-	if len(gated) != 2 {
-		t.Fatalf("want 2 gated blocks (then + implicit else), got %d", len(gated))
-	}
-	if gated[0].gateVar != "err" || gated[1].gateVar != "err" {
-		t.Errorf("gates must bind the checked variable, got %q/%q", gated[0].gateVar, gated[1].gateVar)
-	}
-	if gated[0].wantErr == gated[1].wantErr {
-		t.Errorf("the two arms must carry opposite err outcomes")
-	}
-}
-
 func TestCFGForLoop(t *testing.T) {
 	g := buildCFG(parseBody(t, "for i := 0; i < n; i++ {\n a()\n}\nreturn nil"))
 	// The head must be a join point: loop entry plus the back edge.
@@ -126,33 +104,6 @@ func TestCFGSwitchFallthrough(t *testing.T) {
 	}
 }
 
-func TestErrCheckCond(t *testing.T) {
-	cases := []struct {
-		expr          string
-		name          string
-		trueIsErr, ok bool
-	}{
-		{"err != nil", "err", true, true},
-		{"nil != err", "err", true, true},
-		{"err == nil", "err", false, true},
-		{"(err) != nil", "err", true, true},
-		{"x > 0", "", false, false},
-		{"f() != nil", "", false, false},
-		{"a != b", "", false, false},
-	}
-	for _, c := range cases {
-		e, err := parser.ParseExpr(c.expr)
-		if err != nil {
-			t.Fatalf("parse %q: %v", c.expr, err)
-		}
-		name, trueIsErr, ok := errCheckCond(e)
-		if name != c.name || trueIsErr != c.trueIsErr || ok != c.ok {
-			t.Errorf("errCheckCond(%q) = (%q, %v, %v), want (%q, %v, %v)",
-				c.expr, name, trueIsErr, ok, c.name, c.trueIsErr, c.ok)
-		}
-	}
-}
-
 // TestForwardFlowJoin drives the dataflow engine with a may-analysis
 // ("was x assigned?") over a branch: the join of a true arm and an
 // untouched arm must be true.
@@ -172,46 +123,5 @@ func TestForwardFlowJoin(t *testing.T) {
 	got, ok := in[g.exit]
 	if !ok || !got {
 		t.Errorf("exit in-state = (%v, %v); the assignment on one arm must survive the join", got, ok)
-	}
-}
-
-// TestForwardFlowGate pins gate application: an err-gated branch sees
-// the gated state, and the post-join state merges both arms.
-func TestForwardFlowGate(t *testing.T) {
-	g := buildCFG(parseBody(t, "if err != nil {\n a()\n} else {\n b()\n}\nreturn nil"))
-	lat := flowLattice[string]{
-		transfer: func(s string, n ast.Node) string { return s },
-		join: func(a, b string) string {
-			if a == b {
-				return a
-			}
-			return "both"
-		},
-		equal: func(a, b string) bool { return a == b },
-		gate: func(s, v string, wantErr bool) string {
-			if wantErr {
-				return "err:" + v
-			}
-			return "ok:" + v
-		},
-	}
-	in := forwardFlow(g, "start", lat)
-	seenErr, seenOK := false, false
-	for b, s := range in {
-		if !b.gated {
-			continue
-		}
-		switch s {
-		case "err:err":
-			seenErr = true
-		case "ok:err":
-			seenOK = true
-		}
-	}
-	if !seenErr || !seenOK {
-		t.Errorf("gated blocks must see gated states (err=%v ok=%v)", seenErr, seenOK)
-	}
-	if s := in[g.exit]; s != "both" {
-		t.Errorf("exit must join both gated arms, got %q", s)
 	}
 }

@@ -168,22 +168,8 @@ func TestLockOrderFixtures(t *testing.T) {
 
 func TestErrDropFixtures(t *testing.T) {
 	passes := []Pass{ErrDrop()}
-	for _, c := range []string{"errdrop/bad", "errdrop/clean"} {
+	for _, c := range []string{"errdrop/bad", "errdrop/clean", "errdrop/suppressed", "errdrop/unsuppressed"} {
 		t.Run(c, func(t *testing.T) { checkFixture(t, c, passes, DefaultConfig()) })
-	}
-}
-
-func TestMoneyFlowFixtures(t *testing.T) {
-	passes := []Pass{MoneyFlow()}
-	for _, c := range []string{"moneyflow/bad", "moneyflow/clean", "moneyflow/suppressed", "moneyflow/unsuppressed"} {
-		t.Run(c, func(t *testing.T) { checkFixture(t, c, passes, fixtureCfg(c)) })
-	}
-}
-
-func TestGuardFlowFixtures(t *testing.T) {
-	passes := []Pass{GuardFlow()}
-	for _, c := range []string{"guardflow/bad", "guardflow/clean", "guardflow/suppressed", "guardflow/unsuppressed", "guardflow/runtime"} {
-		t.Run(c, func(t *testing.T) { checkFixture(t, c, passes, fixtureCfg(c)) })
 	}
 }
 
@@ -192,7 +178,7 @@ func TestGuardFlowFixtures(t *testing.T) {
 // the same package proves both passes do fire there.
 func TestCommaDirectiveFixture(t *testing.T) {
 	rel := "zlint/comma"
-	checkFixture(t, rel, []Pass{MoneyFlow(), GuardFlow()}, fixtureCfg(rel))
+	checkFixture(t, rel, []Pass{LockOrder(), ErrDrop()}, fixtureCfg(rel))
 }
 
 // TestMalformedDirectives asserts directive hygiene: a typo'd pass name
@@ -200,46 +186,40 @@ func TestCommaDirectiveFixture(t *testing.T) {
 func TestMalformedDirectives(t *testing.T) {
 	rel := "zlint/malformed"
 	pkg := loadFixture(t, rel)
-	diags := Run([]*Package{pkg}, []Pass{MoneyFlow()}, fixtureCfg(rel))
+	diags := Run([]*Package{pkg}, []Pass{ErrDrop()}, fixtureCfg(rel))
 
-	var zlintCount, moneyflowCount int
+	var zlintCount, errdropCount int
 	for _, d := range diags {
 		switch d.Pass {
 		case "zlint":
 			zlintCount++
-		case "moneyflow":
-			moneyflowCount++
+		case "errdrop":
+			errdropCount++
 		}
 	}
 	if zlintCount != 2 {
 		t.Errorf("got %d zlint directive findings, want 2 (unknown pass + missing reason): %v", zlintCount, diags)
 	}
-	if moneyflowCount != 2 {
-		t.Errorf("got %d moneyflow findings, want 2 (malformed directives must not suppress): %v", moneyflowCount, diags)
+	if errdropCount != 2 {
+		t.Errorf("got %d errdrop findings, want 2 (malformed directives must not suppress): %v", errdropCount, diags)
 	}
 }
 
 // TestSuppressionDeletionFails is the acceptance check in miniature:
-// each pass's suppressed fixture is clean, and its directive-stripped
+// the suppressed errdrop fixture is clean, and its directive-stripped
 // twin (same code, comment deleted) fails with exactly one finding.
 func TestSuppressionDeletionFails(t *testing.T) {
-	for dir, pass := range map[string]Pass{
-		"moneyflow": MoneyFlow(),
-		"guardflow": GuardFlow(),
-	} {
-		sup := dir + "/suppressed"
-		if diags := Run([]*Package{loadFixture(t, sup)}, []Pass{pass}, fixtureCfg(sup)); len(diags) != 0 {
-			t.Errorf("%s: suppressed fixture should be clean, got %v", sup, diags)
-		}
-		unsup := dir + "/unsuppressed"
-		if diags := Run([]*Package{loadFixture(t, unsup)}, []Pass{pass}, fixtureCfg(unsup)); len(diags) != 1 {
-			t.Errorf("%s: stripped twin should fail with 1 finding, got %v", unsup, diags)
-		}
+	passes := []Pass{ErrDrop()}
+	if diags := Run([]*Package{loadFixture(t, "errdrop/suppressed")}, passes, DefaultConfig()); len(diags) != 0 {
+		t.Errorf("errdrop/suppressed: suppressed fixture should be clean, got %v", diags)
+	}
+	if diags := Run([]*Package{loadFixture(t, "errdrop/unsuppressed")}, passes, DefaultConfig()); len(diags) != 1 {
+		t.Errorf("errdrop/unsuppressed: stripped twin should fail with 1 finding, got %v", diags)
 	}
 }
 
-// TestDefaultConfigCoversRoadmapPackages pins the policy: the ledger,
-// persistence and daemon packages stay scoped.
+// TestDefaultConfigCoversRoadmapPackages pins the policy: the ledger
+// and persistence packages stay scoped.
 func TestDefaultConfigCoversRoadmapPackages(t *testing.T) {
 	cfg := DefaultConfig()
 	if !pathMatches("zmail/internal/isp", cfg.LockOrderPkgs) {
@@ -249,19 +229,6 @@ func TestDefaultConfigCoversRoadmapPackages(t *testing.T) {
 		if !pathMatches(p, cfg.ErrDropPkgs) {
 			t.Errorf("errdrop policy must cover %s", p)
 		}
-	}
-	for _, p := range []string{"zmail/internal/isp", "zmail/internal/bank", "zmail/internal/ap/zmailspec"} {
-		if !pathMatches(p, cfg.MoneyflowPkgs) {
-			t.Errorf("moneyflow policy must cover %s", p)
-		}
-	}
-	for _, p := range []string{"zmail/internal/isp", "zmail/internal/bank", "zmail/internal/core", "zmail/internal/cluster"} {
-		if !pathMatches(p, cfg.GuardflowPkgs) {
-			t.Errorf("guardflow policy must cover %s", p)
-		}
-	}
-	if len(cfg.GuardedFields) == 0 {
-		t.Errorf("guardflow policy must declare guarded fields")
 	}
 	// Subpackage and non-prefix behavior.
 	if !pathMatches("zmail/internal/isp/sub", cfg.LockOrderPkgs) {

@@ -68,8 +68,7 @@ func runLockOrder(u *Unit) []Diagnostic {
 		return nil
 	}
 	var out []Diagnostic
-	units, _, _ := u.flowInfo()
-	for _, fu := range units {
+	for _, fu := range u.flowUnits() {
 		if fu.fn != nil && stripeHelpers[fu.fn.Name()] {
 			continue
 		}
@@ -131,7 +130,7 @@ func checkReleased(u *Unit, fu *flowUnit) []Diagnostic {
 		if acquired[r] > 0 && released[r] == 0 {
 			out = append(out, u.diag("lockorder", fu.pos,
 				"%s acquires the %s but never releases it (no Unlock or defer on any path)",
-				fu.name, rankNames[r]))
+				fu.fn.Name(), rankNames[r]))
 		}
 	}
 	return out

@@ -1,9 +1,8 @@
 package lint
 
-// The lockset engine, the package's one held-lock simulation: a forward
-// must-hold dataflow over each function body's CFG, run once per body
-// and cached on the Unit; guardflow and lockorder are predicates over
-// its per-node state. A lock is keyed by type and field
+// The lockset engine: a forward must-hold dataflow over each function
+// body's CFG, run once per body and cached on the Unit; lockorder is a
+// predicate over its per-node state. A lock is keyed by type and field
 // ("importpath.Owner.field"), not by instance. Deferred unlocks are not
 // applied: the lock stays held to the end of the function, as it does
 // at run time.
@@ -14,6 +13,69 @@ import (
 	"go/types"
 	"maps"
 )
+
+// A flowUnit is one function body analyzed on its own CFG. Function
+// literals are their own units — their statements are excluded from
+// the enclosing function's graph, and a goroutine body starts from an
+// empty lockset because the spawner's locks do not transfer.
+type flowUnit struct {
+	body *ast.BlockStmt
+	pos  token.Pos
+	fn   *types.Func // nil for literals
+}
+
+// flowUnits enumerates every function declaration and function literal
+// in the package, once per Unit.
+func (u *Unit) flowUnits() []*flowUnit {
+	if u.units != nil {
+		return u.units
+	}
+	u.units = []*flowUnit{}
+	for _, f := range u.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					fn, _ := u.Pkg.Info.Defs[n.Name].(*types.Func)
+					u.units = append(u.units, &flowUnit{body: n.Body, pos: n.Pos(), fn: fn})
+				}
+			case *ast.FuncLit:
+				u.units = append(u.units, &flowUnit{body: n.Body, pos: n.Pos()})
+			}
+			return true
+		})
+	}
+	return u.units
+}
+
+// inspectShallow walks n without descending into function literals,
+// whose bodies are separate analysis units.
+func inspectShallow(n ast.Node, visit func(ast.Node) bool) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		if m == nil {
+			return true
+		}
+		if _, ok := m.(*ast.FuncLit); ok {
+			return false
+		}
+		return visit(m)
+	})
+}
+
+// namedTypeOf unwraps pointers and returns the named type of t, if any.
+func namedTypeOf(t types.Type) *types.Named {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
 
 // gfMode is the per-lock must-state.
 type gfMode uint8
@@ -139,7 +201,7 @@ func (u *Unit) lockset(body *ast.BlockStmt) []heldAt {
 	}
 	// Classify each node's lock operations once, skipping deferred calls
 	// (they run at return) and function literals (their own units).
-	g := u.cfgOf(body)
+	g := buildCFG(body)
 	ops := map[ast.Node][]lockOp{}
 	for _, blk := range g.blocks {
 		for _, n := range blk.nodes {

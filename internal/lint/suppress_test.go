@@ -15,7 +15,7 @@ func supDiag(file string, line int, pass string) Diagnostic {
 func TestCoversCommaForm(t *testing.T) {
 	set := suppressionSet{byFileLine: map[string][]suppression{
 		"a.go": {{
-			passes: map[string]bool{"guardflow": true, "moneyflow": true},
+			passes: map[string]bool{"lockorder": true, "errdrop": true},
 			line:   10,
 			file:   "a.go",
 		}},
@@ -25,13 +25,13 @@ func TestCoversCommaForm(t *testing.T) {
 		d    Diagnostic
 		want bool
 	}{
-		{supDiag("a.go", 10, "guardflow"), true},  // same line
-		{supDiag("a.go", 11, "guardflow"), true},  // line below
-		{supDiag("a.go", 11, "moneyflow"), true},  // second pass of the comma list
-		{supDiag("a.go", 11, "lockorder"), false}, // pass not named
-		{supDiag("a.go", 12, "guardflow"), false}, // too far down
-		{supDiag("a.go", 9, "guardflow"), false},  // directive covers down, not up
-		{supDiag("b.go", 10, "guardflow"), false}, // other file
+		{supDiag("a.go", 10, "lockorder"), true},  // same line
+		{supDiag("a.go", 11, "lockorder"), true},  // line below
+		{supDiag("a.go", 11, "errdrop"), true},    // second pass of the comma list
+		{supDiag("a.go", 11, "zlint"), false},     // pass not named
+		{supDiag("a.go", 12, "lockorder"), false}, // too far down
+		{supDiag("a.go", 9, "lockorder"), false},  // directive covers down, not up
+		{supDiag("b.go", 10, "lockorder"), false}, // other file
 	} {
 		if got := set.covers(tc.d); got != tc.want {
 			t.Errorf("covers(%s:%d %s) = %v, want %v", tc.d.Pos.Filename, tc.d.Pos.Line, tc.d.Pass, got, tc.want)
@@ -40,14 +40,13 @@ func TestCoversCommaForm(t *testing.T) {
 }
 
 // TestSuppressionNamesFlowPasses asserts the directive parser accepts
-// the flow-tier pass names (they postdate the directive syntax) and
-// still rejects unknown ones in a comma list.
+// the passes' names, in a comma list too.
 func TestSuppressionNamesFlowPasses(t *testing.T) {
 	valid := make(map[string]bool)
 	for _, name := range PassNames() {
 		valid[name] = true
 	}
-	for _, name := range []string{"moneyflow", "guardflow"} {
+	for _, name := range []string{"lockorder", "errdrop"} {
 		if !valid[name] {
 			t.Errorf("PassNames() must include %q for //zlint:ignore validation", name)
 		}
@@ -65,7 +64,7 @@ func TestSuppressionNamesFlowPasses(t *testing.T) {
 	if len(sups) != 1 {
 		t.Fatalf("want 1 parsed directive, got %d", len(sups))
 	}
-	if !sups[0].passes["moneyflow"] || !sups[0].passes["guardflow"] {
+	if !sups[0].passes["lockorder"] || !sups[0].passes["errdrop"] {
 		t.Errorf("comma directive must name both passes, got %v", sups[0].passes)
 	}
 }

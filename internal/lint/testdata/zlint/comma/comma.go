@@ -1,26 +1,22 @@
 // Package comma exercises the comma form of the suppression
-// directive: one line silencing findings from several passes at once,
-// including the flow passes added after the directive syntax shipped.
+// directive: one line silencing findings from several passes at once.
 package comma
 
-import "sync"
+import (
+	"sync"
 
-type vault struct {
-	mu    sync.Mutex
-	coins int64
-	avail int64
-}
+	"zmail/internal/persist"
+)
 
-// Jitter burns pool e-pennies by an amount read without the vault's
-// lock: a moneyflow and a guardflow finding on the same line, silenced
-// by one directive.
-func Jitter(v *vault) {
-	//zlint:ignore moneyflow,guardflow one directive, two passes: an unguarded, unpaired burn is this fixture's point
-	v.avail -= v.coins
-}
+type engine struct{ mu sync.Mutex }
+
+// Jitter takes the cold mutex for good and drops a load error: a
+// lockorder and an errdrop finding on the same line, silenced by one
+// directive.
+//
+//zlint:ignore lockorder,errdrop one directive, two passes: a leaked lock and a dropped error are this fixture's point
+func Jitter(e *engine, path string) { e.mu.Lock(); persist.LoadJSON(path, nil) }
 
 // Raw is the in-package stripped twin: without the directive both
 // passes must fire on the line.
-func Raw(v *vault) {
-	v.avail -= v.coins //want moneyflow guardflow
-}
+func Raw(e *engine, path string) { e.mu.Lock(); persist.LoadJSON(path, nil) } //want lockorder errdrop

@@ -7,18 +7,18 @@
 // line would parse as its reason).
 package malformed
 
-type pool struct{ avail int64 }
+import "zmail/internal/persist"
 
 // BadPassName carries a directive naming a pass that does not exist;
 // the typo is reported and the underlying finding is NOT silenced.
-func BadPassName(p *pool) {
-	//zlint:ignore moneyflw the pool is topped up by the bank on boot
-	p.avail++ //want moneyflow
+func BadPassName(path string) {
+	//zlint:ignore errdorp the cache is rebuilt on boot
+	persist.LoadJSON(path, nil) //want errdrop
 }
 
 // MissingReason names a real pass but gives no justification; also
 // reported, also not silenced.
-func MissingReason(p *pool) {
-	//zlint:ignore moneyflow
-	p.avail++ //want moneyflow
+func MissingReason(path string) {
+	//zlint:ignore errdrop
+	persist.LoadJSON(path, nil) //want errdrop
 }

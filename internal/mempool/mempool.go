@@ -17,8 +17,7 @@
 // WAL or snapshots.
 //
 // The package deliberately knows nothing about the engine: Commit is
-// an injected closure, so the moneyflow conservation analysis of the
-// ledger packages is unaffected by the drain loop living here.
+// an injected closure, so no ledger code lives in the drain loop.
 package mempool
 
 import (
