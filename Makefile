@@ -2,12 +2,12 @@
 #
 # `make test` is the tier-1 gate used by CI and the roadmap; `make race`
 # is the concurrency gate for the striped-ledger work and must also stay
-# green. `make check` is the full pre-merge sweep: tier-1, race, lint,
-# the benchmark smoke test, chaos, fuzz smoke, and determinism.
+# green. `make check` is the full pre-merge sweep: tier-1, race, the
+# benchmark smoke test, chaos, fuzz smoke, and determinism.
 
 GO ?= go
 
-.PHONY: build fmt test race bench bench-record bench-smoke bench-pair determinism chaos fuzz-smoke golden lint lint-fixtures obsv wal cluster check all
+.PHONY: build fmt test race bench bench-record bench-smoke bench-pair determinism chaos fuzz-smoke golden obsv wal cluster check all
 
 all: build test
 
@@ -26,7 +26,8 @@ test: build
 	$(GO) test -shuffle=on ./...
 
 # Concurrency gate: the whole suite under the race detector, including
-# the parallel conservation/antisymmetry property tests and the guard
+# the parallel conservation/antisymmetry property tests, the isp lock
+# rank test (TestLockRanks, DESIGN.md decision 8) and the guard
 # hammers, which call every exported read method of the bank, isp,
 # mempool and core daemons' shared objects while one goroutine drives
 # their writers (DESIGN.md decision 14).
@@ -97,20 +98,6 @@ golden:
 	$(GO) run ./cmd/zsim > zsim_output.txt
 	$(GO) run ./cmd/zsim -seed 7 > internal/experiments/testdata/seed7.golden
 
-# Project-specific static analysis (cmd/zlint): the isp lock order and
-# dropped persistence/crypto errors — each pass kept for a mutation
-# only it catches (DESIGN.md decision 8).
-# Exits nonzero on any unsuppressed finding.
-lint:
-	$(GO) run ./cmd/zlint
-
-# Analyzer self-test: sweep the fixture corpus with every pass and pin
-# the total finding count. A pass that goes blind (or noisy) changes
-# the count and fails here; re-pin after intentional corpus changes.
-LINT_FIXTURE_FINDINGS = 18
-lint-fixtures:
-	$(GO) run ./cmd/zlint -testdata internal/lint/testdata -expect $(LINT_FIXTURE_FINDINGS)
-
 # Observability smoke: boot a zmaild on ephemeral ports with the admin
 # listener, scrape /metrics, parse the exposition, and read a ledger
 # page.
@@ -138,4 +125,4 @@ cluster:
 	$(GO) test -race -v ./internal/cluster/
 
 # Full pre-merge sweep.
-check: fmt test race lint lint-fixtures bench-smoke chaos fuzz-smoke determinism obsv wal
+check: fmt test race bench-smoke chaos fuzz-smoke determinism obsv wal

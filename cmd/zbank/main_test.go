@@ -68,10 +68,16 @@ func TestZbankUsageFailures(t *testing.T) {
 
 // TestZbankMetricsBootFailure: a well-formed but unbindable metrics
 // address is a boot failure, not a usage error, and still exits
-// non-zero before the serve loop.
+// non-zero before the serve loop. A bank that serves anyway is stopped
+// after two seconds.
 func TestZbankMetricsBootFailure(t *testing.T) {
+	stopSoon := func() <-chan os.Signal {
+		stop := make(chan os.Signal, 1)
+		time.AfterFunc(2*time.Second, func() { stop <- os.Interrupt })
+		return stop
+	}
 	err := run([]string{"-isps", "2", "-insecure",
-		"-listen", "127.0.0.1:0", "-metrics", "203.0.113.1:0"}, nil)
+		"-listen", "127.0.0.1:0", "-metrics", "203.0.113.1:0"}, stopSoon())
 	if err == nil {
 		t.Fatal("unbindable -metrics address accepted")
 	}
@@ -79,7 +85,7 @@ func TestZbankMetricsBootFailure(t *testing.T) {
 		t.Fatalf("bind failure %q misreported as a usage error", err)
 	}
 	err = run([]string{"-isps", "2", "-insecure", "-assign", "0,1",
-		"-listen", "127.0.0.1:0", "-metrics", "203.0.113.1:0"}, nil)
+		"-listen", "127.0.0.1:0", "-metrics", "203.0.113.1:0"}, stopSoon())
 	if err == nil {
 		t.Fatal("root: unbindable -metrics address accepted")
 	}

@@ -88,14 +88,16 @@ func TestZmaildUsageFailures(t *testing.T) {
 // TestZmaildMetricsBootFailure: a well-formed but unbindable metrics
 // address is a boot failure (non-zero exit), discovered before the
 // daemon enters its serve loop, and the SMTP port bound before it is
-// released.
+// released. A daemon that serves anyway is stopped after two seconds.
 func TestZmaildMetricsBootFailure(t *testing.T) {
 	addr := freeAddr(t)
+	stop := make(chan os.Signal, 1)
+	time.AfterFunc(2*time.Second, func() { stop <- os.Interrupt })
 	err := run([]string{
 		"-index", "0", "-domains", "a.example", "-insecure",
 		"-listen", addr,
 		"-metrics", "203.0.113.1:0", // TEST-NET-3: never assigned locally
-	}, nil)
+	}, stop)
 	if err == nil {
 		t.Fatal("unbindable -metrics address accepted")
 	}

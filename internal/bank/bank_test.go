@@ -2,6 +2,7 @@ package bank
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"zmail/internal/crypto"
@@ -74,6 +75,28 @@ func batchReplyOf(t *testing.T, ft *fakeTransport, i int) wire.BatchReply {
 func reportEnv(from int32, seq uint64, credits []int64) *wire.Envelope {
 	return &wire.Envelope{Kind: wire.KindReply, From: from,
 		Payload: (&wire.CreditReport{Seq: seq, Credits: credits}).MarshalBinary()}
+}
+
+// keySealer stands in for a keypair: Seal tags a payload with the key,
+// and Open refuses a payload tagged with another key with
+// crypto.ErrBadSeal, as a crypto.Box refuses one sealed to another key.
+type keySealer byte
+
+func (k keySealer) Seal(plain []byte) ([]byte, error) { return append([]byte{byte(k)}, plain...), nil }
+
+func (k keySealer) Open(sealed []byte) ([]byte, error) {
+	if len(sealed) == 0 || sealed[0] != byte(k) {
+		return nil, crypto.ErrBadSeal
+	}
+	return slices.Clone(sealed[1:]), nil
+}
+
+func (k keySealer) PublicOnly() crypto.Sealer { return k }
+
+// sealed returns env with its payload sealed to k.
+func (k keySealer) sealed(env *wire.Envelope) *wire.Envelope {
+	env.Payload, _ = k.Seal(env.Payload)
+	return env
 }
 
 func TestConfigValidation(t *testing.T) {

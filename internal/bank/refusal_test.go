@@ -1,6 +1,7 @@
 package bank
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -31,9 +32,12 @@ func bankLedgerOf(b *Bank) bankLedger {
 // that mix every refusal it makes — replayed and degenerate orders,
 // orders, deposits, reports and enrolments from an unknown or
 // non-compliant ISP, bad deposits, stale, duplicate and unsolicited
-// reports, a second round while one gathers, an abort with none, an
-// undecodable payload and a wrong kind — with the accepted operations
-// they shadow, including audit rounds that settle and flag a cheater.
+// reports, a second round while one gathers, an abort with none,
+// truncated orders and reports, an order sealed to another key and a
+// wrong kind — with the accepted operations they shadow, including
+// audit rounds that settle and flag a cheater. A message that fails to
+// open or decode must be refused with the sealer's or the decoder's own
+// error.
 // After every operation the real pennies in accounts plus the
 // e-pennies outstanding are what was deposited, the outstanding
 // e-pennies are what the replies filled less what they burned, and
@@ -50,8 +54,9 @@ func TestRefusalsAreMoneyNeutral(t *testing.T) {
 func bankRefusalScript(t *testing.T, rng *rand.Rand, steps int) {
 	const n = 4 // isp3 is non-compliant; index 4 and -1 are unknown
 	ft := newFake()
+	bankKey := keySealer(1)
 	b, err := New(Config{NumISPs: n, Compliant: []bool{true, true, true, false}, InitialAccount: 500,
-		Transport: ft, OwnSealer: crypto.Null{}, SettleOnVerify: true})
+		Transport: ft, OwnSealer: bankKey, SettleOnVerify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +90,7 @@ func bankRefusalScript(t *testing.T, rng *rand.Rand, steps int) {
 				nonce++
 			}
 			what = fmt.Sprintf("order from isp%d buy %d sell %d nonce %d", g, buy, sell, non)
-			if err = b.Handle(batchEnv(g, buy, sell, non)); err == nil {
+			if err = b.Handle(bankKey.sealed(batchEnv(g, buy, sell, non))); err == nil {
 				replies := ft.out[int(g)]
 				var br wire.BatchReply
 				if err := br.UnmarshalBinary(replies[len(replies)-1].Payload); err != nil {
@@ -123,7 +128,7 @@ func bankRefusalScript(t *testing.T, rng *rand.Rand, steps int) {
 				credits = reports[g]
 			}
 			what = fmt.Sprintf("report from isp%d for seq %d", g, s)
-			if err = b.Handle(reportEnv(g, s, credits)); err == nil && b.RoundComplete() {
+			if err = b.Handle(bankKey.sealed(reportEnv(g, s, credits))); err == nil && b.RoundComplete() {
 				seq++
 				reports = nil
 			}
@@ -140,15 +145,27 @@ func bankRefusalScript(t *testing.T, rng *rand.Rand, steps int) {
 			what = fmt.Sprintf("enroll isp%d", g)
 			err = b.Enroll(g, crypto.Null{})
 		case 9:
+			// A fresh order, or the report due next: accepted whole, so only
+			// the open or the decode refuses.
 			env := batchEnv(int32(rng.Intn(3)), 5, 0, nonce+1)
-			if rng.Intn(2) == 0 {
-				env.Payload = env.Payload[:3]
-				what = "undecodable order"
-			} else {
-				env.Kind = wire.KindBatchReply
-				what = "wrong kind"
+			what = "order"
+			if len(due) > 0 && int(due[0]) < len(reports) && rng.Intn(2) == 0 {
+				env, what = reportEnv(due[0], seq, reports[due[0]]), "report"
 			}
-			err = b.Handle(env)
+			var want error
+			switch rng.Intn(3) {
+			case 0:
+				env.Payload = env.Payload[:len(env.Payload)-1]
+				env, what, want = bankKey.sealed(env), "undecodable "+what, wire.ErrShortMessage
+			case 1:
+				env, what, want = keySealer(2).sealed(env), what+" sealed to another key", crypto.ErrBadSeal
+			default:
+				env.Kind = wire.KindBatchReply
+				env, what = bankKey.sealed(env), what+" of the wrong kind"
+			}
+			if err = b.Handle(env); want != nil && !errors.Is(err, want) {
+				t.Fatalf("step %d, %s: %v, want %v", step, what, err, want)
+			}
 		}
 		after := bankLedgerOf(b)
 		if err != nil && !reflect.DeepEqual(after, before) {

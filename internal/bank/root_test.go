@@ -100,14 +100,21 @@ func TestRootCrossRegionOnly(t *testing.T) {
 }
 
 func TestRootRejectsDuplicatesAndStrays(t *testing.T) {
-	r := newTestRoot(t, []int{0, 1}, nil)
-	if err := r.Handle(report(t, 0, 0, []int64{0, 0})); err != nil {
+	key := keySealer(1)
+	r, err := NewRoot(RootConfig{NumISPs: 2, Assign: []int{0, 1}, OwnSealer: key})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Handle(report(t, 0, 0, []int64{0, 0})); !errors.Is(err, ErrReplay) {
+	sealed := func(g int, seq uint64, credits []int64) *wire.Envelope {
+		return key.sealed(reportEnv(int32(g), seq, credits))
+	}
+	if err := r.Handle(sealed(0, 0, []int64{0, 0})); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Handle(sealed(0, 0, []int64{0, 0})); !errors.Is(err, ErrReplay) {
 		t.Fatalf("duplicate report = %v, want ErrReplay", err)
 	}
-	if err := r.Handle(report(t, 7, 0, []int64{0, 0})); !errors.Is(err, ErrUnknownISP) {
+	if err := r.Handle(sealed(7, 0, []int64{0, 0})); !errors.Is(err, ErrUnknownISP) {
 		t.Fatalf("out-of-range From = %v, want ErrUnknownISP", err)
 	}
 	if err := r.Handle(&wire.Envelope{Kind: wire.KindBatchOrder, From: 0}); err == nil {
@@ -116,8 +123,18 @@ func TestRootRejectsDuplicatesAndStrays(t *testing.T) {
 	if err := r.Handle(&wire.Envelope{Kind: wire.KindHello, From: 0}); err != nil {
 		t.Errorf("hello = %v, want nil", err)
 	}
-	if st := r.Stats(); st.Replays != 2 {
-		t.Fatalf("Replays = %d, want 2", st.Replays)
+	// isp1's report, which would complete the round, truncated or sealed
+	// to another key: refused with the decoder's or the sealer's error.
+	truncated := reportEnv(1, 0, []int64{0, 0})
+	truncated.Payload = truncated.Payload[:len(truncated.Payload)-1]
+	if err := r.Handle(key.sealed(truncated)); !errors.Is(err, wire.ErrShortMessage) {
+		t.Fatalf("truncated report = %v, want wire.ErrShortMessage", err)
+	}
+	if err := r.Handle(keySealer(2).sealed(reportEnv(1, 0, []int64{0, 0}))); !errors.Is(err, crypto.ErrBadSeal) {
+		t.Fatalf("report sealed to another key = %v, want crypto.ErrBadSeal", err)
+	}
+	if st := r.Stats(); st.Replays != 2 || st.Reports != 1 || st.Rounds != 0 {
+		t.Fatalf("stats = %+v, want 2 replays and isp0's report alone", st)
 	}
 }
 

@@ -171,10 +171,19 @@ func (e *Engine) handleBank(em *emitQueue, env *wire.Envelope) error {
 		// engine's report was lost). Adopting the bank's seq keeps a
 		// restarted federation convergent instead of wedging every
 		// subsequent round on a sequence mismatch.
-		if rq.Seq < seq || e.frozen {
+		switch {
+		case rq.Seq < seq:
 			return ErrStaleReply // replayed snapshot request (§4.4)
+		case !e.frozen:
+			e.beginFreezeLocked(em, rq.Seq, trace.ID(env.Trace))
+			return nil
+		case rq.Seq <= e.freezing || (e.held != nil && rq.Seq <= e.held.seq):
+			return ErrStaleReply // the round in progress, or one already held
 		}
-		e.beginFreezeLocked(em, rq.Seq, trace.ID(env.Trace))
+		// A newer round while frozen: the bank started it after this
+		// engine's cut, inside the thaw guard, or gave up on the frozen
+		// one. thaw begins it.
+		e.held = &heldRound{seq: rq.Seq, tid: trace.ID(env.Trace)}
 		return nil
 
 	default:
@@ -191,6 +200,7 @@ func (e *Engine) beginFreezeLocked(em *emitQueue, seq uint64, tid trace.ID) {
 		return
 	}
 	e.frozen = true
+	e.freezing = seq
 	e.tracer.Record(tid, "snapshot", 0, "freeze")
 	em.add(func() {
 		e.cfg.Clock.AfterFunc(e.cfg.FreezeDuration, func() { e.finishFreeze(seq, tid) })
@@ -246,16 +256,33 @@ func (e *Engine) finishFreeze(seq uint64, tid trace.ID) {
 // deliveries of one request.
 const thawGuardShare = 4
 
-// thaw ends the freeze a guard interval after the cut and drains the
-// buffered outbox.
+// heldRound is a snapshot request that arrived while the engine was
+// frozen for an older round.
+type heldRound struct {
+	seq uint64
+	tid trace.ID
+}
+
+// thaw ends the freeze a guard interval after the cut, begins a round
+// the bank requested meanwhile unless the cut already covered it, and
+// drains the buffered outbox.
 func (e *Engine) thaw() {
+	var em emitQueue
 	e.freezeMu.Lock()
 	e.frozen = false
 	e.mu.Lock()
 	outbox := e.outbox
 	e.outbox = nil
+	seq := e.seq
 	e.mu.Unlock()
+	if h := e.held; h != nil {
+		e.held = nil
+		if h.seq >= seq {
+			e.beginFreezeLocked(&em, h.seq, h.tid)
+		}
+	}
 	e.freezeMu.Unlock()
+	em.run()
 
 	// Drain the buffered outbox through the normal submission path.
 	// Messages that can no longer be funded are dropped, mirroring what

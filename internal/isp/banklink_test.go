@@ -2,6 +2,7 @@ package isp
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -438,6 +439,58 @@ func TestSnapshotFreezeLifecycle(t *testing.T) {
 	}
 	if !e.Frozen() {
 		t.Fatal("second round did not freeze")
+	}
+}
+
+// TestSnapshotRequestInThawGuard: a round the bank starts while the
+// engine is still in the thaw guard after its previous cut is held and
+// begun at the thaw, so the bank gets that round's report too. Replays
+// of the finished round and of the held one stay refused.
+func TestSnapshotRequestInThawGuard(t *testing.T) {
+	e, ft, clk := newEngine(t, 0, nil, nil)
+	request := func(seq uint64) error {
+		return e.HandleBank(&wire.Envelope{Kind: wire.KindRequest, From: -1,
+			Payload: (&wire.Request{Seq: seq}).MarshalBinary()})
+	}
+	reported := func() []uint64 {
+		var seqs []uint64
+		for _, env := range ft.bank {
+			var cr wire.CreditReport
+			if env.Kind == wire.KindReply && cr.UnmarshalBinary(env.Payload) == nil {
+				seqs = append(seqs, cr.Seq)
+			}
+		}
+		return seqs
+	}
+	if err := request(0); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Minute) // round 0's cut
+	if !e.Frozen() {
+		t.Fatal("no thaw guard after the cut")
+	}
+	if err := request(1); err != nil {
+		t.Fatalf("request for round 1 inside the thaw guard: %v", err)
+	}
+	for _, seq := range []uint64{0, 1} {
+		if err := request(seq); !errors.Is(err, ErrStaleReply) {
+			t.Fatalf("replayed request %d in the guard: %v, want ErrStaleReply", seq, err)
+		}
+	}
+	clk.Advance(thawAfter - time.Minute)
+	if !e.Frozen() {
+		t.Fatal("the thaw did not begin the held round")
+	}
+	clk.Advance(time.Minute) // round 1's cut
+	if got := reported(); !slices.Equal(got, []uint64{0, 1}) {
+		t.Fatalf("reports for rounds %v, want [0 1]", got)
+	}
+	clk.Advance(thawAfter - time.Minute)
+	if e.Frozen() {
+		t.Fatal("still frozen after round 1's guard")
+	}
+	if err := request(1); !errors.Is(err, ErrStaleReply) {
+		t.Fatalf("replayed request 1 after its round: %v, want ErrStaleReply", err)
 	}
 }
 

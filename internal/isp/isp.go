@@ -33,7 +33,10 @@
 // Lock ordering, for every code path: freezeMu → stripe locks (in
 // ascending stripe index) → mu. Whole-ledger snapshots (TotalEPennies,
 // ExportState) take freezeMu for write to stop the world and read an
-// exactly consistent ledger.
+// exactly consistent ledger. The order is checked at run time by
+// TestLockRanks: for every entry point that takes more than one rank,
+// it holds each rank's lock in turn, lets the call block on it, and
+// requires every lock ranked after it to be free.
 package isp
 
 import (
@@ -403,6 +406,11 @@ type Engine struct {
 	// see the package comment for the lock ordering.
 	freezeMu sync.RWMutex
 	frozen   bool // guarded by freezeMu
+	// freezing is the round the current freeze reports, and held a
+	// bank request for a newer round that arrived during it, which
+	// thaw begins; both guarded by freezeMu.
+	freezing uint64
+	held     *heldRound
 
 	// mu guards the cold state: pool level, bank trade handshakes and
 	// the frozen outbox.

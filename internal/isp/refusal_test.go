@@ -1,6 +1,7 @@
 package isp
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -29,16 +30,41 @@ func (l ledger) equal(m ledger) bool {
 	return slices.Equal(l.users, m.users) && l.avail == m.avail && slices.Equal(l.credit, m.credit)
 }
 
+// keySealer stands in for a keypair: Seal tags a payload with the key,
+// and Open refuses a payload tagged with another key with
+// crypto.ErrBadSeal, as a crypto.Box refuses one sealed to another key.
+type keySealer byte
+
+func (k keySealer) Seal(plain []byte) ([]byte, error) { return append([]byte{byte(k)}, plain...), nil }
+
+func (k keySealer) Open(sealed []byte) ([]byte, error) {
+	if len(sealed) == 0 || sealed[0] != byte(k) {
+		return nil, crypto.ErrBadSeal
+	}
+	return slices.Clone(sealed[1:]), nil
+}
+
+func (k keySealer) PublicOnly() crypto.Sealer { return k }
+
+// seal is Seal for a sealer that cannot fail.
+func (k keySealer) seal(plain []byte) []byte {
+	out, _ := k.Seal(plain)
+	return out
+}
+
 // TestRefusalsAreMoneyNeutral drives one engine with random scripts that
 // mix every refusal the engine makes — unknown sender or recipient, a
 // broke sender, the daily limit, mail for another ISP's user, an ack
 // from a non-compliant peer and a malformed one, ack-class submission,
 // bad buys, sells, deposits, withdrawals and registrations, stale and
-// overfilled bank replies, stale snapshot requests — with the accepted
-// operations they shadow, ticks and audit freezes. After every
-// operation e-pennies and real pennies are conserved at the engine
-// boundary, and after every operation that returns an error every
-// user row, the pool and every credit cell are as they were.
+// overfilled bank replies, stale snapshot requests, truncated bank
+// replies and requests and ones sealed to another key — with the
+// accepted operations they shadow, ticks and audit freezes. After
+// every operation the engine holds none of its locks, e-pennies and
+// real pennies are conserved at the engine boundary, and after every
+// operation that returns an error every user row, the pool and every
+// credit cell are as they were. A bank message that fails to open or
+// decode must be refused with the sealer's or the decoder's own error.
 func TestRefusalsAreMoneyNeutral(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		refusalScript(t, rand.New(rand.NewSource(seed)), 120)
@@ -51,11 +77,12 @@ func TestRefusalsAreMoneyNeutral(t *testing.T) {
 func refusalScript(t *testing.T, rng *rand.Rand, steps int) {
 	ft := &fakeTransport{}
 	clk := clock.NewVirtual(time.Unix(1_100_000_000, 0))
+	ispKey, bankKey, otherKey := keySealer(1), keySealer(2), keySealer(3)
 	e, err := New(Config{
 		Index: 0, Domain: testDomains[0], Directory: NewDirectory(testDomains, []bool{true, true, false}),
 		Clock: clk, Transport: ft,
 		MinAvail: 50, MaxAvail: 1 << 40, InitialAvail: 200, DefaultLimit: 4,
-		FreezeDuration: time.Minute, BankSealer: crypto.Null{}, OwnSealer: crypto.Null{},
+		FreezeDuration: time.Minute, BankSealer: bankKey, OwnSealer: ispKey,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,12 +113,15 @@ func refusalScript(t *testing.T, rng *rand.Rand, steps int) {
 	msg := func(from, to string) *mail.Message {
 		return mail.NewMessage(addr(from), addr(to), "s", "b")
 	}
+	fromBank := func(kind wire.Kind, body []byte) *wire.Envelope {
+		return &wire.Envelope{Kind: kind, From: -1, Payload: ispKey.seal(body)}
+	}
 	for step := range steps {
 		before := ledgerOf(e)
 		var what string
 		var err error
 		var thaw bool // the step froze the engine; end the freeze after the checks
-		switch rng.Intn(15) {
+		switch rng.Intn(16) {
 		case 0:
 			from, to := pick(), pick()
 			what = fmt.Sprintf("local send %s→%s", from, to)
@@ -183,8 +213,12 @@ func refusalScript(t *testing.T, rng *rand.Rand, steps int) {
 			n := len(ft.bank)
 			err = e.Tick()
 			if len(ft.bank) > n {
+				plain, oerr := bankKey.Open(ft.bank[len(ft.bank)-1].Payload)
+				if oerr != nil {
+					t.Fatal(oerr)
+				}
 				order = new(wire.BatchOrder)
-				if uerr := order.UnmarshalBinary(ft.bank[len(ft.bank)-1].Payload); uerr != nil {
+				if uerr := order.UnmarshalBinary(plain); uerr != nil {
 					t.Fatal(uerr)
 				}
 			}
@@ -192,7 +226,7 @@ func refusalScript(t *testing.T, rng *rand.Rand, steps int) {
 			switch {
 			case order != nil:
 				fill := []int64{0, order.Buy / 2, order.Buy, order.Buy + 1}[rng.Intn(4)] // Buy+1 overfills
-				reply := batchReply(order.Nonce, fill, 0)
+				reply := fromBank(wire.KindBatchReply, (&wire.BatchReply{Nonce: order.Nonce, BuyFilled: fill}).MarshalBinary())
 				what = fmt.Sprintf("batch reply %d of %d", fill, order.Buy)
 				if err = e.HandleBank(reply); err == nil {
 					minted += fill
@@ -204,8 +238,7 @@ func refusalScript(t *testing.T, rng *rand.Rand, steps int) {
 				err = e.HandleBank(oldReplies[rng.Intn(len(oldReplies))])
 			default:
 				what = "snapshot request for seq 0"
-				err = e.HandleBank(&wire.Envelope{Kind: wire.KindRequest, From: -1,
-					Payload: (&wire.Request{Seq: 0}).MarshalBinary()})
+				err = e.HandleBank(fromBank(wire.KindRequest, (&wire.Request{Seq: 0}).MarshalBinary()))
 				thaw = err == nil
 			}
 		case 13:
@@ -218,6 +251,25 @@ func refusalScript(t *testing.T, rng *rand.Rand, steps int) {
 		case 14:
 			what = "end of day"
 			e.EndOfDay()
+		case 15:
+			// The outstanding order's full reply, or a request for the next
+			// round: accepted whole, so only the open or the decode refuses.
+			kind, body := wire.KindRequest, (&wire.Request{Seq: e.ExportState().Seq + 1}).MarshalBinary()
+			if order != nil && rng.Intn(2) == 0 {
+				kind, body = wire.KindBatchReply, (&wire.BatchReply{Nonce: order.Nonce, BuyFilled: order.Buy}).MarshalBinary()
+			}
+			env, want := fromBank(kind, body[:len(body)-1]), wire.ErrShortMessage
+			what = fmt.Sprintf("truncated %v", kind)
+			if rng.Intn(2) == 0 {
+				env, want = &wire.Envelope{Kind: kind, From: -1, Payload: otherKey.seal(body)}, crypto.ErrBadSeal
+				what = fmt.Sprintf("%v sealed to another key", kind)
+			}
+			if err = e.HandleBank(env); !errors.Is(err, want) {
+				t.Fatalf("step %d, %s: %v, want %v", step, what, err, want)
+			}
+		}
+		if held := heldLocks(e); len(held) > 0 {
+			t.Fatalf("step %d, %s: returned holding %v", step, what, held)
 		}
 		after := ledgerOf(e)
 		if err != nil && !after.equal(before) {
