@@ -18,7 +18,9 @@ build:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
-# Tier-1: compile everything, vet it, and run the full test suite.
+# Tier-1: compile everything, vet it, and run the full test suite,
+# which includes the root package's Examples (the paper's tours): go
+# test runs each and checks what it prints against its Output block.
 # -shuffle=on randomizes test and subtest order so order-dependent
 # tests fail here instead of surprising a later refactor.
 test: build

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"zmail"
+	"zmail/internal/core"
 )
 
 // ---- shared fixtures ------------------------------------------------
@@ -611,20 +612,22 @@ func (sinkSession) Rcpt(zmail.Address) error                 { return nil }
 func (sinkSession) Data(zmail.Address, *zmail.Message) error { return nil }
 func (sinkSession) Reset()                                   {}
 
-// BenchmarkWorldThroughput measures simulator capacity: messages pushed
-// through the full engine+network+delivery pipeline per second.
 // BenchmarkNodeRelay is one cross-ISP message end to end through two
 // real nodes on loopback: committed at the sender, relayed over core's
 // outbound SMTP, received and credited at the peer, handed to the
 // Mailbox. The window keeps 64 messages in flight, so the figure is the
 // relay's sustained cost per delivered message, not one round trip's
 // latency.
+//
+// Both node benchmarks assemble their daemons from core.NewNode, as the
+// federation benchmark in bench/ does, so their rows stay comparable
+// with the BENCH_<n>.json records.
 func BenchmarkNodeRelay(b *testing.B) {
 	domains := []string{"isp0.example", "isp1.example"}
 	window := make(chan struct{}, 64)
-	var nodes [2]*zmail.Node
+	var nodes [2]*core.Node
 	for i := range nodes {
-		node, err := zmail.NewNode(zmail.NodeConfig{
+		node, err := core.NewNode(core.NodeConfig{
 			Engine: zmail.ISPConfig{
 				Index: i, Domain: domains[i], Directory: zmail.NewDirectory(domains, nil),
 				MinAvail: 1, MaxAvail: 1 << 42, InitialAvail: 1 << 41,
@@ -670,9 +673,9 @@ func BenchmarkNodeListFanout(b *testing.B) {
 	const subscribers = 16
 	domains := []string{"isp0.example", "isp1.example"}
 	landed := make(chan struct{}, 2*subscribers)
-	var nodes [2]*zmail.Node
+	var nodes [2]*core.Node
 	for i := range nodes {
-		node, err := zmail.NewNode(zmail.NodeConfig{
+		node, err := core.NewNode(core.NodeConfig{
 			Engine: zmail.ISPConfig{
 				Index: i, Domain: domains[i], Directory: zmail.NewDirectory(domains, nil),
 				MinAvail: 1, MaxAvail: 1 << 42, InitialAvail: 1 << 41,
@@ -725,6 +728,8 @@ func BenchmarkNodeListFanout(b *testing.B) {
 	}
 }
 
+// BenchmarkWorldThroughput measures simulator capacity: messages pushed
+// through the full engine+network+delivery pipeline per second.
 func BenchmarkWorldThroughput(b *testing.B) {
 	w := benchWorld(b, 4)
 	rng := w.Rand()

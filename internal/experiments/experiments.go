@@ -19,7 +19,7 @@ import (
 
 // Result is one experiment's output.
 type Result struct {
-	// ID is the experiment identifier ("E1" … "E14").
+	// ID is the experiment identifier ("E1" … "E20").
 	ID string
 	// Title is the claim under test.
 	Title string

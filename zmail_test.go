@@ -7,29 +7,6 @@ import (
 	"zmail"
 )
 
-// TestPublicAPIQuickstart exercises the README quick-start through the
-// public surface only.
-func TestPublicAPIQuickstart(t *testing.T) {
-	w, err := zmail.NewWorld(zmail.WorldConfig{NumISPs: 2, UsersPerISP: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := w.Send("u0@isp0.example", "u1@isp1.example", "hello", "paid mail")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != zmail.SentPaid {
-		t.Fatalf("outcome = %v", out)
-	}
-	w.Run()
-	if w.InboxCount("u1@isp1.example") != 1 {
-		t.Fatal("quickstart delivery failed")
-	}
-	if !w.ConservationHolds() {
-		t.Fatal("zero-sum broken in quickstart")
-	}
-}
-
 func TestPublicAPIMailModel(t *testing.T) {
 	a, err := zmail.ParseAddress("user@dom.example")
 	if err != nil {
@@ -43,13 +20,6 @@ func TestPublicAPIMailModel(t *testing.T) {
 	}
 	if decoded.Class() != zmail.ClassList {
 		t.Fatal("class lost through public encode/decode")
-	}
-}
-
-func TestPublicAPIEconomics(t *testing.T) {
-	c := zmail.ReferenceCampaign2004()
-	if !c.Profitable() || c.WithEPennyPrice(0.01).Profitable() {
-		t.Fatal("headline economics broken via public API")
 	}
 }
 
