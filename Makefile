@@ -110,13 +110,16 @@ obsv:
 # length prefix, corrupt checksum, snapshot/truncate crash window,
 # duplicate segment replay), the seeded replay-equivalence check, the
 # isp and bank workloads that recover a copy of the live log after
-# every step (WAL completeness, DESIGN.md decision 13), and
+# every step (WAL completeness, DESIGN.md decision 13),
 # zmaild's two boot-order regressions (a -wal daemon closed with mail
 # still queued must log every debit before the WAL closes; a restarted
-# one must not answer a peer's relay before its replay is done). CI runs this
+# one must not answer a peer's relay before its replay is done), and
+# core's bank boot-order regression (a restarted bank applies an order
+# that arrives at once to the recovered ledger, DESIGN.md decision 16)
+# and /healthz check (503 once a WAL append fails). CI runs this
 # target as its "WAL durability gate" step.
 wal:
-	$(GO) test -run 'WAL' ./internal/persist/ ./internal/isp/ ./internal/bank/ ./internal/sim/ ./cmd/zmaild/ -v
+	$(GO) test -run 'WAL' ./internal/persist/ ./internal/isp/ ./internal/bank/ ./internal/sim/ ./internal/core/ ./cmd/zmaild/ -v
 
 # Real-TCP federation suite, verbose (regenerates EXPERIMENTS.md E21):
 # 2 ISPs + a two-level zbank hierarchy on loopback carrying paid,

@@ -168,8 +168,8 @@ func BenchmarkEngineSendParallel(b *testing.B) {
 // BenchmarkEngineSubmitAsync is the sustained-load admission
 // benchmark: the same 64-user paid-remote workload as
 // BenchmarkEngineSend, but through the async Submit path — admission
-// policy inline, ledger commit on drain workers pulling stripe-grouped
-// batches. The timed quantity is the admission operation — what an
+// policy inline, ledger commit on drain workers popping one message at
+// a time. The timed quantity is the admission operation — what an
 // SMTP DATA response now waits on — submitted in waves against a
 // continuously draining queue, with each wave's remaining commits
 // flushed outside the timer (they are exactly the work the redesign
@@ -209,52 +209,41 @@ func BenchmarkEngineSubmitAsync(b *testing.B) {
 	}
 }
 
-// BenchmarkWorldStepParallel measures a full simulator step — a batch
-// of submissions followed by the deterministic drain — with the
-// submission fan-out at 1 worker (the reproducibility mode) versus
-// GOMAXPROCS workers.
-func BenchmarkWorldStepParallel(b *testing.B) {
+// BenchmarkWorldStep measures a full simulator step — a batch of
+// submissions followed by the deterministic drain.
+func BenchmarkWorldStep(b *testing.B) {
 	const users = 64
 	const batch = 256
-	par := runtime.GOMAXPROCS(0)
-	if par < 4 {
-		par = 4 // still exercise the concurrent path on small boxes
+	w, err := zmail.NewWorld(zmail.WorldConfig{
+		NumISPs:        2,
+		UsersPerISP:    users,
+		InitialBalance: 1 << 30,
+		DefaultLimit:   1 << 40,
+		MinAvail:       1,
+		MaxAvail:       1 << 40,
+		InitialAvail:   1 << 40,
+		Seed:           1,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, workers := range []int{1, par} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			w, err := zmail.NewWorld(zmail.WorldConfig{
-				NumISPs:        2,
-				UsersPerISP:    users,
-				InitialBalance: 1 << 30,
-				DefaultLimit:   1 << 40,
-				MinAvail:       1,
-				MaxAvail:       1 << 40,
-				InitialAvail:   1 << 40,
-				Seed:           1,
-				Workers:        workers,
-			})
-			if err != nil {
-				b.Fatal(err)
+	specs := make([]zmail.SendSpec, batch)
+	for i := range specs {
+		specs[i] = zmail.SendSpec{
+			From:    w.UserAddr(i%2, i%users),
+			To:      w.UserAddr((i+1)%2, (i+7)%users),
+			Subject: "bench",
+			Body:    "body",
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range w.SendAll(specs) {
+			if r.Err != nil {
+				b.Fatal(r.Err)
 			}
-			specs := make([]zmail.SendSpec, batch)
-			for i := range specs {
-				specs[i] = zmail.SendSpec{
-					From:    w.UserAddr(i%2, i%users),
-					To:      w.UserAddr((i+1)%2, (i+7)%users),
-					Subject: "bench",
-					Body:    "body",
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, r := range w.SendAll(specs) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-				w.Run()
-			}
-		})
+		}
+		w.Run()
 	}
 }
 

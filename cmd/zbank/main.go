@@ -34,7 +34,8 @@
 // core.StartBankHandler.
 //
 // Pass -metrics 127.0.0.1:7071 to serve the admin listener: /metrics
-// (Prometheus text), /healthz, /tracez, and /debug/pprof.
+// (Prometheus text), /healthz (503 once a WAL append has failed),
+// /tracez, and /debug/pprof.
 package main
 
 import (
@@ -129,7 +130,7 @@ func run(args []string, stop <-chan os.Signal) error {
 		auditEvery = fs.Duration("audit-every", 0, "run credit audits on this interval (0 = manual only)")
 		insecure   = fs.Bool("insecure", false, "use plaintext sealers (local experiments only)")
 		settle     = fs.Bool("settle", false, "net real money between ISP accounts after each verified audit round (central bank only)")
-		walDir     = fs.String("wal", "", "write-ahead-log directory; every mutation is logged, boot replays the log, checkpoints after audits and on shutdown")
+		walDir     = fs.String("wal", "", "write-ahead-log directory; every mutation is logged, boot replays the log, checkpoints every 5m and on shutdown")
 		metricsAd  = fs.String("metrics", "", "admin telemetry listen address (loopback only!), e.g. 127.0.0.1:7071")
 	)
 	fs.Var(enrollments, "enroll", "index=pubkeyfile; repeatable, one per compliant ISP")
@@ -293,11 +294,6 @@ func run(args []string, stop <-chan os.Signal) error {
 				logf("VIOLATION: %v", v)
 			}
 			known = len(bk.Violations())
-			if bk.WALAttached() {
-				if err := bk.Checkpoint(); err != nil {
-					logf("checkpoint: %v", err)
-				}
-			}
 		case <-stop:
 			logf("shutting down")
 			return nil

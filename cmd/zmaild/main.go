@@ -28,8 +28,8 @@
 // mail before the final checkpoint closes the log.
 //
 // Pass -metrics 127.0.0.1:7070 to serve the one admin listener:
-// /metrics (Prometheus text), /healthz, /tracez, /debug/pprof, and the
-// plain-text ledger pages /users, /statement?user=<name>, /credit and
+// /metrics (Prometheus text), /healthz (503 once a WAL append has
+// failed), /tracez, /debug/pprof, and the plain-text ledger pages /users, /statement?user=<name>, /credit and
 // /pool:
 //
 //	curl -s http://127.0.0.1:7070/users

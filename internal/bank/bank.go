@@ -45,9 +45,6 @@ type Config struct {
 	// verified audit round, backing the period's e-penny flows by
 	// multilateral netting (see settlement.go).
 	SettleOnVerify bool
-	// SettleRate is real pennies per e-penny for settlement; zero
-	// selects the nominal 1:1 rate.
-	SettleRate money.Penny
 	// Tracer records mint/burn/audit spans (nil disables tracing).
 	// Mint and burn spans join the ordering ISP's flow via the
 	// envelope trace; audit rounds get a bank-minted flow of their own.
@@ -152,12 +149,6 @@ func New(cfg Config) (*Bank, error) {
 	}
 	if len(compliant) != cfg.NumISPs {
 		return nil, fmt.Errorf("bank: Compliant has %d entries for %d ISPs", len(compliant), cfg.NumISPs)
-	}
-	if cfg.SettleRate == 0 {
-		cfg.SettleRate = money.DefaultRate
-	}
-	if cfg.SettleRate < 0 {
-		return nil, errors.New("bank: SettleRate must be positive")
 	}
 	b := &Bank{
 		cfg:        cfg,

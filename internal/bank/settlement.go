@@ -56,7 +56,7 @@ func (b *Bank) settleNetLocked(flagged map[[2]int]bool) {
 			if net == 0 {
 				continue
 			}
-			p := money.EPenny(net).ToPennies(b.cfg.SettleRate)
+			p := money.EPenny(net).ToPennies(money.DefaultRate)
 			owes[i] += p
 			owes[j] -= p
 		}

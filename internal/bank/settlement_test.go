@@ -149,26 +149,6 @@ func TestSettlementShortfall(t *testing.T) {
 	}
 }
 
-func TestSettlementRate(t *testing.T) {
-	ft := newFake()
-	b, err := New(Config{
-		NumISPs: 2, InitialAccount: 1000, Transport: ft,
-		OwnSealer: crypto.Null{}, SettleOnVerify: true, SettleRate: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = b.Enroll(0, crypto.Null{})
-	_ = b.Enroll(1, crypto.Null{})
-	_ = b.StartSnapshot()
-	_ = b.Handle(reportEnv(0, 0, []int64{0, 4}))
-	_ = b.Handle(reportEnv(1, 0, []int64{-4, 0}))
-	a0, _ := b.Account(0)
-	if a0 != 1000-12 {
-		t.Fatalf("account[0] = %v, want %v (4 e-pennies at rate 3)", a0, money.Penny(988))
-	}
-}
-
 func TestSettlementDisabledByDefault(t *testing.T) {
 	b, _ := newBank(t, 2, nil)
 	_ = b.StartSnapshot()

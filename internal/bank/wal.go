@@ -380,9 +380,9 @@ func (b *Bank) CloseWAL() error {
 // Checkpoint makes the ledger durable: fsync the WAL, or, once the live
 // log has outgrown bankWALCompactThreshold, compact it into a fresh
 // snapshot. It fails when no WAL is attached. The bank has no injected
-// clock, so periodic checkpoints are the caller's job —
-// persist.StartCheckpoints with the caller's clock, or explicit calls
-// after audit rounds (cmd/zbank).
+// clock, so periodic checkpoints are the caller's job: a bank daemon
+// (core.StartBankDaemon) runs persist.StartCheckpoints on the wall
+// clock.
 func (b *Bank) Checkpoint() error {
 	b.mu.Lock()
 	w := b.wal

@@ -31,8 +31,8 @@ import (
 // history on a busy ISP, in ~300 KB.
 const traceRingSpans = 4096
 
-// checkpointEvery is how often an ISP daemon fsyncs (or compacts) its
-// WAL between the checkpoints that shutdown and audits take.
+// checkpointEvery is how often a daemon fsyncs (or compacts) its WAL
+// before the checkpoint that shutdown takes.
 const checkpointEvery = 5 * time.Minute
 
 // User is one account an ISP daemon registers at boot.
@@ -111,7 +111,7 @@ func StartISPDaemon(cfg ISPDaemonConfig) (_ *ISPDaemon, err error) {
 	reg := metrics.NewRegistry()
 	reg.Register(eng)
 	reg.Register(n)
-	if d.admin, err = obsv.Start(cfg.MetricsAddr, obsv.Config{Registry: reg, Ring: ring, Pages: ledgerPages(eng)}); err != nil {
+	if d.admin, err = obsv.Start(cfg.MetricsAddr, obsv.Config{Registry: reg, Ring: ring, Health: walHealth(eng.WALErrors), Pages: ledgerPages(eng)}); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -157,13 +157,14 @@ type BankDaemonConfig struct {
 }
 
 // BankDaemon is one booted bank (central, or a leaf of the bank tree):
-// the bank, its server, its optional uplink to the root, and its admin
-// listener.
+// the bank, its checkpoint timer, its server, its optional uplink to
+// the root, and its admin listener.
 type BankDaemon struct {
-	bank   *bank.Bank
-	srv    *BankServer
-	uplink *Uplink      // nil without RootAddr
-	admin  *obsv.Server // nil without MetricsAddr
+	bank     *bank.Bank
+	srv      *BankServer
+	uplink   *Uplink      // nil without RootAddr
+	admin    *obsv.Server // nil without MetricsAddr
+	stopCkpt func()
 }
 
 // StartBankDaemon boots a bank daemon (see the order above). On error
@@ -181,7 +182,7 @@ func StartBankDaemon(cfg BankDaemonConfig) (_ *BankDaemon, err error) {
 		return nil, err
 	}
 	srv.bank = b
-	d := &BankDaemon{bank: b, srv: srv}
+	d := &BankDaemon{bank: b, srv: srv, stopCkpt: func() {}}
 	defer func() {
 		if err != nil {
 			_ = d.Close()
@@ -196,6 +197,9 @@ func StartBankDaemon(cfg BankDaemonConfig) (_ *BankDaemon, err error) {
 		if err := openWAL(cfg.WALDir, b.RecoverWAL, b.AttachWAL, srv.logf); err != nil {
 			return nil, err
 		}
+		d.stopCkpt = persist.StartCheckpoints(clock.System(), b.Checkpoint, checkpointEvery, func(err error) {
+			srv.logf("checkpoint: %v", err)
+		})
 	}
 	if cfg.RootAddr != "" {
 		// The root tells leaves apart by the index in their hello; a
@@ -209,7 +213,7 @@ func StartBankDaemon(cfg BankDaemonConfig) (_ *BankDaemon, err error) {
 	}
 	reg := metrics.NewRegistry()
 	reg.Register(b)
-	if d.admin, err = obsv.Start(cfg.MetricsAddr, obsv.Config{Registry: reg, Ring: ring}); err != nil {
+	if d.admin, err = obsv.Start(cfg.MetricsAddr, obsv.Config{Registry: reg, Ring: ring, Health: walHealth(b.WALErrors)}); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -227,6 +231,7 @@ func (d *BankDaemon) MetricsAddr() net.Addr { return d.admin.Addr() }
 // Close shuts the daemon down in the reverse of boot order. It is safe
 // to call more than once.
 func (d *BankDaemon) Close() error {
+	d.stopCkpt()
 	err := d.admin.Close()
 	if d.uplink != nil {
 		err = errors.Join(err, d.uplink.Close())
@@ -253,6 +258,17 @@ func openWAL(dir string, replay, attach func(string) error, logf func(string, ..
 	}
 	logf("write-ahead log initialized at %s", dir)
 	return nil
+}
+
+// walHealth fails /healthz once a mutation record has failed to reach
+// the WAL: the ledger then holds state a restart would not recover.
+func walHealth(walErrors func() int64) func() error {
+	return func() error {
+		if n := walErrors(); n > 0 {
+			return fmt.Errorf("wal append failures: %d", n)
+		}
+		return nil
+	}
 }
 
 // ledgerPages are an ISP's ledger views on its admin listener, the ones

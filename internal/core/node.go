@@ -58,9 +58,9 @@ type NodeConfig struct {
 	// latency from ledger commit: submissions are admitted (policy
 	// checks, reservation) inline and committed by drain workers.
 	Queue bool
-	// QueueDepth/QueueWorkers/QueueBatch tune the admission queue when
-	// Queue is set; zero values select the mempool defaults.
-	QueueDepth, QueueWorkers, QueueBatch int
+	// QueueDepth/QueueWorkers tune the admission queue when Queue is
+	// set; zero values select the mempool defaults.
+	QueueDepth, QueueWorkers int
 	// Logf logs diagnostics; nil uses log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -144,7 +144,6 @@ func (n *Node) start() error {
 		n.engine.StartQueue(isp.QueueConfig{
 			Depth:   cfg.QueueDepth,
 			Workers: cfg.QueueWorkers,
-			Batch:   cfg.QueueBatch,
 		})
 	}
 	l, err := net.Listen("tcp", cfg.ListenAddr)

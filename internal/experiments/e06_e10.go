@@ -194,7 +194,7 @@ func E9(seed int64) (*Result, error) {
 	if err := w.Bank.StartSnapshot(); err != nil {
 		return nil, err
 	}
-	w.RunFor(5 * w.Cfg.Latency) // requests delivered, engines frozen
+	w.RunFor(5 * sim.Latency) // requests delivered, engines frozen
 
 	frozen := 0
 	for i := 0; i < n; i++ {

@@ -46,7 +46,7 @@ func TestSubmitWithoutQueueCommitsInline(t *testing.T) {
 func TestSubmitAsyncCommitsThroughQueue(t *testing.T) {
 	e, ft, _ := newEngine(t, 0, nil, nil)
 	mustRegister(t, e, "alice", 0, 8)
-	e.StartQueue(QueueConfig{Depth: 16, Workers: 1, Batch: 4})
+	e.StartQueue(QueueConfig{Depth: 16, Workers: 1})
 	defer e.StopQueue()
 	for i := 0; i < 5; i++ {
 		out, err := e.Submit(remoteMsg("alice"))
@@ -75,7 +75,7 @@ func TestSubmitQueueFullBackpressure(t *testing.T) {
 	mustRegister(t, e, "parker", 0, 5)
 	mustRegister(t, e, "alice", 0, 8)
 	started, release := parkWorkerOn(ft, "parker")
-	e.StartQueue(QueueConfig{Depth: 2, Workers: 1, Batch: 1})
+	e.StartQueue(QueueConfig{Depth: 2, Workers: 1})
 	defer e.StopQueue()
 
 	// Park the single worker inside parker's commit so the buffer state
@@ -121,7 +121,7 @@ func TestSubmitAdmissionEnforcesLimitWithPending(t *testing.T) {
 	mustRegister(t, e, "parker", 0, 5)
 	mustRegister(t, e, "alice", 0, 10)
 	started, release := parkWorkerOn(ft, "parker")
-	e.StartQueue(QueueConfig{Depth: 16, Workers: 1, Batch: 1})
+	e.StartQueue(QueueConfig{Depth: 16, Workers: 1})
 	defer e.StopQueue()
 
 	if _, err := e.Submit(remoteMsg("parker")); err != nil {

@@ -128,7 +128,7 @@ func TestEngineHammer(t *testing.T) {
 	send := func(from, to string) *mail.Message {
 		return mail.NewMessage(addr(from), addr(to), "s", "b")
 	}
-	qc := QueueConfig{Depth: 64, Workers: 2, Batch: 8}
+	qc := QueueConfig{Depth: 64, Workers: 2}
 	var seq uint64
 	hammer.Run(t, hammerRounds, func(round int) {
 		switch {

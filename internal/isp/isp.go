@@ -219,9 +219,6 @@ type Config struct {
 	// OwnSealer opens bank replies sealed to this ISP (required for
 	// bank traffic).
 	OwnSealer crypto.Sealer
-	// Nonces generates replay-protection nonces; nil selects a fresh
-	// crypto source.
-	Nonces *crypto.Source
 
 	// Tracer, when non-nil, mints flow IDs at submission and records a
 	// span for every e-penny movement the engine performs (charge,
@@ -467,13 +464,9 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Stripes = DefaultStripes
 	}
 	cfg.Stripes = ceilPow2(cfg.Stripes)
-	nonces := cfg.Nonces
-	if nonces == nil {
-		nonces = crypto.NewSource(nil)
-	}
 	e := &Engine{
 		cfg:      cfg,
-		nonces:   nonces,
+		nonces:   crypto.NewSource(nil),
 		tracer:   cfg.Tracer,
 		stripes:  make([]accountStripe, cfg.Stripes),
 		credit:   make([]atomic.Int64, cfg.Directory.Len()),

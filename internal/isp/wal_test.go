@@ -181,7 +181,7 @@ func driveWALWorkload(t *testing.T, e *Engine, dir string, ft *fakeTransport, cl
 		t.Fatal(err)
 	}
 	step("bob limit")
-	e.StartQueue(QueueConfig{Depth: 8, Workers: 1, Batch: 1})
+	e.StartQueue(QueueConfig{Depth: 8, Workers: 1})
 	defer e.StopQueue()
 	for i, want := range []error{nil, ErrLimitExceeded} {
 		if _, err := e.Submit(mail.NewMessage(addr("bob@a.example"), addr("alice@a.example"), fmt.Sprint("q", i), "b")); !errors.Is(err, want) {
@@ -388,11 +388,11 @@ func TestWALCrashMidDrain(t *testing.T) {
 	mustRegister(t, e1, "bob", 0, 5)
 	initial := e1.TotalEPennies()
 
-	// Single worker, batch of 1: the queue drains strictly in order, so
-	// parking the worker on bob's message freezes the drain with every
-	// earlier commit acked and every later message still queued.
+	// A single worker drains strictly in order, so parking it on bob's
+	// message freezes the drain with every earlier commit acked and
+	// every later message still queued.
 	started, release := parkWorkerOn(ft, "bob")
-	e1.StartQueue(QueueConfig{Depth: 32, Workers: 1, Batch: 1})
+	e1.StartQueue(QueueConfig{Depth: 32, Workers: 1})
 	const before, after = 4, 4
 	for i := 0; i < before; i++ {
 		if _, err := e1.Submit(remoteMsg("alice")); err != nil {

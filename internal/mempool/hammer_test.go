@@ -13,7 +13,7 @@ import (
 // the check that every read takes q.mu or an atomic.
 func TestQueueHammer(t *testing.T) {
 	const rounds = 200
-	q := Start(Config{Depth: 8, Workers: 2, Batch: 4, StripeOf: func(m *mail.Message) int { return len(m.Body) % 3 }, Commit: func(*mail.Message) {}})
+	q := Start(Config{Depth: 8, Workers: 2, Commit: func(*mail.Message) {}})
 	reads := map[string]func(){
 		"Len":   func() { _ = q.Len() },
 		"Stats": func() { _ = q.Stats() },

@@ -20,7 +20,6 @@ func TestQueueCommitsEverything(t *testing.T) {
 	q := Start(Config{
 		Depth:   64,
 		Workers: 3,
-		Batch:   4,
 		Commit: func(m *mail.Message) {
 			mu.Lock()
 			got[m.ID()] = true
@@ -54,7 +53,6 @@ func TestQueueFullRejects(t *testing.T) {
 	q := Start(Config{
 		Depth:   2,
 		Workers: 1,
-		Batch:   1,
 		Commit:  func(*mail.Message) { <-release },
 	})
 	defer func() { close(release); q.Stop() }()
@@ -79,7 +77,6 @@ func TestStopDrainsThenRejects(t *testing.T) {
 	q := Start(Config{
 		Depth:   32,
 		Workers: 2,
-		Batch:   8,
 		Commit:  func(*mail.Message) { committed.Add(1) },
 	})
 	for i := 0; i < 20; i++ {
@@ -97,56 +94,26 @@ func TestStopDrainsThenRejects(t *testing.T) {
 	q.Stop() // idempotent
 }
 
-func TestBatchStripeGrouping(t *testing.T) {
-	// One worker, batch as large as the backlog: the drained batch must
-	// arrive at Commit grouped by stripe (ascending), stable within a
-	// stripe.
-	started := make(chan struct{})
-	gate := make(chan struct{})
-	var mu sync.Mutex
+func TestSingleWorkerCommitsInOfferOrder(t *testing.T) {
+	// A depth-3 ring offered 10 messages two at a time wraps round
+	// more than once; one worker must commit them in offer order.
 	var order []string
-	q := Start(Config{
-		Depth:   16,
-		Workers: 1,
-		Batch:   16,
-		StripeOf: func(m *mail.Message) int {
-			return int(m.ID()[1]) % 2
-		},
-		Commit: func(m *mail.Message) {
-			if m.ID() == "m\x00" {
-				close(started)
-				<-gate
+	q := Start(Config{Depth: 3, Workers: 1, Commit: func(m *mail.Message) { order = append(order, m.ID()) }})
+	for i := 0; i < 10; i += 2 {
+		for j := i; j < i+2; j++ {
+			if !q.Offer(msg(byte(j))) {
+				t.Fatalf("offer %d rejected", j)
 			}
-			mu.Lock()
-			order = append(order, m.ID())
-			mu.Unlock()
-		},
-	})
-	defer q.Stop()
-	// The first message parks the single worker inside Commit so the
-	// rest accumulate and drain as one stripe-grouped batch.
-	if !q.Offer(msg(0)) {
-		t.Fatal("offer rejected")
+		}
+		q.Flush()
 	}
-	<-started
-	for i := 1; i <= 6; i++ {
-		if !q.Offer(msg(byte(i))) {
-			t.Fatalf("offer %d rejected", i)
+	q.Stop()
+	for i, id := range order {
+		if id != string([]byte{'m', byte(i)}) {
+			t.Fatalf("commit order %q, want offer order", order)
 		}
 	}
-	close(gate)
-	q.Flush()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 7 {
-		t.Fatalf("committed %d, want 7", len(order))
-	}
-	// After the parked singleton, evens (stripe 0) then odds (stripe 1),
-	// each in offer order.
-	want := []string{"m\x00", "m\x02", "m\x04", "m\x06", "m\x01", "m\x03", "m\x05"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("commit order %q, want %q", order, want)
-		}
+	if len(order) != 10 {
+		t.Fatalf("committed %d, want 10", len(order))
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"zmail/internal/clock"
 )
 
-// StartCheckpoints runs checkpoint every interval, on the given clock —
-// the same code path runs under the real daemons (wall clock) and the
-// deterministic chaos harness (virtual clock). onErr (optional)
+// StartCheckpoints runs checkpoint every interval, on the given clock;
+// both daemons (core.StartISPDaemon, core.StartBankDaemon) run it on
+// the wall clock. onErr (optional)
 // observes checkpoint failures; a failed checkpoint never stops the
 // schedule. The returned stop function cancels future checkpoints; it
 // does not interrupt one already running.

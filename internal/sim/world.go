@@ -66,8 +66,6 @@ type Config struct {
 	Settle bool
 	// Seed drives the network and any stochastic workload.
 	Seed int64
-	// Latency is the per-message network delay; zero selects 10ms.
-	Latency time.Duration
 	// Faults configures network fault injection (drops, duplicates);
 	// the zero value is a perfect network. Partitions can be added at
 	// runtime via World.Net.
@@ -85,15 +83,6 @@ type Config struct {
 	// chaos run; empty selects a fresh temp directory owned (and
 	// removed) by RunChaos.
 	ChaosDir string
-	// Workers sizes the submission worker pool used by SendAll and the
-	// per-engine fan-out in EndOfDay. Zero or one keeps every batch
-	// operation serial and in submission order, which — together with
-	// the virtual clock's serial drain — preserves bit-identical seeded
-	// runs. Values above one submit concurrently across the engines'
-	// account stripes; aggregate invariants (conservation, credit
-	// antisymmetry) still hold, but per-message interleaving is no
-	// longer reproducible.
-	Workers int
 }
 
 func (c *Config) fill() {
@@ -144,10 +133,10 @@ func (c *Config) fill() {
 	if c.FreezeDuration == 0 {
 		c.FreezeDuration = time.Minute
 	}
-	if c.Latency == 0 {
-		c.Latency = 10 * time.Millisecond
-	}
 }
+
+// Latency is the simulated network's per-message delay.
+const Latency = 10 * time.Millisecond
 
 // mailPayload travels ISP→ISP on the simulated network.
 type mailPayload struct {
@@ -287,7 +276,7 @@ func NewWorld(cfg Config) (*World, error) {
 		Seed:   cfg.Seed + 1,
 		Faults: cfg.Faults,
 		Latency: func(_, _ simnet.NodeID, _ *rand.Rand) time.Duration {
-			return cfg.Latency
+			return Latency
 		},
 	})
 	w.Dir = isp.NewDirectory(cfg.Domains, cfg.Compliant)
@@ -529,66 +518,15 @@ type SendResult struct {
 	Err     error
 }
 
-// SendAll submits a batch of messages. With Config.Workers <= 1 the
-// batch runs serially in spec order (deterministic); otherwise Workers
-// goroutines pull specs concurrently, exercising the engines' striped
-// submission path. Results are positional either way, so callers can
-// correlate errors with specs regardless of mode.
+// SendAll submits a batch of messages serially, in spec order, as
+// Send would one by one. Results are positional, so callers can
+// correlate errors with specs.
 func (w *World) SendAll(specs []SendSpec) []SendResult {
 	results := make([]SendResult, len(specs))
-	workers := w.Cfg.Workers
-	if workers <= 1 || len(specs) < 2 {
-		for i, s := range specs {
-			results[i].Outcome, results[i].Err = w.Send(s.From, s.To, s.Subject, s.Body)
-		}
-		return results
+	for i, s := range specs {
+		results[i].Outcome, results[i].Err = w.Send(s.From, s.To, s.Subject, s.Body)
 	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
-					return
-				}
-				s := specs[i]
-				results[i].Outcome, results[i].Err = w.Send(s.From, s.To, s.Subject, s.Body)
-			}
-		}()
-	}
-	wg.Wait()
 	return results
-}
-
-// eachEngine applies fn to every compliant engine, fanning out across
-// Config.Workers goroutines when parallelism is enabled.
-func (w *World) eachEngine(fn func(*isp.Engine)) {
-	if w.Cfg.Workers <= 1 {
-		for _, e := range w.Engines {
-			if e != nil {
-				fn(e)
-			}
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, e := range w.Engines {
-		if e == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(e *isp.Engine) {
-			defer wg.Done()
-			fn(e)
-		}(e)
-	}
-	wg.Wait()
 }
 
 // InjectUnpaid delivers a message from a non-compliant or foreign
@@ -660,10 +598,13 @@ func (w *World) ConservationHolds() bool {
 	return w.TotalEPennies() == w.initialE+w.Bank.Outstanding()
 }
 
-// EndOfDay resets every engine's sent counters, in parallel when
-// Config.Workers > 1 (the reset walks every account stripe).
+// EndOfDay resets every live compliant engine's sent counters.
 func (w *World) EndOfDay() {
-	w.eachEngine((*isp.Engine).EndOfDay)
+	for _, e := range w.Engines {
+		if e != nil {
+			e.EndOfDay()
+		}
+	}
 }
 
 // Rand exposes the world's seeded RNG for workload generators.

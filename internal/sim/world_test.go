@@ -295,7 +295,7 @@ func TestFreezeBuffersInWorld(t *testing.T) {
 	if err := w.Bank.StartSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	w.RunFor(5 * w.Cfg.Latency)
+	w.RunFor(5 * Latency)
 	if !w.Engine(0).Frozen() {
 		t.Fatal("engine not frozen")
 	}
