@@ -470,7 +470,7 @@ func BenchmarkMailEncodeDecode(b *testing.B) {
 }
 
 // BenchmarkSMTPRoundTrip measures one full submission transaction
-// (dial, HELO, MAIL, RCPT, DATA, QUIT) against a live server on
+// (dial, EHLO, MAIL, RCPT, DATA, QUIT) against a live server on
 // loopback TCP — Zmail's unmodified transport.
 func BenchmarkSMTPRoundTrip(b *testing.B) {
 	backend := &sinkBackend{}
@@ -514,8 +514,9 @@ var benchBodySizes = []struct {
 	n    int
 }{{"100B", 100}, {"32KiB", 32 << 10}}
 
-// BenchmarkSMTPTxn is one transaction on a persistent HELO session
-// against a server whose Backend does nothing: what moving the bytes of
+// BenchmarkSMTPTxn is one transaction on a persistent session, which
+// pipelines because the server advertises PIPELINING, against a server
+// whose Backend does nothing: what moving the bytes of
 // one message costs both ends of the data path (client framing, two
 // socket hops, server framing, Decode), with the ledger left out. The
 // message is built inside the loop, as the federation benchmark's

@@ -271,7 +271,7 @@ func (s *relaySession) attempt(addr string, msg *mail.Message) error {
 	if errors.As(err, &refused) && s.c.Reset() == nil {
 		return err // the peer said no to this message, not to the session
 	}
-	_ = s.c.Close()
+	_ = s.c.Close() // err is what deliver acts on; the session is dropped either way
 	s.forget()
 	return err
 }
@@ -281,9 +281,8 @@ func (s *relaySession) dial(addr string) error {
 	if err != nil {
 		return err
 	}
-	// EHLO, not HELO: the peer's answer decides whether Send pipelines.
-	if _, err := c.Ehlo(s.relay.node.engine.Domain()); err != nil {
-		_ = c.Close()
+	if err := c.Hello(s.relay.node.engine.Domain()); err != nil {
+		_ = c.Close() // the refused greeting is the error to report
 		return err
 	}
 	s.c, s.addr = c, addr
@@ -297,7 +296,7 @@ func (s *relaySession) dial(addr string) error {
 // sessions normally end and is not reported.
 func (s *relaySession) Close() {
 	if s.c != nil {
-		_ = s.c.Quit()
+		_ = s.c.Quit() // a peer that hung up first has ended the session too
 		s.forget()
 	}
 }

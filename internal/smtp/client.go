@@ -2,18 +2,22 @@ package smtp
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"strings"
 	"time"
 
 	"zmail/internal/mail"
 )
 
-// Client is a minimal SMTP sender: one TCP connection, HELO or EHLO
-// once, then any number of transactions. Not safe for concurrent use.
+// Client is a minimal SMTP sender: one TCP connection, one greeting
+// (Hello), then any number of transactions. Each transaction is
+// pipelined (RFC 2920) when the server advertised PIPELINING — two
+// round trips, MAIL to DATA and then the body — and lock-step
+// otherwise, 3 + n round trips for n recipients. Not safe for
+// concurrent use.
 type Client struct {
 	conn    net.Conn
 	r       *bufio.Reader
@@ -70,7 +74,7 @@ func unsent(err error) error {
 const clientWriteBuffer = 16 << 10
 
 // Dial connects to an SMTP server. timeout bounds the dial and each
-// subsequent command round-trip; zero means 30 seconds.
+// subsequent round trip; zero means 30 seconds.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if timeout == 0 {
 		timeout = 30 * time.Second
@@ -85,46 +89,36 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 		w:       bufio.NewWriterSize(conn, clientWriteBuffer),
 		timeout: timeout,
 	}
-	if _, err := c.expect(220); err != nil {
-		_ = conn.Close()
+	err = c.startRoundTrip()
+	if err == nil {
+		_, err = c.reply(220)
+	}
+	if err != nil {
+		_ = conn.Close() // the greeting's failure is the one to report
 		return nil, err
 	}
 	return c, nil
 }
 
-// Hello announces the client's identity with HELO. It (or Ehlo) must
-// be called before Send.
+// Hello opens the session with EHLO, as RFC 5321 §3.2 asks of a client
+// that speaks extensions. If the reply advertises PIPELINING (RFC 2920),
+// every later Send writes its commands as one group; otherwise each
+// command waits for the previous reply. A server that refuses EHLO with
+// a 5xx is greeted with HELO instead, and its session is lock-step; any
+// other failure, a 4xx or a broken connection, is returned as it is.
+// Hello must be called before Send.
 func (c *Client) Hello(domain string) error {
-	if err := c.cmd("HELO %s", domain); err != nil {
-		return err
+	pipelining, err := c.exchange(250, "EHLO ", domain)
+	var refused *ProtocolError
+	if errors.As(err, &refused) && refused.Code/100 == 5 {
+		_, err = c.exchange(250, "HELO ", domain)
+		pipelining = false
 	}
-	if _, err := c.expect(250); err != nil {
-		return err
-	}
-	c.greeted = true
-	return nil
-}
-
-// Ehlo announces the client's identity with EHLO and returns the
-// server's advertised extensions, keyed by upper-cased keyword (e.g.
-// "SIZE" → "4194304", "8BITMIME" → ""). If PIPELINING is among them,
-// every later Send is pipelined.
-func (c *Client) Ehlo(domain string) (map[string]string, error) {
-	if err := c.cmd("EHLO %s", domain); err != nil {
-		return nil, err
-	}
-	lines, err := c.expectLines(250)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ext := make(map[string]string, len(lines))
-	for _, line := range lines[1:] { // first line is the greeting
-		keyword, value, _ := strings.Cut(line, " ")
-		ext[strings.ToUpper(keyword)] = value
-	}
-	c.greeted = true
-	_, c.pipelining = ext["PIPELINING"]
-	return ext, nil
+	c.greeted, c.pipelining = true, pipelining
+	return nil
 }
 
 // Send runs one full transaction: MAIL, RCPT (one per recipient), DATA.
@@ -147,31 +141,23 @@ func (c *Client) Send(from mail.Address, rcpts []mail.Address, msg *mail.Message
 	if err := c.writeData(msg); err != nil {
 		return unsent(err)
 	}
-	_, err := c.expect(250)
+	_, err := c.reply(250)
 	return err
 }
 
 // beginLockStep takes the transaction up to the server's 354, one
-// command and one reply at a time.
+// command and one reply at a time: the only way to a server that did
+// not advertise PIPELINING.
 func (c *Client) beginLockStep(from mail.Address, rcpts []mail.Address) error {
-	if err := c.cmd("MAIL FROM:<%s>", from); err != nil {
-		return err
-	}
-	if _, err := c.expect(250); err != nil {
+	if _, err := c.exchange(250, "MAIL FROM:<", from.Local, "@", from.Domain, ">"); err != nil {
 		return err
 	}
 	for _, r := range rcpts {
-		if err := c.cmd("RCPT TO:<%s>", r); err != nil {
-			return err
-		}
-		if _, err := c.expect(250); err != nil {
+		if _, err := c.exchange(250, "RCPT TO:<", r.Local, "@", r.Domain, ">"); err != nil {
 			return err
 		}
 	}
-	if err := c.cmd("DATA"); err != nil {
-		return err
-	}
-	_, err := c.expect(354)
+	_, err := c.exchange(354, "DATA")
 	return err
 }
 
@@ -182,18 +168,20 @@ func (c *Client) beginLockStep(from mail.Address, rcpts []mail.Address) error {
 // DATA with 503 when it refused the sender or every recipient, which
 // leaves the session ready for the next Send.
 func (c *Client) beginPipelined(from mail.Address, rcpts []mail.Address) error {
-	_ = c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
-	fmt.Fprintf(c.w, "MAIL FROM:<%s>\r\n", from)
-	for _, r := range rcpts {
-		fmt.Fprintf(c.w, "RCPT TO:<%s>\r\n", r)
+	if err := c.startRoundTrip(); err != nil {
+		return err
 	}
-	c.w.WriteString("DATA\r\n")
+	c.writeLine("MAIL FROM:<", from.Local, "@", from.Domain, ">")
+	for _, r := range rcpts {
+		c.writeLine("RCPT TO:<", r.Local, "@", r.Domain, ">")
+	}
+	c.writeLine("DATA")
 	if err := c.w.Flush(); err != nil {
 		return err
 	}
 	var first error
 	for i := 0; i <= len(rcpts); i++ { // MAIL, then each RCPT
-		if _, err := c.expect(250); err != nil {
+		if _, err := c.reply(250); err != nil {
 			var pe *ProtocolError
 			if !errors.As(err, &pe) {
 				return err // the connection failed; no more replies will come
@@ -203,14 +191,15 @@ func (c *Client) beginPipelined(from mail.Address, rcpts []mail.Address) error {
 			}
 		}
 	}
-	_, err := c.expect(354)
+	_, err := c.reply(354)
 	if first == nil {
 		return err
 	}
 	if err == nil {
 		// Some recipient was refused and the server wants the body for
 		// the others. Send promises all or nothing, and from here the
-		// only way to deliver nothing is to hang up.
+		// only way to deliver nothing is to hang up; the refusal is
+		// what Send reports, whatever Close returns.
 		_ = c.conn.Close()
 	}
 	return first
@@ -220,7 +209,11 @@ func (c *Client) beginPipelined(from mail.Address, rcpts []mail.Address) error {
 // ".", without encoding: the body goes from msg.Body into the write
 // buffer line by line.
 func (c *Client) writeData(msg *mail.Message) error {
-	_ = c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	// Set before the first write: a large body leaves the buffer
+	// before the final Flush.
+	if err := c.startRoundTrip(); err != nil {
+		return err
+	}
 	// The empty last line of the header lines is the separator line.
 	if err := c.writeLines(msg.EncodeHeader()); err != nil {
 		return err
@@ -257,91 +250,117 @@ func (c *Client) writeLines(text string) error {
 }
 
 // Reset aborts any in-progress transaction with RSET, returning the
-// session to the post-HELO state. A long-lived lock-step client calls
+// session to the post-greeting state. A long-lived lock-step client calls
 // it after a mid-transaction rejection — a RCPT bounce, say — so the
 // next Send starts clean.
 func (c *Client) Reset() error {
-	if err := c.cmd("RSET"); err != nil {
-		return err
-	}
-	_, err := c.expect(250)
+	_, err := c.exchange(250, "RSET")
 	return err
 }
 
-// Quit ends the session and closes the connection.
+// Quit ends the session and closes the connection. It reports a QUIT
+// that could not be sent and a failed Close, but not a missing 221: a
+// server that hangs up without one has ended the session all the same.
 func (c *Client) Quit() error {
-	if err := c.cmd("QUIT"); err != nil {
-		_ = c.conn.Close()
-		return err
+	err := c.startRoundTrip()
+	if err == nil {
+		c.writeLine("QUIT")
+		err = c.w.Flush()
 	}
-	_, _ = c.expect(221)
-	return c.conn.Close()
+	if err == nil {
+		_, _ = c.reply(221) // see above: the session is over either way
+	}
+	if cerr := c.conn.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Close closes the connection without QUIT.
 func (c *Client) Close() error { return c.conn.Close() }
 
-func (c *Client) cmd(format string, args ...any) error {
-	_ = c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
-	fmt.Fprintf(c.w, format, args...)
-	if _, err := c.w.WriteString("\r\n"); err != nil {
-		return err
-	}
-	return c.w.Flush()
+// startRoundTrip bounds a round trip by the timeout: what it writes,
+// and the replies that answer it, must be done by then. Only a closed
+// connection makes it fail.
+func (c *Client) startRoundTrip() error {
+	return c.conn.SetDeadline(time.Now().Add(c.timeout))
 }
 
-// expect reads one (possibly multi-line) reply and checks its code,
-// returning the final line's text.
-func (c *Client) expect(code int) (string, error) {
-	lines, err := c.expectLines(code)
-	if err != nil {
-		return "", err
+// writeLine buffers one command line made of parts. A bufio.Writer's
+// error is sticky, so what these writes would return, the Flush that
+// sends the line returns.
+func (c *Client) writeLine(parts ...string) {
+	for _, p := range parts {
+		_, _ = c.w.WriteString(p)
 	}
-	return lines[len(lines)-1], nil
+	_, _ = c.w.WriteString("\r\n")
 }
 
-// expectLines reads a full RFC 5321 reply — continuation lines use
-// "code-text", the final line "code text" — and checks the code.
-func (c *Client) expectLines(code int) ([]string, error) {
-	var texts []string
-	for {
-		_ = c.conn.SetReadDeadline(time.Now().Add(c.timeout))
-		raw, err := readLine(c.r)
+// exchange sends one command line, made of parts, and reads its reply,
+// which must carry code, within one round trip. It reports whether the
+// reply advertised PIPELINING.
+func (c *Client) exchange(code int, parts ...string) (pipelining bool, err error) {
+	if err := c.startRoundTrip(); err != nil {
+		return false, err
+	}
+	c.writeLine(parts...)
+	if err := c.w.Flush(); err != nil {
+		return false, err
+	}
+	return c.reply(code)
+}
+
+// reply reads a full RFC 5321 reply — continuation lines use
+// "code-text", the final line "code text" — and checks its code. It
+// reports whether a line after the first names the PIPELINING
+// extension, as only an EHLO reply's can. It sets no deadline: the
+// round trip it ends has one.
+func (c *Client) reply(code int) (pipelining bool, err error) {
+	for first := true; ; first = false {
+		line, err := readLine(c.r)
 		if err != nil {
-			return nil, fmt.Errorf("smtp: read reply: %w", err)
+			return false, fmt.Errorf("smtp: read reply: %w", err)
 		}
-		line := string(raw)
 		if len(line) < 3 {
-			return nil, fmt.Errorf("smtp: short reply %q", line)
+			return false, fmt.Errorf("smtp: short reply %q", line)
 		}
-		got, err := strconv.Atoi(line[:3])
-		if err != nil {
-			return nil, fmt.Errorf("smtp: malformed reply %q", line)
+		got := 0
+		for _, d := range line[:3] {
+			if d < '0' || d > '9' {
+				return false, fmt.Errorf("smtp: malformed reply %q", line)
+			}
+			got = got*10 + int(d-'0')
 		}
-		cont := len(line) > 3 && line[3] == '-'
-		text := strings.TrimSpace(line[3:])
-		if cont {
-			text = strings.TrimSpace(line[4:])
+		text := line[3:]
+		more := len(text) > 0 && text[0] == '-'
+		if more {
+			text = text[1:]
 		}
-		texts = append(texts, text)
-		if cont {
+		text = bytes.TrimSpace(text)
+		if !first {
+			keyword, _, _ := bytes.Cut(text, []byte(" "))
+			pipelining = pipelining || bytes.EqualFold(keyword, []byte("PIPELINING"))
+		}
+		if more {
 			continue
 		}
 		if got != code {
-			return texts, &ProtocolError{Code: got, Text: text}
+			return false, &ProtocolError{Code: got, Text: string(text)}
 		}
-		return texts, nil
+		return pipelining, nil
 	}
 }
 
-// SendMail is a convenience one-shot: dial, HELO, one transaction,
-// QUIT. heloDomain identifies the submitting ISP or client.
+// SendMail is a convenience one-shot: dial, Hello, one transaction,
+// QUIT. heloDomain identifies the submitting ISP or client. Against a
+// server that advertises PIPELINING the transaction takes two round
+// trips, whatever the number of recipients.
 func SendMail(addr, heloDomain string, from mail.Address, rcpts []mail.Address, msg *mail.Message, timeout time.Duration) error {
 	c, err := Dial(addr, timeout)
 	if err != nil {
 		return err
 	}
-	defer c.Close()
+	defer c.Close() // after Quit a second Close only fails; before it, the error returned is the one to report
 	if err := c.Hello(heloDomain); err != nil {
 		return err
 	}

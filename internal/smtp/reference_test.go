@@ -216,7 +216,7 @@ func pipeSession(t *testing.T) (*Client, *recordingBackend) {
 		w:       bufio.NewWriterSize(near, clientWriteBuffer),
 		timeout: time.Second,
 	}
-	if _, err := c.expect(220); err != nil {
+	if _, err := c.reply(220); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Hello("x.example"); err != nil {

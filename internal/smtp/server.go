@@ -2,8 +2,11 @@
 // Protocol (RFC 821 / RFC 5321) that the Zmail system needs: a server
 // that accepts HELO/EHLO, MAIL FROM, RCPT TO, DATA, RSET, NOOP, VRFY
 // and QUIT, and a client that submits messages. Both ends speak
-// command pipelining (RFC 2920) when the peer's EHLO exchange allows
-// it; a HELO session is lock-step.
+// command pipelining (RFC 2920): the server answers a group of
+// commands in one write, and the client's Hello opens with EHLO and
+// pipelines whenever the reply advertises PIPELINING. Only a client
+// talking to a server that refuses EHLO, or does not advertise it, is
+// lock-step.
 //
 // A message body crosses each side once (DESIGN.md §7): the client
 // frames it from Message.Body straight into its write buffer, the
@@ -221,7 +224,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// 221 always go out at once: the client sends nothing more until it
 	// has read them.
 	reply := func(code int, text string) bool {
-		fmt.Fprintf(w, "%d %s\r\n", code, text)
+		writeReply(w, code, ' ', text)
 		if code != 354 && code != 221 && commandBuffered(r) {
 			return true
 		}
@@ -235,18 +238,22 @@ func (s *Server) serveConn(conn net.Conn) {
 	// last uses "code-text".
 	replyMulti := func(code int, lines ...string) bool {
 		for i, text := range lines {
-			sep := "-"
+			sep := byte('-')
 			if i == len(lines)-1 {
-				sep = " "
+				sep = ' '
 			}
-			fmt.Fprintf(w, "%d%s%s\r\n", code, sep, text)
+			writeReply(w, code, sep, text)
 		}
 		return w.Flush() == nil
 	}
 
 	var st connState
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
+		// A command already buffered whole is read without touching the
+		// socket; only a read that may wait there needs the deadline.
+		if !commandBuffered(r) {
+			_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
+		}
 		line, err := readLine(r)
 		if err != nil {
 			return
@@ -458,6 +465,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// writeReply buffers one reply line: code, sep (' ', or '-' before a
+// continuation), text, CRLF. A bufio.Writer's error is sticky, so what
+// these writes would return, the Flush that sends the line returns.
+func writeReply(w *bufio.Writer, code int, sep byte, text string) {
+	_, _ = w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(code), 10))
+	_ = w.WriteByte(sep)
+	_, _ = w.WriteString(text)
+	_, _ = w.WriteString("\r\n")
+}
+
 func errText(err error) string {
 	t := strings.ReplaceAll(err.Error(), "\r", " ")
 	return strings.ReplaceAll(t, "\n", " ")
@@ -501,15 +518,14 @@ func splitCommand(line string) (verb, arg string) {
 }
 
 // parsePathArg parses "FROM:<a@b> KEY=VALUE ..." / "TO:<a@b>"
-// arguments, returning the address and any ESMTP parameters (keys
-// upper-cased).
+// arguments, keyword matched in any case, returning the address and any
+// ESMTP parameters (keys upper-cased).
 func parsePathArg(arg, keyword string) (mail.Address, map[string]string, error) {
-	upper := strings.ToUpper(arg)
-	prefix := keyword + ":"
-	if !strings.HasPrefix(upper, prefix) {
+	n := len(keyword)
+	if len(arg) <= n || arg[n] != ':' || !strings.EqualFold(arg[:n], keyword) {
 		return mail.Address{}, nil, fmt.Errorf("syntax: %s:<address>", keyword)
 	}
-	rest := strings.TrimSpace(arg[len(prefix):])
+	rest := strings.TrimSpace(arg[n+1:])
 	path := rest
 	var params map[string]string
 	if sp := strings.IndexByte(rest, ' '); sp >= 0 {

@@ -289,7 +289,7 @@ func TestRcptRejectionPipelinedPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Ehlo("a.example"); err != nil {
+	if err := c.Hello("a.example"); err != nil {
 		t.Fatal(err)
 	}
 	from := mail.MustParseAddress("a@a.example")
@@ -321,29 +321,35 @@ func TestMailRejection(t *testing.T) {
 
 // TestClientResetRecovers: after a RCPT rejection mid-transaction, a
 // persistent client completes the next transaction on the same
-// connection. A lock-step client Resets first — the recovery path the
-// federation benchmark's drivers rely on. A pipelined client's group has
-// already run to the server's 503 for DATA (250/550/503), so its session
-// is ready for the next Send as it is — what core's relay relies on.
+// connection. A lock-step client — here one talking to a server that
+// does not advertise PIPELINING — Resets first. A pipelined client's
+// group has already run to the server's 503 for DATA (250/550/503), so
+// its session is ready for the next Send as it is — what core's relay
+// relies on.
 func TestClientResetRecovers(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		pipelined bool
 	}{{"lock-step", false}, {"pipelined", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			backend := &recordingBackend{rejectRcpt: "nobody"}
-			addr := startServer(t, backend)
+			var addr string
+			var delivered func() int // read after Quit
+			if tc.pipelined {
+				backend := &recordingBackend{rejectRcpt: "nobody"}
+				addr = startServer(t, backend)
+				delivered = func() int { return len(backend.received()) }
+			} else {
+				var done <-chan struct{}
+				var log *scriptLog
+				addr, done, log = fakeServer(t, "250 fake greets a.example", false)
+				delivered = func() int { <-done; return log.delivered }
+			}
 			c, err := Dial(addr, 5*time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if tc.pipelined {
-				_, err = c.Ehlo("a.example")
-			} else {
-				err = c.Hello("a.example")
-			}
-			if err != nil {
+			if err := c.Hello("a.example"); err != nil {
 				t.Fatal(err)
 			}
 			if c.pipelining != tc.pipelined {
@@ -365,10 +371,12 @@ func TestClientResetRecovers(t *testing.T) {
 			if err := c.Send(from, []mail.Address{good}, mail.NewMessage(from, good, "s2", "b2")); err != nil {
 				t.Fatalf("Send after rejection: %v", err)
 			}
-			if got := backend.received(); len(got) != 1 {
-				t.Fatalf("delivered %d messages, want 1", len(got))
+			if err := c.Quit(); err != nil {
+				t.Fatal(err)
 			}
-			_ = c.Quit()
+			if got := delivered(); got != 1 {
+				t.Fatalf("delivered %d messages, want 1", got)
+			}
 		})
 	}
 }
