@@ -43,15 +43,17 @@ bench:
 
 # Record the hot-path, batching, relay, message data path and
 # checkpoint/replay micro-benchmarks as BENCH_$(N).json, N being the
-# change's number (ns/op, B/op, allocs/op, and the derived WAL-vs-JSON
-# checkpoint and async-admission ratios). A record profiles one
-# machine; end-to-end claims are made with bench-pair below.
+# change's number: each benchmark runs five times, and the record keeps
+# the median ns/op, B/op and allocs/op with their min and max, the
+# machine (goos, goarch, cpu), and the derived WAL-vs-JSON checkpoint
+# and async-admission ratios. A record profiles one machine;
+# end-to-end claims are made with bench-pair below.
 #   make bench-record N=31
 bench-record:
 	@test -n "$(N)" || { echo "usage: make bench-record N=<number>"; exit 2; }
-	{ $(GO) test -run xxx -bench 'EngineSend|EngineSubmitAsync|WorldStep|ISPSubmit|ISPReceive|NodeRelay|NodeListFanout|SMTPTxn|MailCodec' -benchmem . && \
-	  $(GO) test -run xxx -bench 'BuyHandling|BankBatchOrder' -benchmem ./internal/bank/ && \
-	  $(GO) test -run xxx -bench 'WALCheckpoint|WALReplay' -benchmem ./internal/isp/ ./internal/persist/ ; } \
+	{ $(GO) test -run xxx -count=5 -bench 'EngineSend|EngineSubmitAsync|WorldStep|ISPSubmit|ISPReceive|NodeRelay|NodeListFanout|SMTPTxn|MailCodec' -benchmem . && \
+	  $(GO) test -run xxx -count=5 -bench 'BuyHandling|BankBatchOrder' -benchmem ./internal/bank/ && \
+	  $(GO) test -run xxx -count=5 -bench 'WALCheckpoint|WALReplay' -benchmem ./internal/isp/ ./internal/persist/ ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_$(N).json
 	cat BENCH_$(N).json
 

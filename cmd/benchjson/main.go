@@ -9,7 +9,11 @@
 // is kept under its unit in the result's metrics.
 //
 // The trailing -N GOMAXPROCS suffix is stripped so benchmark names are
-// the same on every machine. When both WAL checkpoint benchmarks are
+// the same on every machine. A benchmark run several times (`go test
+// -count=5`, as `make bench-record` does) is recorded once: its median
+// of each value, and the min and max of ns/op, B/op and allocs/op, so
+// that a record carries its own spread. The goos, goarch and cpu lines
+// of the output name the machine. When both WAL checkpoint benchmarks are
 // present, a derived speedup ratio (whole-state JSON ns/op over WAL
 // ns/op) is included. Likewise, when both
 // EngineSend and EngineSubmitAsync are present, the derived
@@ -30,22 +34,35 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
 
+// benchResult is one benchmark: the median of its runs, and the
+// spread of the three standard values across them.
 type benchResult struct {
 	Name        string  `json:"name"`
+	Runs        int     `json:"runs"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"nsPerOp"`
+	NsPerOpMin  float64 `json:"nsPerOpMin"`
+	NsPerOpMax  float64 `json:"nsPerOpMax"`
 	BytesPerOp  int64   `json:"bytesPerOp"`
+	BytesMin    int64   `json:"bytesPerOpMin"`
+	BytesMax    int64   `json:"bytesPerOpMax"`
 	AllocsPerOp int64   `json:"allocsPerOp"`
+	AllocsMin   int64   `json:"allocsPerOpMin"`
+	AllocsMax   int64   `json:"allocsPerOpMax"`
 	// Metrics holds the benchmark's own b.ReportMetric values by unit.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 type record struct {
 	GeneratedBy string             `json:"generatedBy"`
+	GOOS        string             `json:"goos,omitempty"`
+	GOARCH      string             `json:"goarch,omitempty"`
+	CPU         string             `json:"cpu,omitempty"`
 	Benchmarks  []benchResult      `json:"benchmarks"`
 	Derived     map[string]float64 `json:"derived,omitempty"`
 }
@@ -61,17 +78,34 @@ func main() {
 
 func run(in io.Reader, out string) error {
 	rec := record{GeneratedBy: "make bench-record"}
+	runs := make(map[string][]benchResult) // by name, in input order
+	var names []string
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
-		if r, ok := parseLine(sc.Text()); ok {
-			rec.Benchmarks = append(rec.Benchmarks, r)
+		line := sc.Text()
+		switch k, v, _ := strings.Cut(line, ": "); k {
+		case "goos":
+			rec.GOOS = v
+		case "goarch":
+			rec.GOARCH = v
+		case "cpu":
+			rec.CPU = v
+		}
+		if r, ok := parseLine(line); ok {
+			if runs[r.Name] == nil {
+				names = append(names, r.Name)
+			}
+			runs[r.Name] = append(runs[r.Name], r)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	if len(rec.Benchmarks) == 0 {
+	if len(names) == 0 {
 		return fmt.Errorf("no benchmark lines on stdin")
+	}
+	for _, name := range names {
+		rec.Benchmarks = append(rec.Benchmarks, summarize(runs[name]))
 	}
 	rec.Derived = make(map[string]float64)
 	if ratio, ok := checkpointSpeedup(rec.Benchmarks); ok {
@@ -137,6 +171,35 @@ func parseLine(line string) (benchResult, bool) {
 		return benchResult{}, false
 	}
 	return r, true
+}
+
+// summarize folds the runs of one benchmark into its median of every
+// value, and the min and max of ns/op, B/op and allocs/op.
+func summarize(rs []benchResult) benchResult {
+	out := benchResult{Name: rs[0].Name, Runs: len(rs)}
+	field := func(get func(benchResult) float64) (med, lo, hi float64) {
+		v := make([]float64, len(rs))
+		for i, r := range rs {
+			v[i] = get(r)
+		}
+		slices.Sort(v)
+		n := len(v)
+		return (v[(n-1)/2] + v[n/2]) / 2, v[0], v[n-1]
+	}
+	it, _, _ := field(func(r benchResult) float64 { return float64(r.Iterations) })
+	out.Iterations = int64(it)
+	out.NsPerOp, out.NsPerOpMin, out.NsPerOpMax = field(func(r benchResult) float64 { return r.NsPerOp })
+	b, bmin, bmax := field(func(r benchResult) float64 { return float64(r.BytesPerOp) })
+	out.BytesPerOp, out.BytesMin, out.BytesMax = int64(b), int64(bmin), int64(bmax)
+	a, amin, amax := field(func(r benchResult) float64 { return float64(r.AllocsPerOp) })
+	out.AllocsPerOp, out.AllocsMin, out.AllocsMax = int64(a), int64(amin), int64(amax)
+	for unit := range rs[0].Metrics {
+		if out.Metrics == nil {
+			out.Metrics = make(map[string]float64)
+		}
+		out.Metrics[unit], _, _ = field(func(r benchResult) float64 { return r.Metrics[unit] })
+	}
+	return out
 }
 
 // checkpointSpeedup derives the PR-6 acceptance ratio when both 100k

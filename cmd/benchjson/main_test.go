@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,5 +52,50 @@ func TestRunEmbedsClusterReport(t *testing.T) {
 func TestRunClusterErrors(t *testing.T) {
 	if err := run(strings.NewReader("no benchmarks here\n"), ""); err == nil {
 		t.Error("empty benchmark input accepted")
+	}
+}
+
+// TestRunFoldsRepeatedRuns: a benchmark run five times is one entry with
+// the median of each value and the spread of the standard three, and
+// the record names the machine the output says it ran on.
+func TestRunFoldsRepeatedRuns(t *testing.T) {
+	in := `goos: linux
+goarch: amd64
+pkg: zmail
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkMailCodec/decode-2   	 100	  300 ns/op	 90.0 MB/s	 64 B/op	 3 allocs/op
+BenchmarkMailCodec/decode-2   	 120	  100 ns/op	 70.0 MB/s	 64 B/op	 3 allocs/op
+BenchmarkNodeRelay-2          	 10	 2000 ns/op	 1600 B/op	 22 allocs/op
+BenchmarkMailCodec/decode-2   	 110	  500 ns/op	 10.0 MB/s	 48 B/op	 2 allocs/op
+BenchmarkMailCodec/decode-2   	 130	  200 ns/op	 80.0 MB/s	 64 B/op	 3 allocs/op
+BenchmarkMailCodec/decode-2   	 140	  400 ns/op	 60.0 MB/s	 80 B/op	 4 allocs/op
+pkg: zmail/internal/bank
+cpu: Intel(R) Xeon(R) Processor
+`
+	out := filepath.Join(t.TempDir(), "bench.json")
+	if err := run(strings.NewReader(in), out); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec record
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.GOOS != "linux" || rec.GOARCH != "amd64" || rec.CPU != "Intel(R) Xeon(R) Processor" {
+		t.Errorf("machine = %q %q %q", rec.GOOS, rec.GOARCH, rec.CPU)
+	}
+	if len(rec.Benchmarks) != 2 || rec.Benchmarks[0].Name != "MailCodec/decode" || rec.Benchmarks[1].Runs != 1 {
+		t.Fatalf("benchmarks = %+v, want MailCodec/decode then NodeRelay", rec.Benchmarks)
+	}
+	want := benchResult{Name: "MailCodec/decode", Runs: 5, Iterations: 120,
+		NsPerOp: 300, NsPerOpMin: 100, NsPerOpMax: 500,
+		BytesPerOp: 64, BytesMin: 48, BytesMax: 80,
+		AllocsPerOp: 3, AllocsMin: 2, AllocsMax: 4,
+		Metrics: map[string]float64{"MB/s": 70}}
+	if got := rec.Benchmarks[0]; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("folded runs = %+v\nwant %+v", got, want)
 	}
 }

@@ -190,12 +190,13 @@ func (e *Engine) sendAcks(em *emitQueue, msg *mail.Message, ackers []string, tid
 	paid := make([]string, 0, len(ackers))
 	recs := make([][]byte, 0, len(ackers))
 	var firstErr error
+	to, id := msg.To.String(), msg.ID()
 	for len(order) > 0 {
 		ss := e.stripeFor(order[0])
 		recs = recs[:0]
 		e.lockStripe(ss)
 		for ; len(order) > 0 && e.stripeFor(order[0]) == ss; order = order[1:] {
-			rec, err := e.chargeAck(em, ss, order[0], toIndex, msg)
+			rec, err := e.chargeAck(em, ss, order[0], toIndex, to, id)
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
@@ -235,8 +236,9 @@ func (e *Engine) sendAcks(em *emitQueue, msg *mail.Message, ackers []string, tid
 // acker pays, paired with the one our claim against the distributor's
 // ISP gains, and its statement line. It returns the line's WAL record
 // for the caller's stripe batch; the caller logs the credit change once
-// for the whole ack. Caller holds ss's lock and freezeMu for read.
-func (e *Engine) chargeAck(em *emitQueue, ss *accountStripe, name string, toIndex int, msg *mail.Message) ([]byte, error) {
+// for the whole ack. to and id are the ack's distributor and
+// Message-Id. Caller holds ss's lock and freezeMu for read.
+func (e *Engine) chargeAck(em *emitQueue, ss *accountStripe, name string, toIndex int, to, id string) ([]byte, error) {
 	acker, ok := ss.users[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownUser, name)
@@ -245,7 +247,7 @@ func (e *Engine) chargeAck(em *emitQueue, ss *accountStripe, name string, toInde
 		return nil, err
 	}
 	e.credit[toIndex].Add(1)
-	se := e.journalUser(acker, EntryAckSent, msg.To.String(), -1, 0, msg.ID())
+	se := e.journalUser(acker, EntryAckSent, to, -1, 0, id)
 	return e.walSendRecord(acker.name, -1, 0, se), nil
 }
 
@@ -268,9 +270,18 @@ func (e *Engine) receiveAcks(em *emitQueue, fromIndex int, paid bool, msg *mail.
 	if err != nil {
 		return err
 	}
+	// The first acker's single ack is built header by header; the
+	// others copy it and change only who it is from.
 	singles := make([]*mail.Message, len(ackers))
-	for i := range ackers {
-		singles[i] = ackFrom(msg, ackers[i:i+1])
+	froms := make([]string, len(ackers))
+	singles[0] = ackFrom(msg, ackers[:1])
+	froms[0] = singles[0].Header("From")
+	for i := 1; i < len(ackers); i++ {
+		one := singles[0].Clone()
+		one.From.Local = ackers[i]
+		froms[i] = one.From.String()
+		one.SetHeader("From", froms[i])
+		singles[i] = one
 	}
 	e.freezeMu.RLock()
 	defer e.freezeMu.RUnlock()
@@ -286,8 +297,9 @@ func (e *Engine) receiveAcks(em *emitQueue, fromIndex int, paid bool, msg *mail.
 	distributor.balance += money.EPenny(k)
 	e.credit[fromIndex].Add(-k)
 	entries := make([]Entry, len(ackers))
-	for i, one := range singles {
-		entries[i] = e.journalUser(distributor, EntryReceived, one.From.String(), +1, 0, msg.ID())
+	id := msg.ID()
+	for i, from := range froms {
+		entries[i] = e.journalUser(distributor, EntryReceived, from, +1, 0, id)
 	}
 	e.walSend(rs.idx, distributor.name, k, 0, entries...)
 	rs.mu.Unlock()

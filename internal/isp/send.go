@@ -475,6 +475,7 @@ func (e *Engine) receivePaid(em *emitQueue, msg *mail.Message, fromIndex int, ti
 		})
 		recs = make([][]byte, 0, len(rcpts))
 	}
+	from, id := msg.From.String(), msg.ID()
 	for len(order) > 0 {
 		rs := e.stripeFor(order[0].Local)
 		recs = recs[:0]
@@ -485,7 +486,7 @@ func (e *Engine) receivePaid(em *emitQueue, msg *mail.Message, fromIndex int, ti
 				rs.mu.Unlock()
 				return fmt.Errorf("%w: %q", ErrUnknownUser, order[0].Local)
 			}
-			if rec := e.creditReceived(recipient, fromIndex, msg); rec != nil {
+			if rec := e.creditReceived(recipient, fromIndex, from, id); rec != nil {
 				recs = append(recs, rec)
 			}
 		}
@@ -525,12 +526,13 @@ func (e *Engine) receivePaid(em *emitQueue, msg *mail.Message, fromIndex int, ti
 // e-penny the recipient earns, paired with the one our claim against
 // the sending peer gives up, and its statement line. It returns the
 // line's WAL record for the caller's stripe batch; the caller logs the
-// credit change once for the whole transaction. Caller holds the
-// recipient's stripe lock and freezeMu for read.
-func (e *Engine) creditReceived(recipient *user, fromIndex int, msg *mail.Message) []byte {
+// credit change once for the whole transaction. from and id are the
+// message's sender and Message-Id. Caller holds the recipient's stripe
+// lock and freezeMu for read.
+func (e *Engine) creditReceived(recipient *user, fromIndex int, from, id string) []byte {
 	recipient.balance++
 	e.credit[fromIndex].Add(-1)
-	re := e.journalUser(recipient, EntryReceived, msg.From.String(), +1, 0, msg.ID())
+	re := e.journalUser(recipient, EntryReceived, from, +1, 0, id)
 	return e.walSendRecord(recipient.name, +1, 0, re)
 }
 

@@ -2,7 +2,6 @@ package isp
 
 import (
 	"fmt"
-	"time"
 
 	"zmail/internal/persist"
 )
@@ -53,12 +52,10 @@ const walCompactThreshold = 4 << 20
 
 // walEncEntry appends one journal entry to a record payload.
 func walEncEntry(enc *persist.RecordEnc, en Entry) error {
-	tb, err := en.Time.MarshalBinary()
-	if err != nil {
+	enc.I64(en.Seq)
+	if err := enc.Time(en.Time); err != nil {
 		return err
 	}
-	enc.I64(en.Seq)
-	enc.Blob(tb)
 	enc.U8(byte(en.Kind))
 	enc.Str(en.Counterparty)
 	enc.I64(en.EPennies)
@@ -67,18 +64,17 @@ func walEncEntry(enc *persist.RecordEnc, en Entry) error {
 	return nil
 }
 
+// entrySize bounds the bytes walEncEntry appends for en.
+func entrySize(en Entry) int {
+	return 8 + persist.TimeSize + 1 + 4 + len(en.Counterparty) + 8 + 8 + 4 + len(en.MsgID)
+}
+
 // walDecEntry reads one journal entry; a bad timestamp marks the whole
 // decode failed.
 func walDecEntry(d *persist.RecordDec) Entry {
 	var en Entry
 	en.Seq = d.I64()
-	if tb := d.Blob(); tb != nil {
-		var ts time.Time
-		if err := ts.UnmarshalBinary(tb); err != nil {
-			d.SetFailed()
-		}
-		en.Time = ts
-	}
+	en.Time = d.Time()
 	en.Kind = EntryKind(d.U8())
 	en.Counterparty = d.Str()
 	en.EPennies = d.I64()
@@ -115,7 +111,11 @@ func (e *Engine) walUserPut(seg int, u *user, poolDelta int64) {
 	if w == nil {
 		return
 	}
-	var enc persist.RecordEnc
+	n := 1 + 8 + 4 + len(u.name) + 4*8 + 1 + 4
+	for _, en := range u.journal {
+		n += entrySize(en)
+	}
+	enc := persist.RecordEnc{B: make([]byte, 0, n)}
 	enc.U8(ispRecUserPut)
 	enc.I64(poolDelta)
 	enc.Str(u.name)
@@ -150,7 +150,11 @@ func (e *Engine) walSend(seg int, name string, balDelta, sentDelta int64, ens ..
 
 // encSend encodes the payload walSend appends.
 func encSend(name string, balDelta, sentDelta int64, ens ...Entry) ([]byte, error) {
-	var enc persist.RecordEnc
+	n := 1 + 4 + len(name) + 8 + 8
+	for _, en := range ens {
+		n += entrySize(en)
+	}
+	enc := persist.RecordEnc{B: make([]byte, 0, n)}
 	enc.U8(ispRecSend)
 	enc.Str(name)
 	enc.I64(balDelta)
@@ -198,7 +202,7 @@ func (e *Engine) walWarn(name string) {
 	if w == nil {
 		return
 	}
-	var enc persist.RecordEnc
+	enc := persist.RecordEnc{B: make([]byte, 0, 1+4+len(name))}
 	enc.U8(ispRecWarn)
 	enc.Str(name)
 	e.walAppend(w, int(fnv1a32(name)&e.stripeMask), enc.B, nil)
@@ -211,7 +215,7 @@ func (e *Engine) walTrade(seg int, name string, accountDelta, balDelta, poolDelt
 	if w == nil {
 		return
 	}
-	var enc persist.RecordEnc
+	enc := persist.RecordEnc{B: make([]byte, 0, 1+4+len(name)+3*8+entrySize(en))}
 	enc.U8(ispRecTrade)
 	enc.Str(name)
 	enc.I64(accountDelta)
@@ -227,7 +231,7 @@ func (e *Engine) walPoolAdd(delta int64) {
 	if w == nil {
 		return
 	}
-	var enc persist.RecordEnc
+	enc := persist.RecordEnc{B: make([]byte, 0, 1+8)}
 	enc.U8(ispRecPoolAdd)
 	enc.I64(delta)
 	e.walAppend(w, e.metaSeg(), enc.B, nil)
@@ -240,7 +244,7 @@ func (e *Engine) walCreditAdd(peer int, delta int64) {
 	if w == nil {
 		return
 	}
-	var enc persist.RecordEnc
+	enc := persist.RecordEnc{B: make([]byte, 0, 1+4+8)}
 	enc.U8(ispRecCreditAdd)
 	enc.U32(uint32(peer))
 	enc.I64(delta)
@@ -254,7 +258,7 @@ func (e *Engine) walCreditZero(newSeq uint64) {
 	if w == nil {
 		return
 	}
-	var enc persist.RecordEnc
+	enc := persist.RecordEnc{B: make([]byte, 0, 1+8)}
 	enc.U8(ispRecCreditZero)
 	enc.U64(newSeq)
 	e.walAppend(w, e.metaSeg(), enc.B, nil)
@@ -266,7 +270,7 @@ func (e *Engine) walNonce(counter uint32) {
 	if w == nil {
 		return
 	}
-	var enc persist.RecordEnc
+	enc := persist.RecordEnc{B: make([]byte, 0, 1+4)}
 	enc.U8(ispRecNonce)
 	enc.U32(counter)
 	e.walAppend(w, e.metaSeg(), enc.B, nil)
@@ -279,7 +283,7 @@ func (e *Engine) walDayReset(seg int) {
 	if w == nil {
 		return
 	}
-	var enc persist.RecordEnc
+	enc := persist.RecordEnc{B: make([]byte, 0, 1)}
 	enc.U8(ispRecDayReset)
 	e.walAppend(w, seg, enc.B, nil)
 }

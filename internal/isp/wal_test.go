@@ -658,3 +658,69 @@ func BenchmarkWALReplay10k(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// TestWALEntryBytes pins the send record's bytes: its timestamps are
+// written in place as the length-prefixed MarshalBinary bytes they
+// always were, whatever their zone and whether or not they carry a
+// monotonic reading, and they decode to the same instant. A timestamp
+// MarshalBinary refuses is refused as before.
+func TestWALEntryBytes(t *testing.T) {
+	ref := func(name string, ens ...Entry) []byte {
+		var enc persist.RecordEnc
+		enc.U8(ispRecSend)
+		enc.Str(name)
+		enc.I64(+1)
+		enc.I64(0)
+		for _, en := range ens {
+			tb, err := en.Time.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc.I64(en.Seq)
+			enc.U32(uint32(len(tb)))
+			enc.B = append(enc.B, tb...)
+			enc.U8(byte(en.Kind))
+			enc.Str(en.Counterparty)
+			enc.I64(en.EPennies)
+			enc.I64(en.Pennies)
+			enc.Str(en.MsgID)
+		}
+		return enc.B
+	}
+	at := time.Date(2005, 6, 6, 10, 30, 15, 123456789, time.UTC)
+	var ens []Entry
+	for i, ts := range []time.Time{
+		at,
+		at.In(time.FixedZone("CDT", -5*3600)),
+		at.In(time.FixedZone("odd", 3600+30)), // a seconds offset: the longer encoding
+		at.In(time.Local),
+		{},
+		time.Now(), // carries a monotonic reading, which is not logged
+		time.Now().In(time.FixedZone("CEST", 2*3600)),
+	} {
+		en := Entry{Seq: int64(i + 1), Time: ts, Kind: EntryReceived, Counterparty: "a@x.example", EPennies: 1, MsgID: "<1.x.example>"}
+		ens = append(ens, en)
+		got, err := encSend("bob", +1, 0, en)
+		if err != nil {
+			t.Fatalf("timestamp %v: %v", ts, err)
+		}
+		if want := ref("bob", en); !bytes.Equal(got, want) {
+			t.Errorf("timestamp %v:\n got %x\nwant %x", ts, got, want)
+		}
+		d := persist.DecodeRecord(got[1+4+len("bob")+16:])
+		if back := walDecEntry(d); d.Err() != nil || !back.Time.Equal(ts) || back.MsgID != en.MsgID {
+			t.Errorf("timestamp %v decodes to %+v, %v", ts, back, d.Err())
+		}
+	}
+	got, err := encSend("bob", +1, 0, ens...)
+	if want := ref("bob", ens...); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("record of %d entries: %v\n got %x\nwant %x", len(ens), err, got, want)
+	}
+	bad := Entry{Time: at.In(time.FixedZone("far", 1<<22))}
+	if _, merr := bad.Time.MarshalBinary(); merr == nil {
+		t.Fatal("MarshalBinary accepts a zone offset of 2^22 s")
+	}
+	if _, err := encSend("bob", +1, 0, bad); err == nil {
+		t.Error("encSend accepts a timestamp MarshalBinary refuses")
+	}
+}

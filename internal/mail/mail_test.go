@@ -2,9 +2,11 @@ package mail
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestParseAddress(t *testing.T) {
@@ -307,5 +309,67 @@ func TestParseAddressNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHeaderSemantics pins what a header block means: a repeated key
+// keeps its first place and takes the last value, a continuation line
+// extends the header its line started, and the case variants of a key
+// are one header. Past indexAt headers the same holds.
+func TestHeaderSemantics(t *testing.T) {
+	for _, tc := range []struct {
+		raw, keys, values string
+	}{
+		{"A: 1\r\nB: 2\r\nA: 3\r\n\r\n", "A B", "3 2"},
+		{"A: 1\r\n more\r\nB: 2\r\nA: 3\r\n again\r\n\r\n", "A B", "3_again 2"},
+		{"A: 1\r\nB: 2\r\n b\r\nA: 3\r\n\r\n", "A B", "3 2_b"},
+		{"x-key: 1\r\nX-KEY: 2\r\nX-Key: 3\r\n\r\n", "X-Key", "3"},
+	} {
+		m, err := Decode(tc.raw)
+		if err != nil {
+			t.Fatalf("Decode(%q): %v", tc.raw, err)
+		}
+		if got := strings.Join(m.HeaderKeys(), " "); got != tc.keys {
+			t.Errorf("Decode(%q) keys %q, want %q", tc.raw, got, tc.keys)
+		}
+		for i, v := range strings.Fields(tc.values) {
+			if got := m.Header(m.HeaderKeys()[i]); got != strings.ReplaceAll(v, "_", " ") {
+				t.Errorf("Decode(%q) %s = %q, want %q", tc.raw, m.HeaderKeys()[i], got, v)
+			}
+		}
+	}
+	m, _ := Decode(manyHeaders)
+	if m.Header("X-H3") != "again continued" || m.Header("x-h19") != "last" || m.Header("X-H4") != "v4" {
+		t.Errorf("indexed headers: X-H3 %q, X-H19 %q, X-H4 %q", m.Header("X-H3"), m.Header("X-H19"), m.Header("X-H4"))
+	}
+	m.SetHeader("x-h3", "set")
+	m.SetHeader("X-New", "new")
+	if keys := m.HeaderKeys(); keys[3] != "X-H3" || m.Header("X-H3") != "set" || keys[len(keys)-1] != "X-New" || m.Header("x-new") != "new" {
+		t.Errorf("SetHeader past indexAt: keys %q", keys)
+	}
+}
+
+// TestHostileHeaderCount: a DATA of up to 4 MiB can carry some 400,000
+// header lines. Decoding one of 100,000 distinct lines, then setting and
+// reading one of them, takes some 50 ms with an index and over ten
+// seconds with a scan per line; the bound leaves room for -race and a
+// loaded machine.
+func TestHostileHeaderCount(t *testing.T) {
+	var b strings.Builder
+	for i := range 100_000 {
+		fmt.Fprintf(&b, "X-%d: v\r\n", i)
+	}
+	raw := b.String() + "\r\nbody"
+	start := time.Now()
+	m, err := Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetHeader("X-99999", "set")
+	if m.Header("x-99999") != "set" || m.Header("X-50000") != "v" {
+		t.Fatalf("X-99999 %q, X-50000 %q", m.Header("X-99999"), m.Header("X-50000"))
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("100,000 header lines took %v to decode, set and read, want under 2s", d)
 	}
 }

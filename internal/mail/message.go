@@ -3,6 +3,8 @@ package mail
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,7 +72,8 @@ const (
 )
 
 // Message is an email message: envelope, headers and body. Header keys
-// are stored canonically (Title-Case per segment).
+// are stored canonically (Title-Case per segment), in one slice in the
+// order they were first set.
 //
 // The envelope is From plus the recipients of one SMTP transaction. To
 // is always the first recipient. Rcpts lists them all when there are
@@ -81,10 +84,20 @@ type Message struct {
 	From    Address
 	To      Address
 	Rcpts   []Address
-	headers map[string]string
-	order   []string
-	Body    string
+	headers []header
+	// index maps each key to its place in headers once there are more
+	// than indexAt of them, so that a message of n headers costs O(n)
+	// to decode, not O(n²); below that a scan is cheaper than a map.
+	index map[string]int
+	Body  string
 }
+
+// header is one header line: a canonical key and its value.
+type header struct{ key, value string }
+
+// indexAt is the header count above which a message indexes its keys.
+// Mail the system makes carries at most eight headers.
+const indexAt = 16
 
 // Recipients returns the envelope recipients: Rcpts, or a one-element
 // view of To when Rcpts is nil, which does not allocate. Callers must
@@ -107,7 +120,7 @@ func (m *Message) CopyFor(to Address) *Message {
 // NewMessage builds a message with From/To/Subject headers populated
 // from the envelope.
 func NewMessage(from, to Address, subject, body string) *Message {
-	m := &Message{From: from, To: to, Body: body}
+	m := &Message{From: from, To: to, Body: body, headers: make([]header, 0, 8)}
 	m.SetHeader("From", from.String())
 	m.SetHeader("To", to.String())
 	m.SetHeader("Subject", subject)
@@ -146,27 +159,60 @@ func isCanonical(k string) bool {
 	return k == strings.TrimSpace(k)
 }
 
-// SetHeader sets a header, replacing any prior value.
-func (m *Message) SetHeader(key, value string) {
+// SetHeader sets a header, replacing any prior value in its place.
+func (m *Message) SetHeader(key, value string) { m.set(key, value) }
+
+// set is SetHeader; it returns the header's place.
+func (m *Message) set(key, value string) int {
 	key = CanonicalKey(key)
-	if m.headers == nil {
-		m.headers = make(map[string]string)
+	if i := m.find(key); i >= 0 {
+		m.headers[i].value = value
+		return i
 	}
-	if _, exists := m.headers[key]; !exists {
-		m.order = append(m.order, key)
+	m.headers = append(m.headers, header{key, value})
+	i := len(m.headers) - 1
+	switch {
+	case m.index != nil:
+		m.index[key] = i
+	case len(m.headers) > indexAt:
+		m.index = make(map[string]int, 2*len(m.headers))
+		for j, h := range m.headers {
+			m.index[h.key] = j
+		}
 	}
-	m.headers[key] = value
+	return i
+}
+
+// find returns the place of canonical key, or -1.
+func (m *Message) find(key string) int {
+	if m.index != nil {
+		if i, ok := m.index[key]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range m.headers {
+		if m.headers[i].key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // Header returns the value for key, or "".
 func (m *Message) Header(key string) string {
-	return m.headers[CanonicalKey(key)]
+	if i := m.find(CanonicalKey(key)); i >= 0 {
+		return m.headers[i].value
+	}
+	return ""
 }
 
 // HeaderKeys returns the header names in insertion order.
 func (m *Message) HeaderKeys() []string {
-	out := make([]string, len(m.order))
-	copy(out, m.order)
+	out := make([]string, len(m.headers))
+	for i, h := range m.headers {
+		out[i] = h.key
+	}
 	return out
 }
 
@@ -191,15 +237,14 @@ func (m *Message) Clone() *Message {
 	return c
 }
 
-// clone copies everything but Rcpts.
+// clone copies everything but Rcpts. Below indexAt headers that is two
+// allocations, the message and its header slice.
 func (m *Message) clone() *Message {
-	c := &Message{From: m.From, To: m.To, Body: m.Body}
-	c.headers = make(map[string]string, len(m.headers))
-	for k, v := range m.headers {
-		c.headers[k] = v
+	return &Message{
+		From: m.From, To: m.To, Body: m.Body,
+		headers: slices.Clone(m.headers),
+		index:   maps.Clone(m.index),
 	}
-	c.order = append([]string(nil), m.order...)
-	return c
 }
 
 // Size returns len(Encode()) without encoding: in the body every LF
@@ -210,8 +255,8 @@ func (m *Message) Size() int {
 
 // headerSize is len(EncodeHeader()).
 func (m *Message) headerSize() (n int) {
-	for _, k := range m.order {
-		n += len(k) + len(m.headers[k]) + 4 // ": " and CRLF
+	for _, h := range m.headers {
+		n += len(h.key) + len(h.value) + 4 // ": " and CRLF
 	}
 	return n
 }
@@ -245,10 +290,10 @@ func (m *Message) EncodeHeader() string {
 }
 
 func (m *Message) writeHeader(b *strings.Builder) {
-	for _, k := range m.order {
-		b.WriteString(k)
+	for _, h := range m.headers {
+		b.WriteString(h.key)
 		b.WriteString(": ")
-		b.WriteString(sanitizeHeaderValue(m.headers[k]))
+		b.WriteString(sanitizeHeaderValue(h.value))
 		b.WriteString("\r\n")
 	}
 }
@@ -282,8 +327,8 @@ func sanitizeHeaderValue(v string) string {
 // or a bare LF. The envelope From/To are filled from the headers when
 // parseable. A body without any CR is taken as a substring of raw.
 func Decode(raw string) (*Message, error) {
-	m := &Message{}
-	var lastKey string
+	m := &Message{headers: make([]header, 0, 8)}
+	last := -1 // the place of the header a continuation line extends
 	rest := raw
 	for rest != "" {
 		var line string
@@ -293,19 +338,21 @@ func Decode(raw string) (*Message, error) {
 			break // end of headers
 		}
 		if trimmed[0] == ' ' || trimmed[0] == '\t' {
-			if lastKey == "" {
+			// A key of only white space canonicalizes to "", which
+			// cannot be continued either.
+			if last < 0 || m.headers[last].key == "" {
 				return nil, errors.New("mail: continuation line before any header")
 			}
-			m.headers[lastKey] += " " + strings.TrimSpace(trimmed)
+			m.headers[last].value += " " + strings.TrimSpace(trimmed)
 			continue
 		}
 		colon := strings.IndexByte(trimmed, ':')
 		if colon <= 0 {
 			return nil, fmt.Errorf("mail: malformed header line %q", trimmed)
 		}
-		key := CanonicalKey(trimmed[:colon])
-		m.SetHeader(key, strings.TrimSpace(trimmed[colon+1:]))
-		lastKey = key
+		// set canonicalizes the key again, which changes only a key
+		// that is not UTF-8, as it always has.
+		last = m.set(CanonicalKey(trimmed[:colon]), strings.TrimSpace(trimmed[colon+1:]))
 	}
 	// The body is the remaining lines, less their trailing CRs, joined by
 	// LF, with none after the last.

@@ -3,6 +3,7 @@ package persist
 import (
 	"encoding/binary"
 	"errors"
+	"time"
 )
 
 // Record payload encoding shared by the WAL's clients: little-endian
@@ -15,7 +16,9 @@ import (
 // trailing garbage, or an embedded value that did not parse.
 var ErrBadRecord = errors.New("persist: malformed wal record")
 
-// RecordEnc accumulates a record payload in B.
+// RecordEnc accumulates a record payload in B. A caller that knows the
+// payload's size starts B with that capacity, so that encoding it
+// allocates once.
 type RecordEnc struct{ B []byte }
 
 // U8 appends one byte.
@@ -33,8 +36,23 @@ func (e *RecordEnc) I64(v int64) { e.U64(uint64(v)) }
 // Str appends a u32 length prefix and the string bytes.
 func (e *RecordEnc) Str(s string) { e.U32(uint32(len(s))); e.B = append(e.B, s...) }
 
-// Blob appends a u32 length prefix and the raw bytes.
-func (e *RecordEnc) Blob(p []byte) { e.U32(uint32(len(p))); e.B = append(e.B, p...) }
+// TimeSize is the most bytes Time appends.
+const TimeSize = 4 + 16
+
+// Time appends a u32 length prefix and t's MarshalBinary bytes, which
+// it writes in place rather than into a slice of their own.
+func (e *RecordEnc) Time(t time.Time) error {
+	at := len(e.B)
+	e.U32(0) // length, filled below
+	b, err := t.AppendBinary(e.B)
+	if err != nil {
+		e.B = e.B[:at]
+		return err
+	}
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	e.B = b
+	return nil
+}
 
 // Flag appends a bool as one byte (1/0).
 func (e *RecordEnc) Flag(v bool) {
@@ -108,9 +126,15 @@ func (d *RecordDec) Str() string { return string(d.Take(int(d.U32()))) }
 // Blob reads length-prefixed bytes (aliasing the payload).
 func (d *RecordDec) Blob() []byte { return d.Take(int(d.U32())) }
 
-// SetFailed marks the decode failed; for callers whose embedded value
-// (a timestamp, say) did not parse.
-func (d *RecordDec) SetFailed() { d.fail = true }
+// Time reads what RecordEnc.Time wrote; a timestamp that does not parse
+// marks the decode failed.
+func (d *RecordDec) Time() time.Time {
+	var t time.Time
+	if p := d.Blob(); p != nil && t.UnmarshalBinary(p) != nil {
+		d.fail = true
+	}
+	return t
+}
 
 // Err reports the decode outcome: ErrBadRecord on any failure or if
 // payload bytes remain unconsumed, nil otherwise.

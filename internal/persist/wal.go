@@ -89,7 +89,12 @@ type segment struct {
 	err     error  // sticky: first write failure poisons the segment
 	size    int64  // current file size including header
 	lastLSN uint64 // highest LSN written or replayed in this segment
+	frame   []byte // AppendBatch's write buffer, reused under mu
 }
+
+// maxKeptFrame is the largest write buffer a segment keeps for its next
+// AppendBatch; a bigger batch frames into a buffer of its own.
+const maxKeptFrame = 64 << 10
 
 // WAL is a directory of per-stripe segment files plus a snapshot.
 // Append is write-through to the kernel (survives process crash, the
@@ -443,7 +448,13 @@ func (w *WAL) AppendBatch(seg int, payloads [][]byte) error {
 	// within the segment stays LSN order.
 	last := w.lsn.Add(uint64(len(payloads)))
 	lsn := last - uint64(len(payloads))
-	buf := make([]byte, 0, n)
+	buf := s.frame[:0]
+	if cap(buf) < n {
+		buf = make([]byte, 0, n)
+		if n <= maxKeptFrame {
+			s.frame = buf
+		}
+	}
 	for _, p := range payloads {
 		lsn++
 		off := len(buf)

@@ -50,7 +50,13 @@ func (id ID) IsZero() bool { return id == 0 }
 
 // String renders the ID as 16 lowercase hex digits, the form carried in
 // the X-Zmail-Trace mail header.
-func (id ID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
+func (id ID) String() string {
+	var b [16]byte
+	for i := range b {
+		b[i] = "0123456789abcdef"[uint64(id)>>(60-4*i)&15]
+	}
+	return string(b[:])
+}
 
 // Origin extracts the minting party's origin code.
 func (id ID) Origin() int { return int(uint64(id) >> 48) }
