@@ -317,6 +317,12 @@ func (e *Engine) AttachWAL(dir string) error {
 // a user record whose name hashes to another stripe, a stripe record in
 // the meta segment, a meta record in a stripe segment — means the log
 // was written with another stripe count, and fails the replay.
+//
+// Journal entries wait in pend until their segment's records are all
+// applied (or the next segment's first arrives); flushJournals then
+// gives each row its grown ring in one allocation of its final size,
+// where appending entry by entry would reallocate it every time its
+// capacity ran out.
 type ispReplay struct {
 	stripes []map[string]*UserState
 	pool    int64
@@ -325,6 +331,16 @@ type ispReplay struct {
 	jseq    int64
 	nonce   uint32
 	mask    uint32
+
+	pend    []pendingEntry
+	pendSeg int
+	grow    map[*UserState]int // flushJournals' per-row count, reused
+}
+
+// pendingEntry is a replayed journal entry not yet in its row's ring.
+type pendingEntry struct {
+	row *UserState
+	en  Entry
 }
 
 func newISPReplay(st *EngineState, mask uint32) *ispReplay {
@@ -336,6 +352,7 @@ func newISPReplay(st *EngineState, mask uint32) *ispReplay {
 		jseq:    st.JournalSeq,
 		nonce:   st.NonceCounter,
 		mask:    mask,
+		grow:    make(map[*UserState]int),
 	}
 	for i := range r.stripes {
 		r.stripes[i] = make(map[string]*UserState, len(st.Users)/len(r.stripes))
@@ -384,13 +401,44 @@ func (r *ispReplay) bumpSeq(en Entry) {
 	}
 }
 
-// appendJournal applies one journal entry to a row, honoring the ring
-// bound.
-func appendJournal(row *UserState, en Entry) {
-	row.Journal = append(row.Journal, en)
-	if len(row.Journal) > journalDepth {
-		row.Journal = row.Journal[len(row.Journal)-journalDepth:]
+// journal queues en for row, a row of segment seg, and raises the
+// journal high-water mark to cover it.
+func (r *ispReplay) journal(seg int, row *UserState, en Entry) {
+	if seg != r.pendSeg {
+		r.flushJournals()
+		r.pendSeg = seg
 	}
+	r.pend = append(r.pend, pendingEntry{row, en})
+	r.bumpSeq(en)
+}
+
+// flushJournals appends the pending entries to their rows, honoring the
+// ring bound: a row that gains n entries keeps the last journalDepth of
+// its old ring and the n, in a slice allocated at that length. A row
+// that a later put replaced still receives its entries, which nothing
+// reads.
+func (r *ispReplay) flushJournals() {
+	for _, p := range r.pend {
+		r.grow[p.row]++
+	}
+	for row, n := range r.grow {
+		size := min(len(row.Journal)+n, journalDepth)
+		kept := max(size-n, 0)
+		j := make([]Entry, kept, size)
+		copy(j, row.Journal[len(row.Journal)-kept:])
+		row.Journal = j
+		r.grow[row] = n - (size - kept) // leading new entries that roll off
+	}
+	for _, p := range r.pend {
+		if r.grow[p.row] > 0 {
+			r.grow[p.row]--
+			continue
+		}
+		p.row.Journal = append(p.row.Journal, p.en)
+	}
+	clear(r.grow)
+	clear(r.pend) // drop the rows and strings the entries point to
+	r.pend = r.pend[:0]
 }
 
 // apply replays one record from segment seg. The payload is valid only
@@ -454,8 +502,7 @@ func (r *ispReplay) apply(seg int, payload []byte) error {
 		row.Balance = row.Balance + balDelta
 		row.Sent += sentDelta
 		for _, en := range ens {
-			appendJournal(row, en)
-			r.bumpSeq(en)
+			r.journal(seg, row, en)
 		}
 	case ispRecWarn:
 		name := d.Blob()
@@ -483,8 +530,7 @@ func (r *ispReplay) apply(seg int, payload []byte) error {
 		row.Account = row.Account + accountDelta
 		row.Balance = row.Balance + balDelta
 		r.pool = r.pool + poolDelta
-		appendJournal(row, en)
-		r.bumpSeq(en)
+		r.journal(seg, row, en)
 	case ispRecPoolAdd:
 		delta := d.I64()
 		if err := d.Err(); err != nil {
@@ -536,12 +582,17 @@ func (r *ispReplay) apply(seg int, payload []byte) error {
 // no particular order: restoreState files them by stripe, and only
 // ExportState promises sorted output.
 func (r *ispReplay) finalize(st *EngineState) {
+	r.flushJournals()
 	st.Avail = r.pool
 	st.Credit = r.credit
 	st.Seq = r.seq
 	st.JournalSeq = r.jseq
 	st.NonceCounter = r.nonce
-	users := make([]UserState, 0, len(st.Users))
+	n := 0
+	for _, b := range r.stripes {
+		n += len(b)
+	}
+	users := make([]UserState, 0, n)
 	for _, b := range r.stripes {
 		for _, row := range b {
 			users = append(users, *row)

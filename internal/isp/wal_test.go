@@ -270,6 +270,63 @@ func TestWALEngineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWALReplayJournalRing recovers journals that the ring bound trims:
+// one user's log alone overflows the ring, another's snapshot ring is
+// full before the log adds to it, and a third has a few entries. The
+// users fall in different stripes, so replay also flushes queued
+// entries between segments.
+func TestWALReplayJournalRing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	e, _, _ := newEngine(t, 0, nil, func(c *Config) {
+		c.DefaultLimit = 1 << 40
+		c.InitialAvail = 1 << 21
+		c.MaxAvail = 1 << 22
+	})
+	if err := e.AttachWAL(dir); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"alice", "bob", "carol"}
+	seen := map[int]bool{}
+	for _, name := range names {
+		mustRegister(t, e, name, 1000, 1000)
+		seen[int(fnv1a32(name)&e.stripeMask)] = true
+	}
+	if len(seen) < 2 {
+		t.Fatalf("users %v share one stripe", names)
+	}
+	send := func(from string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			m := mail.NewMessage(addr(from+"@a.example"), addr("x@b.example"), "s", "b")
+			if _, err := e.SubmitSync(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send("alice", journalDepth+50)
+	send("bob", journalDepth)
+	if err := e.CompactWAL(); err != nil {
+		t.Fatal(err)
+	}
+	send("bob", 10)
+	send("carol", 3)
+	send("alice", 5)
+	want := exportJSON(t, e)
+	if err := e.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	e2 := recoverInto(t, dir)
+	defer e2.CloseWAL()
+	if got := exportJSON(t, e2); !bytes.Equal(got, want) {
+		t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
+	}
+	for name, n := range map[string]int{"alice": journalDepth, "bob": journalDepth, "carol": 3} {
+		if entries, _ := e2.Statement(name); len(entries) != n {
+			t.Errorf("%s: %d journal entries recovered, want %d", name, len(entries), n)
+		}
+	}
+}
+
 // TestWALBatchOrders runs bank orders under the WAL: a
 // sell-side order the bank answers, a partially filled buy, and one
 // order still outstanding at the crash. Each order's nonce and pool
